@@ -7,9 +7,9 @@ by bounded queues, which is how the paper's hardware actually behaves
 (the FPGA streams batches while the ARM host re-processes the previous
 batch's flagged subset in parallel):
 
-    submit() ──► MicroBatcher ──► bnn queue ──► BNN worker ──► futures
-                  (size/deadline)   (bounded)       │ DMU accept
-                                                    │ DMU flag
+    submit() ──► MicroBatcher ◄── take() ── BNN worker ──► futures
+                 (bounded pending buffer,           │ DMU accept
+                  size/deadline cut)                │ DMU flag
                                            stage-1 queue (bounded)
                                                     │ per-stage worker:
                                                     │ score, DMU accept
@@ -24,11 +24,13 @@ batch's flagged subset in parallel):
     ``ladder=[LadderStage(...), ...]`` inserts quantized middle rungs
     between the BNN and the host — the N-stage precision ladder of
     ``docs/LADDER.md`` — each with its own bounded queue, worker thread,
-    DMU and threshold knob.  Every bounded queue exerts backpressure
-    upstream; the queues that *shed* instead of blocking are the
-    forwarding queues (middle and host), because blocking there would
-    stall the cheaper rungs for the exact traffic mix (reach ``R_i`` too
-    high) that Eq. (1N) says the slower rungs cannot absorb anyway.
+    DMU and threshold knob.  The BNN worker pulls its own batch the
+    moment it is free, so the batcher's bounded pending buffer is the
+    only pre-BNN buffer and the one place that blocks ``submit``.  The
+    queues that *shed* instead of blocking are the forwarding queues
+    (middle and host), because blocking there would stall the cheaper
+    rungs for the exact traffic mix (reach ``R_i`` too high) that
+    Eq. (1N) says the slower rungs cannot absorb anyway.
 
 An :class:`~repro.serve.controller.AdaptiveThresholdController` closes
 the loop between the two stages at runtime; a plain float threshold
@@ -57,7 +59,7 @@ across :meth:`CascadeServer.close` with work in flight
 Paper anchors: Fig. 1 (cascade structure), Eq. (1) timing regime
 (host-bound vs BNN-bound); the degraded mode realizes CascadeCNN's
 fall-back-to-low-precision semantics.  When a :mod:`repro.obs` tracer is
-installed the workers emit ``serve.enqueue`` / ``serve.bnn`` /
+installed the workers emit ``serve.batch`` / ``serve.bnn`` /
 ``serve.dmu`` / ``serve.host`` spans plus queue-depth gauges,
 accepted/rerun/degraded counters and fault/retry/deadline/breaker
 events; with no tracer installed the instrumentation is a no-op.
@@ -176,9 +178,16 @@ class CascadeServer:
         Bound of each middle rung's queue in images (default: the host
         queue capacity).
     max_batch_size / batch_delay_s:
-        Micro-batcher limits for the BNN stage.
-    bnn_queue_capacity / host_queue_capacity:
-        Bounds of the inter-stage queues (batches / images respectively).
+        Micro-batcher limits for the BNN stage.  The BNN worker cuts a
+        batch whenever it is free and one is due: ``max_batch_size``
+        pending, or the oldest pending request ``batch_delay_s`` old.
+        The default ``0`` never holds a request for a timer — batches
+        form while the previous one computes.  ``submit`` blocks once
+        ``6 * max_batch_size`` images are pending
+        (``snapshot().queues["bnn"]``, in images, sampled by the BNN
+        worker after each cut).
+    host_queue_capacity:
+        Bound of the host queue in images.
     num_host_workers:
         Host re-inference worker threads (the paper has one ARM core
         pool; scale up for stronger hosts).
@@ -221,8 +230,7 @@ class CascadeServer:
             AdaptiveThresholdController | LadderThresholdController | float | None
         ) = None,
         max_batch_size: int = 32,
-        batch_delay_s: float = 0.002,
-        bnn_queue_capacity: int = 4,
+        batch_delay_s: float = 0.0,
         host_queue_capacity: int = 64,
         num_host_workers: int = 1,
         host_workers: int | None = None,
@@ -237,7 +245,7 @@ class CascadeServer:
     ):
         if num_host_workers < 1:
             raise ValueError("num_host_workers must be >= 1")
-        if host_queue_capacity < 1 or bnn_queue_capacity < 1:
+        if host_queue_capacity < 1:
             raise ValueError("queue capacities must be >= 1")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive (or None)")
@@ -293,7 +301,10 @@ class CascadeServer:
                 self._hop_static[i + 1] = float(thr)
         self._clock = clock
         self.metrics = metrics if metrics is not None else ServerMetrics(clock=clock)
-        self.metrics.register_queue(BNN_QUEUE, bnn_queue_capacity)
+        self._batcher: MicroBatcher[_Request] = MicroBatcher(
+            max_batch_size=max_batch_size, max_delay_s=batch_delay_s, clock=clock
+        )
+        self.metrics.register_queue(BNN_QUEUE, self._batcher.max_pending)
         for stage in stages:
             self.metrics.register_queue(stage.name, ladder_queue_capacity)
         self.metrics.register_queue(HOST_QUEUE, host_queue_capacity)
@@ -316,7 +327,6 @@ class CascadeServer:
         if self._breaker is not None and self._breaker._on_transition is None:
             self._breaker._on_transition = self._on_breaker_transition
 
-        self._bnn_queue: queue.Queue = queue.Queue(maxsize=bnn_queue_capacity)
         self._mid_queues: list[queue.Queue] = [
             queue.Queue(maxsize=ladder_queue_capacity) for _ in stages
         ]
@@ -327,12 +337,6 @@ class CascadeServer:
         self._inflight: set[_Request] = set()
         self._inflight_lock = threading.Lock()
 
-        self._batcher: MicroBatcher[_Request] = MicroBatcher(
-            emit=self._enqueue_bnn_batch,
-            max_batch_size=max_batch_size,
-            max_delay_s=batch_delay_s,
-            clock=clock,
-        )
         self._bnn_thread = threading.Thread(
             target=self._bnn_loop, name="serve-bnn", daemon=True
         )
@@ -466,8 +470,8 @@ class CascadeServer:
             first = not self._closed
             self._closed = True
         if first:
-            self._batcher.close(timeout=timeout)
-            self._put_sentinel(self._bnn_queue, timeout)
+            # The BNN worker drains the pending buffer, then take() yields None.
+            self._batcher.close()
             self._bnn_thread.join(timeout=timeout)
             # Drain the ladder top-down: each rung's sentinel goes in only
             # after every producer above it has exited, so no request is
@@ -549,22 +553,13 @@ class CascadeServer:
     def _past_deadline(self, request: _Request) -> bool:
         return request.deadline_ts is not None and self._clock() > request.deadline_ts
 
-    # -- internal: batcher -> BNN queue -------------------------------------
-    def _enqueue_bnn_batch(self, batch: list[_Request]) -> None:
-        # Span covers the bounded put: its duration IS the backpressure.
-        with obs.trace_span("serve.enqueue", batch=len(batch)):
-            self._bnn_queue.put(batch)  # bounded: blocks, pushing backpressure up
-        depth = self._bnn_queue.qsize()
-        self.metrics.set_queue_depth(BNN_QUEUE, depth)
-        obs.gauge("queue.bnn", depth)
-
     # -- internal: BNN worker ------------------------------------------------
     def _bnn_loop(self) -> None:
         while True:
-            batch = self._bnn_queue.get()
-            self.metrics.set_queue_depth(BNN_QUEUE, self._bnn_queue.qsize())
-            if batch is _SHUTDOWN:
+            batch = self._batcher.take()
+            if batch is None:
                 return
+            self.metrics.set_queue_depth(BNN_QUEUE, self._batcher.pending)
             try:
                 self._process_bnn_batch(batch)
             except Exception as exc:  # containment: never kill the worker
@@ -607,7 +602,11 @@ class CascadeServer:
                 confidence = np.atleast_1d(self._dmu.confidence(scores))
                 threshold = self.threshold
                 accept = confidence >= threshold
-        except Exception as exc:
+        except Exception:
+            accept = None
+        # Booked on the DMU-fault path too: the BNN compute happened.
+        self.metrics.observe_stage("bnn", self._clock() - start, count=len(live))
+        if accept is None:
             # DMU down but the BNN answered: CascadeCNN fall-back — accept
             # every BNN answer as a degraded result (Eq. (2) floor).
             self.metrics.record_fault("dmu")
@@ -617,7 +616,6 @@ class CascadeServer:
             for i, request in enumerate(live):
                 self._resolve(request, predictions[i], "degraded")
             return
-        self.metrics.observe_stage("bnn", self._clock() - start, count=len(live))
 
         for i, request in enumerate(live):
             request.last_prediction = int(predictions[i])
@@ -759,6 +757,9 @@ class CascadeServer:
                 confidence = np.atleast_1d(stage.dmu.confidence(scores))
                 accept = confidence >= self.stage_threshold(rung)
         except Exception:
+            accept = None
+        self.metrics.observe_stage(stage.name, self._clock() - start, count=len(live))
+        if accept is None:
             # DMU down but the rung answered: keep this rung's (better)
             # answer as a degraded result — CascadeCNN's fall-back.
             self.metrics.record_fault(f"{stage.name}.dmu")
@@ -768,7 +769,6 @@ class CascadeServer:
             for i, request in enumerate(live):
                 self._resolve(request, predictions[i], "degraded")
             return
-        self.metrics.observe_stage(stage.name, self._clock() - start, count=len(live))
 
         accepted, forwarded, degraded = self._route_after_scoring(
             rung, live, predictions, confidence, accept, stage.name

@@ -285,7 +285,7 @@ class TestHangPlusDeadline:
         images = chaos.make_images(32, seed=8)
         with make_server(
             bnn_fn, dmu, host_fn,
-            max_batch_size=8, bnn_queue_capacity=8, deadline_s=0.1,
+            max_batch_size=8, deadline_s=0.1,
         ) as server:
             futures = [server.submit(img) for img in images]
             results, errors = chaos.settle(futures)

@@ -42,7 +42,6 @@ def test_soak_mixed_faults(chaos):
         batch_delay_s=0.001,
         max_batch_size=16,
         host_batch_size=4,
-        bnn_queue_capacity=queue_capacity,
         host_queue_capacity=queue_capacity,
         num_host_workers=2,
         deadline_s=5.0,

@@ -32,6 +32,7 @@ def _serve(traced: bool):
         controller=0.9,
         max_batch_size=16,
         batch_delay_s=0.001,
+        host_queue_capacity=256,
         num_host_workers=2,
         host_batch_size=8,
     )

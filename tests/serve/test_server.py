@@ -212,3 +212,61 @@ class TestShutdown:
         snapshot = server.snapshot()
         assert snapshot.failed == len(stranded)
         assert snapshot.completed + snapshot.failed == snapshot.submitted
+
+
+class TestWorkConservingBatching:
+    """The BNN worker pulls its own batch: no timer, no frozen batches."""
+
+    def test_lone_request_resolves_without_any_timer_expiring(self):
+        # Frozen clock: if the answer depended on a linger deadline
+        # passing, the future would never resolve.
+        with CascadeServer(
+            bnn_scores_fn, make_dmu(threshold=0.0), host_predict_fn,
+            clock=lambda: 0.0,
+        ) as server:
+            result = server.submit(make_images(1)[0]).result(timeout=10.0)
+        assert result.source == "bnn"
+
+    def test_requests_arriving_during_a_batch_form_the_next_batch(self):
+        entered = threading.Event()
+        release = threading.Event()
+        calls: list[np.ndarray] = []
+
+        def gated_bnn(images):
+            calls.append(images)
+            if len(calls) == 1:
+                entered.set()
+                release.wait(10.0)
+            return bnn_scores_fn(images)
+
+        images = make_images(21)
+        server = CascadeServer(gated_bnn, make_dmu(threshold=0.0), host_predict_fn)
+        try:
+            futures = [server.submit(images[0])]
+            assert entered.wait(10.0), "BNN worker never started"
+            futures += [server.submit(img) for img in images[1:]]
+        finally:
+            release.set()
+        for f in futures:
+            f.result(timeout=10.0)
+        server.close()
+        assert [len(c) for c in calls] == [1, 20]
+        np.testing.assert_array_equal(calls[1], images[1:])  # submit order
+
+    def test_dmu_fault_still_books_the_bnn_stage_time(self):
+        """Regression: a raising DMU used to leave the batch's BNN
+        compute out of the ``bnn`` stage timer."""
+
+        class RaisingDMU:
+            threshold = 0.7
+
+            def confidence(self, scores):
+                raise RuntimeError("dmu down")
+
+        images = make_images(24)
+        with CascadeServer(bnn_scores_fn, RaisingDMU(), host_predict_fn) as server:
+            results = serve_all(server, images)
+            snapshot = server.snapshot()
+        assert all(r.source == "degraded" for r in results)
+        assert snapshot.faults["dmu"] >= 1
+        assert snapshot.stages["bnn"].count == len(images)
