@@ -5,10 +5,6 @@ supports ``numpy>=1.24`` (pyproject), so every popcount in the BNN stack
 routes through this module: the native ufunc when available, otherwise
 lookup tables (8-bit for byte arrays, 16-bit for uint64 words).  The
 tables are tiny (256 B / 64 KiB) and built once at import.
-
-Also hosts the uint8 <-> uint64 word-view helper used by the ``lut64``
-kernel: popcount is permutation-invariant, so viewing packed bytes as
-wider words changes neither the counts nor the dot products.
 """
 
 from __future__ import annotations
@@ -22,7 +18,6 @@ __all__ = [
     "popcount",
     "popcount_rows",
     "popcount_u64",
-    "words_u8_to_u64",
 ]
 
 #: True when the native NumPy>=2.0 popcount ufunc is available.  Module
@@ -59,19 +54,3 @@ def popcount_u64(words: np.ndarray) -> np.ndarray:
 def popcount_rows(words: np.ndarray) -> np.ndarray:
     """Per-row total set bits of a packed (M, B) uint8 matrix, as int64."""
     return popcount(words).sum(axis=-1, dtype=np.int64)
-
-
-def words_u8_to_u64(words: np.ndarray) -> np.ndarray:
-    """Reinterpret packed (M, B) uint8 rows as (M, ceil(B/8)) uint64 words.
-
-    Rows are zero-padded to an 8-byte multiple first; pad bytes carry no
-    set bits, so XOR/popcount arithmetic over the widened words is
-    unchanged.
-    """
-    m, b = words.shape
-    w64 = -(-b // 8)
-    if b != w64 * 8:
-        padded = np.zeros((m, w64 * 8), dtype=np.uint8)
-        padded[:, :b] = words
-        words = padded
-    return np.ascontiguousarray(words).view(np.uint64)

@@ -286,6 +286,20 @@ class FloatDenseHead:
         return out
 
 
+def _run_stage(stage, x, emit_packed: bool, backend: str | None):
+    """One uncompiled stage call, with the implicit Flatten before a
+    dense engine (shared by ``forward_uncompiled`` and the compiled
+    plan's non-fused suffix)."""
+    if isinstance(stage, (FoldedDense, FloatDenseHead)):
+        if isinstance(x, PackedMaps):
+            x = x.flatten_rows()
+        elif isinstance(x, np.ndarray) and x.ndim == 4:
+            x = x.reshape(x.shape[0], -1)
+    if isinstance(stage, (FoldedConv, FoldedDense)):
+        return stage(x, emit_packed=emit_packed, backend=backend)
+    return stage(x)
+
+
 class FoldedBNN:
     """Deployment-form binarized network (the FPGA's functional model).
 
@@ -337,12 +351,13 @@ class FoldedBNN:
         backend: str | None = None,
         threads: int | None = None,
     ):
-        """Preplan the packed dataflow end-to-end; see :mod:`repro.bnn.plan`.
+        """Preplan the dataflow end-to-end; see :mod:`repro.bnn.plan`.
 
         Returns a :class:`~repro.bnn.plan.CompiledBNNPlan` whose
-        ``forward`` is bit-identical to ``self.forward(x, batch_size=
-        micro_batch)`` while reusing preallocated per-layer buffers and a
-        per-stage backend resolved once at compile time.  Raises
+        ``forward`` is bit-identical to ``self.forward_uncompiled(x,
+        batch_size=micro_batch)`` while carrying 0/1 float planes between
+        stages in preallocated buffers, thresholds folded into the
+        weights at compile time.  Raises
         :class:`~repro.bnn.plan.PlanUnsupported` when the network has no
         packed pipeline to compile (``packed=False``).
         """
@@ -458,17 +473,9 @@ class FoldedBNN:
         outputs = []
         for start in range(0, images.shape[0], batch_size):
             x: np.ndarray | PackedMaps | PackedRows = images[start : start + batch_size]
-            for i, (stage, emit) in enumerate(zip(self.stages, plan)):
-                if isinstance(stage, (FoldedDense, FloatDenseHead)):
-                    if isinstance(x, PackedMaps):
-                        x = x.flatten_rows()
-                    elif isinstance(x, np.ndarray) and x.ndim == 4:
-                        x = x.reshape(x.shape[0], -1)
-                with obs.trace_span("bnn." + labels[i], category="bnn"):
-                    if isinstance(stage, (FoldedConv, FoldedDense)):
-                        x = stage(x, emit_packed=emit, backend=self.backend)
-                    else:
-                        x = stage(x)
+            for label, stage, emit in zip(labels, self.stages, plan):
+                with obs.trace_span("bnn." + label, category="bnn"):
+                    x = _run_stage(stage, x, emit, self.backend)
             outputs.append(x)
         return np.concatenate(outputs, axis=0)
 

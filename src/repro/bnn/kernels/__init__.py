@@ -1,6 +1,6 @@
 """Pluggable binary-kernel backends for folded BNN inference.
 
-Four bit-exact implementations of the packed {-1, +1} matrix product:
+Three bit-exact implementations of the packed {-1, +1} matrix product:
 
 * ``reference`` — the original chunked uint8 XOR + popcount datapath;
 * ``bitplane``  — bit-planes through BLAS GEMM: the 0/1 activation
@@ -8,10 +8,7 @@ Four bit-exact implementations of the packed {-1, +1} matrix product:
   (``dot = 2*(a01 @ (2*w01 - 1).T) + n - 2*rowsum(w)``);
 * ``threaded``  — the same bitplane algebra, cache-blocked and fanned
   across per-thread output slabs (``threaded@<k>`` variants pin the
-  thread count; ``REPRO_BNN_THREADS`` sets the process default);
-* ``lut64``     — uint64-word XOR with a 16-bit lookup-table popcount
-  (registered but retired from autotune: opt-in via
-  ``REPRO_BNN_BACKEND=lut64``).
+  thread count; ``REPRO_BNN_THREADS`` sets the process default).
 
 Backend choice is threaded through :class:`repro.bnn.FoldedBNN`; the
 default is ``"auto"``, which microbenchmarks the candidates on each
@@ -27,12 +24,12 @@ from .base import (
     BinaryKernel,
     autotune_candidates,
     available_backends,
+    available_cpus,
     default_backend,
     get_kernel,
     register_kernel,
 )
 from .bitplane import BitplaneGemmKernel
-from .lut64 import Lut64Kernel
 from .reference import ReferenceXnorKernel
 from .select import (
     ENV_CACHE,
@@ -48,10 +45,10 @@ __all__ = [
     "ReferenceXnorKernel",
     "BitplaneGemmKernel",
     "ThreadedBitplaneKernel",
-    "Lut64Kernel",
     "register_kernel",
     "get_kernel",
     "available_backends",
+    "available_cpus",
     "autotune_candidates",
     "default_backend",
     "resolve_bnn_threads",

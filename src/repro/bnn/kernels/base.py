@@ -43,6 +43,7 @@ __all__ = [
     "available_backends",
     "autotune_candidates",
     "default_backend",
+    "available_cpus",
     "ENV_BACKEND",
 ]
 
@@ -50,6 +51,19 @@ __all__ = [
 #: one of the registered names (optionally with an ``@variant`` suffix),
 #: or "auto" for the per-shape autotuner.
 ENV_BACKEND = "REPRO_BNN_BACKEND"
+
+#: Above this fan-in float32 accumulation could round; planes switch to f64.
+_F32_EXACT_LIMIT = 1 << 24
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: the affinity mask where the platform
+    has one (a pinned process must not size thread pools by the machine),
+    else ``os.cpu_count()``."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        return max(1, len(getaffinity(0)))
+    return os.cpu_count() or 1
 
 
 class BinaryKernel(abc.ABC):
@@ -80,9 +94,8 @@ class BinaryKernel(abc.ABC):
         """(M, N) int64 matrix of ±1 dot products over ``n`` valid bits.
 
         ``out``, when given, is a preallocated C-contiguous (M, N) int64
-        array the kernel writes into and returns — the compiled plan's
-        zero-allocation hot path.  Every backend must produce identical
-        bits with or without it.
+        array the kernel writes into and returns.  Every backend must
+        produce identical bits with or without it.
         """
 
     def variant(self, spec: str) -> "BinaryKernel":

@@ -20,7 +20,6 @@ cycle model of Eqs. (3)-(5) at P = S = 1
 from __future__ import annotations
 
 import json
-import os
 import platform
 import time
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import available_backends, get_kernel
+from .base import available_backends, available_cpus, get_kernel
 from .select import select_backend, selection_cache_path
 
 __all__ = [
@@ -143,8 +142,8 @@ def _bench_shapes(config: KernelBenchConfig, backends: tuple[str, ...]) -> list[
         for name in backends:
             time_backend(name)
         # The autotuner races its own candidate list (thread-count variants
-        # included, lut64 excluded); make sure the winner has a timing even
-        # when it is a variant name like "threaded@2".
+        # included); make sure the winner has a timing even when it is a
+        # variant name like "threaded@2".
         autotuned = select_backend(m, n_out, n_bits)
         if autotuned not in timings:
             time_backend(autotuned)
@@ -204,12 +203,13 @@ def _bench_end_to_end(config: KernelBenchConfig, backends: tuple[str, ...]) -> d
                 images, batch_size=config.batch_size
             ),
         )
-    # Compiled-plan legs: the preplanned packed dataflow (the datapath
-    # FoldedBNN.forward and the cascade server's BNN stage actually run),
-    # plus an explicit thread sweep of the threaded GEMM backend.
+    # Compiled-plan legs: the preplanned 0/1-plane dataflow (the datapath
+    # FoldedBNN.forward and the cascade server's BNN stage actually run).
+    # The fused stages call no kernel backend, so "auto" and "bitplane"
+    # differ only in name; the threaded legs sweep the tile-loop threads.
     folded = fold_network(net, packed=True)
     compiled = [("compiled (auto)", "auto", None), ("compiled (bitplane)", "bitplane", None)]
-    thread_counts = [1, 2] + ([4] if (os.cpu_count() or 1) >= 4 else [])
+    thread_counts = [k for k in (1, 2, 4) if k <= max(2, available_cpus())]
     compiled += [(f"compiled (threaded@{k})", "threaded", k) for k in thread_counts]
     for label, backend, threads in compiled:
         plan = folded.compile_inference(
@@ -263,27 +263,22 @@ def run_kernel_bench(
             "numpy": np.__version__,
             "python": platform.python_version(),
             "machine": platform.machine(),
-            "cpu_count": os.cpu_count() or 1,
-            "single_core": (os.cpu_count() or 1) <= 1,
+            "cpu_count": available_cpus(),
+            "single_core": available_cpus() <= 1,
             "note": (
-                "single-core machine: threaded-GEMM legs cannot exceed 1x over "
+                "single-core machine: threaded legs cannot exceed 1x over "
                 "threaded@1 here; re-run on a multi-core runner for real scaling"
-                if (os.cpu_count() or 1) <= 1
-                else f"{os.cpu_count()} cores available to the threaded GEMM backend"
+                if available_cpus() <= 1
+                else f"{available_cpus()} cores available to the threaded legs"
             ),
             "selection_cache": str(selection_cache_path() or "disabled"),
         },
         "notes": {
-            "lut64": (
-                "retired from the default autotune candidates (trails reference "
-                "on the dominant shape); still registered and opt-in via "
-                "REPRO_BNN_BACKEND=lut64"
-            ),
             "compiled": (
                 "compiled legs run FoldedBNN.compile_inference (preallocated "
-                "buffers, fused pack/GEMM/threshold, per-stage backend resolved "
-                "once) — the datapath FoldedBNN.forward and the cascade server "
-                "use by default"
+                "buffers, 0/1 float planes between stages, thresholds folded "
+                "into the weights; no kernel backend on fused stages) — the "
+                "datapath FoldedBNN.forward and the cascade server use by default"
             ),
         },
         "backends": list(backends),

@@ -32,12 +32,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..bitops import popcount_rows
-from .base import BinaryKernel, register_kernel
+from .base import _F32_EXACT_LIMIT, BinaryKernel, register_kernel
 
 __all__ = ["BitplaneGemmKernel"]
-
-#: Above this fan-in float32 accumulation could round; switch planes to f64.
-_F32_EXACT_LIMIT = 1 << 24
 
 
 class BitplaneGemmKernel(BinaryKernel):

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from ...obs.tracer import active as _active_tracer
-from .base import autotune_candidates, get_kernel
+from .base import autotune_candidates, available_cpus, get_kernel
 
 __all__ = [
     "select_backend",
@@ -84,7 +84,7 @@ def _environment_key() -> str:
             platform.machine() or "unknown",
             f"py{platform.python_version()}",
             f"numpy{np.__version__}",
-            f"cpus{os.cpu_count() or 1}",
+            f"cpus{available_cpus()}",
         )
     )
 
@@ -195,19 +195,19 @@ def clear_selection_cache() -> None:
 
 
 def _thread_variants(cpus: int | None = None) -> tuple[str, ...]:
-    """``threaded@k`` candidates: powers of two up to min(cpu_count, 8).
+    """``threaded@k`` candidates: powers of two up to min(available CPUs, 8).
 
     Always includes ``threaded@1`` so the cache-blocked serial path is
-    raced against plain ``bitplane`` even on single-core machines, plus
-    ``threaded@2`` as the cheapest probe of whether fan-out pays at all.
+    raced against plain ``bitplane``; a process that may run on one CPU
+    races nothing wider.
     """
-    cpus = max(1, int(cpus if cpus is not None else (os.cpu_count() or 1)))
-    counts = {1, 2}
-    k = 4
+    cpus = max(1, int(cpus if cpus is not None else available_cpus()))
+    counts = []
+    k = 1
     while k <= min(cpus, 8):
-        counts.add(k)
+        counts.append(k)
         k *= 2
-    return tuple(f"threaded@{k}" for k in sorted(counts))
+    return tuple(f"threaded@{k}" for k in counts)
 
 
 def _expand_candidates(names: tuple[str, ...]) -> tuple[str, ...]:

@@ -2,7 +2,8 @@
 
 Same algebra as :class:`~repro.bnn.kernels.bitplane.BitplaneGemmKernel`
 (``dot = 2*(a01 @ (2*w01 - 1).T) + n - 2*rowsum(w)``) with three
-scheduling upgrades aimed at the compiled FoldedBNN plan:
+scheduling upgrades (used by the uncompiled packed pipeline and by the
+compiled plan's non-fused suffix stages):
 
 * **Per-thread output slabs.**  The M dimension is split into one
   contiguous row slab per thread; each thread unpacks, multiplies and
@@ -46,16 +47,13 @@ import numpy as np
 
 from ..bitops import popcount_rows
 from ...obs import tracer as _tracer
-from .base import BinaryKernel, register_kernel
+from .base import _F32_EXACT_LIMIT, BinaryKernel, available_cpus, register_kernel
 
 __all__ = ["ThreadedBitplaneKernel", "resolve_bnn_threads", "ENV_THREADS"]
 
 #: Environment variable setting the default thread count for the
-#: ``threaded`` backend ("" = auto: min(cpu_count, 8)).
+#: ``threaded`` backend ("" = auto: min(available CPUs, 8)).
 ENV_THREADS = "REPRO_BNN_THREADS"
-
-#: Above this fan-in float32 accumulation could round; switch planes to f64.
-_F32_EXACT_LIMIT = 1 << 24
 
 #: (256, 8) byte -> bit-plane tables, MSB first to match np.unpackbits.
 _BYTE_PLANES_U8 = (
@@ -70,8 +68,10 @@ _BYTE_PLANES = {
 def resolve_bnn_threads(threads: int | None = None) -> int:
     """Thread-count policy: explicit arg > ``REPRO_BNN_THREADS`` > auto.
 
-    Auto is ``min(cpu_count, 8)`` — beyond that the unpack+GEMM per slab
-    is memory-bound and extra threads only fight over bandwidth.
+    Auto is ``min(available_cpus(), 8)`` — the affinity count, so a pinned
+    process does not fan out over CPUs it cannot use; beyond 8 the
+    unpack+GEMM per slab is memory-bound and extra threads only fight
+    over bandwidth.
     """
     if threads is not None:
         return max(1, int(threads))
@@ -81,7 +81,7 @@ def resolve_bnn_threads(threads: int | None = None) -> int:
             return max(1, int(env))
         except ValueError:
             raise ValueError(f"{ENV_THREADS}={env!r} is not an integer") from None
-    return max(1, min(os.cpu_count() or 1, 8))
+    return min(available_cpus(), 8)
 
 
 class ThreadedBitplaneKernel(BinaryKernel):
@@ -193,16 +193,6 @@ class ThreadedBitplaneKernel(BinaryKernel):
             bufs = cache[key] = (plane, prod)
         return bufs
 
-    def _bit_buffer(self, tile: int, n_out: int) -> np.ndarray:
-        """Per-thread bool scratch for the fused threshold epilogue."""
-        cache = getattr(self._scratch, "bits", None)
-        if cache is None:
-            cache = self._scratch.bits = {}
-        buf = cache.get((tile, n_out))
-        if buf is None:
-            buf = cache[(tile, n_out)] = np.empty((tile, n_out), dtype=np.bool_)
-        return buf
-
     # -- the product ------------------------------------------------------
 
     def _run_slab(
@@ -241,48 +231,6 @@ class ThreadedBitplaneKernel(BinaryKernel):
                 # exact integers so the cast is lossless.
                 out[rs:re_, cs:ce] = prod
 
-    def _run_slab_bits(
-        self,
-        a_words: np.ndarray,
-        w_plane_t: np.ndarray,
-        corr_f: np.ndarray,
-        bound: np.ndarray,
-        neg_mask: np.ndarray | None,
-        out_words: np.ndarray,
-        start: int,
-        stop: int,
-    ) -> None:
-        """GEMM slab with the threshold decision fused into the epilogue.
-
-        While the (rows × n_out) product tile is still cache-hot the bit
-        decision ``2p' + c >= bound`` runs in the GEMM dtype (every value
-        is an exact integer below the dtype's exact-int limit, so the
-        compare matches the int64 path bit-for-bit), negative-sign
-        columns are flipped, and the rows are packed straight into the
-        caller's uint8 words — the int64 accumulator round-trip never
-        touches memory.
-        """
-        dtype = w_plane_t.dtype
-        k8 = a_words.shape[1] * 8
-        n_out = w_plane_t.shape[1]
-        table = _BYTE_PLANES[dtype]
-        row_tile = self._row_tile_for(k8)
-        for rs in range(start, stop, row_tile):
-            re_ = min(rs + row_tile, stop)
-            rows = re_ - rs
-            plane_buf, prod_buf = self._buffers(row_tile, k8, n_out, dtype)
-            plane = plane_buf[:rows].reshape(rows, a_words.shape[1], 8)
-            np.take(table, a_words[rs:re_], axis=0, out=plane, mode="clip")
-            prod = prod_buf[:rows]
-            np.matmul(plane_buf[:rows], w_plane_t, out=prod)
-            prod *= 2.0
-            prod += corr_f[None, :]
-            bits = self._bit_buffer(row_tile, n_out)[:rows]
-            np.greater_equal(prod, bound[None, :], out=bits)
-            if neg_mask is not None:
-                bits[:, neg_mask] ^= True
-            out_words[rs:re_] = np.packbits(bits, axis=1)
-
     def _slab_bounds(self, m: int, threads: int) -> list[tuple[int, int]]:
         # Contiguous row slabs, one per thread; bounds cover [0, m).
         base, extra = divmod(m, threads)
@@ -318,53 +266,6 @@ class ThreadedBitplaneKernel(BinaryKernel):
         if _tracer.enabled():
             _tracer.gauge("kernel.threads", threads)
         return out
-
-    def matmul_bits(
-        self,
-        a_words: np.ndarray,
-        w_prep,
-        n: int,
-        bound: np.ndarray,
-        neg_mask: np.ndarray | None,
-        out_words: np.ndarray,
-    ) -> np.ndarray:
-        """Fused matmul + threshold: packed decision bits, no accumulator.
-
-        ``bound`` is the per-output integer decision bound already cast to
-        the GEMM dtype (exact: ``|bound| <= n + 1`` and f32 planes are
-        only used for ``n < 2**24``); bit ``j`` of a row is
-        ``dot >= bound[j]``, XOR-flipped where ``neg_mask`` is set.
-        ``out_words`` must be ``(M, ceil(N/8))`` uint8.  Only valid when
-        the output fits one column tile so packing never crosses tiles —
-        callers fall back to :meth:`matmul` otherwise.
-        """
-        w_plane_t, _correction, corr_f = w_prep
-        m = a_words.shape[0]
-        n_out = w_plane_t.shape[1]
-        if n_out > self.col_tile:
-            raise ValueError(
-                f"matmul_bits needs n_out <= col_tile ({n_out} > {self.col_tile})"
-            )
-        threads = self._effective_threads(m)
-        if threads <= 1 or m < 2:
-            self._run_slab_bits(
-                a_words, w_plane_t, corr_f, bound, neg_mask, out_words, 0, m
-            )
-        else:
-            pool = self._get_pool(threads)
-            futures = [
-                pool.submit(
-                    self._run_slab_bits,
-                    a_words, w_plane_t, corr_f, bound, neg_mask, out_words, lo, hi,
-                )
-                for lo, hi in self._slab_bounds(m, threads)
-                if hi > lo
-            ]
-            for future in futures:
-                future.result()
-        if _tracer.enabled():
-            _tracer.gauge("kernel.threads", threads)
-        return out_words
 
 
 register_kernel(ThreadedBitplaneKernel())

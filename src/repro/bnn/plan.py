@@ -1,221 +1,139 @@
-"""Compiled FoldedBNN inference: the packed dataflow, preplanned end-to-end.
+"""Compiled FoldedBNN inference: unpack once, stay unpacked.
 
 :meth:`repro.bnn.FoldedBNN.compile_inference` returns a
 :class:`CompiledBNNPlan` — the BNN-side counterpart of
-:meth:`repro.nn.Sequential.compile_inference` (PR 5's float
-``InferenceEngine``).  The uncompiled :meth:`FoldedBNN.forward` is
-correct but re-derives everything per call: fresh im2col gathers,
-fresh kernel accumulators, fresh threshold intermediates, per-call
-backend resolution.  The plan hoists all of that to compile time:
+:meth:`repro.nn.Sequential.compile_inference`.  The uncompiled
+:meth:`FoldedBNN.forward_uncompiled` keeps activations bit-packed between
+stages, which is FINN's wire format but the wrong one for BLAS: every
+layer packs its output only for the next layer to unpack it once per
+kernel offset.  The plan instead carries activations as **0/1 float
+planes** (NHWC maps, ``(n, features)`` rows) from the first threshold to
+the last layer:
 
-* **Fold-time weight layout** — every matmul stage resolves its backend
-  once (``"auto"`` runs the autotuner with the real micro-batch M) and
-  prepares its weight words once, shared with the stage's own prep cache.
-* **Preallocated buffers** — im2col/pack rows, integer accumulators,
-  threshold scratch and pool outputs are allocated per layer for a fixed
-  micro-batch and reused across calls; the odd tail chunk gets its own
-  (smaller) buffer set.  Per-stage gathers write straight into the
-  reusable rows buffers instead of materializing strided copies.
-* **Fused pack→GEMM→threshold hops** — thresholding runs as three
-  ``out=``-ed ufuncs on reused scratch instead of allocating the
-  broadcast chain, and packed max-pool ORs into its output buffer.
-* **Eval-mode hygiene** — compilation is inference-only: no caches grow
-  with call count, no RNG is consumed, and two consecutive calls on the
-  same plan touch exactly the same memory (buffer-reuse determinism,
-  verified in ``tests/bnn/test_plan.py``).
+* **conv1** (real-valued input) runs the same im2col + float64 GEMM as
+  the uncompiled path and thresholds its accumulator straight into a 0/1
+  map — one compare, written through ``out=``.
+* **every later binary stage** is three passes: gather ``k·C``-float
+  runs of the map into an im2col plane, one GEMM against
+  compile-time-folded weights, one ``prod >= bound`` compare written into
+  the next map.  No ``*2``, no ``+c``, no sign flip, no pack, no unpack.
+* **max-pool** on 0/1 maps is ``np.maximum`` over window slices (FINN's
+  boolean OR).
+* **the affine output layer** rescales its handful of popcounts to ±1
+  dot products and applies the BatchNorm affine.
 
-Bit-identity contract (same as the float engine): integer kernel stages
-are exact under any backend/threading, and the one float GEMM (the
-real-valued first conv) issues the identical BLAS call per chunk, so
-``plan.forward(x)`` equals ``FoldedBNN.forward(x, batch_size=B)``
-bit-for-bit whenever ``micro_batch == B`` — BLAS results may depend on
-the GEMM's M dimension, so matched chunking is the stable shard
-boundary.
+The fold (:func:`_fold_threshold`) is FINN's τ⁺ = (τ + S)/2 in exact
+integer algebra.  With ``p = a01·w`` and ``sw = Σw`` the ±1 dot product is
+``2p − sw``, so ``dot >= ⌈τ⌉`` iff ``p >= ⌈(⌈τ⌉ + sw)/2⌉``; negative-γ
+channels negate their weight column (``−dot >= −⌊τ⌋``), constant (γ = 0)
+channels become ``∓inf`` bounds.  Planes are float32 — every product and
+partial sum is an integer below ``_F32_EXACT_LIMIT`` — and float64 when a
+fan-in reaches that limit.
 
-Tracing: the plan keeps the legacy per-stage ``bnn.<label>`` span names
-(``repro trace`` keys its Eqs. (3)-(5) residuals off them) and adds
-``bnn.plan.compile`` / ``bnn.plan.forward`` spans around its own phases;
-the threaded kernel reports a ``kernel.threads`` gauge per matmul.
+Scheduling: the gather→GEMM→compare loop of a conv stage runs over image
+groups sized so one im2col tile fits ``_PLANE_TILE_BYTES`` (it is read
+back by the GEMM while still cache-resident).  ``threads=``, or a
+``threaded[@K]`` backend name, maps those tiles over a thread pool capped
+at the CPUs the process may run on; any other backend runs them serially,
+and integer-exact tiles make the result independent of the split.
+``backend=`` otherwise only selects the kernel of non-fused suffix
+stages: a stage that breaks the chain (float head, padded inner conv)
+gets the map packed once at the boundary and runs, with everything after
+it, through the uncompiled per-stage calls inside the same chunk loop —
+results stay identical for *any* foldable topology.  ``packed=False``
+networks do not compile (:class:`PlanUnsupported`).
 
-Topology coverage: the fused fast path covers the packed pipeline that
-:func:`repro.bnn.fold_network` emits for CNV-style networks (float-input
-first conv, pad-free packed inner convs, packed pools, packed dense
-stages, affine or float-head output).  A stage that breaks the packed
-chain mid-network ends the fused prefix; the remaining stages run
-through the legacy per-stage calls inside the same chunk loop, keeping
-results identical for *any* foldable topology.  ``packed=False``
-networks do not compile (:class:`PlanUnsupported`) — the float ±1
-datapath is the equivalence-testing path and stays uncompiled.
+Buffers: every plane, product and map buffer is allocated once, at
+compile time, sized for ``micro_batch``; smaller chunks use ``[:n]``
+views, so the set never grows, whatever batch sizes arrive.
+
+Bit-identity contract: binary stages are exact integers under any
+tiling, and the one float GEMM issues the identical BLAS call per chunk,
+so ``plan.forward(x)`` equals ``FoldedBNN.forward_uncompiled(x,
+batch_size=B)`` bit-for-bit whenever ``micro_batch == B`` (BLAS results
+may depend on the GEMM's M dimension, so matched chunking is the stable
+boundary).
+
+Tracing: per-stage ``bnn.<label>`` spans (``repro trace`` keys its
+Eqs. (3)-(5) residuals off them) plus ``bnn.plan.compile`` /
+``bnn.plan.forward``; ``kernel.<name>`` spans and the ``kernel.threads``
+gauge appear only for suffix stages, which still call a kernel backend.
 """
 
 from __future__ import annotations
+
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .. import obs
 from ..nn import functional as F
+from .inference import FoldedConv, FoldedDense, FoldedPool, _run_stage
+from .kernels import available_cpus, default_backend, get_kernel, resolve_bnn_threads
+from .kernels.base import _F32_EXACT_LIMIT
 from .packing import PackedMaps, PackedRows
 from .thresholding import ChannelThresholds
 
 __all__ = ["CompiledBNNPlan", "PlanUnsupported"]
+
+#: Budget for one im2col plane tile.  A tile is written by the gather and
+#: read back by the GEMM, so it should still be in L2 when BLAS packs it.
+_PLANE_TILE_BYTES = 1 << 20
 
 
 class PlanUnsupported(TypeError):
     """The folded network cannot be compiled (e.g. ``packed=False``)."""
 
 
-class _BufferPool:
-    """Preallocated named buffers keyed by (stage, role, shape, dtype).
+def _fold_threshold(
+    weight_t: np.ndarray, thresholds: ChannelThresholds, dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold a stage's thresholds into its weights: ``(W', bound')``.
 
-    Full chunks and the tail chunk have different leading dimensions, so
-    each keeps its own entry; the pool is bounded by (stages × roles × 2).
+    ``weight_t`` is the (K, N) ±1 weight matrix in the plane's column
+    order.  For any 0/1 activation row ``a``, ``(a @ W') >= bound'`` is
+    the decision ``ChannelThresholds.apply_bits`` takes on the ±1
+    accumulator ``(2a − 1) @ weight_t``, bit for bit.
     """
+    k = weight_t.shape[0]
+    neg = thresholds.sign < 0
+    w = np.where(neg[None, :], -weight_t, weight_t)
+    # The accumulator is an integer, so dot >= tau iff dot >= ceil(tau) and
+    # dot <= tau iff -dot >= -floor(tau); with dot = 2p - sw either reads
+    # p >= (bound_on_dot + sw) / 2, rounded up because p is an integer too.
+    dot_bound = np.where(neg, -np.floor(thresholds.tau), np.ceil(thresholds.tau))
+    bound = np.ceil((dot_bound + w.sum(axis=0)) / 2.0)
+    # |p| <= K: clipping keeps every decision and every bound exact in dtype.
+    bound = np.clip(bound, -(k + 1), k + 1)
+    bound = _constant_bounds(thresholds, bound)
+    return np.ascontiguousarray(w, dtype=dtype), bound.astype(dtype)
 
-    def __init__(self):
-        self._buffers: dict = {}
 
-    def get(self, stage: int, role: str, shape: tuple, dtype, zero: bool = False):
-        key = (stage, role, shape, np.dtype(dtype))
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = np.zeros(shape, dtype=dtype) if zero else np.empty(shape, dtype=dtype)
-            self._buffers[key] = buf
-        return buf
+def _fold_float(
+    weight_matrix: np.ndarray, thresholds: ChannelThresholds
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-folded float GEMM operands for the real-valued first conv.
 
-
-class _Thresholds:
-    """Compile-time view of a stage's ChannelThresholds for the fused hop.
-
-    ``apply_bits`` decides ``sign * (acc - tau) >= 0`` in float64.  Both
-    compiled rewrites below are exact transliterations of that decision,
-    not approximations:
-
-    * **Integer accumulators** (every binary matmul stage): ``acc`` is an
-      exact integer, so ``acc >= tau`` iff ``acc >= ceil(tau)`` and
-      ``acc <= tau`` iff ``acc < floor(tau) + 1``.  One int64 broadcast
-      compare against a precomputed per-channel bound, then a flip of the
-      negative-sign columns, replaces the subtract/multiply/compare chain
-      — the threshold hop's memory traffic drops from three accumulator
-      passes to one.
-    * **Float accumulators** (the real-valued first conv): multiplying by
-      the exact ±1 ``sign`` commutes with the compare, so
-      ``sign*(acc - tau) >= 0`` iff ``sign*acc >= sign*tau`` (IEEE
-      subtraction of representable doubles is zero only on exact
-      equality and never flips sign), folding the subtract pass into a
-      precomputed comparand.
+    Negating weight rows is IEEE-exact (products and partial sums of the
+    negated row are exact negations of the originals), so the GEMM emits
+    ``sign * acc`` bitwise, and ``sign * (acc - tau) >= 0`` iff
+    ``sign * acc >= sign * tau`` (subtraction of doubles is zero only on
+    equality and never flips sign).
     """
-
-    def __init__(self, thresholds: ChannelThresholds):
-        self.tau = thresholds.tau[None, :]
-        self.sign = thresholds.sign[None, :]
-        self.const_mask = thresholds.sign == 0
-        self.has_const = bool(self.const_mask.any())
-        self.const_bits = (thresholds.constant > 0)[self.const_mask]
-        neg = thresholds.sign < 0
-        self.neg_mask = neg
-        self.has_neg = bool(neg.any())
-        bound = np.where(neg, np.floor(thresholds.tau) + 1.0, np.ceil(thresholds.tau))
-        # Constant channels are overwritten below; zero their bound so the
-        # int64 cast never sees the fold's placeholder values.
-        self.int_bound = np.where(
-            self.const_mask, 0.0, bound
-        ).astype(np.int64)[None, :]
-        self.tau_signed = (thresholds.tau * thresholds.sign)[None, :]
-        self._epilogue_cache: dict = {}
-        if self.has_const:
-            # Byte masks to stamp constant channels onto already-packed
-            # words (MSB-first bit order matches np.packbits).
-            const_vals = np.zeros(self.const_mask.shape, dtype=np.bool_)
-            const_vals[self.const_mask] = self.const_bits
-            self.word_and = np.bitwise_not(np.packbits(self.const_mask))
-            self.word_or = np.packbits(const_vals)
-
-    def epilogue_args(self, dtype) -> tuple:
-        """Comparands for a kernel's fused threshold epilogue.
-
-        Returns ``(bound, neg_mask)`` with the integer bound cast to the
-        kernel's GEMM dtype — exact, since ``|bound| <= n + 1`` and f32
-        planes are only used below the f32 exact-integer limit.
-        """
-        key = np.dtype(dtype)
-        cached = self._epilogue_cache.get(key)
-        if cached is None:
-            bound = np.ascontiguousarray(self.int_bound[0].astype(key))
-            cached = self._epilogue_cache[key] = (
-                bound, self.neg_mask if self.has_neg else None
-            )
-        return cached
-
-    def finish_words(self, words: np.ndarray) -> np.ndarray:
-        """Stamp constant channels onto packed words from a fused epilogue."""
-        if self.has_const:
-            np.bitwise_and(words, self.word_and[None, :], out=words)
-            np.bitwise_or(words, self.word_or[None, :], out=words)
-        return words
-
-    def signed_weight_t(self, weight_matrix: np.ndarray) -> np.ndarray:
-        """``(sign * W)^T`` for the sign-folded float GEMM.
-
-        Negating weight rows is IEEE-exact (products and partial sums of
-        the negated row are exact negations of the originals), so the
-        GEMM emits ``sign * acc`` bitwise and the threshold hop becomes
-        the single compare against ``tau_signed`` — the multiply pass
-        disappears from the runtime entirely.
-        """
-        return np.ascontiguousarray((weight_matrix * self.sign.T).T)
-
-    def to_words(
-        self,
-        acc: np.ndarray,
-        pool: _BufferPool,
-        stage: int,
-        presigned: bool = False,
-    ) -> np.ndarray:
-        """Fused accumulator -> packed bits, identical to ``apply_bits``.
-
-        ``presigned`` marks a float accumulator that already carries the
-        sign fold (see :meth:`signed_weight_t`).
-        """
-        decided = pool.get(stage, "bits", acc.shape, np.bool_)
-        if acc.dtype.kind in "iu":
-            np.greater_equal(acc, self.int_bound, out=decided)
-            if self.has_neg:
-                decided[:, self.neg_mask] ^= True
-        elif presigned:
-            np.greater_equal(acc, self.tau_signed, out=decided)
-        else:
-            scratch = pool.get(stage, "thr", acc.shape, np.float64)
-            np.multiply(acc, self.sign, out=scratch)
-            np.greater_equal(scratch, self.tau_signed, out=decided)
-        if self.has_const:
-            decided[:, self.const_mask] = self.const_bits
-        return np.packbits(decided, axis=1)
+    weight_t = np.ascontiguousarray((weight_matrix * thresholds.sign[:, None]).T)
+    return weight_t, _constant_bounds(thresholds, thresholds.tau * thresholds.sign)
 
 
-def _packed_pool_or(
-    words: np.ndarray, win: int, s: int, oh: int, ow: int, out: np.ndarray
-) -> np.ndarray:
-    """Window-wise bitwise OR into ``out`` via per-offset slice ORs.
+def _constant_bounds(thresholds: ChannelThresholds, bound: np.ndarray) -> np.ndarray:
+    """γ = 0 channels: always-true / never-true comparands."""
+    constant = np.where(thresholds.constant > 0, -np.inf, np.inf)
+    return np.where(thresholds.sign == 0, constant, bound)
 
-    One strided binary OR per window offset beats the 6-d
-    ``bitwise_or.reduce`` over as_strided windows by ~7x on the CNV pool
-    shapes — the ufunc inner loop stays on 4-d views with a contiguous
-    last axis instead of rank-6 gather strides.
-    """
-    offsets = [(dy, dx) for dy in range(win) for dx in range(win)]
 
-    def view(dy: int, dx: int) -> np.ndarray:
-        return words[
-            :, dy : dy + s * (oh - 1) + 1 : s, dx : dx + s * (ow - 1) + 1 : s
-        ]
-
-    if len(offsets) == 1:
-        out[...] = view(*offsets[0])
-        return out
-    np.bitwise_or(view(*offsets[0]), view(*offsets[1]), out=out)
-    for dy, dx in offsets[2:]:
-        np.bitwise_or(out, view(dy, dx), out=out)
-    return out
+def _hwc_weight_t(weight_matrix: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
+    """(OD, C*H*W) weights in (c, h, w) column order -> (H*W*C, OD)."""
+    od = weight_matrix.shape[0]
+    return weight_matrix.reshape(od, c, h, w).transpose(2, 3, 1, 0).reshape(h * w * c, od)
 
 
 class CompiledBNNPlan:
@@ -224,7 +142,8 @@ class CompiledBNNPlan:
     Build via :meth:`repro.bnn.FoldedBNN.compile_inference`.  Not
     thread-safe: each plan owns one set of buffers, so give each serving
     thread (or replica) its own plan — the cascade server's single BNN
-    worker thread is the intended consumer.
+    worker thread is the intended consumer.  A plan asked for tile
+    threads owns a small thread pool, released with the plan.
 
     Parameters
     ----------
@@ -233,14 +152,17 @@ class CompiledBNNPlan:
     micro_batch:
         Fixed chunk size the buffers are sized for.  Also the
         bit-stability boundary: output equals
-        ``folded.forward(x, batch_size=micro_batch)`` exactly.
+        ``folded.forward_uncompiled(x, batch_size=micro_batch)`` exactly.
     backend:
-        Kernel backend override for the fused matmul stages; ``None``
-        defers to the folded network's backend (then the
-        ``REPRO_BNN_BACKEND`` env / ``"auto"`` chain).
+        Kernel backend of non-fused suffix stages; ``None`` defers to the
+        folded network's backend (then the ``REPRO_BNN_BACKEND`` env /
+        ``"auto"`` chain).  Fused stages run the plane dataflow whatever
+        the backend; a ``threaded[@K]`` name sets their thread count
+        (``threaded``: ``REPRO_BNN_THREADS``, else every available CPU).
     threads:
-        Thread-count override applied when a stage's backend resolves to
-        the ``threaded`` family (pins ``threaded@<threads>``).
+        Thread count for the fused stages' tile loop (overrides the
+        backend name's; capped at the CPUs the process may run on;
+        serial when neither is given).
     """
 
     def __init__(
@@ -250,8 +172,6 @@ class CompiledBNNPlan:
         backend: str | None = None,
         threads: int | None = None,
     ):
-        from .inference import FloatDenseHead, FoldedConv, FoldedDense, FoldedPool
-
         if micro_batch < 1:
             raise ValueError("micro_batch must be >= 1")
         if not folded.packed:
@@ -259,7 +179,6 @@ class CompiledBNNPlan:
                 "compile_inference requires a packed-pipeline FoldedBNN "
                 "(packed=False is the float equivalence path)"
             )
-        self._types = (FoldedConv, FoldedDense, FoldedPool, FloatDenseHead)
         self.folded = folded
         self.micro_batch = int(micro_batch)
         self.backend = backend if backend is not None else folded.backend
@@ -267,271 +186,273 @@ class CompiledBNNPlan:
         self.stages = list(folded.stages)
         self.labels = folded.stage_labels
         self.emit = folded._emit_plan()
-        self._pool = _BufferPool()
-        self._ops: list[tuple] | None = None  # resolved lazily at first chunk
+        self._buffers: list[np.ndarray] = []
+        self._ops: list | None = None  # resolved lazily at first chunk
         self._geometry: tuple | None = None
-        self._thresholds = [
-            _Thresholds(s.thresholds)
-            if isinstance(s, (FoldedConv, FoldedDense)) and s.thresholds is not None
-            else None
-            for s in self.stages
-        ]
+        self._executor: ThreadPoolExecutor | None = None
 
     # -- compile-time resolution -------------------------------------------
 
-    def _resolve_backend(self, m: int, n_out: int, n_bits: int) -> str:
-        from .kernels import default_backend, select_backend
+    def _tile_threads(self) -> int:
+        """``threads=`` > a ``threaded[@K]`` backend's count > serial."""
+        threads = self.threads
+        if threads is None:
+            name = self.backend or default_backend()
+            if name.partition("@")[0] != "threaded":
+                return 1
+            threads = get_kernel(name).threads  # None for bare "threaded"
+        return min(resolve_bnn_threads(threads), available_cpus())
 
-        name = self.backend or default_backend()
-        if name == "auto":
-            name = select_backend(m, n_out, n_bits)
-        if self.threads is not None and (
-            name == "threaded" or name.startswith("threaded@")
-        ):
-            name = f"threaded@{int(self.threads)}"
-        return name
+    def _buffer(self, shape: tuple, dtype, zero: bool = False) -> np.ndarray:
+        """A buffer sized for the full micro-batch; chunks use ``[:n]`` views,
+        so the plan holds one set however batch sizes vary."""
+        buf = (np.zeros if zero else np.empty)(shape, dtype=dtype)
+        self._buffers.append(buf)
+        return buf
 
-    def _prep_for(self, stage, name: str, weight_words: np.ndarray, layout_key: str, n_bits: int):
-        """Weight prep shared with the stage's own per-backend cache."""
-        from .kernels import get_kernel
+    def _compile(self, geometry: tuple) -> None:
+        """Build one callable per stage for the given (C, H, W) input.
 
-        kernel = get_kernel(name)
-        key = (name, layout_key)
-        prep = stage._prep_cache.get(key)
-        if prep is None:
-            prep = kernel.prepare(weight_words, n_bits)
-            stage._prep_cache[key] = prep
-        return kernel, prep
-
-    def _compile(self, chunk_shape: tuple) -> None:
-        """Resolve per-stage ops for the input geometry of the first chunk.
-
-        Runs once per geometry (re-runs only if the spatial input shape
-        changes); sizes are derived from the full micro-batch so the
-        autotuner sees the M it will actually serve.
+        Runs once per geometry.  ``state`` is the representation flowing
+        into the next stage: ``("float", C, H, W)`` images, ``("map", H,
+        W, C)`` / ``("rows", features)`` 0/1 planes, or ``None`` once a
+        stage has left the fused chain (everything after runs uncompiled).
         """
-        from .inference import FloatDenseHead, FoldedConv, FoldedDense, FoldedPool
-
-        _, c_in, h_in, w_in = chunk_shape
-        nb = self.micro_batch
-        ops: list[tuple] = []
-        # Symbolic representation flowing between stages:
-        # ("float", C, H, W) | ("maps", H, W, C) | ("rows", n, layout) | ("flat",)
-        repr_state: tuple = ("float", c_in, h_in, w_in)
-        fused = True
+        fan_ins = [
+            s.fan_in for s in self.stages if isinstance(s, (FoldedConv, FoldedDense))
+        ]
+        self._dtype = np.dtype(
+            np.float32 if max(fan_ins, default=0) < _F32_EXACT_LIMIT else np.float64
+        )
+        self._threads = self._tile_threads()
+        self._buffers = []
+        ops: list = []
+        state: tuple | None = ("float",) + tuple(geometry)
         for i, stage in enumerate(self.stages):
-            emit = self.emit[i]
-            if not fused:
-                ops.append(("legacy", None))
-                continue
-            if isinstance(stage, FoldedConv):
-                if repr_state[0] == "float" and not stage.binary_input:
-                    _, c, h, w = repr_state
-                    oh = F.conv_output_size(h, stage.kernel_size, stage.stride, stage.pad)
-                    ow = F.conv_output_size(w, stage.kernel_size, stage.stride, stage.pad)
-                    if emit:
-                        w_signed_t = self._thresholds[i].signed_weight_t(
-                            stage.weight_matrix
-                        )
-                        ops.append(("conv_float", (c, h, w, oh, ow, w_signed_t)))
-                        bc = -(-stage.out_channels // 8)
-                        repr_state = ("maps", oh, ow, stage.out_channels, bc)
-                        continue
-                elif repr_state[0] == "maps" and stage.binary_input and stage.pad == 0:
-                    _, h, w, c, bc_in = repr_state
-                    if c == stage.in_channels and emit:
-                        oh = F.conv_output_size(h, stage.kernel_size, stage.stride, 0)
-                        ow = F.conv_output_size(w, stage.kernel_size, stage.stride, 0)
-                        name = self._resolve_backend(
-                            nb * oh * ow, stage.out_channels, stage.fan_in
-                        )
-                        ops.append(("conv_packed", (h, w, oh, ow, bc_in, name)))
-                        bc = -(-stage.out_channels // 8)
-                        repr_state = ("maps", oh, ow, stage.out_channels, bc)
-                        continue
-                fused = False
-                ops.append(("legacy", None))
-            elif isinstance(stage, FoldedPool):
-                if repr_state[0] == "maps":
-                    _, h, w, c, bc = repr_state
-                    oh = (h - stage.window) // stage.stride + 1
-                    ow = (w - stage.window) // stage.stride + 1
-                    if oh > 0 and ow > 0:
-                        ops.append(("pool_packed", (h, w, oh, ow, bc)))
-                        repr_state = ("maps", oh, ow, c, bc)
-                        continue
-                fused = False
-                ops.append(("legacy", None))
-            elif isinstance(stage, FoldedDense):
-                layout = None
-                if repr_state[0] == "maps":
-                    _, h, w, c, bc = repr_state
-                    layout = ("hwc", h, w, c)
-                elif repr_state[0] == "rows":
-                    layout = repr_state[1]
-                else:
-                    fused = False
-                    ops.append(("legacy", None))
-                    continue
-                weight_words, layout_key = stage._weights_for_layout(layout)
-                name = self._resolve_backend(nb, stage.out_features, stage.fan_in)
-                if stage.thresholds is not None and emit:
-                    ops.append(("dense_pack", (layout, layout_key, name)))
-                    repr_state = ("rows", None)
-                elif stage.thresholds is None:
-                    ops.append(("dense_affine", (layout, layout_key, name)))
-                    repr_state = ("flat",)
-                else:
-                    # Thresholding dense that must emit float (terminal or
-                    # consumer can't take bits): the legacy call handles it.
-                    ops.append(("legacy", None))
-                    fused = False
-            elif isinstance(stage, FloatDenseHead):
-                ops.append(("legacy", None))
-                fused = False
-            else:  # pragma: no cover - fold_network emits only known stages
-                ops.append(("legacy", None))
-                fused = False
+            op = None
+            if state is None:
+                pass
+            elif isinstance(stage, FoldedConv) and self.emit[i]:
+                if state[0] == "float" and not stage.binary_input:
+                    op, state = self._conv_float_op(stage, state)
+                elif (
+                    state[0] == "map" and stage.binary_input and stage.pad == 0
+                    and state[3] == stage.in_channels
+                ):
+                    op, state = self._conv_plane_op(stage, state)
+            elif isinstance(stage, FoldedPool) and state[0] == "map":
+                op, state = self._pool_op(stage, state)
+            elif isinstance(stage, FoldedDense) and state[0] in ("map", "rows"):
+                if stage.thresholds is None or self.emit[i]:
+                    op, state = self._dense_op(stage, state)
+            if op is None:
+                op = self._suffix_op(i, state)
+                state = None
+            ops.append(op)
         self._ops = ops
-        self._geometry = (c_in, h_in, w_in)
+        self._geometry = tuple(geometry)
+
+    def _conv_float_op(self, stage, state: tuple):
+        _, c, h, w = state
+        k, s, p = stage.kernel_size, stage.stride, stage.pad
+        oh = F.conv_output_size(h, k, s, p)
+        ow = F.conv_output_size(w, k, s, p)
+        oc, rows = stage.out_channels, self.micro_batch * oh * ow
+        weight_t, bound = _fold_float(stage.weight_matrix, stage.thresholds)
+        hp, wp = h + 2 * p, w + 2 * p
+        # Flat source index of every im2col element, (oy, ox, c, kh, kw)
+        # order: the gather becomes one np.take per chunk instead of a 6-d
+        # strided copy with 3-element runs, and fills the same matrix.
+        index = np.arange(c * hp * wp).reshape(c, hp, wp)
+        sc, sh, sw = index.strides
+        index = np.lib.stride_tricks.as_strided(
+            index, shape=(oh, ow, c, k, k), strides=(sh * s, sw * s, sc, sh, sw)
+        ).reshape(-1)
+        # Borders of the padded input are zero-filled here and never
+        # written again.
+        padded = self._buffer((self.micro_batch, c, hp, wp), np.float64, zero=True) if p else None
+        cols_buf = self._buffer((rows, c * k * k), np.float64)
+        acc_buf = self._buffer((rows, oc), np.float64)
+        out_buf = self._buffer((self.micro_batch, oh, ow, oc), self._dtype)
+
+        def run(x: np.ndarray) -> np.ndarray:
+            n = x.shape[0]
+            m = n * oh * ow
+            # Any real dtype widens to float64 exactly, as the float GEMM
+            # of the uncompiled path would widen it.
+            x = np.asarray(x, dtype=np.float64)
+            if p:
+                padded[:n, :, p : p + h, p : p + w] = x
+                x = padded[:n]
+            cols, acc, out = cols_buf[:m], acc_buf[:m], out_buf[:n]
+            # Indices are in range by construction; "clip" skips the check.
+            np.take(x.reshape(n, -1), index, axis=1, out=cols.reshape(n, -1), mode="clip")
+            np.matmul(cols, weight_t, out=acc)
+            np.greater_equal(acc, bound, out=out.reshape(m, oc))
+            return out
+
+        return run, ("map", oh, ow, oc)
+
+    def _conv_plane_op(self, stage, state: tuple):
+        _, h, w, c = state
+        k, s = stage.kernel_size, stage.stride
+        oh = F.conv_output_size(h, k, s, 0)
+        ow = F.conv_output_size(w, k, s, 0)
+        oc, nb, dtype = stage.out_channels, self.micro_batch, self._dtype
+        weight_t, bound = _fold_threshold(
+            _hwc_weight_t(stage.weight_matrix, c, k, k), stage.thresholds, dtype
+        )
+        fan_in, run_len = k * k * c, k * c
+        group = min(nb, max(1, _PLANE_TILE_BYTES // (oh * ow * fan_in * dtype.itemsize)))
+        slots = min(self._threads, -(-nb // group))
+        planes = self._buffer((slots, group * oh * ow, fan_in), dtype)
+        prods = self._buffer((slots, group * oh * ow, oc), dtype)
+        out_buf = self._buffer((nb, oh, ow, oc), dtype)
+
+        def run(x: np.ndarray) -> np.ndarray:
+            n = x.shape[0]
+            out = out_buf[:n]
+            sn, sh, sw, sc = x.strides
+
+            def tile(slot: int, lo: int, hi: int) -> None:
+                g = hi - lo
+                m = g * oh * ow
+                # Row dy of a window is k adjacent pixels: one k*C-float run.
+                windows = np.lib.stride_tricks.as_strided(
+                    x[lo:hi], shape=(g, oh, ow, k, run_len),
+                    strides=(sn, sh * s, sw * s, sh, sc), writeable=False,
+                )
+                plane = planes[slot, :m]
+                plane.reshape(g, oh, ow, k, run_len)[...] = windows
+                prod = prods[slot, :m]
+                np.matmul(plane, weight_t, out=prod)
+                np.greater_equal(prod, bound, out=out[lo:hi].reshape(m, oc))
+
+            self._run_tiles(tile, n, group)
+            return out
+
+        return run, ("map", oh, ow, oc)
+
+    def _pool_op(self, stage, state: tuple):
+        _, h, w, c = state
+        win, s = stage.window, stage.stride
+        oh = (h - win) // s + 1
+        ow = (w - win) // s + 1
+        if oh <= 0 or ow <= 0:
+            return None, state
+        out_buf = self._buffer((self.micro_batch, oh, ow, c), self._dtype)
+        offsets = [(dy, dx) for dy in range(win) for dx in range(win)]
+
+        def run(x: np.ndarray) -> np.ndarray:
+            out = out_buf[: x.shape[0]]
+            # max over {0, 1} is FINN's boolean OR; one strided binary
+            # ufunc per window offset keeps the inner loop on 4-d views.
+            views = [
+                x[:, dy : dy + s * (oh - 1) + 1 : s, dx : dx + s * (ow - 1) + 1 : s]
+                for dy, dx in offsets
+            ]
+            if len(views) == 1:
+                out[...] = views[0]
+                return out
+            np.maximum(views[0], views[1], out=out)
+            for view in views[2:]:
+                np.maximum(out, view, out=out)
+            return out
+
+        return run, ("map", oh, ow, c)
+
+    def _dense_op(self, stage, state: tuple):
+        nb, dtype, od = self.micro_batch, self._dtype, stage.out_features
+        if state[0] == "map":
+            _, h, w, c = state
+            features = h * w * c
+            weight_t = _hwc_weight_t(stage.weight_matrix, c, h, w)
+        else:
+            features = state[1]
+            weight_t = stage.weight_matrix.T
+        if features != stage.fan_in:
+            return None, state
+        prod_buf = self._buffer((nb, od), dtype)
+
+        if stage.thresholds is not None:
+            weight_t, bound = _fold_threshold(weight_t, stage.thresholds, dtype)
+            out_buf = self._buffer((nb, od), dtype)
+
+            def run(x: np.ndarray) -> np.ndarray:
+                n = x.shape[0]
+                prod, out = prod_buf[:n], out_buf[:n]
+                np.matmul(x.reshape(n, features), weight_t, out=prod)
+                np.greater_equal(prod, bound, out=out)
+                return out
+
+            return run, ("rows", od)
+
+        weight_t = np.ascontiguousarray(weight_t, dtype=dtype)
+        weight_sum = stage.weight_matrix.sum(axis=1)
+        out_buf = self._buffer((nb, od), np.float64)
+
+        def run_affine(x: np.ndarray) -> np.ndarray:
+            n = x.shape[0]
+            prod, out = prod_buf[:n], out_buf[:n]
+            np.matmul(x.reshape(n, features), weight_t, out=prod)
+            # Back to the ±1 accumulator, dot = 2p - sw (exact integers).
+            np.multiply(prod, 2.0, out=out)
+            np.subtract(out, weight_sum, out=out)
+            if stage.output_scale is not None:
+                np.multiply(out, stage.output_scale, out=out)
+                np.add(out, stage.output_offset, out=out)
+            return out
+
+        return run_affine, None
+
+    def _suffix_op(self, i: int, state: tuple | None):
+        """Stage *i* through the uncompiled code path.
+
+        The first suffix stage packs the incoming 0/1 plane (once, at the
+        boundary); later ones receive whatever the previous stage emitted.
+        """
+        stage, emit, backend = self.stages[i], self.emit[i], self.backend
+        kind = state[0] if state is not None else None
+
+        def run(x):
+            if kind == "map":
+                x = PackedMaps(np.packbits(x != 0, axis=3), state[3])
+            elif kind == "rows":
+                x = PackedRows(np.packbits(x != 0, axis=1), state[1])
+            return _run_stage(stage, x, emit, backend)
+
+        return run
 
     # -- runtime ------------------------------------------------------------
 
-    def _legacy_stage(self, i: int, x):
-        """One stage through the uncompiled code path (suffix stages)."""
-        from .inference import FloatDenseHead, FoldedConv, FoldedDense
+    def _run_tiles(self, tile, n: int, group: int) -> None:
+        """Call ``tile(slot, lo, hi)`` for every image group of the chunk.
 
-        stage = self.stages[i]
-        if isinstance(stage, (FoldedDense, FloatDenseHead)):
-            if isinstance(x, PackedMaps):
-                x = x.flatten_rows()
-            elif isinstance(x, np.ndarray) and x.ndim == 4:
-                x = x.reshape(x.shape[0], -1)
-        if isinstance(stage, (FoldedConv, FoldedDense)):
-            return stage(x, emit_packed=self.emit[i], backend=self.backend)
-        return stage(x)
+        Tiles with the same slot never run concurrently (a slot owns one
+        plane/product buffer pair).
+        """
+        bounds = [(lo, min(lo + group, n)) for lo in range(0, n, group)]
+        workers = min(self._threads, len(bounds))
+        if workers <= 1:
+            for lo, hi in bounds:
+                tile(0, lo, hi)
+            return
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                max_workers=self._threads, thread_name_prefix="repro-bnn-plan"
+            )
 
-    def _kernel_call(self, name: str, kernel, a_words, prep, n_bits: int, out):
-        if not obs.enabled():
-            return kernel.matmul(a_words, prep, n_bits, out=out)
-        with obs.trace_span(
-            "kernel." + name, category="kernel",
-            m=int(a_words.shape[0]), n_out=int(out.shape[1]), n_bits=int(n_bits),
-        ):
-            return kernel.matmul(a_words, prep, n_bits, out=out)
+        def run_slot(slot: int) -> None:
+            for lo, hi in bounds[slot::workers]:
+                tile(slot, lo, hi)
 
-    def _matmul_to_words(
-        self, i: int, name: str, kernel, a_words, prep, stage, n_out: int
-    ) -> np.ndarray:
-        """Binary matmul + threshold for one stage: fused when the kernel
-        offers a threshold epilogue (``matmul_bits``) and the output fits
-        one column tile, else matmul into the int64 accumulator followed
-        by the pooled ``to_words`` hop.  Both paths are bit-identical."""
-        pool = self._pool
-        thr = self._thresholds[i]
-        m = a_words.shape[0]
-        if getattr(kernel, "matmul_bits", None) is not None and n_out <= kernel.col_tile:
-            words = pool.get(i, "words", (m, -(-n_out // 8)), np.uint8)
-            bound, neg_mask = thr.epilogue_args(prep[0].dtype)
-            if not obs.enabled():
-                kernel.matmul_bits(a_words, prep, stage.fan_in, bound, neg_mask, words)
-            else:
-                with obs.trace_span(
-                    "kernel." + name, category="kernel",
-                    m=int(m), n_out=int(n_out), n_bits=int(stage.fan_in), fused=True,
-                ):
-                    kernel.matmul_bits(
-                        a_words, prep, stage.fan_in, bound, neg_mask, words
-                    )
-            return thr.finish_words(words)
-        acc = pool.get(i, "acc", (m, n_out), np.int64)
-        self._kernel_call(name, kernel, a_words, prep, stage.fan_in, acc)
-        return thr.to_words(acc, pool, i)
+        # list() reads every result, so a worker's exception surfaces here.
+        list(self._executor.map(run_slot, range(workers)))
 
-    def _run_chunk(self, x: np.ndarray):
-        pool = self._pool
-        for i, (op, params) in enumerate(self._ops):
-            stage = self.stages[i]
-            with obs.trace_span("bnn." + self.labels[i], category="bnn"):
-                if op == "conv_float":
-                    c, h, w, oh, ow, w_signed_t = params
-                    n = x.shape[0]
-                    k, s, p = stage.kernel_size, stage.stride, stage.pad
-                    if p:
-                        # Borders of the padded buffer are zero-filled at
-                        # allocation and never written again.
-                        xp = pool.get(i, "pad", (n, c, h + 2 * p, w + 2 * p), x.dtype, zero=True)
-                        xp[:, :, p : p + h, p : p + w] = x
-                    else:
-                        xp = x
-                    sn, sc, sh, sw = xp.strides
-                    windows = np.lib.stride_tricks.as_strided(
-                        xp, shape=(n, c, oh, ow, k, k),
-                        strides=(sn, sc, sh * s, sw * s, sh, sw), writeable=False,
-                    )
-                    m = n * oh * ow
-                    cols = pool.get(i, "cols", (m, c * k * k), x.dtype)
-                    cols.reshape(n, oh, ow, c, k, k)[...] = windows.transpose(0, 2, 3, 1, 4, 5)
-                    acc = pool.get(i, "accf", (m, stage.out_channels), np.float64)
-                    np.matmul(cols, w_signed_t, out=acc)
-                    words = self._thresholds[i].to_words(acc, pool, i, presigned=True)
-                    x = PackedMaps(words.reshape(n, oh, ow, -1), stage.out_channels)
-                elif op == "conv_packed":
-                    h, w, oh, ow, bc_in, name = params
-                    words_in = x.words
-                    n = words_in.shape[0]
-                    k, s = stage.kernel_size, stage.stride
-                    sn, sh, sw, sb = words_in.strides
-                    windows = np.lib.stride_tricks.as_strided(
-                        words_in, shape=(n, oh, ow, k, k, bc_in),
-                        strides=(sn, sh * s, sw * s, sh, sw, sb), writeable=False,
-                    )
-                    m = n * oh * ow
-                    rows = pool.get(i, "rows", (m, k * k * bc_in), np.uint8)
-                    rows.reshape(n, oh, ow, k, k, bc_in)[...] = windows
-                    kernel, prep = self._prep_for(
-                        stage, name, stage._spatial_weight_words(), "spatial", stage.fan_in
-                    )
-                    words = self._matmul_to_words(
-                        i, name, kernel, rows, prep, stage, stage.out_channels
-                    )
-                    x = PackedMaps(words.reshape(n, oh, ow, -1), stage.out_channels)
-                elif op == "pool_packed":
-                    h, w, oh, ow, bc = params
-                    words_in = x.words
-                    n = words_in.shape[0]
-                    win, s = stage.window, stage.stride
-                    out = pool.get(i, "pool", (n, oh, ow, bc), np.uint8)
-                    x = PackedMaps(
-                        _packed_pool_or(words_in, win, s, oh, ow, out), x.channels
-                    )
-                elif op in ("dense_pack", "dense_affine"):
-                    layout, layout_key, name = params
-                    rows_in = x.flatten_rows() if isinstance(x, PackedMaps) else x
-                    weight_words, _ = stage._weights_for_layout(layout)
-                    kernel, prep = self._prep_for(
-                        stage, name, weight_words, layout_key, stage.fan_in
-                    )
-                    m = rows_in.words.shape[0]
-                    if op == "dense_pack":
-                        words = self._matmul_to_words(
-                            i, name, kernel, rows_in.words, prep, stage,
-                            stage.out_features,
-                        )
-                        x = PackedRows(words, stage.out_features)
-                    else:
-                        acc = pool.get(i, "acc", (m, stage.out_features), np.int64)
-                        self._kernel_call(
-                            name, kernel, rows_in.words, prep, stage.fan_in, acc
-                        )
-                        out = pool.get(i, "out", (m, stage.out_features), np.float64)
-                        out[...] = acc
-                        if stage.output_scale is not None:
-                            np.multiply(out, stage.output_scale, out=out)
-                            np.add(out, stage.output_offset, out=out)
-                        x = out
-                else:  # "legacy"
-                    x = self._legacy_stage(i, x)
+    def _run_chunk(self, x):
+        for label, op in zip(self.labels, self._ops):
+            with obs.trace_span("bnn." + label, category="bnn"):
+                x = op(x)
         return x
 
     def forward(self, images: np.ndarray, batch_size: int | None = None) -> np.ndarray:
@@ -553,18 +474,12 @@ class CompiledBNNPlan:
             "bnn.plan.forward", category="bnn",
             images=int(images.shape[0]), micro_batch=self.micro_batch,
         ):
-            chunk_shape = (
-                min(self.micro_batch, images.shape[0]),
-            ) + images.shape[1:]
-            if self._ops is None or self._geometry != images.shape[1:]:
+            if self._geometry != images.shape[1:]:
                 with obs.trace_span("bnn.plan.compile", category="bnn"):
-                    if self._geometry is not None and self._geometry != images.shape[1:]:
-                        self._pool = _BufferPool()  # geometry changed: resize
-                    self._compile(chunk_shape)
+                    self._compile(images.shape[1:])
             result: np.ndarray | None = None
             for start in range(0, images.shape[0], self.micro_batch):
-                out = self._run_chunk(images[start : start + self.micro_batch])
-                out = np.asarray(out)
+                out = np.asarray(self._run_chunk(images[start : start + self.micro_batch]))
                 if result is None:
                     result = np.empty(
                         (images.shape[0],) + out.shape[1:], dtype=out.dtype

@@ -174,7 +174,7 @@ def serve_bench_main(argv: list[str]) -> int:
         "--bnn-backend", default=None,
         help=(
             "binary-kernel backend for the BNN stage "
-            "(reference/bitplane/threaded[@K[:TILE]]/lut64/auto)"
+            "(reference/bitplane/threaded[@K[:TILE]]/auto)"
         ),
     )
     parser.add_argument(
@@ -688,7 +688,7 @@ def trace_main(argv: list[str]) -> int:
                         help="Model A width scale of the host stage (default %(default)s)")
     parser.add_argument(
         "--backend", default=None,
-        help="binary-kernel backend (reference/bitplane/lut64/auto; default: env/auto)",
+        help="binary-kernel backend (reference/bitplane/threaded[@K]/auto; default: env/auto)",
     )
     parser.add_argument("--target-rerun", type=float, default=defaults.target_rerun_ratio,
                         help="DMU threshold is calibrated to this rerun ratio")

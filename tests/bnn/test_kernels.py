@@ -95,7 +95,7 @@ def test_popcount_u64_matches_bit_count():
 def test_registry_and_reference_first():
     names = available_backends()
     assert names[0] == "reference"
-    assert {"reference", "bitplane", "lut64"} <= set(names)
+    assert {"reference", "bitplane", "threaded"} <= set(names)
     with pytest.raises(KeyError):
         get_kernel("no-such-backend")
 

@@ -1,23 +1,37 @@
 """Compiled-plan contract: ``FoldedBNN.compile_inference`` is invisible.
 
-The plan preallocates every buffer and fuses pack/GEMM/threshold hops,
-but the XNOR arithmetic is integer-exact, so on a *trained* network the
-compiled path must reproduce the uncompiled loop bit-for-bit — for every
-backend, every thread count, and batch sizes that exercise full chunks,
-ragged tails, and single images.  Buffer reuse across calls must be
-observable only as speed, never as state.
+The plan preallocates every buffer and carries 0/1 float planes between
+stages with the thresholds folded into the weights, but the arithmetic
+is integer-exact, so on a *trained* network the compiled path must
+reproduce the uncompiled loop bit-for-bit — for every backend, every
+thread count, and batch sizes that exercise full chunks, ragged tails,
+and single images.  Buffer reuse across calls must be observable only as
+speed, never as state.
 """
+
+import os
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bnn import ENV_COMPILE, PlanUnsupported, fold_network
+from repro import obs
+from repro.bnn import (
+    ENV_COMPILE,
+    BinaryActivation,
+    BinaryConv2D,
+    BinaryDense,
+    PlanUnsupported,
+    fold_network,
+)
+from repro.bnn import plan as plan_module
 from repro.data import normalize_to_pm1
+from repro.nn import BatchNorm, Dense, Flatten, MaxPool2D, Sequential
 
 BATCH_SIZES = (1, 7, 64, 129)
-BACKENDS = ("reference", "bitplane", "lut64", "threaded", "threaded@2", "auto")
+BACKENDS = ("reference", "bitplane", "threaded", "threaded@2", "auto")
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +133,137 @@ def test_plan_matches_uncompiled_on_random_inputs(folded_packed, seed, n):
         plan.forward(images),
         folded_packed.forward_uncompiled(images, batch_size=4),
     )
+
+
+# -- the plane dataflow: chunk sizes, suffix fallback, float64 planes --------
+
+
+def test_every_chunk_size_and_ragged_tails(folded_packed, test_images):
+    micro_batch = 16
+    plan = folded_packed.compile_inference(micro_batch=micro_batch)
+    for n in [*range(1, micro_batch + 1), micro_batch + 1, 2 * micro_batch + 5]:
+        np.testing.assert_array_equal(
+            plan.forward(test_images[:n]),
+            folded_packed.forward_uncompiled(test_images[:n], batch_size=micro_batch),
+            err_msg=f"n={n}",
+        )
+
+
+def test_one_buffer_set_whatever_the_batch_size(folded_packed, test_images):
+    micro_batch = 16
+    plan = folded_packed.compile_inference(micro_batch=micro_batch)
+    sizes = list(range(1, micro_batch + 1))
+    random.Random(0).shuffle(sizes)
+
+    def buffer_set():
+        return len(plan._buffers), sum(buf.nbytes for buf in plan._buffers)
+
+    plan.forward(test_images[: sizes[0]])
+    first = buffer_set()
+    assert first[0] > 0
+    for n in sizes[1:]:
+        plan.forward(test_images[:n])
+        assert buffer_set() == first, n
+
+
+def _conv_block(cin, cout, rng, pad=0):
+    return [BinaryConv2D(cin, cout, 3, pad=pad, rng=rng), BatchNorm(cout), BinaryActivation()]
+
+
+def _randomize_batchnorms(net, rng):
+    """Thresholds of every kind: negative and zero gamma, spread-out tau."""
+    for layer in net.layers:
+        if isinstance(layer, BatchNorm):
+            n = layer.gamma.value.shape[0]
+            layer.gamma.value[...] = rng.choice([-1.5, -0.5, 0.0, 0.7, 1.3], size=n)
+            layer.beta.value[...] = rng.normal(size=n)
+            layer.running_mean.value[...] = rng.normal(scale=3.0, size=n)
+            layer.running_var.value[...] = rng.uniform(0.5, 2.0, size=n)
+    net.eval_mode()
+    return net
+
+
+def _float_head_net(rng):
+    return _randomize_batchnorms(
+        Sequential(
+            [
+                *_conv_block(3, 8, rng),
+                *_conv_block(8, 12, rng),
+                MaxPool2D(2),
+                Flatten(),
+                Dense(12 * 3 * 3, 5, rng=rng),
+            ]
+        ),
+        rng,
+    )
+
+
+def _padded_inner_conv_net(rng):
+    return _randomize_batchnorms(
+        Sequential(
+            [
+                *_conv_block(3, 8, rng),
+                *_conv_block(8, 8, rng),
+                MaxPool2D(2),
+                *_conv_block(8, 8, rng),
+                *_conv_block(8, 8, rng, pad=1),
+                Flatten(),
+                BinaryDense(8, 6, rng=rng),
+                BatchNorm(6),
+            ]
+        ),
+        rng,
+    )
+
+
+@pytest.mark.parametrize("build", [_float_head_net, _padded_inner_conv_net])
+def test_suffix_fallback_is_bit_identical(build):
+    rng = np.random.default_rng(3)
+    folded = fold_network(build(rng), num_classes=5, backend="bitplane")
+    images = rng.uniform(-1.0, 1.0, size=(11, 3, 10, 10))
+    plan = folded.compile_inference(micro_batch=4)
+    with obs.tracing() as tracer:
+        scores = plan.forward(images)
+    np.testing.assert_array_equal(scores, folded.forward_uncompiled(images, batch_size=4))
+    if build is _padded_inner_conv_net:
+        # Only the suffix (the conv feeding the padded one, onwards) still
+        # calls a kernel backend; the fused prefix does not.
+        kernel_parents = {s.parent for s in tracer.spans if s.name == "kernel.bitplane"}
+        assert kernel_parents == {"bnn.conv3", "bnn.conv4", "bnn.fc1"}
+
+
+def test_fully_fused_network_calls_no_kernel_backend(folded_packed, test_images):
+    plan = folded_packed.compile_inference(micro_batch=8, backend="bitplane")
+    with obs.tracing() as tracer:
+        plan.forward(test_images[:8])
+    names = {s.name for s in tracer.spans}
+    assert not any(name.startswith("kernel.") for name in names)
+    assert {"bnn." + label for label in folded_packed.stage_labels} <= names
+
+
+def test_float64_planes_above_the_f32_exact_limit(folded_packed, test_images, monkeypatch):
+    expected = folded_packed.compile_inference(micro_batch=8).forward(test_images[:19])
+    monkeypatch.setattr(plan_module, "_F32_EXACT_LIMIT", 1)
+    plan = folded_packed.compile_inference(micro_batch=8)
+    scores = plan.forward(test_images[:19])
+    assert plan._dtype == np.float64
+    assert {buf.dtype for buf in plan._buffers} == {np.dtype(np.float64)}
+    np.testing.assert_array_equal(scores, expected)
+
+
+def test_tile_threads_policy(folded_packed, monkeypatch):
+    monkeypatch.delenv("REPRO_BNN_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+
+    def threads(**kwargs):
+        return folded_packed.compile_inference(**kwargs)._tile_threads()
+
+    assert threads(backend="bitplane") == 1          # serial unless asked
+    assert threads(backend="auto") == 1
+    assert threads(backend="threaded") == 4          # every available CPU
+    assert threads(backend="threaded@2") == 2
+    assert threads(backend="threaded@2", threads=3) == 3
+    assert threads(backend="bitplane", threads=8) == 4   # capped at the affinity
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    assert threads(backend="threaded") == 1
+    assert threads(backend="threaded@2", threads=4) == 1

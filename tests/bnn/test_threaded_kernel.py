@@ -9,12 +9,14 @@ resolution order (arg > env > auto), and the ``threaded@K[:TILE]``
 variant grammar the autotuner races.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bnn.kernels import get_kernel
+from repro.bnn.kernels import available_cpus, get_kernel, select
 from repro.bnn.kernels.threaded import (
     ENV_THREADS,
     ThreadedBitplaneKernel,
@@ -89,6 +91,26 @@ def test_resolve_bnn_threads(monkeypatch):
     monkeypatch.setenv(ENV_THREADS, "not-a-number")
     with pytest.raises(ValueError):
         resolve_bnn_threads()
+
+
+def test_thread_defaults_follow_the_affinity_mask(monkeypatch):
+    """A pinned process sizes by the CPUs it may use, not the machine's."""
+    monkeypatch.delenv(ENV_THREADS, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert available_cpus() == 1
+    assert resolve_bnn_threads() == 1
+    assert select._thread_variants() == ("threaded@1",)
+    assert select._environment_key().endswith("cpus1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    assert resolve_bnn_threads() == 4
+    assert select._thread_variants() == ("threaded@1", "threaded@2", "threaded@4")
+    assert select._environment_key().endswith("cpus4")
+    # Platforms without an affinity mask fall back to the machine count.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert available_cpus() == 16
+    assert resolve_bnn_threads() == 8
+    assert select._environment_key().endswith("cpus16")
 
 
 def test_variant_lookup():
