@@ -56,9 +56,9 @@ def _check_ratio(name: str, value: float) -> None:
 def multi_precision_interval(t_fp: float, t_bnn: float, r_rerun: float) -> float:
     """Eq. (1): average per-image interval of the multi-precision system.
 
-    The two-stage case of Eq. (1N): :func:`ladder_interval` with
-    ``stage_times=[t_bnn, t_fp]`` and ``forward_ratios=[r_rerun]``
-    (``docs/LADDER.md`` derives the general form).
+    Evaluated as the two-stage case of Eq. (1N): :func:`ladder_interval`
+    with ``stage_times=[t_bnn, t_fp]`` and ``forward_ratios=[r_rerun]``
+    (``docs/LADDER.md``; exact in IEEE arithmetic, ``t * 1.0 == t``).
 
     Parameters
     ----------
@@ -69,10 +69,7 @@ def multi_precision_interval(t_fp: float, t_bnn: float, r_rerun: float) -> float
     r_rerun:
         Fraction of images re-processed on the host (0..1).
     """
-    if t_fp <= 0 or t_bnn <= 0:
-        raise ValueError("per-image times must be positive")
-    _check_ratio("r_rerun", r_rerun)
-    return max(t_fp * r_rerun, t_bnn)
+    return ladder_interval([t_bnn, t_fp], [r_rerun])
 
 
 def multi_precision_accuracy(
@@ -117,6 +114,24 @@ def ladder_reach_fractions(forward_ratios: Sequence[float]) -> list[float]:
     return reach
 
 
+def _ladder_busy_terms(
+    stage_times: Sequence[float], forward_ratios: Sequence[float]
+) -> tuple[list[float], list[float]]:
+    """Validated Eq. (1N) terms: per-stage reach ``R_i`` and busy ``t_i * R_i``
+    (shared with :func:`repro.obs.ladder_eq1_residual`)."""
+    if len(stage_times) < 2:
+        raise ValueError("a ladder needs at least 2 stages")
+    if len(forward_ratios) != len(stage_times) - 1:
+        raise ValueError(
+            f"need exactly {len(stage_times) - 1} forward ratios for "
+            f"{len(stage_times)} stages, got {len(forward_ratios)}"
+        )
+    if any(t <= 0 for t in stage_times):
+        raise ValueError("per-image stage times must be positive")
+    reach = ladder_reach_fractions(forward_ratios)
+    return reach, [t * w for t, w in zip(stage_times, reach)]
+
+
 def ladder_interval(
     stage_times: Sequence[float], forward_ratios: Sequence[float]
 ) -> float:
@@ -131,27 +146,14 @@ def ladder_interval(
         Per-stage forward ratios ``r_0 .. r_{N-2}`` — each the fraction
         of the traffic *arriving* at that stage that its DMU sends up.
     """
-    if len(stage_times) < 2:
-        raise ValueError("a ladder needs at least 2 stages")
-    if len(forward_ratios) != len(stage_times) - 1:
-        raise ValueError(
-            f"need exactly {len(stage_times) - 1} forward ratios for "
-            f"{len(stage_times)} stages, got {len(forward_ratios)}"
-        )
-    if any(t <= 0 for t in stage_times):
-        raise ValueError("per-image stage times must be positive")
-    reach = ladder_reach_fractions(forward_ratios)
-    return max(t * w for t, w in zip(stage_times, reach))
+    return max(_ladder_busy_terms(stage_times, forward_ratios)[1])
 
 
 def ladder_bottleneck_stage(
     stage_times: Sequence[float], forward_ratios: Sequence[float]
 ) -> int:
     """Index of the stage whose ``t_i * R_i`` dominates Eq. (1N)."""
-    reach = ladder_reach_fractions(forward_ratios)
-    if len(forward_ratios) != len(stage_times) - 1:
-        raise ValueError("forward_ratios must have one entry per hop")
-    busy = [t * w for t, w in zip(stage_times, reach)]
+    busy = _ladder_busy_terms(stage_times, forward_ratios)[1]
     return max(range(len(busy)), key=busy.__getitem__)
 
 

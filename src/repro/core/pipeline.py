@@ -12,6 +12,14 @@ This is the 2-rung special case of the N-stage precision ladder
 host is the final rung, ``rerun_ratio`` is the single forward ratio
 ``r_0``, and Eqs. (1)/(2) are Eq. (1N)/(2N) at N=2.  New code that may
 ever grow a third stage should target :class:`repro.core.PrecisionLadder`.
+
+It is deliberately *not* implemented on top of ``PrecisionLadder`` or of
+:class:`repro.serve.CascadeServer`'s rung table, which both contain it
+as their zero-middle-rung case: this class is the offline oracle the
+serving tests compare served answers against
+(``tests/serve/test_server.py``, ``tests/faults/test_property_faults.py``,
+``tests/obs/test_traced_server.py``), and a reference implementation
+stays independent of the code it checks.
 """
 
 from __future__ import annotations

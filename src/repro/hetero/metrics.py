@@ -1,9 +1,11 @@
 """Comparison of simulated/served cascade timing against Eq. (1)/(1N).
 
-The 2-stage helpers check Eq. (1) as written in the paper; ladders use
-:func:`compare_serving_with_ladder`, which evaluates the generalized
-Eq. (1N) bound ``max_i t_i * R_i`` (``docs/LADDER.md``) at the forward
-ratios a serving run actually measured.
+Both serving helpers evaluate the generalized Eq. (1N) bound
+``max_i t_i * R_i`` (``docs/LADDER.md``); they differ only in the ratio
+they feed it.  :func:`compare_serving_with_eq1` is the two-stage call at
+the paper's completions-based ``R_rerun``;
+:func:`compare_serving_with_ladder` reads the per-hop forward ratios a
+serving run actually measured.
 """
 
 from __future__ import annotations
@@ -73,14 +75,12 @@ def compare_serving_with_eq1(
     the simulator does (ramp-up, batching quantisation) plus queueing and
     thread scheduling, so the measured interval sits above the bound; the
     host term is divided by the worker-pool size since Eq. (1) models a
-    single host executor.
+    single host executor.  The ratio is the completions-based
+    ``snapshot.rerun_ratio``, not the per-rung arrivals ratio of
+    :func:`compare_serving_with_ladder` (they differ when requests degrade).
     """
-    analytic = multi_precision_interval(
-        t_fp / num_host_workers, t_bnn, snapshot.rerun_ratio
-    )
-    return AnalyticComparison(
-        simulated_seconds_per_image=snapshot.seconds_per_image,
-        analytic_seconds_per_image=analytic,
+    return _serving_comparison(
+        snapshot, (t_bnn, t_fp), [snapshot.rerun_ratio], num_host_workers
     )
 
 
@@ -97,21 +97,31 @@ def compare_serving_with_ladder(
     per-hop forward ratios come from the snapshot's
     ``stage_arrived``/``stage_forwarded`` traffic counters, so the bound
     is evaluated at the routing the run actually realized.  The final
-    stage time is divided by the worker-pool size, as in the 2-stage
-    form.  At two stages this reduces to :func:`compare_serving_with_eq1`
-    up to the measured-ratio definition (per-rung arrivals, not
-    completions).
+    stage time is divided by the worker-pool size.
     """
     if len(stage_names) != len(stage_times):
         raise ValueError("need one name per stage")
+    ratios = snapshot.ladder_forward_ratios
+    return _serving_comparison(
+        snapshot,
+        stage_times,
+        [ratios.get(name, 0.0) for name in stage_names[:-1]],
+        num_host_workers,
+    )
+
+
+def _serving_comparison(
+    snapshot: "MetricsSnapshot",
+    stage_times: Sequence[float],
+    forward_ratios: Sequence[float],
+    num_host_workers: int,
+) -> AnalyticComparison:
+    """Eq. (1N) at the given ratios, host term scaled by the pool size."""
     if num_host_workers < 1:
         raise ValueError("num_host_workers must be >= 1")
-    ratios = snapshot.ladder_forward_ratios
-    forward_ratios = [ratios.get(name, 0.0) for name in stage_names[:-1]]
     effective = [float(t) for t in stage_times]
     effective[-1] = effective[-1] / num_host_workers
-    analytic = ladder_interval(effective, forward_ratios)
     return AnalyticComparison(
         simulated_seconds_per_image=snapshot.seconds_per_image,
-        analytic_seconds_per_image=analytic,
+        analytic_seconds_per_image=ladder_interval(effective, forward_ratios),
     )

@@ -7,7 +7,9 @@ Two predictions bracket the cascade:
   :func:`eq1_residual` reports how far a measured serving run sits from
   that bound (positive residual = slower than predicted, the expected
   direction: Eq. (1) ignores batching quantization, queueing and thread
-  scheduling).
+  scheduling).  It is the N = 2 reading of :func:`ladder_eq1_residual`,
+  which checks the N-stage form Eq. (1N) ``max_i t_i * R_i`` and does
+  the arithmetic for both.
 * **Eqs. (3)–(5)** (FINN's cycle model) predict *where time goes inside
   the BNN*: at full unfold (P = S = 1) a layer's cycle count is exactly
   its single-bit MAC count — ``OD * K*K*ID * OH * OW`` for conv (Eq. 3),
@@ -20,7 +22,7 @@ Two predictions bracket the cascade:
   diverges from the hardware cost model (e.g. GEMM shape effects).
 
 Stdlib-only except for :mod:`repro.core.analytic`, which owns the
-Eq. (1) closed form.
+Eq. (1)/(1N) closed form.
 """
 
 from __future__ import annotations
@@ -39,23 +41,23 @@ def eq1_residual(
 ) -> dict:
     """Measured serving interval vs the Eq. (1) prediction.
 
-    The host term is divided by the worker-pool size: Eq. (1) models a
-    single host executor, and a pool drains flagged images that much
-    faster.  Returns a JSON-serializable dict with the prediction, the
-    measurement, the absolute residual (seconds/image) and the relative
-    residual (fraction of the prediction).
+    The two-stage reading of :func:`ladder_eq1_residual` (stages
+    ``bnn``/``host``, one hop forwarding ``rerun_ratio``), which does the
+    arithmetic: the host term is divided by the worker-pool size — Eq. (1)
+    models a single host executor, and a pool drains flagged images that
+    much faster.  Returns a JSON-serializable dict with the prediction,
+    the measurement, the absolute residual (seconds/image) and the
+    relative residual (fraction of the prediction).
     """
-    from ..core.analytic import multi_precision_interval
-
-    if num_host_workers < 1:
-        raise ValueError("num_host_workers must be >= 1")
-    predicted = multi_precision_interval(t_fp / num_host_workers, t_bnn, rerun_ratio)
-    residual = measured_seconds_per_image - predicted
+    general = ladder_eq1_residual(
+        measured_seconds_per_image, [t_bnn, t_fp], [rerun_ratio],
+        num_host_workers=num_host_workers,
+    )
     return {
-        "predicted_seconds_per_image": predicted,
+        "predicted_seconds_per_image": general["predicted_seconds_per_image"],
         "measured_seconds_per_image": measured_seconds_per_image,
-        "residual_seconds_per_image": residual,
-        "relative_residual": residual / predicted,
+        "residual_seconds_per_image": general["residual_seconds_per_image"],
+        "relative_residual": general["relative_residual"],
         "rerun_ratio": rerun_ratio,
         "t_fp": t_fp,
         "t_bnn": t_bnn,
@@ -72,33 +74,25 @@ def ladder_eq1_residual(
 ) -> dict:
     """Measured ladder interval vs the Eq. (1N) prediction, per stage.
 
-    The N-stage generalization of :func:`eq1_residual` (``docs/LADDER.md``):
-    with reach fractions ``R_i = prod_{j<i} r_j`` the prediction is
-    ``max_i t_i * R_i``, and the per-stage busy terms say *which rung*
-    the prediction makes the bottleneck.  The final (host) stage time is
-    divided by the worker-pool size, as in the 2-stage form.  Returns a
+    With reach fractions ``R_i = prod_{j<i} r_j`` the prediction is
+    ``max_i t_i * R_i`` (``docs/LADDER.md``), and the per-stage busy terms
+    say *which rung* the prediction makes the bottleneck.  The final
+    (host) stage time is divided by the worker-pool size.  Returns a
     JSON-serializable dict whose ``stages`` list carries each rung's
     reach, busy seconds/image and share of the predicted bound.
     """
-    from ..core.analytic import ladder_reach_fractions
+    from ..core.analytic import _ladder_busy_terms
 
     if num_host_workers < 1:
         raise ValueError("num_host_workers must be >= 1")
-    stage_times = [float(t) for t in stage_times]
-    if len(stage_times) < 2:
-        raise ValueError("a ladder needs at least 2 stages")
-    if len(forward_ratios) != len(stage_times) - 1:
-        raise ValueError("need exactly one forward ratio per hop")
-    if any(t <= 0 for t in stage_times):
-        raise ValueError("stage times must be positive")
+    effective = [float(t) for t in stage_times]
     if stage_names is None:
-        stage_names = [f"stage{i}" for i in range(len(stage_times))]
-    if len(stage_names) != len(stage_times):
+        stage_names = [f"stage{i}" for i in range(len(effective))]
+    if len(stage_names) != len(effective):
         raise ValueError("need one name per stage")
-    effective = list(stage_times)
-    effective[-1] = effective[-1] / num_host_workers
-    reach = ladder_reach_fractions(forward_ratios)
-    busy = [t * w for t, w in zip(effective, reach)]
+    if effective:
+        effective[-1] = effective[-1] / num_host_workers
+    reach, busy = _ladder_busy_terms(effective, forward_ratios)
     predicted = max(busy)
     bottleneck = max(range(len(busy)), key=busy.__getitem__)
     residual = measured_seconds_per_image - predicted

@@ -169,13 +169,12 @@ class SLOAutoscaler:
         if pool:
             kwargs.setdefault("min_workers", min(pool, kwargs.get("max_workers", 4)))
             kwargs.setdefault("max_workers", max(pool, 4))
-        controllers = [c for c in server._hop_controllers if c is not None]
         return cls(
             metrics=server.metrics,
             slo_p99_ms=slo_p99_ms,
             scale_fn=scale_fn,
             current_workers=pool,
-            controllers=controllers,
+            controllers=server.controllers,
             **kwargs,
         )
 

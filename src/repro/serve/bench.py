@@ -14,9 +14,10 @@ the host stage sleeps ``t_fp`` per image and returns the argmax, and a
 fixed margin-reading DMU converts scores to confidence.  Timing is then
 a controlled experiment in queueing, not in numpy throughput.
 
-``ladder_stage_times`` turns the same harness into an N-stage precision
-ladder bench (``docs/LADDER.md``): each middle rung sleeps its ``t_i``
-per image, and hop *k*'s DMU reads the margin at sorted-score positions
+Every run is a ladder run; with no ``ladder_stage_times`` it is the
+paper's cascade — one hop, Eq. (1N) reading as Eq. (1).
+``ladder_stage_times`` adds middle rungs to the same harness
+(``docs/LADDER.md``): each sleeps its ``t_i`` per image, and hop *k*'s DMU reads the margin at sorted-score positions
 ``(2k, 2k+1)`` — disjoint positions give every hop its own continuous,
 largely decorrelated confidence CDF, so every per-hop forward ratio in
 (0, 1) is reachable and the multi-knob
@@ -40,7 +41,7 @@ from ..core.ascii_chart import line_chart
 from ..core.dmu import DecisionMakingUnit
 from ..core.ladder import LadderStage
 from ..core.report import format_percent, format_rate, render_table
-from .controller import AdaptiveThresholdController, LadderThresholdController
+from .controller import LadderThresholdController
 from .metrics import MetricsSnapshot
 from .server import CascadeServer
 
@@ -162,19 +163,16 @@ class ServeBenchConfig:
 
     @property
     def analytic_bound_fps(self) -> float:
-        """Eq. (1)/(1N) at the target ratio(s), with the host pool scaled.
+        """Eq. (1N) at the target ratio(s), with the host pool scaled.
 
-        For a ladder, every hop is assumed to forward its target ratio,
-        so rung *i*'s reach is ``r_target ** i`` (Eq. (1N) at the
-        controller's setpoint).
+        Every hop is assumed to forward its target ratio, so rung *i*'s
+        reach is ``r_target ** i`` (Eq. (1N) at the controller's
+        setpoint); with no middle rungs that is Eq. (1) as written.
         """
-        if self.ladder_stage_times:
-            times = list(self.stage_times)
-            times[-1] /= self.host_parallelism
-            ratios = [self.hop_target_forward_ratio] * (len(times) - 1)
-            return 1.0 / ladder_interval(times, ratios)
-        t_host = self.t_fp * self.target_rerun_ratio / self.host_parallelism
-        return 1.0 / max(t_host, self.t_bnn)
+        times = list(self.stage_times)
+        times[-1] /= self.host_parallelism
+        ratios = [self.hop_target_forward_ratio] * (len(times) - 1)
+        return 1.0 / ladder_interval(times, ratios)
 
     @property
     def offered_fps(self) -> float:
@@ -358,9 +356,9 @@ class ServeBenchRun:
     steady: MetricsSnapshot        # second-half window (steady state)
     final_threshold: float
     analytic_bound_fps: float
-    #: Eq. (1) residual at the *realized* steady rerun ratio
-    #: (:func:`repro.obs.eq1_residual`), set by :func:`run_serve_bench`;
-    #: :func:`repro.obs.ladder_eq1_residual` for ladder runs.
+    #: Eq. (1N) residual at the *realized* steady per-hop forward ratios
+    #: (:func:`repro.obs.ladder_eq1_residual`; a 2-stage run is the
+    #: one-hop case), set by :func:`run_serve_bench`.
     eq1: dict | None = None
     #: Final threshold of every hop, bnn-first (2-stage: one entry).
     final_thresholds: tuple[float, ...] = ()
@@ -530,10 +528,12 @@ def run_serve_bench(config: ServeBenchConfig | None = None) -> ServeBenchReport:
     fault_report: dict | None = None
     for label in ("naive", "adaptive"):
         bnn_fn, dmu, host_fn, scores = synthetic_serving_stack(config)
-        # Fresh middle rungs per leg; the fault plan wraps only the
-        # bnn/dmu/host stages (the seeded streams the plans name).
-        ladder = synthetic_ladder_stages(config) if config.ladder_stage_times else None
-        num_hops = 1 + len(ladder or ())
+        # Fresh middle rungs per leg (none = the paper's 2-stage cascade);
+        # the fault plan wraps only the bnn/dmu/host stages (the seeded
+        # streams the plans name).
+        ladder = synthetic_ladder_stages(config)
+        names = config.stage_names
+        num_hops = len(names) - 1
         injector = None
         if fault_plan is not None:
             from ..faults import wrap_stack
@@ -542,19 +542,12 @@ def run_serve_bench(config: ServeBenchConfig | None = None) -> ServeBenchReport:
         if label == "adaptive":
             # Start from the same bad operating point the naive run uses:
             # convergence, not initialization, must close the gap.
-            controller: LadderThresholdController | AdaptiveThresholdController | float
-            if ladder is not None:
-                controller = LadderThresholdController.from_targets(
-                    initial_thresholds=[config.naive_threshold] * num_hops,
-                    target_forward_ratios=[config.hop_target_forward_ratio] * num_hops,
-                    gain=config.controller_gain,
-                )
-            else:
-                controller = AdaptiveThresholdController(
-                    initial_threshold=config.naive_threshold,
-                    target_rerun_ratio=config.target_rerun_ratio,
-                    gain=config.controller_gain,
-                )
+            controller: LadderThresholdController | float
+            controller = LadderThresholdController.from_targets(
+                initial_thresholds=[config.naive_threshold] * num_hops,
+                target_forward_ratios=[config.hop_target_forward_ratio] * num_hops,
+                gain=config.controller_gain,
+            )
         else:
             controller = config.naive_threshold
         server = CascadeServer(
@@ -618,24 +611,14 @@ def run_serve_bench(config: ServeBenchConfig | None = None) -> ServeBenchReport:
         measured = (
             steady.wall_seconds / steady.completed if steady.completed else float("nan")
         )
-        if ladder is not None:
-            names = config.stage_names
-            ratios = steady.ladder_forward_ratios
-            eq1 = obs.ladder_eq1_residual(
-                measured_seconds_per_image=measured,
-                stage_times=list(config.stage_times),
-                forward_ratios=[ratios.get(n, 0.0) for n in names[:-1]],
-                stage_names=list(names),
-                num_host_workers=config.host_parallelism,
-            )
-        else:
-            eq1 = obs.eq1_residual(
-                measured_seconds_per_image=measured,
-                t_fp=config.t_fp,
-                t_bnn=config.t_bnn,
-                rerun_ratio=steady.rerun_ratio,
-                num_host_workers=config.host_parallelism,
-            )
+        ratios = steady.ladder_forward_ratios
+        eq1 = obs.ladder_eq1_residual(
+            measured_seconds_per_image=measured,
+            stage_times=list(config.stage_times),
+            forward_ratios=[ratios.get(n, 0.0) for n in names[:-1]],
+            stage_names=list(names),
+            num_host_workers=config.host_parallelism,
+        )
         runs[label] = ServeBenchRun(
             label=label,
             total=total,
@@ -742,15 +725,18 @@ def format_serve_bench(report: ServeBenchReport) -> str:
             f"{run.eq1['measured_seconds_per_image'] * 1e3:.2f} ms/img "
             f"({run.eq1['relative_residual']:+.0%})"
         )
+    # A per-rung breakdown only says something the top table does not
+    # once there are middle rungs; the 2-stage report stops at Eq. (1).
+    middle_rungs = cfg.stage_names[1:-1]
     residuals = ""
     if residual_lines:
-        eq_name = "Eq. (1N)" if cfg.ladder_stage_times else "Eq. (1)"
+        eq_name = "Eq. (1N)" if middle_rungs else "Eq. (1)"
         residuals = (
             f"\n\n{eq_name} residual at each policy's *realized* steady routing:\n"
             + "\n".join(residual_lines)
         )
     ladder_section = ""
-    if cfg.ladder_stage_times and report.adaptive.eq1 is not None:
+    if middle_rungs and report.adaptive.eq1 is not None:
         stage_rows = [
             [
                 stage["name"],

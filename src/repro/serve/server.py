@@ -5,64 +5,57 @@ one big array in, one big array out.  :class:`CascadeServer` runs the
 same BNN → DMU → host cascade as a concurrent system of workers joined
 by bounded queues, which is how the paper's hardware actually behaves
 (the FPGA streams batches while the ARM host re-processes the previous
-batch's flagged subset in parallel):
+batch's flagged subset in parallel).
 
-    submit() ──► MicroBatcher ◄── take() ── BNN worker ──► futures
-                 (bounded pending buffer,           │ DMU accept
-                  size/deadline cut)                │ DMU flag
-                                           stage-1 queue (bounded)
-                                                    │ per-stage worker:
-                                                    │ score, DMU accept
-                                                    │ or forward residue
-                                                   ...
-                                              host queue (bounded)
-                                                    │        │ Full → degrade:
-                                              host workers   │ answer with the
-                                                    └──► futures  best so far
+The server is one **rung table** — ``bnn``, each ``ladder=`` stage, then
+``host`` — and every worker thread runs the same loop over its own row;
+the paper's 2-stage cascade is the table with zero middle rungs
+(``docs/LADDER.md``)::
 
-    The default is the paper's 2-stage shape (no middle rungs).  Passing
-    ``ladder=[LadderStage(...), ...]`` inserts quantized middle rungs
-    between the BNN and the host — the N-stage precision ladder of
-    ``docs/LADDER.md`` — each with its own bounded queue, worker thread,
-    DMU and threshold knob.  The BNN worker pulls its own batch the
-    moment it is free, so the batcher's bounded pending buffer is the
-    only pre-BNN buffer and the one place that blocks ``submit``.  The
-    queues that *shed* instead of blocking are the forwarding queues
-    (middle and host), because blocking there would stall the cheaper
-    rungs for the exact traffic mix (reach ``R_i`` too high) that
-    Eq. (1N) says the slower rungs cannot absorb anyway.
+    submit() ─► MicroBatcher = rung 0's inbox (blocks when full; every
+                    │          other inbox is a bounded queue that sheds)
+                  inbox ─► gate ─► score ─► DMU ─┬─ confident ─► resolve as <rung>
+                            │late   │raises  │   └─ flagged ──► next rung's inbox
+                            ▼       ▼        │raises              │Full / late /
+                           fall back         ▼                    ▼breaker open
+                                        degrade to this rung's own answer
 
-An :class:`~repro.serve.controller.AdaptiveThresholdController` closes
-the loop between the two stages at runtime; a plain float threshold
-reproduces the paper's static operating point, and a
-:class:`~repro.serve.controller.LadderThresholdController` carries one
-knob per hop for ladders.
+Rung 0 pulls its batch the moment it is free, so the batcher's pending
+buffer is the only pre-BNN buffer.  The forwarding queues shed instead
+of blocking, because blocking there would stall the cheaper rungs for
+the exact traffic mix (reach ``R_i`` too high) that Eq. (1N) says the
+slower rungs cannot absorb anyway.  Three policies depend on position,
+each read off what the code can observe rather than a per-rung flag:
 
-Fault containment (``docs/ROBUSTNESS.md``): worker loops are crash-safe
-— a raise inside any stage callable fails only the affected requests and
-never kills a thread.  A BNN/DMU failure with no fallback answer fails
-those futures with :class:`~repro.serve.resilience.StageFailure`; a DMU
-failure *after* BNN scoring degrades to the BNN argmax; host failures
-are retried under a :class:`~repro.serve.resilience.RetryPolicy`
-(exponential backoff + jitter) and then degrade to the BNN answer; a
-:class:`~repro.serve.resilience.CircuitBreaker` flips the server into a
-degraded "accept BNN result, skip host" mode while the host stage is
-tripping and recovers it after a cool-down.  Optional per-request
-deadlines (``deadline_s``) bound tail latency: a request that misses its
-deadline before the BNN answers fails with
-:class:`~repro.serve.resilience.DeadlineExceeded`; after the BNN has
-answered it degrades instead.  Every submitted request reaches exactly
-one terminal state — a :class:`ServeResult` or an exception — even
-across :meth:`CascadeServer.close` with work in flight
-(:class:`~repro.serve.resilience.ServerClosed`).
+===========================  ============================================
+observed                     policy
+===========================  ============================================
+the request carries an       *fall back* (late on arrival, scorer raised,
+answer (``last_prediction``  worker crashed) degrades to that answer;
+set: any rung above 0)       without one it fails typed —
+                             ``DeadlineExceeded`` / ``StageFailure``
+the rung has no DMU          it is the last: answers all it scores, and
+                             alone retries (``RetryPolicy``) and feeds
+                             the ``CircuitBreaker``
+the next rung has no DMU     the one breaker-guarded hop: while open, the
+                             flagged residue degrades (skip-host mode)
+===========================  ============================================
 
-Paper anchors: Fig. 1 (cascade structure), Eq. (1) timing regime
-(host-bound vs BNN-bound); the degraded mode realizes CascadeCNN's
-fall-back-to-low-precision semantics.  When a :mod:`repro.obs` tracer is
-installed the workers emit ``serve.batch`` / ``serve.bnn`` /
-``serve.dmu`` / ``serve.host`` spans plus queue-depth gauges,
+Fault containment (``docs/ROBUSTNESS.md``): a raise inside any stage
+callable touches only its batch and never kills a thread, and a degraded
+answer is always some rung's own prediction (CascadeCNN's
+fall-back-to-low-precision semantics).  Optional deadlines
+(``deadline_s``) are checked at rung boundaries.  Every submitted
+request reaches exactly one terminal state — a :class:`ServeResult` or
+an exception — even across :meth:`CascadeServer.close` with work in
+flight (:class:`~repro.serve.resilience.ServerClosed`).
+
+Paper anchors: Fig. 1 (cascade structure), Eq. (1)/(1N) timing regime.
+With a :mod:`repro.obs` tracer installed the workers emit
+``serve.batch`` / ``serve.bnn`` / ``serve.dmu`` / ``serve.<rung>`` /
+``serve.<rung>.dmu`` / ``serve.host`` spans plus queue-depth gauges,
 accepted/rerun/degraded counters and fault/retry/deadline/breaker
-events; with no tracer installed the instrumentation is a no-op.
+events; without one the instrumentation is a no-op.
 """
 
 from __future__ import annotations
@@ -97,9 +90,6 @@ _SHUTDOWN = object()
 #: Sentinel distinguishing "use a default CircuitBreaker" from "no breaker".
 _DEFAULT = object()
 
-BNN_QUEUE = "bnn"
-HOST_QUEUE = "host"
-
 
 @dataclass(frozen=True)
 class ServeResult:
@@ -129,7 +119,7 @@ class ServeResult:
 class _Request:
     __slots__ = (
         "image", "future", "submit_ts", "deadline_ts", "bnn_prediction", "confidence",
-        "last_prediction", "host_enqueue_ts",
+        "last_prediction", "enqueue_ts",
     )
 
     def __init__(self, image: np.ndarray, submit_ts: float, deadline_ts: float | None):
@@ -138,14 +128,49 @@ class _Request:
         self.submit_ts = submit_ts
         self.deadline_ts = deadline_ts
         self.bnn_prediction = -1
-        # Best answer produced so far (refined at every rung) — what a
-        # degrade falls back to.  Equals bnn_prediction in 2-stage mode.
+        # The answer of the rung that last forwarded the request — what a
+        # fall-back degrades to.  Negative until rung 0 has forwarded it:
+        # such a request can only fail typed.
         self.last_prediction = -1
         self.confidence = float("nan")
-        # Set whenever the request is enqueued to the *next* rung's
-        # queue; the consuming worker books the queue-wait under
-        # "<rung>_queue_wait".
-        self.host_enqueue_ts = float("nan")
+        # Set whenever the request is put on the *next* rung's inbox; the
+        # consuming worker books the wait under "<rung>_queue_wait".
+        self.enqueue_ts = float("nan")
+
+
+class _Rung:
+    """One row of the rung table: a stage, its inbox, its knob, its names."""
+
+    def __init__(self, hop, name, score_fn, dmu, controller, static_threshold, inbox):
+        self.hop = hop
+        self.name = name
+        #: ``(N, ...) images -> (N, C)`` scores; ``(N,)`` labels on the last rung.
+        self.score_fn = score_fn
+        #: Accept-vs-forward unit; ``None`` marks the last rung.
+        self.dmu = dmu
+        #: Adaptive knob of the hop out of this rung (``None`` = static).
+        self.controller = controller
+        self.static_threshold = static_threshold
+        #: Bounded queue feeding this rung; ``None`` = the micro-batcher.
+        self.inbox: queue.Queue | None = inbox
+        self.threads: list[threading.Thread] = []
+        # Metric / span / counter names, built once: the workers format
+        # no string per batch.  Rung 0 keeps the paper cascade's names.
+        dmu_name = "dmu" if hop == 0 else f"{name}.dmu"
+        self.span = f"serve.{name}"
+        self.fault_counter = f"serve.fault.{name}"
+        self.dmu_span = f"serve.{dmu_name}"
+        self.dmu_fault = dmu_name
+        self.dmu_fault_counter = f"serve.fault.{dmu_name}"
+        self.accepted_counter = "serve.accepted" if hop == 0 else f"serve.{name}.accepted"
+        self.forwarded_counter = "serve.rerun" if hop == 0 else f"serve.{name}.forwarded"
+        self.wait_stage = f"{name}_queue_wait"
+        self.queue_gauge = f"queue.{name}"
+
+    @property
+    def threshold(self) -> float:
+        ctrl = self.controller
+        return ctrl.threshold if ctrl is not None else self.static_threshold
 
 
 class CascadeServer:
@@ -249,10 +274,6 @@ class CascadeServer:
             raise ValueError("queue capacities must be >= 1")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive (or None)")
-        self._bnn_scores_fn = bnn_scores_fn
-        self._dmu = dmu
-        self._host_predict_fn = host_predict_fn
-
         # -- ladder topology: middle rungs between the BNN and the host.
         stages = tuple(ladder) if ladder else ()
         reserved = {"bnn", "host", "degraded"}
@@ -266,7 +287,6 @@ class CascadeServer:
                 raise ValueError(
                     f"ladder stage {stage.name!r} forwards traffic and needs a DMU"
                 )
-        self._ladder_stages = stages
         num_hops = 1 + len(stages)
         if ladder_queue_capacity is None:
             ladder_queue_capacity = host_queue_capacity
@@ -274,23 +294,22 @@ class CascadeServer:
             raise ValueError("ladder_queue_capacity must be >= 1")
 
         # -- routing policy: one (static or adaptive) knob per hop.
-        self._hop_controllers: list[AdaptiveThresholdController | None]
-        self._hop_static: list[float] = [0.0] * num_hops
+        knobs: list[AdaptiveThresholdController | None] = [None] * num_hops
+        static = [0.0] * num_hops
         if isinstance(controller, LadderThresholdController):
             if controller.num_hops != num_hops:
                 raise ValueError(
                     f"LadderThresholdController has {controller.num_hops} knobs "
                     f"but the ladder has {num_hops} hops"
                 )
-            self._hop_controllers = list(controller.knobs)
+            knobs = list(controller.knobs)
         else:
-            self._hop_controllers = [None] * num_hops
             hop0 = float(dmu.threshold) if controller is None else controller
             if isinstance(hop0, AdaptiveThresholdController):
-                self._hop_controllers[0] = hop0
+                knobs[0] = hop0
             else:
-                self._hop_static[0] = float(hop0)
-                if not 0.0 <= self._hop_static[0] <= 1.0:
+                static[0] = float(hop0)
+                if not 0.0 <= static[0] <= 1.0:
                     raise ValueError("threshold must be in [0, 1]")
             for i, stage in enumerate(stages):
                 thr = stage.effective_threshold
@@ -298,25 +317,37 @@ class CascadeServer:
                     raise ValueError(
                         f"ladder stage {stage.name!r} has no threshold"
                     )
-                self._hop_static[i + 1] = float(thr)
+                static[i + 1] = float(thr)
         self._clock = clock
         self.metrics = metrics if metrics is not None else ServerMetrics(clock=clock)
         self._batcher: MicroBatcher[_Request] = MicroBatcher(
             max_batch_size=max_batch_size, max_delay_s=batch_delay_s, clock=clock
         )
-        self.metrics.register_queue(BNN_QUEUE, self._batcher.max_pending)
-        for stage in stages:
-            self.metrics.register_queue(stage.name, ladder_queue_capacity)
-        self.metrics.register_queue(HOST_QUEUE, host_queue_capacity)
-        self.metrics.record_threshold(self.threshold)
 
         # Optional process-parallel host pool (repro.parallel).
         self._host_runner, self._owns_host_runner = self._init_parallel_host(
             host_predict_fn, host_workers
         )
         if self._host_runner is not None:
-            self._host_predict_fn = self._host_runner
+            host_predict_fn = self._host_runner
             self._host_runner.set_metrics(self.metrics)
+
+        # -- the rung table: bnn, each ladder stage, host.
+        rows = [
+            ("bnn", bnn_scores_fn, dmu, self._batcher.max_pending),
+            *((s.name, s.scores_fn, s.dmu, ladder_queue_capacity) for s in stages),
+            ("host", host_predict_fn, None, host_queue_capacity),
+        ]
+        knobs.append(None)  # no hop leaves the last rung
+        static.append(0.0)
+        self._rungs: list[_Rung] = []
+        for hop, (name, score_fn, rung_dmu, capacity) in enumerate(rows):
+            inbox = queue.Queue(maxsize=capacity) if hop else None
+            self._rungs.append(
+                _Rung(hop, name, score_fn, rung_dmu, knobs[hop], static[hop], inbox)
+            )
+            self.metrics.register_queue(name, capacity)
+        self.metrics.record_threshold(self.threshold)
 
         self._deadline_s = deadline_s
         self._retry = retry if retry is not None else RetryPolicy()
@@ -327,35 +358,26 @@ class CascadeServer:
         if self._breaker is not None and self._breaker._on_transition is None:
             self._breaker._on_transition = self._on_breaker_transition
 
-        self._mid_queues: list[queue.Queue] = [
-            queue.Queue(maxsize=ladder_queue_capacity) for _ in stages
-        ]
-        self._host_queue: queue.Queue = queue.Queue(maxsize=host_queue_capacity)
         self._host_batch_size = max(1, int(host_batch_size))
         self._closed = False
         self._close_lock = threading.Lock()
         self._inflight: set[_Request] = set()
         self._inflight_lock = threading.Lock()
 
-        self._bnn_thread = threading.Thread(
-            target=self._bnn_loop, name="serve-bnn", daemon=True
-        )
-        self._mid_threads = [
-            threading.Thread(
-                target=self._mid_loop, args=(i,), name=f"serve-{stage.name}",
-                daemon=True,
+        # One worker per rung ("serve-<name>"); the last rung gets the
+        # host thread pool ("serve-host-<i>").  The table above is
+        # complete, so a worker may route into the next row at once.
+        for rung in self._rungs:
+            thread_names = (
+                [f"serve-{rung.name}-{i}" for i in range(num_host_workers)]
+                if rung.dmu is None else [f"serve-{rung.name}"]
             )
-            for i, stage in enumerate(stages)
-        ]
-        self._host_threads = [
-            threading.Thread(target=self._host_loop, name=f"serve-host-{i}", daemon=True)
-            for i in range(num_host_workers)
-        ]
-        self._bnn_thread.start()
-        for t in self._mid_threads:
-            t.start()
-        for t in self._host_threads:
-            t.start()
+            for name in thread_names:
+                thread = threading.Thread(
+                    target=self._rung_loop, args=(rung,), name=name, daemon=True
+                )
+                rung.threads.append(thread)
+                thread.start()
 
     @staticmethod
     def _init_parallel_host(host_predict_fn, host_workers):
@@ -379,17 +401,21 @@ class CascadeServer:
 
     def stage_threshold(self, hop: int) -> float:
         """The threshold gating hop *hop* (0 = BNN, then middle rungs)."""
-        ctrl = self._hop_controllers[hop]
-        return ctrl.threshold if ctrl is not None else self._hop_static[hop]
+        return self._rungs[:-1][hop].threshold
+
+    @property
+    def controllers(self) -> tuple[AdaptiveThresholdController, ...]:
+        """The adaptive threshold knobs, in hop order (static hops have none)."""
+        return tuple(r.controller for r in self._rungs if r.controller is not None)
 
     @property
     def num_stages(self) -> int:
         """Rung count including the BNN and the host (2 = paper cascade)."""
-        return 2 + len(self._ladder_stages)
+        return len(self._rungs)
 
     @property
     def stage_names(self) -> tuple[str, ...]:
-        return ("bnn", *(s.name for s in self._ladder_stages), "host")
+        return tuple(r.name for r in self._rungs)
 
     @property
     def degraded_mode(self) -> bool:
@@ -470,19 +496,24 @@ class CascadeServer:
             first = not self._closed
             self._closed = True
         if first:
-            # The BNN worker drains the pending buffer, then take() yields None.
+            # Rung 0 drains the pending buffer, then take() yields None.
             self._batcher.close()
-            self._bnn_thread.join(timeout=timeout)
-            # Drain the ladder top-down: each rung's sentinel goes in only
+            # Drain the table top-down: each rung's sentinels go in only
             # after every producer above it has exited, so no request is
             # left behind a sentinel.
-            for i, thread in enumerate(self._mid_threads):
-                self._put_sentinel(self._mid_queues[i], timeout)
+            for rung in self._rungs:
+                for _ in rung.threads if rung.inbox is not None else ():
+                    try:  # best effort: never block forever on a full queue
+                        rung.inbox.put(_SHUTDOWN, timeout=timeout)
+                    except queue.Full:
+                        pass
+                for thread in rung.threads:
+                    thread.join(timeout=timeout)
+        else:
+            # A repeated or concurrent close() waits for the last rung to
+            # drain before it fails whatever is left.
+            for thread in self._rungs[-1].threads:
                 thread.join(timeout=timeout)
-            for _ in self._host_threads:
-                self._put_sentinel(self._host_queue, timeout)
-        for t in self._host_threads:
-            t.join(timeout=timeout)
         if first and self._owns_host_runner and self._host_runner is not None:
             self._host_runner.close()
         # Anything still unresolved is stuck behind a dead/hung stage (or
@@ -495,14 +526,6 @@ class CascadeServer:
             obs.count("serve.failed", len(stranded))
             for request in stranded:
                 request.future.set_exception(ServerClosed("server closed mid-flight"))
-
-    @staticmethod
-    def _put_sentinel(q: queue.Queue, timeout: float | None) -> None:
-        """Best-effort shutdown signal: never block forever on a full queue."""
-        try:
-            q.put(_SHUTDOWN, timeout=timeout)
-        except queue.Full:
-            pass
 
     def __enter__(self) -> "CascadeServer":
         return self
@@ -533,10 +556,12 @@ class CascadeServer:
             self.metrics.record_decisions(rerun=1, stage=source)
         latency = self._clock() - request.submit_ts
         self.metrics.record_latency(latency)
+        prediction, bnn = int(prediction), request.bnn_prediction
         request.future.set_result(
             ServeResult(
-                prediction=int(prediction),
-                bnn_prediction=int(request.bnn_prediction),
+                prediction=prediction,
+                # Nothing forwarded it yet: this answer *is* rung 0's.
+                bnn_prediction=prediction if bnn < 0 else bnn,
                 confidence=float(request.confidence),
                 source=source,
                 latency_seconds=latency,
@@ -553,241 +578,39 @@ class CascadeServer:
     def _past_deadline(self, request: _Request) -> bool:
         return request.deadline_ts is not None and self._clock() > request.deadline_ts
 
-    # -- internal: BNN worker ------------------------------------------------
-    def _bnn_loop(self) -> None:
-        while True:
-            batch = self._batcher.take()
-            if batch is None:
-                return
-            self.metrics.set_queue_depth(BNN_QUEUE, self._batcher.pending)
-            try:
-                self._process_bnn_batch(batch)
-            except Exception as exc:  # containment: never kill the worker
-                for request in batch:
-                    self._fail(request, StageFailure("bnn", exc))
+    def _fall_back(self, request: _Request, exc: BaseException) -> None:
+        """Terminal state of a request its rung cannot serve.
 
-    def _process_bnn_batch(self, batch: list[_Request]) -> None:
-        # Deadline gate: no BNN answer exists yet, so a missed deadline
-        # is a hard per-request error, not a degraded answer.
-        live: list[_Request] = []
-        for request in batch:
-            if self._past_deadline(request):
-                self.metrics.record_deadline_miss(1)
-                obs.count("serve.deadline_missed", 1)
-                self._fail(request, DeadlineExceeded("deadline passed before BNN stage"))
-            else:
-                live.append(request)
-        if not live:
-            return
-
-        start = self._clock()
-        try:
-            with obs.trace_span("serve.bnn", batch=len(live)):
-                images = np.stack([r.image for r in live])
-                scores = np.asarray(self._bnn_scores_fn(images))
-                predictions = scores.argmax(axis=1)
-        except Exception as exc:
-            # Fast stage down: no answer of any precision exists.
-            self.metrics.record_fault("bnn")
-            obs.count("serve.fault.bnn", 1)
-            for request in live:
-                self._fail(request, StageFailure("bnn", exc))
-            return
-
-        for i, request in enumerate(live):
-            request.bnn_prediction = int(predictions[i])
-
-        try:
-            with obs.trace_span("serve.dmu", batch=len(live)):
-                confidence = np.atleast_1d(self._dmu.confidence(scores))
-                threshold = self.threshold
-                accept = confidence >= threshold
-        except Exception:
-            accept = None
-        # Booked on the DMU-fault path too: the BNN compute happened.
-        self.metrics.observe_stage("bnn", self._clock() - start, count=len(live))
-        if accept is None:
-            # DMU down but the BNN answered: CascadeCNN fall-back — accept
-            # every BNN answer as a degraded result (Eq. (2) floor).
-            self.metrics.record_fault("dmu")
-            obs.count("serve.fault.dmu", 1)
-            if obs.enabled():
-                obs.count("serve.degraded", len(live))
-            for i, request in enumerate(live):
-                self._resolve(request, predictions[i], "degraded")
-            return
-
-        for i, request in enumerate(live):
-            request.last_prediction = int(predictions[i])
-        accepted, forwarded, degraded = self._route_after_scoring(
-            0, live, predictions, confidence, accept, "bnn"
-        )
-        flagged = len(live) - accepted
-        self.metrics.record_stage_traffic("bnn", arrived=len(live), forwarded=forwarded)
-        if obs.enabled():
-            obs.count("serve.accepted", accepted)
-            obs.count("serve.rerun", forwarded)
-            obs.count("serve.degraded", degraded)
-        ctrl = self._hop_controllers[0]
-        if ctrl is not None:
-            new_threshold = ctrl.observe(
-                total=len(live), rerun=flagged, degraded=degraded
-            )
-            self.metrics.record_threshold(new_threshold)
-            obs.gauge("serve.threshold", new_threshold)
-
-    # -- internal: routing between rungs --------------------------------------
-    def _next_queue(self, rung: int) -> tuple[queue.Queue, str, bool]:
-        """``(queue, name, breaker_guarded)`` feeding rung ``rung + 1``."""
-        nxt = rung + 1
-        if nxt <= len(self._ladder_stages):
-            return self._mid_queues[nxt - 1], self._ladder_stages[nxt - 1].name, False
-        return self._host_queue, HOST_QUEUE, True
-
-    def _route_after_scoring(
-        self,
-        rung: int,
-        live: list[_Request],
-        predictions: np.ndarray,
-        confidence: np.ndarray,
-        accept: np.ndarray,
-        source: str,
-    ) -> tuple[int, int, int]:
-        """Resolve accepted requests, forward the residue one rung up.
-
-        Shared by the BNN worker (rung 0) and every middle-rung worker.
-        The breaker gates only the hop *into* the host — the middle
-        rungs have their own fallback (degrade to the best answer so
-        far) and must not consume half-open probes.  Returns
-        ``(accepted, forwarded, degraded)``.
+        A request that already carries an answer degrades to it — the
+        fallback equals a cheaper rung's prediction (CascadeCNN's
+        guarantee); one that does not (no rung has forwarded it yet)
+        fails with the typed *exc*.
         """
-        nq, nq_name, guarded = self._next_queue(rung)
-        # Lazy so a fully-accepted batch never consumes a half-open probe.
-        host_open: bool | None = None
-        accepted = forwarded = degraded = 0
-        for i, request in enumerate(live):
-            request.confidence = float(confidence[i])
-            if accept[i]:
-                self._resolve(request, predictions[i], source)
-                accepted += 1
-                continue
-            if self._past_deadline(request):
-                # An answer exists at this precision: degrade, don't error.
-                self.metrics.record_deadline_miss(1)
-                obs.count("serve.deadline_missed", 1)
-                self._resolve(request, predictions[i], "degraded")
-                degraded += 1
-                continue
-            if guarded:
-                if host_open is None:
-                    host_open = self._breaker is not None and not self._breaker.allow()
-                if host_open:
-                    # Breaker open: "accept current result, skip host" mode.
-                    self._resolve(request, predictions[i], "degraded")
-                    degraded += 1
-                    continue
-            try:
-                request.host_enqueue_ts = self._clock()
-                nq.put_nowait(request)
-                forwarded += 1
-                depth = nq.qsize()
-                self.metrics.set_queue_depth(nq_name, depth)
-                obs.gauge(f"queue.{nq_name}", depth)
-            except queue.Full:
-                # Graceful degradation: the next rung is saturated, so
-                # answer with this rung's result instead of stalling the
-                # fast stages (Eq. (1N)'s slow-rung-bound regime).
-                self._resolve(request, predictions[i], "degraded")
-                degraded += 1
-        return accepted, forwarded, degraded
+        if request.last_prediction >= 0:
+            self._resolve(request, request.last_prediction, "degraded")
+        else:
+            self._fail(request, exc)
 
-    # -- internal: middle-rung workers ----------------------------------------
-    def _mid_loop(self, idx: int) -> None:
-        stage = self._ladder_stages[idx]
-        q = self._mid_queues[idx]
+    # -- internal: the one worker loop ---------------------------------------
+    def _rung_loop(self, rung: _Rung) -> None:
         while True:
-            requests = self._take_requests(q, stage.name)
+            requests = self._take(rung)
             if requests is None:
                 return
             try:
-                self._process_mid_batch(idx, requests)
-            except Exception:  # containment: degrade, never kill the worker
-                self._degrade_batch(requests)
+                self._run_rung(rung, requests)
+            except Exception as exc:  # containment: never kill the worker
+                for request in requests:
+                    self._fall_back(request, StageFailure(rung.name, exc))
 
-    def _process_mid_batch(self, idx: int, requests: list[_Request]) -> None:
-        stage = self._ladder_stages[idx]
-        rung = idx + 1
-        # Deadline gate: these requests carry a cheaper rung's answer, so
-        # lateness degrades (counted) instead of erroring.
-        live: list[_Request] = []
-        for request in requests:
-            if self._past_deadline(request):
-                self.metrics.record_deadline_miss(1)
-                obs.count("serve.deadline_missed", 1)
-                self._resolve(request, request.last_prediction, "degraded")
-            else:
-                live.append(request)
-        if not live:
-            return
-
-        now = self._clock()
-        queue_wait = sum(
-            now - r.host_enqueue_ts for r in live if r.host_enqueue_ts == r.host_enqueue_ts
-        )
-        self.metrics.observe_stage(f"{stage.name}_queue_wait", queue_wait, count=len(live))
-
-        start = self._clock()
-        try:
-            with obs.trace_span(f"serve.{stage.name}", batch=len(live)):
-                images = np.stack([r.image for r in live])
-                scores = np.asarray(stage.scores_fn(images))
-                predictions = scores.argmax(axis=1)
-        except Exception:
-            # This rung is down, but every request carries an answer from
-            # a cheaper rung: fall back instead of erroring.
-            self.metrics.record_fault(stage.name)
-            obs.count(f"serve.fault.{stage.name}", 1)
-            self._degrade_batch(live)
-            return
-        for i, request in enumerate(live):
-            request.last_prediction = int(predictions[i])
-
-        try:
-            with obs.trace_span(f"serve.{stage.name}.dmu", batch=len(live)):
-                confidence = np.atleast_1d(stage.dmu.confidence(scores))
-                accept = confidence >= self.stage_threshold(rung)
-        except Exception:
-            accept = None
-        self.metrics.observe_stage(stage.name, self._clock() - start, count=len(live))
-        if accept is None:
-            # DMU down but the rung answered: keep this rung's (better)
-            # answer as a degraded result — CascadeCNN's fall-back.
-            self.metrics.record_fault(f"{stage.name}.dmu")
-            obs.count(f"serve.fault.{stage.name}.dmu", 1)
-            if obs.enabled():
-                obs.count("serve.degraded", len(live))
-            for i, request in enumerate(live):
-                self._resolve(request, predictions[i], "degraded")
-            return
-
-        accepted, forwarded, degraded = self._route_after_scoring(
-            rung, live, predictions, confidence, accept, stage.name
-        )
-        self.metrics.record_stage_traffic(
-            stage.name, arrived=len(live), forwarded=forwarded
-        )
-        if obs.enabled():
-            obs.count(f"serve.{stage.name}.accepted", accepted)
-            obs.count(f"serve.{stage.name}.forwarded", forwarded)
-            obs.count("serve.degraded", degraded)
-        ctrl = self._hop_controllers[rung]
-        if ctrl is not None:
-            ctrl.observe(
-                total=len(live), rerun=len(live) - accepted, degraded=degraded
-            )
-
-    # -- internal: host workers ----------------------------------------------
-    def _take_requests(self, q: queue.Queue, name: str) -> list[_Request] | None:
+    def _take(self, rung: _Rung) -> list[_Request] | None:
+        """Next batch for *rung*; ``None`` once its inbox is shut and drained."""
+        q = rung.inbox
+        if q is None:
+            batch = self._batcher.take()
+            if batch is not None:
+                self.metrics.set_queue_depth(rung.name, self._batcher.pending)
+            return batch
         first = q.get()
         if first is _SHUTDOWN:
             return None
@@ -805,87 +628,170 @@ class CascadeServer:
                 break
             requests.append(item)
         depth = q.qsize()
-        self.metrics.set_queue_depth(name, depth)
-        obs.gauge(f"queue.{name}", depth)
+        self.metrics.set_queue_depth(rung.name, depth)
+        obs.gauge(rung.queue_gauge, depth)
         return requests
 
-    def _host_loop(self) -> None:
-        while True:
-            requests = self._take_requests(self._host_queue, HOST_QUEUE)
-            if requests is None:
-                return
-            try:
-                self._process_host_batch(requests)
-            except Exception:  # containment: degrade, never kill the worker
-                self._degrade_batch(requests)
-
-    def _degrade_batch(self, requests: Sequence[_Request]) -> None:
-        for request in requests:
-            self._resolve(request, request.last_prediction, "degraded")
-
-    def _process_host_batch(self, requests: list[_Request]) -> None:
-        # Deadline gate: these requests carry a BNN answer, so lateness
-        # degrades (counted) instead of erroring.
+    def _run_rung(self, rung: _Rung, requests: list[_Request]) -> None:
+        """Gate → score → DMU → resolve | forward | degrade, for any rung."""
+        last = rung.dmu is None  # nothing to forward to: answers all it scores
         live: list[_Request] = []
         for request in requests:
             if self._past_deadline(request):
                 self.metrics.record_deadline_miss(1)
                 obs.count("serve.deadline_missed", 1)
-                self._resolve(request, request.last_prediction, "degraded")
+                self._fall_back(
+                    request, DeadlineExceeded("deadline passed before BNN stage")
+                )
             else:
                 live.append(request)
         if not live:
             return
-        self.metrics.record_stage_traffic(HOST_QUEUE, arrived=len(live))
-
-        # Queue-wait vs pure-inference split: the "host" stage below times
-        # only the (successful) inference call, so time spent parked in the
-        # host queue must be booked separately or throughput reports blur
-        # dispatch latency into compute cost.
-        now = self._clock()
-        queue_wait = sum(
-            now - r.host_enqueue_ts for r in live if r.host_enqueue_ts == r.host_enqueue_ts
-        )
-        self.metrics.observe_stage("host_queue_wait", queue_wait, count=len(live))
+        if last:
+            self.metrics.record_stage_traffic(rung.name, arrived=len(live))
+        if rung.inbox is not None:
+            # Queue-wait vs pure-inference split: the stage timer below
+            # covers only the scoring call, so time parked in the inbox is
+            # booked separately or throughput reports blur dispatch
+            # latency into compute cost.
+            now = self._clock()
+            self.metrics.observe_stage(
+                rung.wait_stage, sum(now - r.enqueue_ts for r in live), count=len(live)
+            )
 
         retries = 0
         while True:
             start = self._clock()
             try:
-                with obs.trace_span("serve.host", batch=len(live)):
+                with obs.trace_span(rung.span, batch=len(live)):
                     images = np.stack([r.image for r in live])
-                    predictions = np.asarray(self._host_predict_fn(images)).reshape(-1)
+                    out = np.asarray(rung.score_fn(images))
+                    # Class scores below the last rung, labels on it.
+                    predictions = out.reshape(-1) if last else out.argmax(axis=1)
                 if len(predictions) != len(live):
                     raise ValueError(
-                        f"host returned {len(predictions)} predictions "
+                        f"{rung.name} returned {len(predictions)} predictions "
                         f"for {len(live)} images"
                     )
-            except Exception:
-                self.metrics.record_fault("host")
-                obs.count("serve.fault.host", 1)
-                if self._breaker is not None:
-                    self._breaker.record_failure()
-                breaker_open = (
-                    self._breaker is not None
-                    and self._breaker.state == CircuitBreaker.OPEN
-                )
-                if retries >= self._retry.max_retries or breaker_open or self._closed:
-                    # Retries exhausted (or pointless): fall back to the
-                    # low-precision answer for the whole batch.
-                    self._degrade_batch(live)
-                    return
-                self.metrics.record_retry(1)
-                obs.count("serve.retry", 1)
-                time.sleep(self._retry.backoff_s(retries, self._retry_rng))
-                retries += 1
-                continue
-            break
+                break
+            except Exception as exc:
+                self.metrics.record_fault(rung.name)
+                obs.count(rung.fault_counter, 1)
+                if last:
+                    # Only the last rung retries and feeds the breaker: the
+                    # rungs below it have a cheaper fallback one hop away.
+                    tripped = False
+                    if self._breaker is not None:
+                        self._breaker.record_failure()
+                        tripped = self._breaker.state == CircuitBreaker.OPEN
+                    if retries < self._retry.max_retries and not (tripped or self._closed):
+                        self.metrics.record_retry(1)
+                        obs.count("serve.retry", 1)
+                        time.sleep(self._retry.backoff_s(retries, self._retry_rng))
+                        retries += 1
+                        continue
+                # Stage down (retries exhausted or pointless): every request
+                # falls back to the answer it arrived with, if it has one.
+                for request in live:
+                    self._fall_back(request, StageFailure(rung.name, exc))
+                return
 
-        if self._breaker is not None:
-            self._breaker.record_success()
-        self.metrics.observe_stage("host", self._clock() - start, count=len(live))
-        for request, prediction in zip(live, predictions):
-            self._resolve(request, prediction, "host")
+        if last:
+            if self._breaker is not None:
+                self._breaker.record_success()
+            self.metrics.observe_stage(rung.name, self._clock() - start, count=len(live))
+            for request, prediction in zip(live, predictions):
+                self._resolve(request, prediction, rung.name)
+            return
+
+        try:
+            with obs.trace_span(rung.dmu_span, batch=len(live)):
+                confidence = np.atleast_1d(rung.dmu.confidence(out))
+                accept = confidence >= rung.threshold
+        except Exception:
+            accept = None
+        # Booked on the DMU-fault path too: the scoring compute happened.
+        self.metrics.observe_stage(rung.name, self._clock() - start, count=len(live))
+        if accept is None:
+            # DMU down but the rung answered: CascadeCNN fall-back — keep
+            # this rung's answer as a degraded result (Eq. (2) floor).
+            self.metrics.record_fault(rung.dmu_fault)
+            obs.count(rung.dmu_fault_counter, 1)
+            if obs.enabled():
+                obs.count("serve.degraded", len(live))
+            for request, answer in zip(live, predictions):
+                self._resolve(request, answer, "degraded")
+            return
+
+        accepted, forwarded, degraded = self._route(
+            rung, live, predictions.tolist(), confidence, accept
+        )
+        self.metrics.record_stage_traffic(rung.name, arrived=len(live), forwarded=forwarded)
+        if obs.enabled():
+            obs.count(rung.accepted_counter, accepted)
+            obs.count(rung.forwarded_counter, forwarded)
+            obs.count("serve.degraded", degraded)
+        ctrl = rung.controller
+        if ctrl is not None:
+            new_threshold = ctrl.observe(
+                total=len(live), rerun=len(live) - accepted, degraded=degraded
+            )
+            if rung.hop == 0:
+                # snapshot().threshold tracks the public `threshold` (hop 0).
+                self.metrics.record_threshold(new_threshold)
+                obs.gauge("serve.threshold", new_threshold)
+
+    def _route(
+        self, rung: _Rung, live: list[_Request], answers: list[int], confidence, accept
+    ) -> tuple[int, int, int]:
+        """Resolve accepted requests, forward the residue one rung up.
+
+        A request takes this rung's answer with it only when it leaves
+        for the next rung, so until then every fall-back — including a
+        crash in this worker — still means the previous rung's answer.
+        The breaker gates only the hop *into* the last rung: the rungs
+        below it have their own fallback and must not consume half-open
+        probes.  Returns ``(accepted, forwarded, degraded)``.
+        """
+        nxt = self._rungs[rung.hop + 1]
+        guarded = nxt.dmu is None
+        # Lazy so a fully-accepted batch never consumes a half-open probe.
+        skip_next: bool | None = None
+        accepted = forwarded = degraded = 0
+        for i, request in enumerate(live):
+            request.confidence = float(confidence[i])
+            if accept[i]:
+                self._resolve(request, answers[i], rung.name)
+                accepted += 1
+                continue
+            if self._past_deadline(request):
+                self.metrics.record_deadline_miss(1)
+                obs.count("serve.deadline_missed", 1)
+            else:
+                if guarded and skip_next is None:
+                    skip_next = self._breaker is not None and not self._breaker.allow()
+                if not skip_next:
+                    if request.last_prediction < 0:
+                        request.bnn_prediction = answers[i]
+                    request.last_prediction = answers[i]
+                    request.enqueue_ts = self._clock()
+                    try:
+                        nxt.inbox.put_nowait(request)
+                    except queue.Full:
+                        pass
+                    else:
+                        forwarded += 1
+                        depth = nxt.inbox.qsize()
+                        self.metrics.set_queue_depth(nxt.name, depth)
+                        obs.gauge(nxt.queue_gauge, depth)
+                        continue
+            # Late, breaker open ("accept current result, skip host") or
+            # the next rung saturated: an answer exists at this precision,
+            # so degrade to it instead of erroring or stalling the fast
+            # stages (Eq. (1N)'s slow-rung-bound regime).
+            self._resolve(request, answers[i], "degraded")
+            degraded += 1
+        return accepted, forwarded, degraded
 
     # -- internal: breaker bridge --------------------------------------------
     def _on_breaker_transition(self, state: str) -> None:

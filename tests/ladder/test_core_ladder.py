@@ -211,6 +211,31 @@ class TestEq1NPrediction:
             multi_precision_interval(t_fp, t_bnn, r)
         )
 
+    @given(
+        t_fp=st.floats(1e-9, 1e3),
+        t_bnn=st.floats(1e-9, 1e3),
+        r=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_eq1_is_evaluated_by_eq1n_bit_for_bit(self, t_fp, t_bnn, r):
+        """``==``, not ``approx``: Eq. (1) *is* the N = 2 call of Eq. (1N),
+        and the call agrees with the paper's formula as written — to the
+        last bit, because ``t * 1.0`` and ``1.0 * r`` are exact."""
+        assert multi_precision_interval(t_fp, t_bnn, r) == ladder_interval(
+            [t_bnn, t_fp], [r]
+        )
+        assert multi_precision_interval(t_fp, t_bnn, r) == max(t_fp * r, t_bnn)
+
+    def test_bottleneck_checks_lengths_before_it_multiplies(self):
+        # One ratio too many, and an out-of-range one at that: the length
+        # mismatch is the error reported, not the ratio the extra hop holds.
+        with pytest.raises(ValueError, match="forward ratios"):
+            ladder_bottleneck_stage([0.001, 0.02], [0.3, 7.0])
+        with pytest.raises(ValueError, match="forward ratios"):
+            ladder_bottleneck_stage([0.001, 0.004, 0.02], [0.3])
+        with pytest.raises(ValueError, match="at least 2"):
+            ladder_bottleneck_stage([0.001], [])
+
     def test_ladder_accuracy_telescopes(self):
         # 2-stage sanity: Acc = a0 + a1*r - err.
         assert ladder_accuracy(

@@ -25,6 +25,32 @@ def test_eq1_residual_bnn_bound_with_worker_pool():
     assert out["predicted_seconds_per_image"] == pytest.approx(0.001)
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("rerun_ratio", [0.0, 0.02, 0.3, 1.0])
+def test_eq1_residual_is_the_two_stage_ladder_residual(rerun_ratio, workers):
+    """Every key the two dicts share holds the same value, exactly."""
+    from repro.obs import ladder_eq1_residual
+
+    two = eq1_residual(0.0031, t_fp=0.008, t_bnn=0.00025,
+                       rerun_ratio=rerun_ratio, num_host_workers=workers)
+    general = ladder_eq1_residual(
+        0.0031, stage_times=[0.00025, 0.008], forward_ratios=[rerun_ratio],
+        stage_names=["bnn", "host"], num_host_workers=workers,
+    )
+    shared = set(two) & set(general)
+    assert {"predicted_seconds_per_image", "measured_seconds_per_image",
+            "residual_seconds_per_image", "relative_residual",
+            "num_host_workers"} <= shared
+    for key in shared:
+        assert two[key] == general[key], key
+    # ... and the 2-stage-only keys echo the inputs, as they always did.
+    assert (two["rerun_ratio"], two["t_fp"], two["t_bnn"]) == (rerun_ratio, 0.008, 0.00025)
+    assert general["forward_ratios"] == [rerun_ratio]
+    assert general["bottleneck_stage"] == (
+        "host" if 0.008 / workers * rerun_ratio > 0.00025 else "bnn"
+    )
+
+
 def test_eq345_shares_sum_to_one():
     layers = [
         {"label": "conv2", "rows_per_image": 784, "n_out": 16, "n_bits": 144,

@@ -212,6 +212,38 @@ class TestEq1Bridge:
             one.analytic_seconds_per_image / 2
         )
 
+    def test_ratio_is_completions_based_not_arrivals_based(self):
+        """Eq. (1) helper reads ``rerun / completed``, whatever the rungs forwarded.
+
+        A window with degraded requests makes the two definitions differ:
+        600 of 1000 arrivals were forwarded but only 300 came back from
+        the host (the rest degraded on the way).  The documented ratio is
+        the completions one — 0.3, bound 3 ms — not the 0.6 / 6 ms that
+        :func:`compare_serving_with_ladder` evaluates on the same window.
+        """
+        from dataclasses import replace
+
+        from repro.hetero import compare_serving_with_ladder
+
+        snap = MetricsSnapshot(
+            stages={}, queues={}, completed=1000, accepted=400, rerun=300,
+            degraded=300, threshold=0.8, threshold_trajectory=(), wall_seconds=8.0,
+            stage_arrived={"bnn": 1000, "host": 300}, stage_forwarded={"bnn": 600},
+        )
+        assert snap.rerun_ratio == 0.3 and snap.ladder_forward_ratios["bnn"] == 0.6
+        eq1 = compare_serving_with_eq1(snap, t_fp=0.010, t_bnn=0.001)
+        assert eq1.analytic_seconds_per_image == pytest.approx(0.003)
+        eq1n = compare_serving_with_ladder(snap, [0.001, 0.010], ["bnn", "host"])
+        assert eq1n.analytic_seconds_per_image == pytest.approx(0.006)
+        # Same window, same arithmetic: where the two ratios agree, so do they.
+        calm = replace(
+            self._snapshot((1000, 300), wall=4.0),
+            stage_arrived={"bnn": 1000}, stage_forwarded={"bnn": 300},
+        )
+        assert compare_serving_with_eq1(calm, 0.010, 0.001) == compare_serving_with_ladder(
+            calm, [0.001, 0.010], ["bnn", "host"]
+        )
+
     def test_bnn_bound_window(self):
         snap = self._snapshot((1000, 0), wall=1.5)
         cmp = compare_serving_with_eq1(snap, t_fp=0.010, t_bnn=0.001)

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.dmu import DecisionMakingUnit
 from repro.faults import load_fault_plan, wrap_stack
-from repro.serve import CascadeServer
+from repro.serve import CascadeServer, RetryPolicy
 from repro.traffic import TraceReplayer, make_trace
 
 PLAN_PATH = Path(__file__).parents[2] / "examples" / "faultplan_host_flaky.json"
@@ -34,9 +34,18 @@ def _run_once():
     plan = load_fault_plan(PLAN_PATH)
     bnn_fn, dmu, host_fn, payloads = _oracle_stack()
     bnn_fn, dmu, host_fn, injector = wrap_stack(plan, bnn_fn, dmu, host_fn)
+    # The host fault stream is keyed by host *call* index, so the log is
+    # seed-deterministic only if the number of host calls is a function
+    # of the trace and not of timing: a host queue that holds the whole
+    # trace never sheds, one image per call takes batch composition out,
+    # and no breaker means no wall-clock cool-down deciding which calls
+    # are skipped (its trip/recovery is pinned in tests/faults).  Each
+    # flagged image then costs 1-3 calls, read off the stream in order.
     server = CascadeServer(
         bnn_fn, dmu, host_fn,
-        max_batch_size=16, batch_delay_s=0.002, host_queue_capacity=64,
+        max_batch_size=16, batch_delay_s=0.002,
+        host_queue_capacity=len(trace), host_batch_size=1, breaker=None,
+        retry=RetryPolicy(base_delay_s=0.001, max_delay_s=0.004),
     )
     replayer = TraceReplayer(server.submit, payloads, time_scale=20.0)
     with server:
