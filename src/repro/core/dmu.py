@@ -109,6 +109,22 @@ class DecisionMakingUnit:
         self.threshold = float(threshold)
         self.sort_inputs = bool(sort_inputs)
 
+    @classmethod
+    def margin(cls, threshold: float, hop: int = 0) -> "DecisionMakingUnit":
+        """Untrained unit reading one sorted-score margin of 10 class scores.
+
+        Confidence is ``sigmoid(4 * (s[2*hop] - s[2*hop + 1]))`` over the
+        descending-sorted scores ``s``: hop 0 reads the winning margin
+        (top-1 minus top-2).  The margin is continuous, so some threshold
+        realizes every forward ratio in (0, 1) — what the oracle-cascade
+        harnesses (``docs/API.md``, :mod:`repro.serve.oracle`) need from a
+        DMU.  Hop *k* of a ladder reads positions ``(2k, 2k + 1)``, a pair
+        no other hop reads.
+        """
+        weights = np.zeros(10)
+        weights[2 * hop], weights[2 * hop + 1] = 4.0, -4.0
+        return cls(weights, bias=0.0, threshold=threshold)
+
     @property
     def num_inputs(self) -> int:
         return int(self.weights.shape[0])

@@ -11,11 +11,12 @@ fleet and reconciles the books at every layer:
 * terminal ratio: every submitted request must reach a terminal frame
   (the ISSUE acceptance asks >= 99 % even with a replica killed).
 
-The synthetic replica stack is the chaos-test oracle cascade: each
-"image" is an 11-vector of 10 class scores plus the true label, the BNN
-stage reads the scores, the host stage reads the label, and the DMU
-reads the top-2 margin — so correctness is exact and the harness
-measures queueing and wire behaviour, not numpy throughput.  A
+The replica stack is the labelled oracle cascade of
+:mod:`repro.serve.oracle` (``docs/API.md``, "The oracle cascade"): each
+"image" is 10 class scores plus the true label, the BNN stage reads the
+scores, the host stage reads the label, and the DMU reads the top-2
+margin — so correctness is exact and the harness measures queueing and
+wire behaviour, not numpy throughput.  A
 :class:`~repro.faults.FaultPlan` can be injected into every replica
 (same seed ⇒ same per-stage fault stream in each), and
 ``kill_replica_after`` hard-kills one replica mid-run to exercise
@@ -33,6 +34,7 @@ import numpy as np
 
 from ..core.dmu import DecisionMakingUnit
 from ..faults import FaultPlan, load_fault_plan, wrap_stack
+from ..serve.oracle import OracleStage, check_ranges, oracle_images, pick
 from .client import NetClient
 from .frontend import NetFrontend
 from .router import ShardRouter
@@ -45,46 +47,15 @@ __all__ = [
     "format_net_bench",
 ]
 
-NUM_CLASSES = 10
-
-
-def _oracle_bnn_scores(images: np.ndarray) -> np.ndarray:
-    return np.asarray(images)[:, :NUM_CLASSES]
-
-
-def _oracle_mid_scores(images: np.ndarray) -> np.ndarray:
-    """Middle-rung oracle: the BNN scores with extra signal on the label.
-
-    Module-level and picklable, like the other stage callables: a ladder
-    replica's :class:`~repro.core.LadderStage` crosses the ``spawn``
-    boundary inside the factory partial.  The boost models a mid-precision
-    engine refining the cheap stage's answer — most images sharpen enough
-    for the mid DMU to accept, the rest still forward to the host.
-    """
-    images = np.asarray(images)
-    scores = images[:, :NUM_CLASSES].copy()
-    labels = images[:, NUM_CLASSES].astype(int)
-    scores[np.arange(len(scores)), labels] += 1.5
-    return scores
-
-
-def _oracle_host_predict(images: np.ndarray) -> np.ndarray:
-    return np.asarray(images)[:, NUM_CLASSES].astype(int)
-
-
-def _margin_dmu(threshold: float) -> DecisionMakingUnit:
-    weights = np.zeros(NUM_CLASSES)
-    weights[0], weights[1] = 4.0, -4.0  # sorted top-2 margin
-    return DecisionMakingUnit(weights, bias=0.0, threshold=threshold)
+#: Middle-rung oracle of a ladder replica: the BNN scores with extra
+#: signal on the label, so most images sharpen enough for the mid DMU
+#: to accept and the rest still forward to the host.
+_oracle_mid_scores = OracleStage(answer="boosted")
 
 
 def make_oracle_images(n: int, seed: int = 0, signal: float = 2.0) -> np.ndarray:
     """(n, 11) score-vector "images" with the true label appended."""
-    rng = np.random.default_rng(seed)
-    labels = rng.integers(0, NUM_CLASSES, size=n)
-    scores = rng.normal(0.0, 1.0, size=(n, NUM_CLASSES))
-    scores[np.arange(n), labels] += signal
-    return np.concatenate([scores, labels[:, None].astype(float)], axis=1)
+    return oracle_images(n, seed=seed, signal=signal, labelled=True)
 
 
 def oracle_replica_kwargs(
@@ -103,13 +74,14 @@ def oracle_replica_kwargs(
     every replica replays the same seeded per-stage fault stream.
 
     With ``ladder=True`` each replica runs the 3-stage precision ladder
-    (``docs/LADDER.md``): a ``mid1`` rung (:func:`_oracle_mid_scores`,
-    label-boosted scores) between the BNN and the host, with its own
-    margin DMU at the same static threshold.
+    (``docs/LADDER.md``): a ``mid1`` rung (label-boosted scores) between
+    the BNN and the host, with its own margin DMU at the same static
+    threshold.
     """
     from ..core.ladder import LadderStage
 
-    bnn_fn, dmu, host_fn = _oracle_bnn_scores, _margin_dmu(threshold), _oracle_host_predict
+    bnn_fn, host_fn = OracleStage(answer="scores"), OracleStage(answer="label")
+    dmu = DecisionMakingUnit.margin(threshold)
     if fault_plan is not None:
         bnn_fn, dmu, host_fn, _ = wrap_stack(fault_plan, bnn_fn, dmu, host_fn)
     kwargs = dict(
@@ -124,7 +96,7 @@ def oracle_replica_kwargs(
             LadderStage(
                 name="mid1",
                 scores_fn=_oracle_mid_scores,
-                dmu=_margin_dmu(threshold),
+                dmu=DecisionMakingUnit.margin(threshold),
             )
         ]
     return kwargs
@@ -149,6 +121,14 @@ class NetBenchConfig:
     kill_replica_after: int | None = None
     #: Run each replica as a 3-stage precision ladder (bnn -> mid1 -> host).
     ladder: bool = False
+
+    def __post_init__(self):
+        check_ranges(
+            self,
+            at_least_one=("num_requests", "num_clients", "num_replicas", "max_inflight"),
+            unit_interval=("threshold",),
+            non_negative=("port", "kill_replica_after"),
+        )
 
 
 def _client_worker(config, address, images, outcome, lock):
@@ -224,16 +204,13 @@ def run_net_bench(config: NetBenchConfig) -> dict:
         sources[result.source] = sources.get(result.source, 0) + 1
 
     report = {
-        "config": {
-            "num_requests": config.num_requests,
-            "num_clients": config.num_clients,
-            "num_replicas": config.num_replicas,
-            "placement": config.placement,
-            "fault_plan": config.fault_plan_path,
-            "kill_replica_after": config.kill_replica_after,
-            "ladder": config.ladder,
-            "seed": config.seed,
-        },
+        "config": dict(
+            pick(
+                config, "num_requests", "num_clients", "num_replicas", "placement",
+                "kill_replica_after", "ladder", "seed",
+            ),
+            fault_plan=config.fault_plan_path,
+        ),
         "wall_seconds": wall,
         "client": {
             "answered": len(outcome["results"]),
@@ -245,25 +222,17 @@ def run_net_bench(config: NetBenchConfig) -> dict:
             "terminal_ratio": terminal / config.num_requests if config.num_requests else 1.0,
             "sources": sources,
         },
-        "frontend": {
-            "connections": front_snap.connections,
-            "requests": front_snap.requests,
-            "answered": front_snap.answered,
-            "rejected": front_snap.rejected,
-            "failed": front_snap.failed,
-            "protocol_errors": front_snap.protocol_errors,
-            "balanced": front_snap.balanced,
-        },
-        "router": {
-            "submitted": route_snap.submitted,
-            "routed": route_snap.routed,
-            "rejected": route_snap.rejected,
-            "failed": route_snap.failed,
-            "failovers": route_snap.failovers,
-            "replica_routed": route_snap.replica_routed,
-            "balanced": route_snap.balanced,
-            "pings": pings,
-        },
+        "frontend": pick(
+            front_snap, "connections", "requests", "answered", "rejected", "failed",
+            "protocol_errors", "balanced",
+        ),
+        "router": dict(
+            pick(
+                route_snap, "submitted", "routed", "rejected", "failed", "failovers",
+                "replica_routed", "balanced",
+            ),
+            pings=pings,
+        ),
         "ok": (
             front_snap.balanced
             and route_snap.balanced

@@ -57,6 +57,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import obs
+from ..parallel import default_start_method
 from ..serve.resilience import CircuitBreaker
 from ..serve.server import ServeResult
 from ..util.hashing import rendezvous_order
@@ -199,14 +200,6 @@ class InProcessReplica:
         self._server.close()
 
 
-def _default_start_method() -> str:
-    env = os.environ.get("REPRO_MP_START", "").strip()
-    if env:
-        return env
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else methods[0]
-
-
 def replica_main(conn, factory: Callable[[], dict]) -> None:
     """Child-process body: build a cascade and serve the control pipe.
 
@@ -319,7 +312,7 @@ class ProcessReplica:
         spawn_timeout_s: float = 60.0,
     ):
         self.index = index
-        self._ctx = multiprocessing.get_context(start_method or _default_start_method())
+        self._ctx = multiprocessing.get_context(start_method or default_start_method())
         parent_conn, child_conn = self._ctx.Pipe()
         self._conn = parent_conn
         # Not a daemon: the replica's own CascadeServer may spawn a

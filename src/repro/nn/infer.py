@@ -18,8 +18,9 @@ emits a flat list of eval-only steps:
 * **Conv2D + ReLU fusion** — the ReLU is applied in place on the GEMM
   output buffer before it is ever re-read.
 * **Preallocated buffers** — im2col/col matrices, GEMM outputs, pooling
-  and LRN scratch are allocated once per (step, micro-batch geometry) and
-  reused across calls; padded borders are zeroed exactly once.
+  and LRN scratch are allocated once per (step, image geometry), sized
+  for a full micro-batch, and reused across calls as leading-row views
+  whatever the chunk size; padded borders are zeroed exactly once.
 * **LRN via cumulative sums** — the cross-channel sliding window is two
   cumsum slices (O(C) not O(C·size)), computed into reused scratch.
 * **Dropout is a true no-op** and no step retains anything backward
@@ -67,24 +68,38 @@ _STRIDED = np.lib.stride_tricks.as_strided
 
 
 class _BufferPool:
-    """Per-engine scratch arrays, keyed by (step, role, shape)."""
+    """Per-engine scratch arrays, one per (step, role, per-image shape).
 
-    def __init__(self):
+    Every buffer is allocated once, sized for a full ``micro_batch``
+    chunk, and handed out as a leading-rows view: a chunk of any size
+    1…``micro_batch`` reuses the same memory, so the scratch set stops
+    growing after the first call whatever batch sizes the host worker
+    sends (the leading dimension of every request is a multiple of the
+    chunk's image count, which :meth:`InferenceEngine._run_chunk` sets
+    in ``images``).
+    """
+
+    def __init__(self, micro_batch: int):
+        self._micro_batch = micro_batch
         self._arrays: dict[tuple, np.ndarray] = {}
+        self.images = micro_batch
 
     def get(self, key: tuple, shape: tuple[int, ...], dtype, zero: bool = False):
         """Reusable buffer; freshly allocated ones are zeroed iff *zero*.
 
         A *zero* buffer is only cleared on allocation — callers rely on
         overwriting the interior every call while padded borders stay
-        zero from the first fill (the zero-once padding trick).
+        zero from the first fill (the zero-once padding trick); rows past
+        the current chunk are never read.
         """
-        full_key = key + (shape,)
+        rows_per_image = shape[0] // self.images
+        full_key = key + (rows_per_image,) + shape[1:]
         buf = self._arrays.get(full_key)
         if buf is None:
-            buf = np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
+            full = (rows_per_image * self._micro_batch,) + shape[1:]
+            buf = np.zeros(full, dtype) if zero else np.empty(full, dtype)
             self._arrays[full_key] = buf
-        return buf
+        return buf[: shape[0]]
 
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self._arrays.values())
@@ -114,7 +129,7 @@ class InferenceEngine:
             raise ValueError("InferenceEngine requires a float dtype")
         self.micro_batch = int(micro_batch)
         self.name = getattr(net, "name", "net")
-        self._bufs = _BufferPool()
+        self._bufs = _BufferPool(self.micro_batch)
         self._steps = self._compile(net)
 
     # -- compilation ---------------------------------------------------------
@@ -180,6 +195,7 @@ class InferenceEngine:
     # -- execution ------------------------------------------------------------
     def _run_chunk(self, chunk: np.ndarray) -> np.ndarray:
         n, c, h, w = chunk.shape
+        self._bufs.images = n
         entry = self._bufs.get(("entry",), (n, h, w, c), self.dtype)
         # Single cast + layout change: NCHW (any float dtype) -> NHWC dtype.
         entry[...] = chunk.transpose(0, 2, 3, 1)

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..serve.oracle import check_ranges
 from .export import timeline_to_chrome, to_chrome_trace, trace_summary, write_chrome_trace
 from .residuals import eq1_residual, eq345_layer_residuals
 from .stats import format_span_summaries, span_overlap_seconds, summarize_spans
@@ -56,6 +57,14 @@ class TraceRunConfig:
     inference_batch_size: int = 64
     seed: int = 0
 
+    def __post_init__(self):
+        check_ranges(
+            self,
+            at_least_one=("num_images", "max_batch_size", "num_host_workers"),
+            positive=("scale", "host_scale"),
+            unit_interval=("target_rerun_ratio",),
+        )
+
 
 @dataclass(frozen=True)
 class TraceRunReport:
@@ -77,20 +86,12 @@ class TraceRunReport:
         return to_chrome_trace(self.tracer)
 
 
-def _margin_dmu(threshold: float):
-    """DMU reading the sorted-score winning margin: sigmoid(4*(top1-top2))."""
-    from ..core.dmu import DecisionMakingUnit
-
-    weights = np.zeros(10)
-    weights[0], weights[1] = 4.0, -4.0
-    return DecisionMakingUnit(weights, bias=0.0, threshold=threshold)
-
-
 def run_traced_cascade(config: TraceRunConfig | None = None) -> TraceRunReport:
     """Run one traced serving session over the real folded datapath."""
     from ..data import normalize_to_pm1, synthetic_cifar10
     from ..models import build_finn_cnv, build_model_a
     from ..bnn.kernels.bench import cnv_binary_shapes
+    from ..core.dmu import DecisionMakingUnit
     from ..serve import CascadeServer, folded_bnn_scores_fn
 
     from ..bnn import fold_network
@@ -111,10 +112,10 @@ def run_traced_cascade(config: TraceRunConfig | None = None) -> TraceRunReport:
     # flagged (the paper picks its threshold from a sweep the same way),
     # and warm the kernel autotuner outside the traced window.
     calib = images[: min(128, len(images))]
-    dmu = _margin_dmu(0.5)
+    dmu = DecisionMakingUnit.margin(0.5)
     confidence = dmu.confidence(folded.class_scores(calib, batch_size=config.inference_batch_size))
     threshold = float(np.quantile(confidence, config.target_rerun_ratio))
-    dmu = _margin_dmu(threshold)
+    dmu = DecisionMakingUnit.margin(threshold)
 
     with tracing() as tracer:
         server = CascadeServer(

@@ -19,7 +19,13 @@ Entry points:
   ``repro bench-parallel`` measurement harness.
 """
 
-from .runner import ParallelHostRunner, ShardOutcome, ShardReport, resolve_host_workers
+from .runner import (
+    ParallelHostRunner,
+    ShardOutcome,
+    ShardReport,
+    default_start_method,
+    resolve_host_workers,
+)
 from .shm import RingSpec, SlotRing, WorkerRing
 from .worker import worker_main
 
@@ -27,6 +33,7 @@ __all__ = [
     "ParallelHostRunner",
     "ShardOutcome",
     "ShardReport",
+    "default_start_method",
     "resolve_host_workers",
     "RingSpec",
     "SlotRing",

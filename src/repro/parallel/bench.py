@@ -27,24 +27,22 @@ serving layer would operate under if this leg were its host stage.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ..core.report import format_rate, render_table
+from ..serve.oracle import check_ranges
 from .runner import ParallelHostRunner
 
 __all__ = [
     "ParallelBenchConfig",
     "run_parallel_bench",
     "format_parallel_bench",
-    "write_parallel_bench",
 ]
 
 _BUILDERS = {"a": "build_model_a", "b": "build_model_b", "c": "build_model_c"}
@@ -64,6 +62,13 @@ class ParallelBenchConfig:
     t_bnn: float = 0.00025           # Eq. (1) fast-stage seconds/image
     target_rerun_ratio: float = 0.30 # Eq. (1) R_rerun operating point
     smoke: bool = False              # CI mode: shrink images/repeats
+
+    def __post_init__(self):
+        check_ranges(
+            self,
+            positive=("scale",),
+            at_least_one=("num_images", "micro_batch", "repeats", "worker_counts"),
+        )
 
     def resolved(self) -> "ParallelBenchConfig":
         if not self.smoke:
@@ -317,10 +322,3 @@ def format_parallel_bench(report: dict) -> str:
         f"t_bnn={cfg['t_bnn'] * 1e3:.2f} ms)."
     )
     return "\n".join(lines)
-
-
-def write_parallel_bench(report: dict, path: str | os.PathLike) -> Path:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return out

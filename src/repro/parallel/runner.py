@@ -55,7 +55,13 @@ from ..serve.resilience import StageFailure
 from .shm import SlotRing, ensure_tracker
 from .worker import worker_main
 
-__all__ = ["ParallelHostRunner", "ShardOutcome", "ShardReport", "resolve_host_workers"]
+__all__ = [
+    "ParallelHostRunner",
+    "ShardOutcome",
+    "ShardReport",
+    "default_start_method",
+    "resolve_host_workers",
+]
 
 
 def resolve_host_workers(explicit: int | None = None) -> int | None:
@@ -72,7 +78,12 @@ def resolve_host_workers(explicit: int | None = None) -> int | None:
     return None
 
 
-def _default_start_method() -> str:
+def default_start_method() -> str:
+    """``REPRO_MP_START`` if set, else ``fork`` where the platform has it.
+
+    The one rule for every child this package starts — host pool workers
+    here, cascade replicas in :mod:`repro.net.router`.
+    """
     env = os.environ.get("REPRO_MP_START", "").strip()
     if env:
         return env
@@ -201,7 +212,7 @@ class ParallelHostRunner:
         if self.micro_batch < 1:
             raise ValueError("micro_batch must be >= 1")
         self.slots_per_worker = int(slots_per_worker)
-        self.start_method = start_method or _default_start_method()
+        self.start_method = start_method or default_start_method()
         self.shard_timeout_s = shard_timeout_s
         self.spawn_timeout_s = spawn_timeout_s
         self._model = model

@@ -1,26 +1,27 @@
 """Load-test harness for the cascade server (``repro serve-bench``).
 
-Drives :class:`~repro.serve.server.CascadeServer` with a closed-loop
-client fleet over a synthetic score stream and compares a *naive* static
-threshold (chosen as if the host were infinitely fast) against the
-adaptive controller, both against the Eq. (1) analytic throughput bound
+Drives :class:`~repro.serve.server.CascadeServer` with a paced
+*open-loop* generator fleet — ``num_clients`` threads that together
+offer ``arrival_rate_fraction`` x the Eq. (1) bound on an absolute-time
+schedule, whether or not earlier requests have been answered — over a
+synthetic score stream, and compares a *naive* static threshold (chosen
+as if the host were infinitely fast) against the adaptive controller,
+both against the Eq. (1) analytic throughput bound
 
     fps_bound = 1 / max(t_fp * R_target / n_hosts, t_bnn)
 
-The synthetic stack keeps the cascade *control* behaviour real while
-making the compute cost explicit: each "image" is already a 10-way score
-vector, the BNN stage sleeps ``t_bnn`` per image and returns the scores,
-the host stage sleeps ``t_fp`` per image and returns the argmax, and a
-fixed margin-reading DMU converts scores to confidence.  Timing is then
-a controlled experiment in queueing, not in numpy throughput.
+The stack is the oracle cascade of :mod:`repro.serve.oracle`
+(``docs/API.md``, "The oracle cascade"): the cascade *control* behaviour
+stays real while the compute cost is explicit — the BNN stage sleeps
+``t_bnn`` per image and echoes the scores, the host sleeps ``t_fp`` and
+answers the argmax, a margin DMU turns scores into confidence.  Timing
+is then a controlled experiment in queueing, not in numpy throughput.
 
 Every run is a ladder run; with no ``ladder_stage_times`` it is the
 paper's cascade — one hop, Eq. (1N) reading as Eq. (1).
 ``ladder_stage_times`` adds middle rungs to the same harness
-(``docs/LADDER.md``): each sleeps its ``t_i`` per image, and hop *k*'s DMU reads the margin at sorted-score positions
-``(2k, 2k+1)`` — disjoint positions give every hop its own continuous,
-largely decorrelated confidence CDF, so every per-hop forward ratio in
-(0, 1) is reachable and the multi-knob
+(``docs/LADDER.md``), each sleeping its ``t_i`` per image behind its own
+margin DMU, so the multi-knob
 :class:`~repro.serve.controller.LadderThresholdController` has a
 well-posed plant at each hop.  The report then checks the generalized
 Eq. (1N) bound ``max_i t_i * R_i`` and the per-stage books
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,7 @@ from ..core.ladder import LadderStage
 from ..core.report import format_percent, format_rate, render_table
 from .controller import LadderThresholdController
 from .metrics import MetricsSnapshot
+from .oracle import OracleStage, check_ranges, oracle_images, pick
 from .server import CascadeServer
 
 __all__ = [
@@ -55,6 +58,7 @@ __all__ = [
     "measured_t_bnn",
     "measure_t_host",
     "run_books",
+    "format_books",
     "run_serve_bench",
     "format_serve_bench",
 ]
@@ -134,6 +138,32 @@ class ServeBenchConfig:
     #: exact bytes — the duplicate mass the cache can win back.  0 keeps
     #: every request unique.
     duplicate_fraction: float = 0.0
+
+    def __post_init__(self):
+        check_ranges(
+            self,
+            unit_interval=(
+                "target_rerun_ratio", "naive_threshold", "ladder_target_forward_ratio",
+            ),
+            non_negative=("num_requests", "cache_max_bytes"),
+            at_least_one=(
+                "num_clients", "max_batch_size", "num_host_workers",
+                "host_queue_capacity", "host_process_workers",
+            ),
+            positive=(
+                "t_fp", "t_bnn", "measured_bnn_scale", "measured_host_scale",
+                "deadline_s", "ladder_stage_times",
+            ),
+        )
+        if not 0.0 <= self.duplicate_fraction < 1.0:
+            raise ValueError(
+                f"duplicate_fraction must be in [0, 1), got {self.duplicate_fraction}"
+            )
+        if len(self.ladder_stage_times or ()) > 4:
+            raise ValueError(
+                "ladder_stage_times supports at most 4 middle rungs: each hop's "
+                "DMU needs its own pair of sorted-score positions out of 10 classes"
+            )
 
     @property
     def host_parallelism(self) -> int:
@@ -275,76 +305,38 @@ def measure_t_host(
 def synthetic_serving_stack(config: ServeBenchConfig):
     """(bnn_scores_fn, dmu, host_predict_fn, score_stream) for a scenario.
 
-    The DMU reads the sorted-score margin — ``sigmoid(4*(top1 - top2))``
-    — so its confidence CDF is continuous and every rerun ratio in (0, 1)
-    is reachable by some threshold, which is what gives the adaptive
-    controller a well-posed plant.
+    The oracle cascade at this scenario's stage costs: the DMU reads the
+    winning margin, so every rerun ratio in (0, 1) is reachable by some
+    threshold — what gives the adaptive controller a well-posed plant.
     """
-    rng = np.random.default_rng(config.seed)
-    scores = rng.normal(0.0, 1.0, size=(config.num_requests, 10))
-    if not 0.0 <= config.duplicate_fraction < 1.0:
-        raise ValueError("duplicate_fraction must be in [0, 1)")
-    num_dup = int(round(config.duplicate_fraction * config.num_requests))
-    if num_dup:
-        # Overwrite a random subset of rows with exact copies of earlier
-        # rows, so duplicates (mostly) arrive after their first showing
-        # and a content-addressed cache can win them back.
-        positions = rng.choice(
-            np.arange(1, config.num_requests), size=num_dup, replace=False
-        )
-        for pos in positions:
-            scores[pos] = scores[rng.integers(0, pos)]
-    weights = np.zeros(10)
-    weights[0], weights[1] = 4.0, -4.0
-    dmu = DecisionMakingUnit(weights, bias=0.0, threshold=config.naive_threshold)
-
-    def bnn_scores_fn(images: np.ndarray) -> np.ndarray:
-        time.sleep(config.t_bnn * len(images))
-        return images
-
-    def host_predict_fn(images: np.ndarray) -> np.ndarray:
-        time.sleep(config.t_fp * len(images))
-        return images.argmax(axis=1)
-
-    return bnn_scores_fn, dmu, host_predict_fn, scores
+    scores = oracle_images(
+        config.num_requests,
+        seed=config.seed,
+        duplicate_fraction=config.duplicate_fraction,
+    )
+    return (
+        OracleStage(config.t_bnn, "scores"),
+        DecisionMakingUnit.margin(config.naive_threshold),
+        OracleStage(config.t_fp, "argmax"),
+        scores,
+    )
 
 
 def synthetic_ladder_stages(config: ServeBenchConfig) -> list[LadderStage]:
     """Middle rungs for the ladder bench, one per ``ladder_stage_times``.
 
-    Rung *k* sleeps its ``t_k`` per image and returns the scores; its DMU
-    reads the margin at sorted-score positions ``(2k, 2k+1)``, a pair no
-    other hop reads, so each hop's confidence CDF is continuous and only
-    weakly correlated with the hops below it.
+    Rung *k* sleeps its ``t_k`` per image and echoes the scores; its DMU
+    is ``DecisionMakingUnit.margin(threshold, hop=k)``.
     """
-    times = config.ladder_stage_times or ()
-    if len(times) > 4:
-        raise ValueError(
-            "at most 4 middle rungs: each hop's DMU needs its own pair of "
-            "sorted-score positions out of 10 classes"
+    return [
+        LadderStage(
+            name=f"mid{hop}",
+            scores_fn=OracleStage(t_stage, "scores"),
+            dmu=DecisionMakingUnit.margin(config.naive_threshold, hop=hop),
+            t_image=t_stage,
         )
-    if any(t <= 0 for t in times):
-        raise ValueError("ladder stage times must be positive")
-    stages = []
-    for hop, t_stage in enumerate(times, start=1):
-        weights = np.zeros(10)
-        weights[2 * hop], weights[2 * hop + 1] = 4.0, -4.0
-
-        def scores_fn(images: np.ndarray, _t: float = t_stage) -> np.ndarray:
-            time.sleep(_t * len(images))
-            return images
-
-        stages.append(
-            LadderStage(
-                name=f"mid{hop}",
-                scores_fn=scores_fn,
-                dmu=DecisionMakingUnit(
-                    weights, bias=0.0, threshold=config.naive_threshold
-                ),
-                t_image=t_stage,
-            )
-        )
-    return stages
+        for hop, t_stage in enumerate(config.ladder_stage_times or (), start=1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -392,19 +384,27 @@ def run_books(total: MetricsSnapshot) -> dict:
         total.accepted + total.rerun + total.degraded + total.cache_hits
         + total.failed
     )
-    return {
-        "submitted": total.submitted,
-        "accepted": total.accepted,
-        "rerun": total.rerun,
-        "rerun_stages": dict(total.rerun_stages),
-        "degraded": total.degraded,
-        "cache_hits": total.cache_hits,
-        "failed": total.failed,
-        "balanced": (
+    return dict(
+        pick(total, "submitted", "accepted", "rerun", "degraded", "cache_hits", "failed"),
+        rerun_stages=dict(total.rerun_stages),
+        balanced=(
             answered == total.submitted
             and total.rerun_stage_total == total.rerun
         ),
-    }
+    )
+
+
+def format_books(books: dict) -> str:
+    """One line: the :func:`run_books` identity with its per-rung split."""
+    splits = " + ".join(
+        f"{name}:{count}" for name, count in sorted(books["rerun_stages"].items())
+    )
+    return (
+        f"accepted {books['accepted']} + rerun {books['rerun']} "
+        f"[{splits or 'none'}] + degraded {books['degraded']} + failed "
+        f"{books['failed']} == submitted {books['submitted']}: "
+        f"{'OK' if books['balanced'] else 'IMBALANCED'}"
+    )
 
 
 @dataclass(frozen=True)
@@ -575,39 +575,25 @@ def run_serve_bench(config: ServeBenchConfig | None = None) -> ServeBenchReport:
         # Trace only the adaptive leg: one representative timeline, and
         # the naive leg stays a tracer-free control for the overhead claim.
         trace_this = config.trace_path is not None and label == "adaptive"
+        with obs.tracing() if trace_this else nullcontext() as tracer, server:
+            total, steady = _drive(server, scores, config, label)
+            final_thresholds = tuple(
+                server.stage_threshold(h) for h in range(num_hops)
+            )
         if trace_this:
-            with obs.tracing() as tracer:
-                with server:
-                    total, steady = _drive(server, scores, config, label)
-                    final_thresholds = tuple(
-                        server.stage_threshold(h) for h in range(num_hops)
-                    )
             trace_file = str(obs.write_chrome_trace(tracer, config.trace_path))
             span_summary = obs.trace_summary(tracer)
-        else:
-            with server:
-                total, steady = _drive(server, scores, config, label)
-                final_thresholds = tuple(
-                    server.stage_threshold(h) for h in range(num_hops)
-                )
         cache_books = None
         if front is not None:
             csnap = front.cache_snapshot()
-            sf = front.single_flight_snapshot()
-            cache_books = {
-                "lookups": csnap.lookups,
-                "hits": csnap.hits,
-                "misses": csnap.misses,
-                "near_hits": csnap.near_hits,
-                "near_rejects": csnap.near_rejects,
-                "entries": csnap.entries,
-                "bytes": csnap.bytes,
-                "max_bytes": csnap.max_bytes,
-                "hit_rate": csnap.hit_rate,
-                "single_flight_followers": sf.followers,
-                "served_from_cache": total.cache_hits,
-                "balanced": csnap.balanced,
-            }
+            cache_books = dict(
+                pick(
+                    csnap, "lookups", "hits", "misses", "near_hits", "near_rejects",
+                    "entries", "bytes", "max_bytes", "hit_rate", "balanced",
+                ),
+                single_flight_followers=front.single_flight_snapshot().followers,
+                served_from_cache=total.cache_hits,
+            )
         measured = (
             steady.wall_seconds / steady.completed if steady.completed else float("nan")
         )
@@ -639,17 +625,14 @@ def run_serve_bench(config: ServeBenchConfig | None = None) -> ServeBenchReport:
                     stage: injector.log.counts_by_kind(stage) for stage in STAGES
                 },
                 "stage_calls": {stage: injector.calls(stage) for stage in STAGES},
-                "observed": {
-                    "faults": dict(total.faults),
-                    "retries": total.retries,
-                    "deadline_missed": total.deadline_missed,
-                    "failed": total.failed,
-                    "degraded": total.degraded,
-                    "breaker_trips": total.breaker_trips,
-                    "breaker_open_seconds": total.breaker_open_seconds,
-                    "answered": total.completed,
-                    "submitted": total.submitted,
-                },
+                "observed": dict(
+                    pick(
+                        total, "retries", "deadline_missed", "failed", "degraded",
+                        "breaker_trips", "breaker_open_seconds", "submitted",
+                    ),
+                    faults=dict(total.faults),
+                    answered=total.completed,
+                ),
             }
     return ServeBenchReport(
         config=config,
@@ -765,20 +748,10 @@ def format_serve_bench(report: ServeBenchReport) -> str:
             )
             for run in (report.naive, report.adaptive)
         ]
-        book_lines = []
-        for run in (report.naive, report.adaptive):
-            if run.books is None:
-                continue
-            b = run.books
-            splits = " + ".join(
-                f"{name}:{count}" for name, count in sorted(b["rerun_stages"].items())
-            )
-            book_lines.append(
-                f"  {run.label:<9} accepted {b['accepted']} + rerun {b['rerun']} "
-                f"[{splits or 'none'}] + degraded {b['degraded']} + failed "
-                f"{b['failed']} == submitted {b['submitted']}: "
-                f"{'OK' if b['balanced'] else 'IMBALANCED'}"
-            )
+        book_lines = [
+            f"  {run.label:<9} {format_books(run.books)}"
+            for run in (report.naive, report.adaptive)
+        ]
         ladder_section = (
             "\n\n" + ladder_table + "\n\n" + "\n".join(thr_lines)
             + "\n\nper-stage books (accepted + Σ rerun_i + degraded + failed == submitted):\n"

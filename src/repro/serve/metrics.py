@@ -218,6 +218,13 @@ class _MutableStage:
 #: server never grows without bound.
 LATENCY_BUFFER_LIMIT = 100_000
 
+#: Bounded threshold trajectory (one entry per BNN batch under an adaptive
+#: controller; the last this-many are kept): every ``snapshot()`` copies
+#: it, and the autoscaler snapshots once per control window, so neither
+#: memory nor snapshot cost may grow with uptime.  A default serve-bench
+#: leg records at most one entry per request (3000), well inside it.
+TRAJECTORY_BUFFER_LIMIT = 10_000
+
 
 class ServerMetrics:
     """Thread-safe metrics facade for the cascade serving layer."""
@@ -242,7 +249,7 @@ class ServerMetrics:
         self._breaker_open_seconds = 0.0
         self._breaker_trips = 0
         self._threshold = float("nan")
-        self._trajectory: list[float] = []
+        self._trajectory: deque[float] = deque(maxlen=TRAJECTORY_BUFFER_LIMIT)
         self._host_parallel_workers = 0
         self._host_worker_images: dict[int, int] = {}
         self._host_worker_seconds: dict[int, float] = {}

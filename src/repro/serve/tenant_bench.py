@@ -45,6 +45,7 @@ import numpy as np
 
 from ..core.dmu import DecisionMakingUnit
 from ..core.report import format_percent, format_rate, render_table
+from .oracle import check_ranges, pick
 from .tenancy import MultiTenantServer, TenantSpec
 
 __all__ = [
@@ -52,7 +53,6 @@ __all__ = [
     "hashed_scores_fn",
     "run_tenant_bench",
     "format_tenant_bench",
-    "write_tenant_bench",
 ]
 
 TENANT_A = "model-a"
@@ -89,6 +89,16 @@ class TenantBenchConfig:
     host_workers: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        check_ranges(
+            self,
+            at_least_one=("num_frames", "repeat_frames", "lanes", "quota"),
+            # The cached leg needs a cache.
+            positive=("fps", "time_scale", "t_bnn", "cache_max_bytes"),
+            unit_interval=("threshold",),
+            non_negative=("host_workers",),
+        )
+
     @property
     def duplicate_fraction(self) -> float:
         return (self.repeat_frames - 1) / self.repeat_frames
@@ -119,12 +129,6 @@ def hashed_scores_fn(t_bnn: float = 0.0):
     return fn
 
 
-def _margin_dmu(threshold: float) -> DecisionMakingUnit:
-    weights = np.zeros(10)
-    weights[0], weights[1] = 4.0, -4.0
-    return DecisionMakingUnit(weights, bias=0.0, threshold=threshold)
-
-
 def _host_fn(build, scale: float, seed: int):
     """Real host model: argmax over the compiled inference fast path."""
     net = build(scale=scale, rng=np.random.default_rng(seed))
@@ -144,7 +148,7 @@ def _build_server(config: TenantBenchConfig, cache_max_bytes: int) -> MultiTenan
         TenantSpec(
             name=TENANT_A,
             bnn_scores_fn=hashed_scores_fn(config.t_bnn),
-            dmu=_margin_dmu(config.threshold),
+            dmu=DecisionMakingUnit.margin(config.threshold),
             host_predict_fn=_host_fn(build_model_a, config.scale_a, config.seed),
             weight=config.weight_a,
             quota=config.quota,
@@ -153,7 +157,7 @@ def _build_server(config: TenantBenchConfig, cache_max_bytes: int) -> MultiTenan
         TenantSpec(
             name=TENANT_C,
             bnn_scores_fn=hashed_scores_fn(config.t_bnn),
-            dmu=_margin_dmu(config.threshold),
+            dmu=DecisionMakingUnit.margin(config.threshold),
             host_predict_fn=_host_fn(build_model_c, config.scale_c, config.seed + 1),
             weight=config.weight_c,
             quota=config.quota,
@@ -204,22 +208,17 @@ def _run_leg(config: TenantBenchConfig, trace, payloads, cache_max_bytes: int) -
         snap = server.snapshot()
     tenants = {}
     for name, t in snap.tenants.items():
-        m = t.metrics
-        tenants[name] = {
-            "submitted": m.submitted,
-            "accepted": m.accepted,
-            "rerun": m.rerun,
-            "degraded": m.degraded,
-            "cache_hits": m.cache_hits,
-            "failed": m.failed,
-            "rejected": t.rejected,
-            "balanced": t.balanced,
-            "pool_scheduled": t.pool.scheduled,
-            "pool_images": t.pool.images_executed,
-            "pool_busy_seconds": t.pool.busy_seconds,
-            "measured_t_fp": t.pool.cost_s_per_image,
-            "weight": t.weight,
-        }
+        tenants[name] = dict(
+            pick(
+                t.metrics, "submitted", "accepted", "rerun", "degraded",
+                "cache_hits", "failed",
+            ),
+            **pick(t, "rejected", "balanced", "weight"),
+            pool_scheduled=t.pool.scheduled,
+            pool_images=t.pool.images_executed,
+            pool_busy_seconds=t.pool.busy_seconds,
+            measured_t_fp=t.pool.cost_s_per_image,
+        )
     cache = None
     if snap.cache is not None:
         cache = dict(asdict(snap.cache), hit_rate=snap.cache.hit_rate,
@@ -347,13 +346,3 @@ def format_tenant_bench(report: dict) -> str:
         + cache_line
         + "\n\nchecks:\n" + checks
     )
-
-
-def write_tenant_bench(report: dict, path: str):
-    import json
-    from pathlib import Path
-
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return out

@@ -24,9 +24,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import asdict, dataclass, field
 
 from .. import obs
 from ..core.dmu import DecisionMakingUnit
@@ -36,7 +34,8 @@ from ..serve import (
     CascadeServer,
     SLOAutoscaler,
 )
-from ..serve.bench import run_books
+from ..serve.bench import format_books, run_books
+from ..serve.oracle import OracleStage, check_ranges, oracle_images
 from .generators import TRACE_SHAPES, make_trace
 from .replay import TraceReplayer
 from .trace import ArrivalTrace, load_trace
@@ -92,6 +91,18 @@ class ServeLoadConfig:
     #: Cap on drain windows after the trace ends (safety, not pacing).
     max_drain_windows: int = 120
 
+    def __post_init__(self):
+        check_ranges(
+            self,
+            positive=(
+                "slo_p99_ms", "rate", "duration", "time_scale", "window_seconds",
+                "t_fp", "t_bnn",
+            ),
+            unit_interval=("target_rerun_ratio",),
+            non_negative=("host_workers",),
+            at_least_one=("max_workers",),
+        )
+
     @property
     def is_trace_file(self) -> bool:
         return self.trace not in TRACE_SHAPES
@@ -114,16 +125,8 @@ class WindowStat:
 
     def to_dict(self) -> dict:
         return {
-            "index": self.index,
-            "offered_rate": round(self.offered_rate, 3),
-            "accepted_rate": round(self.accepted_rate, 3),
-            "completed_rate": round(self.completed_rate, 3),
-            "p50_ms": round(self.p50_ms, 3),
-            "p99_ms": round(self.p99_ms, 3),
-            "violating": self.violating,
-            "action": self.action,
-            "workers": self.workers,
-            "tighten_depth": self.tighten_depth,
+            name: round(value, 3) if isinstance(value, float) else value
+            for name, value in asdict(self).items()
         }
 
 
@@ -190,40 +193,22 @@ class ServeLoadReport:
         }
 
 
-class _OracleHost:
-    """Picklable host stage: sleep ``t_fp`` per image, answer the argmax.
-
-    A module-level class (not a closure) so the ``spawn`` start method
-    can ship it to :class:`repro.parallel.ParallelHostRunner` workers.
-    """
-
-    def __init__(self, t_fp: float):
-        self.t_fp = t_fp
-
-    def __call__(self, images: np.ndarray) -> np.ndarray:
-        time.sleep(self.t_fp * len(images))
-        return np.asarray(images).argmax(axis=1)
-
-
 def oracle_load_stack(config: ServeLoadConfig):
     """(bnn_fn, dmu, host_fn, payloads) — serve-bench's oracle, bank-sized.
 
     Payloads are pre-drawn 10-way score vectors (the "images"); the BNN
-    sleeps ``t_bnn`` per image and echoes them, the host is
-    :class:`_OracleHost`, and the DMU reads the top-2 margin so every
-    rerun ratio is reachable by some threshold.
+    sleeps ``t_bnn`` per image and echoes them, the host sleeps ``t_fp``
+    and answers the argmax (an :class:`~repro.serve.oracle.OracleStage`,
+    so the ``spawn`` start method can ship it to pool workers), and the
+    DMU reads the top-2 margin so every rerun ratio is reachable by some
+    threshold.
     """
-    rng = np.random.default_rng(config.seed)
-    payloads = rng.normal(0.0, 1.0, size=(config.num_payloads, 10))
-    weights = np.zeros(10)
-    weights[0], weights[1] = 4.0, -4.0
-    dmu = DecisionMakingUnit(weights, bias=0.0, threshold=config.naive_threshold)
-
-    def bnn_fn(images: np.ndarray) -> np.ndarray:
-        time.sleep(config.t_bnn * len(images))
-        return images
-
-    return bnn_fn, dmu, _OracleHost(config.t_fp), payloads
+    return (
+        OracleStage(config.t_bnn, "scores"),
+        DecisionMakingUnit.margin(config.naive_threshold),
+        OracleStage(config.t_fp, "argmax"),
+        oracle_images(config.num_payloads, seed=config.seed),
+    )
 
 
 def _resolve_trace(config: ServeLoadConfig) -> ArrivalTrace:
@@ -246,8 +231,7 @@ def run_serve_load(config: ServeLoadConfig | None = None) -> ServeLoadReport:
     bank_size = trace.max_payload_ref() + 1
     if bank_size > len(payloads):
         # A loaded trace may reference a larger bank than the default.
-        rng = np.random.default_rng(config.seed)
-        payloads = rng.normal(0.0, 1.0, size=(bank_size, 10))
+        payloads = oracle_images(bank_size, seed=config.seed)
 
     injector = None
     if config.fault_plan_path is not None:
@@ -389,16 +373,9 @@ def format_serve_load(report: ServeLoadReport) -> str:
             f"clock) vs SLO p99 <= {report.slo_p99_ms:g} ms"
         ),
     )
-    b = report.books
-    splits = " + ".join(
-        f"{name}:{count}" for name, count in sorted(b["rerun_stages"].items())
-    )
     lines = [
         "",
-        f"books: accepted {b['accepted']} + rerun {b['rerun']} "
-        f"[{splits or 'none'}] + degraded {b['degraded']} + failed "
-        f"{b['failed']} == submitted {b['submitted']}: "
-        f"{'OK' if b['balanced'] else 'IMBALANCED'}",
+        f"books: {format_books(report.books)}",
         f"arrivals: {report.attempted} attempted, {report.refused} refused at "
         f"the door, {report.settled_ok} answered, {report.settled_err} errored "
         f"({report.terminal_fraction:.1%} terminal)",

@@ -61,6 +61,41 @@ class TestEquivalence:
         )
         np.testing.assert_array_equal(whole, parts)
 
+    @pytest.mark.parametrize("engine_kind", ["float", "quantized"])
+    @pytest.mark.parametrize("model", ["a", "b", "c"])
+    def test_one_buffer_set_for_every_batch_size(self, model, engine_kind):
+        """The host worker hands the engine every batch size 1…micro_batch:
+        scratch must stop growing after the first call, whatever the order,
+        and the scores must be those of an engine whose buffers are exactly
+        that batch's size (the arrangement a per-size buffer set had)."""
+        from repro.nn.quantized import QuantizedEngine
+
+        def compile_engine(micro_batch):
+            if engine_kind == "quantized":
+                # One calibration image: the same float GEMM shapes, hence
+                # the same activation scales, at every micro_batch.
+                return QuantizedEngine(
+                    net, calibration_images=x[:1], micro_batch=micro_batch
+                )
+            return net.compile_inference(micro_batch=micro_batch)
+
+        micro_batch = 8
+        net = make_net(model)
+        x = make_images(micro_batch)
+        sizes = list(range(1, micro_batch + 1))
+        np.random.default_rng(0).shuffle(sizes)
+        engine = compile_engine(micro_batch)
+        engine.predict_scores(x[: sizes[0]])
+        first = engine.scratch_nbytes()
+        assert first > 0
+        for n in sizes[1:]:
+            got = engine.predict_scores(x[:n])
+            assert engine.scratch_nbytes() == first, n
+            np.testing.assert_array_equal(got, compile_engine(n).predict_scores(x[:n]))
+        single_size = compile_engine(micro_batch)
+        single_size.predict_scores(x)
+        assert single_size.scratch_nbytes() == first
+
     def test_empty_batch(self):
         net = make_net("a")
         engine = net.compile_inference()

@@ -70,6 +70,21 @@ class TestDecisions:
         assert snap.threshold == 0.7
         assert snap.threshold_trajectory == (0.9, 0.8, 0.7)
 
+    def test_threshold_trajectory_is_bounded(self, clocked, monkeypatch):
+        """An adaptive controller records once per BNN batch forever and
+        every snapshot copies the trajectory: it keeps the last `limit`."""
+        from repro.serve import metrics as metrics_module
+
+        limit, extra = 16, 5
+        monkeypatch.setattr(metrics_module, "TRAJECTORY_BUFFER_LIMIT", limit)
+        metrics = ServerMetrics()
+        values = [i / 100 for i in range(limit + extra)]
+        for t in values:
+            metrics.record_threshold(t)
+        snap = metrics.snapshot()
+        assert snap.threshold_trajectory == tuple(values[-limit:])
+        assert snap.threshold == values[-1]
+
     def test_since_windows_counters_and_wall_clock(self, clocked):
         clock, metrics = clocked
         metrics.record_decisions(accepted=50, rerun=50)

@@ -309,6 +309,39 @@ REJECTED_CLI_ONLY = [
 ]
 
 
+def _config_class(command: str):
+    from repro.bnn.kernels.bench import KernelBenchConfig
+    from repro.net.bench import NetBenchConfig
+    from repro.obs.run import TraceRunConfig
+    from repro.parallel.bench import ParallelBenchConfig
+    from repro.serve import ServeBenchConfig
+    from repro.serve.tenant_bench import TenantBenchConfig
+    from repro.traffic import ServeLoadConfig
+
+    return {
+        "serve-bench": ServeBenchConfig,
+        "serve-load": ServeLoadConfig,
+        "serve-net": NetBenchConfig,
+        "serve-tenants": TenantBenchConfig,
+        "bench-kernels": KernelBenchConfig,
+        "bench-parallel": ParallelBenchConfig,
+        "trace": TraceRunConfig,
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [(c, f) for c, _, f in REJECTED],
+    ids=lambda v: ",".join(v) if isinstance(v, dict) else v,
+)
+def test_out_of_range_field_raises_on_construction(command, fields):
+    """The Config, not the CLI, owns the ranges: Python callers get them too."""
+    config_class = _config_class(command)
+    config_class()  # the defaults are a valid scenario
+    with pytest.raises(ValueError, match=next(iter(fields))):
+        config_class(**fields)
+
+
 @pytest.mark.parametrize(
     "command, argv",
     [(c, a) for c, a, _ in REJECTED] + REJECTED_CLI_ONLY,
@@ -318,7 +351,11 @@ def test_out_of_range_flag_exits_2(command, argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main([command, *argv])
     assert exit_info.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    message = capsys.readouterr().err.split("error:")[1]
+    if [command, argv] not in [list(case) for case in REJECTED_CLI_ONLY]:
+        # A Config's ValueError reaches the user in their terms: the
+        # flag they typed, not the field it fills.
+        assert argv[0] in message
 
 
 if __name__ == "__main__":  # regenerate the goldens
