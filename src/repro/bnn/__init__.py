@@ -12,7 +12,6 @@ from .binarize import binarize_sign, clip_weights, ste_mask
 from .bitops import popcount, popcount_rows
 from .export import load_folded_bnn, save_folded_bnn
 from .inference import (
-    ENV_COMPILE,
     FloatDenseHead,
     FoldedBNN,
     FoldedConv,
@@ -20,17 +19,7 @@ from .inference import (
     FoldedPool,
     fold_network,
 )
-from .kernels import (
-    ENV_BACKEND,
-    ENV_THREADS,
-    BinaryKernel,
-    available_backends,
-    default_backend,
-    get_kernel,
-    register_kernel,
-    resolve_bnn_threads,
-    select_backend,
-)
+from .kernels import BinaryKernel, available_backends, get_kernel
 from .packing import PackedMaps, PackedRows, maxpool_packed
 from .plan import CompiledBNNPlan, PlanUnsupported
 from .layers import BinaryActivation, BinaryConv2D, BinaryDense
@@ -51,15 +40,8 @@ __all__ = [
     "popcount",
     "popcount_rows",
     "BinaryKernel",
-    "register_kernel",
     "get_kernel",
     "available_backends",
-    "default_backend",
-    "select_backend",
-    "resolve_bnn_threads",
-    "ENV_BACKEND",
-    "ENV_THREADS",
-    "ENV_COMPILE",
     "CompiledBNNPlan",
     "PlanUnsupported",
     "PackedRows",

@@ -7,7 +7,7 @@ deployment arithmetic:
 
 * first layer: real-valued inputs times {-1,+1} weights ("regular
   operations" in the paper), thresholded to {-1,+1};
-* inner layers: bit-packed binary matrix products (pluggable backends,
+* inner layers: bit-packed binary matrix products (a kernel backend,
   :mod:`repro.bnn.kernels`) followed by integer threshold comparison;
 * last layer: binary accumulation with *no* activation — the raw class
   scores, to which the trained BatchNorm affine is applied so scores
@@ -26,7 +26,6 @@ backend and of whether the packed pipeline is active.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +37,7 @@ from ..nn.layers.dense import Dense
 from ..nn.layers.flatten import Flatten
 from ..nn.layers.pool import MaxPool2D
 from ..nn.network import Sequential
-from .kernels import default_backend, get_kernel, select_backend
+from .kernels import get_kernel
 from .layers import BinaryActivation, BinaryConv2D, BinaryDense
 from .packing import PackedMaps, PackedRows, conv_weight_words, dense_weight_words_hwc, maxpool_packed
 from .thresholding import ChannelThresholds, fold_batchnorm
@@ -51,18 +50,10 @@ __all__ = [
     "FloatDenseHead",
     "FoldedBNN",
     "fold_network",
-    "ENV_COMPILE",
 ]
 
-#: Environment variable gating the automatic use of the compiled plan in
-#: :meth:`FoldedBNN.forward` ("0"/"off"/"false"/"no" disables it).
-ENV_COMPILE = "REPRO_BNN_COMPILE"
-
-
-def _auto_compile_enabled() -> bool:
-    return os.environ.get(ENV_COMPILE, "").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
+#: The kernel backend a network built with ``backend=None`` uses.
+_DEFAULT_BACKEND = "bitplane"
 
 
 def _kernel_matmul(
@@ -74,11 +65,8 @@ def _kernel_matmul(
     backend: str | None,
 ) -> np.ndarray:
     """Run one backend matmul, caching per-(backend, layout) weight prep."""
-    name = backend or default_backend()
-    if name == "auto":
-        name = select_backend(a_words.shape[0], weight_words.shape[0], n_bits)
-    kernel = get_kernel(name)
-    key = (name, layout_key)
+    kernel = get_kernel(backend or _DEFAULT_BACKEND)
+    key = (kernel.name, layout_key)
     prep = prep_cache.get(key)
     if prep is None:
         prep = kernel.prepare(weight_words, n_bits)
@@ -86,7 +74,7 @@ def _kernel_matmul(
     if not obs.enabled():
         return kernel.matmul(a_words, prep, n_bits)
     with obs.trace_span(
-        "kernel." + name, category="kernel",
+        "kernel." + kernel.name, category="kernel",
         m=int(a_words.shape[0]), n_out=int(weight_words.shape[0]), n_bits=int(n_bits),
     ):
         return kernel.matmul(a_words, prep, n_bits)
@@ -310,11 +298,11 @@ class FoldedBNN:
     num_classes:
         True class count (FINN pads the last layer).
     backend:
-        Binary-kernel backend for every stage: a name from
-        :func:`repro.bnn.kernels.available_backends`, ``"auto"`` for the
-        per-shape autotuner, or ``None`` to defer to the
-        ``REPRO_BNN_BACKEND`` environment override (default ``auto``).
-        All backends are bit-exact, so this is purely a speed knob.
+        Binary-kernel backend of the uncompiled datapath and of the
+        compiled plan's non-fused suffix stages: ``"reference"`` or
+        ``"bitplane"`` (``None``, the default, means ``"bitplane"``).  An
+        unknown name raises ``KeyError`` here.  Both are bit-exact, so
+        this never changes a score.
     packed:
         Keep activations bit-packed between stages (default).  ``False``
         forces the float ±1 representation everywhere — same results,
@@ -332,17 +320,16 @@ class FoldedBNN:
             raise ValueError("folded network needs at least one stage")
         self.stages = stages
         self.num_classes = num_classes
-        self.backend = backend
+        self.backend = backend or _DEFAULT_BACKEND
+        get_kernel(self.backend)  # reject unknown names now
         self.packed = packed
         self._plan: list[bool] | None = None
         self._span_names: list[str] | None = None
         self._compiled: dict[int, object] = {}
-        self._compile_failed = False
 
     def with_backend(self, backend: str | None) -> "FoldedBNN":
         """Same stages (weight prep caches included), different backend."""
-        clone = FoldedBNN(self.stages, self.num_classes, backend=backend, packed=self.packed)
-        return clone
+        return FoldedBNN(self.stages, self.num_classes, backend=backend, packed=self.packed)
 
     # -- compiled plan -------------------------------------------------------
     def compile_inference(
@@ -357,7 +344,8 @@ class FoldedBNN:
         ``forward`` is bit-identical to ``self.forward_uncompiled(x,
         batch_size=micro_batch)`` while carrying 0/1 float planes between
         stages in preallocated buffers, thresholds folded into the
-        weights at compile time.  Raises
+        weights at compile time.  ``threads`` (``None`` or >= 1) maps the
+        fused stages' tile loop over that many threads.  Raises
         :class:`~repro.bnn.plan.PlanUnsupported` when the network has no
         packed pipeline to compile (``packed=False``).
         """
@@ -368,18 +356,12 @@ class FoldedBNN:
         )
 
     def _auto_plan(self, batch_size: int):
-        """Cached plan for ``forward`` (None = use the uncompiled path)."""
-        if not self.packed or self._compile_failed or not _auto_compile_enabled():
+        """Cached plan for ``forward`` (None for ``packed=False`` networks)."""
+        if not self.packed:
             return None
         plan = self._compiled.get(batch_size)
         if plan is None:
-            from .plan import PlanUnsupported
-
-            try:
-                plan = self.compile_inference(micro_batch=batch_size)
-            except PlanUnsupported:
-                self._compile_failed = True
-                return None
+            plan = self.compile_inference(micro_batch=batch_size)
             if len(self._compiled) >= 2:
                 # Callers alternating batch sizes get at most two live
                 # buffer sets; anything older is dropped.
@@ -451,10 +433,10 @@ class FoldedBNN:
     def forward(self, images: np.ndarray, batch_size: int = 128) -> np.ndarray:
         """Raw output scores (N, out_features of the last engine).
 
-        Packed networks route through a cached
+        Packed networks always route through a cached
         :class:`~repro.bnn.plan.CompiledBNNPlan` (bit-identical,
-        buffer-reusing; disable with ``REPRO_BNN_COMPILE=0``); the
-        uncompiled datapath stays available as :meth:`forward_uncompiled`.
+        buffer-reusing); ``packed=False`` networks run
+        :meth:`forward_uncompiled`.
 
         With a :mod:`repro.obs` tracer installed, every stage emits a
         ``bnn.<label>`` span (see :attr:`stage_labels`); without one the
@@ -467,7 +449,8 @@ class FoldedBNN:
 
     def forward_uncompiled(self, images: np.ndarray, batch_size: int = 128) -> np.ndarray:
         """The per-call (no preplanned buffers) datapath — the reference
-        the compiled plan is verified against bit-for-bit."""
+        the compiled plan is verified against bit-for-bit, and the path of
+        ``packed=False`` networks."""
         plan = self._emit_plan()
         labels = self.stage_labels
         outputs = []

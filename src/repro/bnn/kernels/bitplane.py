@@ -32,22 +32,21 @@ from __future__ import annotations
 import numpy as np
 
 from ..bitops import popcount_rows
-from .base import _F32_EXACT_LIMIT, BinaryKernel, register_kernel
+from .base import _F32_EXACT_LIMIT, BinaryKernel
 
 __all__ = ["BitplaneGemmKernel"]
+
+#: Bounds the unpacked activation plane (elements, so ~128 MB of float32).
+#: Chunking by a fixed *row* count would split small-K shapes into many
+#: undersized GEMMs; bounding by elements keeps each chunk as large as
+#: memory allows, which BLAS rewards.
+_PLANE_ELEMENTS = 32 * 1024 * 1024
 
 
 class BitplaneGemmKernel(BinaryKernel):
     """``dot = 2*(a01 @ (2*w01 - 1).T) + n - 2*rowsum(w)`` via GEMM."""
 
     name = "bitplane"
-
-    def __init__(self, plane_elements: int = 32 * 1024 * 1024):
-        # Bounds the unpacked activation plane (elements, so ~128 MB of
-        # float32).  Chunking by a fixed *row* count would split small-K
-        # shapes into many undersized GEMMs; bounding by elements keeps
-        # each chunk as large as memory allows, which BLAS rewards.
-        self.plane_elements = int(plane_elements)
 
     def prepare(self, w_words: np.ndarray, n: int):
         dtype = np.float32 if n < _F32_EXACT_LIMIT else np.float64
@@ -56,14 +55,11 @@ class BitplaneGemmKernel(BinaryKernel):
         correction = n - 2 * popcount_rows(w_words)
         return np.ascontiguousarray(plane.T), correction
 
-    def matmul(
-        self, a_words: np.ndarray, w_prep, n: int, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def matmul(self, a_words: np.ndarray, w_prep, n: int) -> np.ndarray:
         w_plane_t, correction = w_prep
         m = a_words.shape[0]
-        row_chunk = max(1, self.plane_elements // max(1, a_words.shape[1] * 8))
-        if out is None:
-            out = np.empty((m, w_plane_t.shape[1]), dtype=np.int64)
+        row_chunk = max(1, _PLANE_ELEMENTS // max(1, a_words.shape[1] * 8))
+        out = np.empty((m, w_plane_t.shape[1]), dtype=np.int64)
         for start in range(0, m, row_chunk):
             block = a_words[start : start + row_chunk]
             a_plane = np.unpackbits(block, axis=1).astype(w_plane_t.dtype)
@@ -72,6 +68,3 @@ class BitplaneGemmKernel(BinaryKernel):
             prod += correction[None, :]
             out[start : start + row_chunk] = prod
         return out
-
-
-register_kernel(BitplaneGemmKernel())

@@ -2,9 +2,8 @@
 
 This is the straight software transliteration of the FINN PE datapath
 the paper builds on (Sec. II-B): XNOR the packed ±1 operands, popcount,
-then ``dot = n - 2 * popcount(xor(a, w))``.  Every other backend in
-:mod:`repro.bnn.kernels` must match it bit-for-bit; it is also the
-baseline all ``repro bench-kernels`` speedups are quoted against.
+then ``dot = n - 2 * popcount(xor(a, w))``.  The ``bitplane`` backend and
+the compiled plan must match it bit-for-bit.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..xnor import xnor_popcount_matmul
-from .base import BinaryKernel, register_kernel
+from .base import BinaryKernel
 
 __all__ = ["ReferenceXnorKernel"]
 
@@ -22,20 +21,10 @@ class ReferenceXnorKernel(BinaryKernel):
 
     Materializes a (chunk, N, B) uint8 XOR broadcast per row chunk —
     O(M·N·B) memory traffic with no BLAS — which makes it the ground
-    truth the faster backends are verified against, and the baseline the
-    benchmark harness reports speedups over.
+    truth the faster datapaths are verified against.
     """
 
     name = "reference"
 
-    def matmul(
-        self, a_words: np.ndarray, w_prep: np.ndarray, n: int, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        result = xnor_popcount_matmul(a_words, w_prep, n)
-        if out is None:
-            return result
-        out[...] = result
-        return out
-
-
-register_kernel(ReferenceXnorKernel())
+    def matmul(self, a_words: np.ndarray, w_prep: np.ndarray, n: int) -> np.ndarray:
+        return xnor_popcount_matmul(a_words, w_prep, n)

@@ -30,18 +30,19 @@ channels become ``∓inf`` bounds.  Planes are float32 — every product and
 partial sum is an integer below ``_F32_EXACT_LIMIT`` — and float64 when a
 fan-in reaches that limit.
 
-Scheduling: the gather→GEMM→compare loop of a conv stage runs over image
-groups sized so one im2col tile fits ``_PLANE_TILE_BYTES`` (it is read
-back by the GEMM while still cache-resident).  ``threads=``, or a
-``threaded[@K]`` backend name, maps those tiles over a thread pool capped
-at the CPUs the process may run on; any other backend runs them serially,
-and integer-exact tiles make the result independent of the split.
-``backend=`` otherwise only selects the kernel of non-fused suffix
-stages: a stage that breaks the chain (float head, padded inner conv)
-gets the map packed once at the boundary and runs, with everything after
-it, through the uncompiled per-stage calls inside the same chunk loop —
-results stay identical for *any* foldable topology.  ``packed=False``
-networks do not compile (:class:`PlanUnsupported`).
+Scheduling is fixed at compile time, as FINN fixes each engine's
+folding at synthesis: the gather→GEMM→compare loop of a conv stage runs
+over image groups sized so one im2col tile fits ``_PLANE_TILE_BYTES``
+(it is read back by the GEMM while still cache-resident).  ``threads=``
+maps those tiles over a thread pool capped at the CPUs the process may
+run on; without it they run serially, and integer-exact tiles make the
+result independent of the split.  ``backend=`` only selects the kernel
+of non-fused suffix stages: a stage that breaks the chain (float head,
+padded inner conv) gets the map packed once at the boundary and runs,
+with everything after it, through the uncompiled per-stage calls inside
+the same chunk loop — results stay identical for *any* foldable
+topology.  ``packed=False`` networks do not compile
+(:class:`PlanUnsupported`).
 
 Buffers: every plane, product and map buffer is allocated once, at
 compile time, sized for ``micro_batch``; smaller chunks use ``[:n]``
@@ -56,8 +57,8 @@ boundary).
 
 Tracing: per-stage ``bnn.<label>`` spans (``repro trace`` keys its
 Eqs. (3)-(5) residuals off them) plus ``bnn.plan.compile`` /
-``bnn.plan.forward``; ``kernel.<name>`` spans and the ``kernel.threads``
-gauge appear only for suffix stages, which still call a kernel backend.
+``bnn.plan.forward``; ``kernel.<name>`` spans appear only for suffix
+stages, which still call a kernel backend.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ import numpy as np
 from .. import obs
 from ..nn import functional as F
 from .inference import FoldedConv, FoldedDense, FoldedPool, _run_stage
-from .kernels import available_cpus, default_backend, get_kernel, resolve_bnn_threads
+from .kernels import available_cpus, get_kernel
 from .kernels.base import _F32_EXACT_LIMIT
 from .packing import PackedMaps, PackedRows
 from .thresholding import ChannelThresholds
@@ -155,14 +156,11 @@ class CompiledBNNPlan:
         ``folded.forward_uncompiled(x, batch_size=micro_batch)`` exactly.
     backend:
         Kernel backend of non-fused suffix stages; ``None`` defers to the
-        folded network's backend (then the ``REPRO_BNN_BACKEND`` env /
-        ``"auto"`` chain).  Fused stages run the plane dataflow whatever
-        the backend; a ``threaded[@K]`` name sets their thread count
-        (``threaded``: ``REPRO_BNN_THREADS``, else every available CPU).
+        folded network's backend.  Fused stages run the plane dataflow
+        whatever the backend.  An unknown name raises ``KeyError``.
     threads:
-        Thread count for the fused stages' tile loop (overrides the
-        backend name's; capped at the CPUs the process may run on;
-        serial when neither is given).
+        Thread count for the fused stages' tile loop: ``None`` (serial)
+        or >= 1, capped at the CPUs the process may run on.
     """
 
     def __init__(
@@ -174,6 +172,8 @@ class CompiledBNNPlan:
     ):
         if micro_batch < 1:
             raise ValueError("micro_batch must be >= 1")
+        if threads is not None and threads < 1:
+            raise ValueError(f"threads must be None or >= 1, got {threads}")
         if not folded.packed:
             raise PlanUnsupported(
                 "compile_inference requires a packed-pipeline FoldedBNN "
@@ -182,6 +182,7 @@ class CompiledBNNPlan:
         self.folded = folded
         self.micro_batch = int(micro_batch)
         self.backend = backend if backend is not None else folded.backend
+        get_kernel(self.backend)  # reject unknown names now
         self.threads = threads
         self.stages = list(folded.stages)
         self.labels = folded.stage_labels
@@ -194,14 +195,10 @@ class CompiledBNNPlan:
     # -- compile-time resolution -------------------------------------------
 
     def _tile_threads(self) -> int:
-        """``threads=`` > a ``threaded[@K]`` backend's count > serial."""
-        threads = self.threads
-        if threads is None:
-            name = self.backend or default_backend()
-            if name.partition("@")[0] != "threaded":
-                return 1
-            threads = get_kernel(name).threads  # None for bare "threaded"
-        return min(resolve_bnn_threads(threads), available_cpus())
+        """``threads=`` capped at the available CPUs, else serial."""
+        if self.threads is None:
+            return 1
+        return min(self.threads, available_cpus())
 
     def _buffer(self, shape: tuple, dtype, zero: bool = False) -> np.ndarray:
         """A buffer sized for the full micro-batch; chunks use ``[:n]`` views,

@@ -26,8 +26,6 @@ from .inject import (
     FaultInjector,
     FaultLog,
     InjectedFault,
-    faults_suspended,
-    suspend_faults,
     wrap_stack,
 )
 from .plan import FAULT_KINDS, STAGES, FaultPlan, FaultSpec, load_fault_plan
@@ -43,6 +41,4 @@ __all__ = [
     "FaultLog",
     "FaultInjector",
     "wrap_stack",
-    "suspend_faults",
-    "faults_suspended",
 ]

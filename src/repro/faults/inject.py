@@ -32,43 +32,7 @@ __all__ = [
     "FaultLog",
     "FaultInjector",
     "wrap_stack",
-    "suspend_faults",
-    "faults_suspended",
 ]
-
-
-#: Thread-local suspension depth: while > 0 on the *current thread*,
-#: wrapped stage callables pass straight through without drawing from
-#: the fault stream.  Thread-local on purpose — suspending faults inside
-#: a kernel-autotune microbenchmark on the BNN thread must not change
-#: what the host/DMU threads observe, and passing through *without
-#: consuming the stream* keeps the per-stage decision sequence a pure
-#: function of (seed, stage, call_index) for the calls that do count.
-_SUSPENDED = threading.local()
-
-
-def faults_suspended() -> bool:
-    """True while the current thread is inside :func:`suspend_faults`."""
-    return getattr(_SUSPENDED, "depth", 0) > 0
-
-
-class suspend_faults:
-    """``with suspend_faults():`` — bypass fault injection on this thread.
-
-    Used by the kernel autotuner (:func:`repro.bnn.kernels.select_backend`)
-    so microbenchmark timings inside a chaos-wrapped server measure the
-    kernels, not the injected latency/exception schedule.  Re-entrant.
-    """
-
-    __slots__ = ()
-
-    def __enter__(self):
-        _SUSPENDED.depth = getattr(_SUSPENDED, "depth", 0) + 1
-        return self
-
-    def __exit__(self, *exc):
-        _SUSPENDED.depth = getattr(_SUSPENDED, "depth", 1) - 1
-        return None
 
 
 class InjectedFault(RuntimeError):
@@ -223,8 +187,6 @@ class FaultInjector:
 
     # -- wrappers ------------------------------------------------------------
     def _apply(self, stage: str, fn: Callable, args, kwargs):
-        if faults_suspended():
-            return fn(*args, **kwargs)
         events = self.decide(stage)
         delay = 0.0
         corrupt = False

@@ -19,7 +19,7 @@ checkable on a live run:
   predicted-vs-measured residuals (2-stage and N-stage ladders).
 
 The serving layer (:mod:`repro.serve`), the folded BNN
-(:class:`repro.bnn.FoldedBNN`), the kernel autotuner and the offline
+(:class:`repro.bnn.FoldedBNN`), the kernel backends and the offline
 cascade are pre-instrumented; ``python -m repro trace`` records a run
 and writes the timeline.  See ``docs/OBSERVABILITY.md``.
 """

@@ -48,7 +48,6 @@ class TraceRunConfig:
     num_images: int = 256
     scale: float = 0.15            # CNV width scale (fast stage)
     host_scale: float = 0.25       # Model A width scale (accurate stage)
-    backend: str | None = None     # binary-kernel backend; None = env/auto
     target_rerun_ratio: float = 0.30
     max_batch_size: int = 32
     batch_delay_s: float = 0.002
@@ -86,11 +85,48 @@ class TraceRunReport:
         return to_chrome_trace(self.tracer)
 
 
+def _cnv_binary_shapes(scale: float, image_size: int = 32) -> list[dict]:
+    """(label, M-per-image, N, n_bits) of every binary matmul in scaled CNV.
+
+    ``n_out * n_bits * rows_per_image`` is each layer's Eq. (3)/(4) cycle
+    count at P = S = 1, which is what :mod:`repro.obs.residuals` compares
+    measured per-layer time against.
+    """
+    from ..models.finn_cnv import CNV_FC_WIDTH, scaled_channels
+
+    c = scaled_channels(scale)
+    shapes = []
+    size = image_size
+    sizes = []
+    for i in range(6):
+        size -= 2  # 3x3 conv, no padding
+        sizes.append(size)
+        if i in (1, 3):
+            size //= 2  # 2x2 maxpool
+    # conv1 is the real-valued-input engine (float GEMM) — not a binary matmul.
+    for i in range(1, 6):
+        shapes.append(
+            {
+                "label": f"conv{i + 1}",
+                "rows_per_image": sizes[i] * sizes[i],
+                "n_out": c[i],
+                "n_bits": c[i - 1] * 9,
+            }
+        )
+    flat = c[5] * sizes[5] * sizes[5]
+    for j, (n_in, n_out) in enumerate(
+        [(flat, CNV_FC_WIDTH), (CNV_FC_WIDTH, CNV_FC_WIDTH), (CNV_FC_WIDTH, CNV_FC_WIDTH)]
+    ):
+        shapes.append(
+            {"label": f"fc{j + 1}", "rows_per_image": 1, "n_out": n_out, "n_bits": n_in}
+        )
+    return shapes
+
+
 def run_traced_cascade(config: TraceRunConfig | None = None) -> TraceRunReport:
     """Run one traced serving session over the real folded datapath."""
     from ..data import normalize_to_pm1, synthetic_cifar10
     from ..models import build_finn_cnv, build_model_a
-    from ..bnn.kernels.bench import cnv_binary_shapes
     from ..core.dmu import DecisionMakingUnit
     from ..serve import CascadeServer, folded_bnn_scores_fn
 
@@ -100,7 +136,7 @@ def run_traced_cascade(config: TraceRunConfig | None = None) -> TraceRunReport:
     rng = np.random.default_rng(config.seed)
     net = build_finn_cnv(scale=config.scale, rng=rng)
     net.eval_mode()
-    folded = fold_network(net, backend=config.backend)
+    folded = fold_network(net)
     host = build_model_a(scale=config.host_scale, rng=np.random.default_rng(config.seed + 1))
     host.eval_mode()
 
@@ -109,8 +145,7 @@ def run_traced_cascade(config: TraceRunConfig | None = None) -> TraceRunReport:
     )
 
     # Calibrate the DMU threshold so ~target_rerun_ratio of this stream is
-    # flagged (the paper picks its threshold from a sweep the same way),
-    # and warm the kernel autotuner outside the traced window.
+    # flagged (the paper picks its threshold from a sweep the same way).
     calib = images[: min(128, len(images))]
     dmu = DecisionMakingUnit.margin(0.5)
     confidence = dmu.confidence(folded.class_scores(calib, batch_size=config.inference_batch_size))
@@ -140,7 +175,7 @@ def run_traced_cascade(config: TraceRunConfig | None = None) -> TraceRunReport:
 
     # Eqs. (3)-(5): measured per-layer BNN time vs the cycle-model share.
     layers = []
-    for shape in cnv_binary_shapes(config.scale):
+    for shape in _cnv_binary_shapes(config.scale):
         name = "bnn." + shape["label"]
         if name in summaries:
             layers.append({**shape, "measured_seconds": summaries[name].total_seconds})

@@ -221,8 +221,8 @@ def run_parallel_bench(config: ParallelBenchConfig | None = None) -> dict:
 
     # -- BNN stage (thread-vs-process composition) ----------------------------
     # The Eq. (1) bound above uses the configured t_bnn constant; measure the
-    # real compiled-plan BNN stage at 1 and 2 GEMM threads so the report shows
-    # how intra-stage threads (REPRO_BNN_THREADS) compose with the host-side
+    # real compiled-plan BNN stage at 1 and 2 tile threads so the report shows
+    # how intra-stage threads (the plan's threads=) compose with the host-side
     # process sharding timed by the procs-* legs.
     from ..serve.bench import measured_t_bnn
 
@@ -230,14 +230,14 @@ def run_parallel_bench(config: ParallelBenchConfig | None = None) -> dict:
     bnn_stage = {
         "t_bnn_config": config.t_bnn,
         "t_bnn_measured": {
-            spec: measured_t_bnn(
-                backend=f"threaded@{k}", num_images=bnn_images, seed=config.seed
+            f"threads={k}": measured_t_bnn(
+                threads=k, num_images=bnn_images, seed=config.seed
             )
-            for spec, k in (("threaded@1", 1), ("threaded@2", 2))
+            for k in (1, 2)
         },
         "composition": (
-            "BNN GEMM threads run inside each worker process; size "
-            "REPRO_BNN_THREADS so threads-per-worker x host workers <= cores"
+            "BNN plan threads run inside the BNN stage's process; size the "
+            "plan's threads= so BNN threads + host workers <= cores"
         ),
     }
 

@@ -91,13 +91,10 @@ class ServeBenchConfig:
     host_batch_size: int = 8
     controller_gain: float = 0.08
     seed: int = 0
-    #: Binary-kernel backend for the BNN stage (``repro.bnn.kernels``):
-    #: a backend name, "auto", or None for the REPRO_BNN_BACKEND default.
-    bnn_backend: str | None = None
     #: When set, replace the constant ``t_bnn`` with a *measured*
-    #: seconds/image of the real folded CNV datapath at this width scale
-    #: under ``bnn_backend`` — so a faster kernel backend directly raises
-    #: the Eq. (1) bound the server is driven against.
+    #: seconds/image of the real compiled CNV plan at this width scale —
+    #: so a faster BNN datapath directly raises the Eq. (1) bound the
+    #: server is driven against.
     measured_bnn_scale: float | None = None
     #: When set, run the *adaptive* leg under a :mod:`repro.obs` tracer
     #: and write the Chrome trace JSON here; the report gains the span
@@ -212,15 +209,13 @@ class ServeBenchConfig:
 def folded_bnn_scores_fn(folded, batch_size: int = 128):
     """Adapt a :class:`repro.bnn.FoldedBNN` to the CascadeServer BNN stage.
 
-    The folded network's kernel backend (``FoldedBNN(backend=...)`` or the
-    ``REPRO_BNN_BACKEND`` override) carries through unchanged — this is
-    how a deployment serves real images instead of the synthetic stream.
-
-    Packed networks route through one :class:`repro.bnn.CompiledBNNPlan`
-    built here and reused for the life of the server (geometry/backends
-    resolve on the first batch; every later batch hits preallocated
-    buffers); networks the plan cannot compile (``packed=False``) keep
-    the uncompiled datapath.  The results are bit-identical either way.
+    This is how a deployment serves real images instead of the
+    synthetic stream.  Packed networks route through one
+    :class:`repro.bnn.CompiledBNNPlan` built here and reused for the life
+    of the server (geometry resolves on the first batch; every later
+    batch hits preallocated buffers); networks the plan cannot compile
+    (``packed=False``) keep the uncompiled datapath.  The results are
+    bit-identical either way.
     """
     from ..bnn.plan import PlanUnsupported
 
@@ -239,16 +234,17 @@ def folded_bnn_scores_fn(folded, batch_size: int = 128):
 
 def measured_t_bnn(
     scale: float = 0.25,
-    backend: str | None = None,
+    threads: int | None = None,
     batch_size: int = 64,
     num_images: int = 128,
     seed: int = 0,
 ) -> float:
-    """Measured seconds/image of the real folded CNV datapath.
+    """Measured seconds/image of the real compiled CNV plan.
 
-    Uses an untrained width-scaled CNV (kernel cost is independent of the
-    weight values), so the serve bench can anchor its Eq. (1) bound to the
-    actual BNN throughput of the chosen kernel backend.
+    Uses an untrained width-scaled CNV (compute cost is independent of
+    the weight values), so the serve bench can anchor its Eq. (1) bound
+    to the actual BNN throughput; ``threads`` is the plan's tile-loop
+    thread count (``None``: serial).
     """
     from ..bnn import fold_network
     from ..data import normalize_to_pm1, synthetic_cifar10
@@ -256,13 +252,13 @@ def measured_t_bnn(
 
     net = build_finn_cnv(scale=scale, rng=np.random.default_rng(seed))
     net.eval_mode()
-    folded = fold_network(net, backend=backend)
+    plan = fold_network(net).compile_inference(micro_batch=batch_size, threads=threads)
     images = normalize_to_pm1(
         synthetic_cifar10(num_train=1, num_test=num_images, seed=seed).test.images
     )
-    folded.class_scores(images[:batch_size], batch_size=batch_size)  # warmup + autotune
+    plan.class_scores(images[:batch_size])  # warmup: compile, touch the buffers
     start = time.perf_counter()
-    folded.class_scores(images, batch_size=batch_size)
+    plan.class_scores(images)
     return (time.perf_counter() - start) / len(images)
 
 
@@ -499,7 +495,6 @@ def run_serve_bench(config: ServeBenchConfig | None = None) -> ServeBenchReport:
             config,
             t_bnn=measured_t_bnn(
                 scale=config.measured_bnn_scale,
-                backend=config.bnn_backend,
                 seed=config.seed,
             ),
         )

@@ -1,28 +1,28 @@
 """Kernel backend contract: every backend is bit-exact ±1 arithmetic.
 
-Property-tests all registered backends against an independent float
-matmul oracle (not the packed path) across random shapes and fan-ins,
-including widths that are not multiples of 8 or 64 so pad-bit handling
-is exercised; plus the NumPy-1.x LUT popcount fallback, the registry,
-the environment override, and the autotuner cache.
+Property-tests both backends against an independent float matmul oracle
+(not the packed path) across random shapes and fan-ins, including widths
+that are not multiples of 8 or 64 so pad-bit handling is exercised; plus
+the NumPy-1.x LUT popcount fallback, the two-entry backend table with
+its legacy spellings, and the affinity-capped thread count.
 """
+
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bnn import bitops
+from repro.bnn import BinaryActivation, BinaryConv2D, BinaryDense, bitops, fold_network
 from repro.bnn.kernels import (
-    ENV_BACKEND,
     available_backends,
+    available_cpus,
     clear_selection_cache,
-    default_backend,
     get_kernel,
-    select_backend,
-    selection_cache,
 )
 from repro.bnn.xnor import binary_dot, pack_pm1, xnor_popcount_matmul
+from repro.nn import BatchNorm, Flatten, Sequential
 
 
 def random_pm1(rng, shape):
@@ -93,41 +93,52 @@ def test_popcount_u64_matches_bit_count():
 
 
 def test_registry_and_reference_first():
-    names = available_backends()
-    assert names[0] == "reference"
-    assert {"reference", "bitplane", "threaded"} <= set(names)
-    with pytest.raises(KeyError):
-        get_kernel("no-such-backend")
+    assert available_backends() == ("reference", "bitplane")
+    for name in ("threaded", "threaded@2", "no-such-backend"):
+        with pytest.raises(KeyError, match="valid: reference, bitplane"):
+            get_kernel(name)
 
 
-def test_default_backend_env_override(monkeypatch):
-    monkeypatch.delenv(ENV_BACKEND, raising=False)
-    assert default_backend() == "auto"
-    monkeypatch.setenv(ENV_BACKEND, "bitplane")
-    assert default_backend() == "bitplane"
-    monkeypatch.setenv(ENV_BACKEND, "auto")
-    assert default_backend() == "auto"
-    monkeypatch.setenv(ENV_BACKEND, "bogus")
-    with pytest.raises(KeyError):
-        default_backend()
+def _tiny_folded():
+    rng = np.random.default_rng(0)
+    net = Sequential(
+        [
+            BinaryConv2D(3, 4, 3, rng=rng), BatchNorm(4), BinaryActivation(),
+            BinaryConv2D(4, 4, 3, rng=rng), BatchNorm(4), BinaryActivation(),
+            Flatten(), BinaryDense(4 * 4 * 4, 3, rng=rng), BatchNorm(3),
+        ]
+    )
+    net.eval_mode()
+    return fold_network(net, num_classes=3)
 
 
-def test_select_backend_returns_valid_name_and_caches():
-    clear_selection_cache()
-    pick = select_backend(256, 16, 144)
-    get_kernel(pick)  # valid name or variant (e.g. "threaded@2")
-    assert len(selection_cache()) == 1
-    # Same shape bucket: answered from cache, no new entry.
-    assert select_backend(200, 16, 144) == pick
-    assert len(selection_cache()) == 1
-    # Different shape: new measurement.
-    select_backend(8, 4, 32)
-    assert len(selection_cache()) == 2
-    clear_selection_cache()
-    assert len(selection_cache()) == 0
+def test_legacy_spellings_run_the_serial_bitplane_plan(tmp_path, monkeypatch):
+    """The frozen benchmark's names: same kernel, same serial plan, same scores."""
+    assert get_kernel("auto") is get_kernel("threaded@1") is get_kernel("bitplane")
+    folded = _tiny_folded()
+    images = np.random.default_rng(1).uniform(-1.0, 1.0, size=(9, 3, 8, 8))
+    expected = folded.compile_inference(micro_batch=4, backend="bitplane").forward(images)
+    for name in ("auto", "threaded@1"):
+        plan = folded.with_backend(name).compile_inference(micro_batch=4)
+        np.testing.assert_array_equal(plan.forward(images), expected, err_msg=name)
+        assert plan._threads == 1
+    # Nothing left to clear, and nothing on disk is touched.
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert clear_selection_cache() is None
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_select_backend_candidate_subset():
-    clear_selection_cache()
-    assert select_backend(16, 4, 64, candidates=("reference",)) == "reference"
-    clear_selection_cache()
+def test_thread_defaults_follow_the_affinity_mask(monkeypatch):
+    """A pinned process sizes by the CPUs it may use, not the machine's."""
+    plan = _tiny_folded().compile_inference(threads=8)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert available_cpus() == 1
+    assert plan._tile_threads() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    assert available_cpus() == 4
+    assert plan._tile_threads() == 4
+    # Platforms without an affinity mask fall back to the machine count.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert available_cpus() == 16
+    assert plan._tile_threads() == 8

@@ -3,8 +3,8 @@
 The plan preallocates every buffer and carries 0/1 float planes between
 stages with the thresholds folded into the weights, but the arithmetic
 is integer-exact, so on a *trained* network the compiled path must
-reproduce the uncompiled loop bit-for-bit — for every backend, every
-thread count, and batch sizes that exercise full chunks, ragged tails,
+reproduce the uncompiled loop bit-for-bit — for both backends (and the
+two legacy spellings), every thread count, and batch sizes that exercise full chunks, ragged tails,
 and single images.  Buffer reuse across calls must be observable only as
 speed, never as state.
 """
@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.bnn import (
-    ENV_COMPILE,
     BinaryActivation,
     BinaryConv2D,
     BinaryDense,
+    FoldedBNN,
     PlanUnsupported,
     fold_network,
 )
@@ -31,7 +31,7 @@ from repro.data import normalize_to_pm1
 from repro.nn import BatchNorm, Dense, Flatten, MaxPool2D, Sequential
 
 BATCH_SIZES = (1, 7, 64, 129)
-BACKENDS = ("reference", "bitplane", "threaded", "threaded@2", "auto")
+BACKENDS = ("reference", "bitplane", "auto", "threaded@1")
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def test_plan_bit_identical_every_backend(folded_packed, test_images, micro_batc
 
 def test_thread_count_invariance(folded_packed, test_images):
     plans = [
-        folded_packed.compile_inference(micro_batch=64, backend="threaded", threads=k)
+        folded_packed.compile_inference(micro_batch=64, threads=k)
         for k in (1, 2, 4)
     ]
     baseline = plans[0].forward(test_images).copy()
@@ -94,18 +94,29 @@ def test_class_scores_and_predict(folded_packed, test_images):
     np.testing.assert_array_equal(plan.predict(test_images), scores.argmax(axis=1))
 
 
-def test_forward_autocompiles_and_env_disables(folded_packed, test_images, monkeypatch):
-    monkeypatch.delenv(ENV_COMPILE, raising=False)
+def test_forward_autocompiles(folded_packed, test_images):
     auto = folded_packed.forward(test_images, batch_size=64)
     assert folded_packed._auto_plan(64) is not None
     np.testing.assert_array_equal(
         auto, folded_packed.forward_uncompiled(test_images, batch_size=64)
     )
-    monkeypatch.setenv(ENV_COMPILE, "0")
-    assert folded_packed._auto_plan(64) is None
-    np.testing.assert_array_equal(
-        folded_packed.forward(test_images, batch_size=64), auto
-    )
+
+
+def test_unknown_backend_rejected_at_construction(folded_packed):
+    # Fully fused: no stage would ever look the name up, so only the
+    # constructor can catch it.
+    with pytest.raises(KeyError, match="valid: reference, bitplane"):
+        folded_packed.compile_inference(backend="nonesuch")
+    with pytest.raises(KeyError, match="nonesuch"):
+        folded_packed.with_backend("nonesuch")
+    with pytest.raises(KeyError, match="nonesuch"):
+        FoldedBNN(folded_packed.stages, backend="nonesuch")
+
+
+def test_threads_below_one_rejected_at_construction(folded_packed):
+    for threads in (0, -5):
+        with pytest.raises(ValueError, match="threads"):
+            folded_packed.compile_inference(threads=threads)
 
 
 def test_unpacked_network_is_unsupported(micro_workbench):
@@ -252,18 +263,14 @@ def test_float64_planes_above_the_f32_exact_limit(folded_packed, test_images, mo
 
 
 def test_tile_threads_policy(folded_packed, monkeypatch):
-    monkeypatch.delenv("REPRO_BNN_THREADS", raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
 
     def threads(**kwargs):
         return folded_packed.compile_inference(**kwargs)._tile_threads()
 
-    assert threads(backend="bitplane") == 1          # serial unless asked
-    assert threads(backend="auto") == 1
-    assert threads(backend="threaded") == 4          # every available CPU
-    assert threads(backend="threaded@2") == 2
-    assert threads(backend="threaded@2", threads=3) == 3
-    assert threads(backend="bitplane", threads=8) == 4   # capped at the affinity
+    assert threads() == 1                            # serial unless asked
+    assert threads(backend="reference") == 1         # the backend is not a knob
+    assert threads(threads=3) == 3
+    assert threads(threads=8) == 4                   # capped at the affinity
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
-    assert threads(backend="threaded") == 1
-    assert threads(backend="threaded@2", threads=4) == 1
+    assert threads(threads=4) == 1

@@ -175,7 +175,7 @@ def test_replica_and_host_pool_share_one_start_method(start_method, monkeypatch)
 
 @pytest.mark.parametrize(
     "artifact",
-    ["BENCH_traffic.json", "BENCH_cache.json", "BENCH_parallel.json", "BENCH_kernels.json"],
+    ["BENCH_traffic.json", "BENCH_cache.json", "BENCH_parallel.json"],
 )
 def test_write_report_reproduces_the_committed_artifacts(artifact, tmp_path):
     """One writer for every harness: load, write, compare bytes."""

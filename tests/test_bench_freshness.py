@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "check_bench_freshness.py"
-KERNELS = "benchmarks/results/BENCH_kernels.json"
+PARALLEL = "benchmarks/results/BENCH_parallel.json"
 TRAFFIC = "benchmarks/results/BENCH_traffic.json"
 CACHE = "benchmarks/results/BENCH_cache.json"
 
@@ -40,9 +40,8 @@ def repo(tmp_path, monkeypatch):
 
     git("init", "-q")
     commit({
-        KERNELS: "{}", TRAFFIC: "{}", CACHE: "{}",
-        "benchmarks/results/BENCH_parallel.json": "{}",
-        "src/repro/bnn/plan.py": "v1",
+        PARALLEL: "{}", TRAFFIC: "{}", CACHE: "{}",
+        "src/repro/parallel/runner.py": "v1",
         "src/repro/serve/oracle.py": "v1",
         "src/repro/traffic/bench.py": "v1",
         "README.md": "v1",
@@ -50,14 +49,10 @@ def repo(tmp_path, monkeypatch):
     return commit
 
 
-def test_table_keeps_levels_and_names_the_kit():
+def test_table_lists_the_artifacts_and_names_the_kit():
     tool = _load_tool()
-    levels = {name: artifact.level for name, artifact in tool.ARTIFACTS.items()}
-    assert levels == {
-        "BENCH_parallel.json": "warning",
-        "BENCH_kernels.json": "error",
-        "BENCH_traffic.json": "warning",
-        "BENCH_cache.json": "warning",
+    assert set(tool.ARTIFACTS) == {
+        "BENCH_parallel.json", "BENCH_traffic.json", "BENCH_cache.json",
     }
     for name in ("BENCH_traffic.json", "BENCH_cache.json"):
         assert "src/repro/serve/oracle.py" in tool.ARTIFACTS[name].sources
@@ -74,18 +69,8 @@ def test_unrelated_change_is_fresh(repo, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_stale_kernel_artifact_fails_the_job(repo, capsys):
-    repo({"src/repro/bnn/plan.py": "v2"})
-    assert _load_tool().main([]) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("::error::") and "BENCH_kernels.json" in out
-    assert "python -m repro bench-kernels" in out
-    # ... but only the job that owns the artifact sees it.
-    assert _load_tool().main(["BENCH_traffic.json"]) == 0
-
-
 def test_regenerated_artifact_is_fresh(repo, capsys):
-    repo({"src/repro/bnn/plan.py": "v2", KERNELS: '{"v": 2}'})
+    repo({"src/repro/parallel/runner.py": "v2", PARALLEL: '{"v": 2}'})
     assert _load_tool().main([]) == 0
     assert capsys.readouterr().out == ""
 
@@ -96,6 +81,9 @@ def test_kit_change_warns_for_every_artifact_built_on_it(repo, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and all(line.startswith("::warning::") for line in lines)
     assert "BENCH_traffic.json" in lines[0] and "BENCH_cache.json" in lines[1]
+    # ... and only the jobs that own those artifacts see them.
+    assert _load_tool().main(["BENCH_parallel.json"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_unknown_artifact_is_a_usage_error(repo):
