@@ -17,10 +17,37 @@ emits a flat list of eval-only steps:
   copy of the training path disappears entirely.
 * **Conv2D + ReLU fusion** — the ReLU is applied in place on the GEMM
   output buffer before it is ever re-read.
-* **Preallocated buffers** — im2col/col matrices, GEMM outputs, pooling
-  and LRN scratch are allocated once per (step, image geometry), sized
-  for a full micro-batch, and reused across calls as leading-row views
-  whatever the chunk size; padded borders are zeroed exactly once.
+* **Preallocated buffers** — step outputs, padded inputs, pooling and LRN
+  scratch are allocated once per (step, image geometry), sized for a full
+  micro-batch, and reused across calls as leading-row views whatever the
+  chunk size; padded borders are zeroed exactly once.  Temporaries that
+  die with their step (im2col matrices, Winograd slabs) come from two
+  flat slots shared by every step, so a step starts in memory its
+  predecessor left in cache.
+* **Winograd F(4x4, 3x3) for "same" 3x3 convolutions** — a Conv2D with
+  kernel 3, stride 1, pad 1 and at least 16 input *and* output channels
+  (Model C's conv2/conv4/conv5, Model B's 3x3) runs Lavin & Gray's
+  minimal filtering: 6x6 input tiles at stride 4, the input transform
+  ``kron(Bᵀ, Bᵀ)`` as one GEMM, 36 GEMMs against ``U = G·g·Gᵀ``
+  (computed once at compile time in float64, then cast), the output
+  transform ``kron(Aᵀ, Aᵀ)`` as one GEMM, and a scatter that fuses the
+  ReLU — 36 multiplies per 4x4 output tile instead of 144.  Speeds below
+  are per layer against its im2col step, on one Sapphire Rapids core
+  with one OpenBLAS thread.  F(2x2, 3x3) saves only 2.25x of the
+  multiplies and measured 0.94–1.20x: its numpy transforms cost as much
+  as the multiplies they save.  Everything else stays im2col: thinner
+  convs (conv1's 3 channels; 8 channels measured 0.91x at batch 1),
+  stride-2 and 1x1 convs, Models A/B's 5x5 convs, unpadded convs (a
+  valid 3x3 conv turns a power-of-two map into ``4k - 2`` rows and
+  wastes up to 44 % of the tile grid: Model C's conv7, 8x8 → 6x6,
+  measured 0.81–0.95x) and every conv of
+  :class:`repro.nn.QuantizedEngine`, whose int32-exact GEMM has no
+  Winograd form.  The transforms amplify rounding: in float32 a
+  Winograd layer is within 3–5e-6 of max|output| of a float64 conv
+  (im2col: 3–5e-7), Model C's logits stay within 7.2e-7 of max|logit|
+  of the all-im2col engine's and no prediction changes over the 3,072
+  images of the e2e benchmark's pools; float64 engines still track the
+  training forward to ~1e-12.
 * **LRN via cumulative sums** — the cross-channel sliding window is two
   cumsum slices (O(C) not O(C·size)), computed into reused scratch.
 * **Dropout is a true no-op** and no step retains anything backward
@@ -50,6 +77,8 @@ construction: compile *after* training / ``load_state_dict``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .layers.activations import HardTanh, ReLU, Sigmoid, Tanh
@@ -68,15 +97,21 @@ _STRIDED = np.lib.stride_tricks.as_strided
 
 
 class _BufferPool:
-    """Per-engine scratch arrays, one per (step, role, per-image shape).
+    """Per-engine scratch arrays, sized for a full ``micro_batch`` chunk.
 
-    Every buffer is allocated once, sized for a full ``micro_batch``
-    chunk, and handed out as a leading-rows view: a chunk of any size
-    1…``micro_batch`` reuses the same memory, so the scratch set stops
-    growing after the first call whatever batch sizes the host worker
-    sends (the leading dimension of every request is a multiple of the
+    Every buffer is allocated once and handed out as a leading view: a
+    chunk of any size 1…``micro_batch`` reuses the same memory, so the
+    scratch set stops growing after the first call whatever batch sizes
+    the host worker sends (every request's size is a multiple of the
     chunk's image count, which :meth:`InferenceEngine._run_chunk` sets
-    in ``images``).
+    in ``images``).  Two kinds:
+
+    * :meth:`get` — one array per (step, role, per-image shape) for what
+      outlives the step that fills it: step outputs and zero-bordered
+      padded inputs;
+    * :meth:`scratch` — step-local temporaries (im2col matrices, Winograd
+      slabs), one flat array per slot shared by *every* step, so each
+      step works in memory the previous one just left in cache.
     """
 
     def __init__(self, micro_batch: int):
@@ -100,6 +135,24 @@ class _BufferPool:
             buf = np.zeros(full, dtype) if zero else np.empty(full, dtype)
             self._arrays[full_key] = buf
         return buf[: shape[0]]
+
+    def scratch(self, slot: int, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """Contiguous temporary of *shape*, dead once the calling step returns.
+
+        The slot's flat array grows to the largest per-image request of
+        any step (so it too stops growing after the first call) and the
+        leading ``prod(shape)`` elements are handed out reshaped — any
+        layout, not only image-major ones, is contiguous at every chunk
+        size.  A step holds at most one live temporary per slot.
+        """
+        size = math.prod(shape)
+        key = ("scratch", slot, np.dtype(dtype))
+        buf = self._arrays.get(key)
+        full = size // self.images * self._micro_batch
+        if buf is None or buf.size < full:
+            buf = np.empty(full, dtype)
+            self._arrays[key] = buf
+        return buf[:size].reshape(shape)
 
     def nbytes(self) -> int:
         return sum(a.nbytes for a in self._arrays.values())
@@ -151,13 +204,12 @@ class InferenceEngine:
     def _compile_layer(self, idx: int, layer, fuse_relu: bool):
         dt = self.dtype
         if isinstance(layer, Conv2D):
-            k = layer.kernel_size
-            wmat = np.ascontiguousarray(
-                layer.weight.value.transpose(2, 3, 1, 0).reshape(-1, layer.out_channels),
-                dtype=dt,
-            )
-            bias = None if layer.bias is None else layer.bias.value.astype(dt)
-            return _ConvStep(idx, k, layer.stride, layer.pad, wmat, bias, fuse_relu)
+            if _winograd_fits(layer):
+                wmat, bias = _conv_operands(layer, np.float64)
+                return _WinogradStep(idx, layer.pad, _winograd_filter(wmat).astype(dt),
+                                     None if bias is None else bias.astype(dt), fuse_relu)
+            return _ConvStep(idx, layer.kernel_size, layer.stride, layer.pad,
+                             *_conv_operands(layer, dt), fuse_relu)
         if isinstance(layer, Dense):
             wmat = np.ascontiguousarray(layer.weight.value, dtype=dt)
             bias = None if layer.bias is None else layer.bias.value.astype(dt)
@@ -276,7 +328,7 @@ class _ConvStep(_Step):
         if k == 1 and st == 1:
             cols = src.reshape(n * oh * ow, c)  # NHWC rows are the GEMM operand
         else:
-            cols = bufs.get((self.idx, "cols"), (n * oh * ow, k * k * c), dt)
+            cols = bufs.scratch(0, (n * oh * ow, k * k * c), dt)
             sn, sh, sw, sc = src.strides
             windows = _STRIDED(
                 src,
@@ -300,6 +352,126 @@ class _ConvStep(_Step):
         if self.fuse_relu:
             np.maximum(out, 0.0, out=out)
         return out.reshape(n, oh, ow, self.wmat.shape[1])
+
+
+def _conv_operands(layer, dtype):
+    """``(k·k·C_in, C_out)`` im2col weight matrix and bias of a Conv2D in *dtype*."""
+    wmat = layer.weight.value.transpose(2, 3, 1, 0).reshape(-1, layer.out_channels)
+    bias = None if layer.bias is None else layer.bias.value.astype(dtype)
+    return np.ascontiguousarray(wmat, dtype=dtype), bias
+
+
+# Lavin & Gray's F(4x4, 3x3) matrices: a 6x6 input tile d and 3x3 filter g
+# give the 4x4 correlation output Aᵀ[(G g Gᵀ) ⊙ (Bᵀ d B)]A.
+_WINO_BT = np.array([[4, 0, -5, 0, 1, 0],
+                     [0, -4, -4, 1, 1, 0],
+                     [0, 4, -4, -1, 1, 0],
+                     [0, -2, -1, 2, 1, 0],
+                     [0, 2, -1, -2, 1, 0],
+                     [0, 4, 0, -5, 0, 1]], dtype=np.float64)
+_WINO_G = np.array([[1 / 4, 0, 0],
+                    [-1 / 6, -1 / 6, -1 / 6],
+                    [-1 / 6, 1 / 6, -1 / 6],
+                    [1 / 24, 1 / 12, 1 / 6],
+                    [1 / 24, -1 / 12, 1 / 6],
+                    [0, 0, 1]], dtype=np.float64)
+_WINO_AT = np.array([[1, 1, 1, 1, 1, 0],
+                     [0, 1, -1, 2, -2, 0],
+                     [0, 1, 1, 4, 4, 0],
+                     [0, 1, -1, 8, -8, 1]], dtype=np.float64)
+# Both sides of a tile at once: vec(Bᵀ d B) = kron(Bᵀ, Bᵀ) vec(d), so each
+# data transform is a single GEMM over every tile and channel of a chunk.
+_WINO_KB = np.kron(_WINO_BT, _WINO_BT)  # (36, 36)
+_WINO_KA = np.kron(_WINO_AT, _WINO_AT)  # (16, 36)
+# Aᵀ's column 1 is all ones, so a value added to Winograd-domain slab
+# (1, 1) reaches all 16 outputs of its tile exactly once: the bias slot.
+_WINO_BIAS_SLAB = 1 * 6 + 1
+_WINO_MIN_CHANNELS = 16
+
+
+def _winograd_fits(layer) -> bool:
+    """The fixed shape rule for :class:`_WinogradStep` (see module docstring)."""
+    return (layer.kernel_size == 3 and layer.stride == 1 and layer.pad == 1
+            and min(layer.in_channels, layer.out_channels) >= _WINO_MIN_CHANNELS)
+
+
+def _winograd_filter(wmat: np.ndarray) -> np.ndarray:
+    """``U = G g Gᵀ`` per channel pair of a float64 3x3 im2col weight matrix.
+
+    Returns ``(36, C_in, C_out)`` float64, slab ``i·6 + j`` = ``U[i, j]``.
+    """
+    c_in, c_out = wmat.shape[0] // 9, wmat.shape[1]
+    gg = (_WINO_G @ wmat.reshape(3, -1)).reshape(6, 3, -1)  # (i, b, C_in·C_out)
+    return np.matmul(_WINO_G, gg).reshape(36, c_in, c_out)
+
+
+class _WinogradStep(_Step):
+    """Stride-1 3x3 convolution as Winograd F(4x4, 3x3) over NHWC chunks.
+
+    Per chunk: gather 6x6 input tiles (stride 4) of the zero-padded map
+    into ``(36, tiles, C_in)`` slabs, input transform (one GEMM), 36
+    slab GEMMs against the compile-time ``U``, output transform (one
+    GEMM), then scatter the 4x4 tiles into the NHWC output with the
+    ReLU fused into the scatter.
+    """
+
+    __slots__ = ("pad", "u", "kb", "ka", "bias", "fuse_relu")
+
+    def __init__(self, idx, pad, u, bias, fuse_relu):
+        self.idx = idx
+        self.pad = pad
+        self.u = u
+        self.kb = _WINO_KB.astype(u.dtype)  # small integers: exact in float32
+        self.ka = _WINO_KA.astype(u.dtype)
+        self.bias = bias
+        self.fuse_relu = fuse_relu
+
+    def out_width(self):
+        return self.u.shape[2]
+
+    def run(self, a, bufs, dt):
+        n, h, w, c = a.shape
+        co = self.u.shape[2]
+        p = self.pad
+        oh, ow = h + 2 * p - 2, w + 2 * p - 2
+        th, tw = -(-oh // 4), -(-ow // 4)
+        t = n * th * tw
+        # Tiles cover 4·th+2 rows: the zero border also fills the last
+        # partial tile when the output is not a multiple of 4.
+        padded = bufs.get((self.idx, "pad"), (n, 4 * th + 2, 4 * tw + 2, c), dt, zero=True)
+        padded[:, p : p + h, p : p + w, :] = a
+        sn, sh, sw, sc = padded.strides
+        tiles = _STRIDED(
+            padded,
+            shape=(6, 6, n, th, tw, c),
+            strides=(sh, sw, sn, 4 * sh, 4 * sw, sc),
+            writeable=False,
+        )
+        # Two scratch slots, each reused once its first tenant is dead:
+        # slot 0 holds the tiles d, then m; slot 1 holds v, then y.
+        d = bufs.scratch(0, (6, 6, n, th, tw, c), dt)
+        d[...] = tiles
+        v = bufs.scratch(1, (36, t, c), dt)
+        np.matmul(self.kb, d.reshape(36, t * c), out=v.reshape(36, t * c))
+        m = bufs.scratch(0, (36, t, co), dt)
+        np.matmul(v, self.u, out=m)
+        if self.bias is not None:
+            m[_WINO_BIAS_SLAB] += self.bias
+        y = bufs.scratch(1, (16, t, co), dt)
+        np.matmul(self.ka, m.reshape(36, t * co), out=y.reshape(16, t * co))
+        out = bufs.get((self.idx, "out"), (n, oh, ow, co), dt)
+        aligned = (oh, ow) == (4 * th, 4 * tw)
+        # m is dead: an unaligned map is scattered whole into slot 0, then cropped.
+        tiled = out if aligned else bufs.scratch(0, (n, 4 * th, 4 * tw, co), dt)
+        src = y.reshape(4, 4, n, th, tw, co)
+        dst = tiled.reshape(n, th, 4, tw, 4, co).transpose(2, 4, 0, 1, 3, 5)
+        if self.fuse_relu:
+            np.maximum(src, 0.0, out=dst)
+        else:
+            dst[...] = src
+        if not aligned:
+            out[...] = tiled[:, :oh, :ow]
+        return out
 
 
 class _DenseStep(_Step):

@@ -11,7 +11,9 @@ Quantization scheme
 -------------------
 Only the GEMMs are quantized; pooling, LRN, BatchNorm and activations
 run in float on the dequantized values (the standard post-training
-"fake-quant at the matmuls" shape).  For ``bits`` ∈ {2, 4, 8} and
+"fake-quant at the matmuls" shape).  Every convolution stays an im2col
+GEMM: the float engine's Winograd step has no integer-exact form.  For
+``bits`` ∈ {2, 4, 8} and
 ``Q = 2^(bits-1) - 1`` (1, 7, 127):
 
 * **Weights** — symmetric per-output-channel: ``w_scale[oc] =
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .infer import InferenceEngine, _ConvStep, _DenseStep
+from .infer import InferenceEngine, _conv_operands, _ConvStep, _DenseStep
 from .layers.conv import Conv2D
 from .layers.dense import Dense
 
@@ -177,9 +179,8 @@ class QuantizedEngine(InferenceEngine):
 
     def _compile_layer(self, idx, layer, fuse_relu):
         if isinstance(layer, Conv2D):
-            base = super()._compile_layer(idx, layer, fuse_relu)
-            return _QConvStep(idx, base.k, base.stride, base.pad, base.wmat,
-                              base.bias, base.fuse_relu, self.qmax)
+            return _QConvStep(idx, layer.kernel_size, layer.stride, layer.pad,
+                              *_conv_operands(layer, self.dtype), fuse_relu, self.qmax)
         if isinstance(layer, Dense):
             base = super()._compile_layer(idx, layer, fuse_relu)
             return _QDenseStep(idx, base.wmat, base.bias, self.qmax)

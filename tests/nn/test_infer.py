@@ -50,9 +50,10 @@ class TestEquivalence:
         engine.predict_scores(make_images(8, seed=99))  # perturb the buffers
         np.testing.assert_array_equal(engine.predict_scores(x), first)
 
-    def test_micro_batch_boundary_shards_are_bit_identical(self):
+    @pytest.mark.parametrize("model", ["a", "b", "c"])
+    def test_micro_batch_boundary_shards_are_bit_identical(self, model):
         """The determinism contract behind parallel sharding (Eq. 1 lever)."""
-        net = make_net("a")
+        net = make_net(model)
         engine = net.compile_inference(micro_batch=16)
         x = make_images(48)
         whole = engine.predict_scores(x)

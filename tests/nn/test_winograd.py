@@ -1,0 +1,137 @@
+"""Winograd F(4x4, 3x3) conv step of the compiled host engine.
+
+The property checks the step against a float64 direct convolution
+computed from the same im2col weight matrix, over the geometries where
+a tiling slip would show: odd sizes, sizes that are not multiples of the
+4x4 output tile (down to a single 3x3 window), both paddings, every
+chunk size up to the micro-batch (run back to back on one buffer pool),
+and bias / ReLU on and off.  The remaining tests pin where the engines
+use the step: exactly at the documented shape rule in the float engine,
+never in the integer-exact quantized engine.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.models.host_models import build_model_a, build_model_b, build_model_c
+from repro.nn import Conv2D
+from repro.nn import infer
+from repro.nn.infer import _BufferPool, _ConvStep, _WinogradStep, _winograd_filter
+from repro.nn.quantized import QuantizedEngine, _QConvStep
+
+BUILDERS = {"a": build_model_a, "b": build_model_b, "c": build_model_c}
+TOLERANCE = {np.float32: 5e-5, np.float64: 1e-12}
+
+
+def direct_conv(x, wmat, bias, pad):
+    """float64 NHWC correlation with a ``(9·C_in, C_out)`` im2col weight matrix."""
+    n, h, w, c = x.shape
+    xp = np.pad(x.astype(np.float64), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    oh, ow = h + 2 * pad - 2, w + 2 * pad - 2
+    g = wmat.astype(np.float64).reshape(3, 3, c, -1)
+    out = np.zeros((n, oh, ow, g.shape[3]))
+    for dy in range(3):
+        for dx in range(3):
+            out += xp[:, dy : dy + oh, dx : dx + ow, :] @ g[dy, dx]
+    return out if bias is None else out + bias
+
+
+@given(
+    seed=st.integers(0, 100_000),
+    h=st.integers(3, 19),
+    w=st.integers(3, 19),
+    pad=st.sampled_from([0, 1]),
+    micro_batch=st.integers(1, 4),
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    c_in=st.integers(1, 12),
+    c_out=st.integers(1, 12),
+    use_bias=st.booleans(),
+    relu=st.booleans(),
+    dtype=st.sampled_from([np.float32, np.float64]),
+)
+@settings(max_examples=150, deadline=None)
+def test_winograd_step_matches_float64_direct_conv(
+    seed, h, w, pad, micro_batch, sizes, c_in, c_out, use_bias, relu, dtype
+):
+    rng = np.random.default_rng(seed)
+    wmat = rng.normal(size=(9 * c_in, c_out))
+    bias = rng.normal(size=c_out) if use_bias else None
+    step = _WinogradStep(
+        0, pad, _winograd_filter(wmat).astype(dtype),
+        None if bias is None else bias.astype(dtype), relu,
+    )
+    bufs = _BufferPool(micro_batch)
+    for n in (min(s, micro_batch) for s in sizes):
+        x = rng.normal(size=(n, h, w, c_in))
+        bufs.images = n
+        got = step.run(x.astype(dtype), bufs, np.dtype(dtype))
+        pre = direct_conv(x, wmat, bias, pad)
+        expected = np.maximum(pre, 0.0) if relu else pre
+        assert got.dtype == dtype and got.shape == expected.shape
+        assert got.flags.c_contiguous
+        scale = max(np.abs(pre).max(), 1e-300)
+        assert np.abs(got - expected).max() <= TOLERANCE[dtype] * scale
+
+
+def expected_winograd(layer) -> bool:
+    """The rule the module docstring states, written out independently."""
+    return (
+        layer.kernel_size == 3 and layer.stride == 1 and layer.pad == 1
+        and min(layer.in_channels, layer.out_channels) >= 16
+    )
+
+
+def conv_steps(engine, net):
+    convs = [layer for layer in net if isinstance(layer, Conv2D)]
+    steps = [s for s in engine._steps if isinstance(s, (_ConvStep, _WinogradStep))]
+    assert len(steps) == len(convs)
+    return list(zip(convs, steps))
+
+
+class TestShapeRule:
+    def test_model_c_uses_winograd_on_its_padded_stride1_3x3_convs(self):
+        net = build_model_c(scale=1.0, rng=np.random.default_rng(1))
+        kinds = [type(s).__name__ for _, s in conv_steps(net.compile_inference(), net)]
+        # conv1 has 3 input channels, conv3/conv6 stride 2, conv7 no
+        # padding, conv8/conv9 are 1x1: all stay im2col.
+        assert kinds == [
+            "_ConvStep", "_WinogradStep", "_ConvStep", "_WinogradStep",
+            "_WinogradStep", "_ConvStep", "_ConvStep", "_ConvStep", "_ConvStep",
+        ]
+
+    @pytest.mark.parametrize("scale", [0.25, 1.0])
+    @pytest.mark.parametrize("model", ["a", "b", "c"])
+    def test_every_conv_follows_the_rule(self, model, scale):
+        net = BUILDERS[model](scale=scale, rng=np.random.default_rng(0))
+        for dtype in (np.float32, np.float64):
+            for layer, step in conv_steps(net.compile_inference(dtype=dtype), net):
+                assert isinstance(step, _WinogradStep) == expected_winograd(layer), layer
+                assert step.out_width() == layer.out_channels
+
+    @pytest.mark.parametrize("model", ["a", "b", "c"])
+    def test_every_step_returns_a_contiguous_buffer(self, model):
+        net = BUILDERS[model](scale=0.25, rng=np.random.default_rng(0))
+        net.eval_mode()
+        engine = net.compile_inference(micro_batch=4)
+        x = np.random.default_rng(1).normal(size=(3, 3, 32, 32))
+        engine._bufs.images = 3
+        a = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=engine.dtype)
+        for step in engine._steps:
+            a = step.run(a, engine._bufs, engine.dtype)
+            assert a.flags.c_contiguous, step
+
+
+class TestQuantizedEngineStaysIm2col:
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    @pytest.mark.parametrize("model", ["a", "b", "c"])
+    def test_every_conv_step_is_a_quantized_im2col_step(self, model, bits, monkeypatch):
+        def no_transform(wmat):  # pragma: no cover - must not run
+            raise AssertionError("QuantizedEngine computed a Winograd filter")
+
+        monkeypatch.setattr(infer, "_winograd_filter", no_transform)
+        net = BUILDERS[model](scale=0.25, rng=np.random.default_rng(0))
+        engine = QuantizedEngine(net, bits=bits)
+        steps = conv_steps(engine, net)
+        assert steps and all(isinstance(step, _QConvStep) for _, step in steps)
