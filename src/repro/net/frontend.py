@@ -13,14 +13,19 @@ queued into an unbounded buffer.
 Concurrency model
 -----------------
 One daemon thread runs a private asyncio event loop; all connection
-state (in-flight counts, per-connection pending maps) is touched only
-from that loop, so no locks are needed beyond the metrics facade.
-``backend.submit`` may *block* (the cascade's backpressure contract), so
-it runs on the loop's default executor; backend futures resolve on
-serving threads and re-enter the loop via ``call_soon_threadsafe``.
-Per-connection writes are serialized by an ``asyncio.Lock`` and awaited
-through ``drain()`` — a slow reader backpressures only its own
-connection.
+state (in-flight counts, per-connection pending maps and output
+buffers) is touched only from that loop, so no locks are needed beyond
+the metrics facade and the completion queue.  Requests are submitted on
+the loop through the backend's non-blocking ``try_submit``
+(:meth:`repro.serve.CascadeServer.try_submit`); only when it refuses
+(the cascade's front buffer is full) or the backend has none does the
+blocking ``backend.submit`` run on the loop's default executor.  Backend
+futures resolve on serving threads into one completion queue, and the
+loop is woken (``call_soon_threadsafe``) only when that queue goes from
+empty to non-empty, so a burst of results costs one wake-up.  Each
+connection's frames are queued in order and written once per read or
+once per result burst; the read side awaits ``drain()`` — a slow reader
+backpressures only its own connection.
 
 Shutdown contract (the socket-layer mirror of PR 4's
 ``ServerClosed`` stranded-futures fix): :meth:`NetFrontend.close` stops
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,12 +179,12 @@ def _error_code_for(exc: BaseException) -> int:
 class _Connection:
     """Loop-thread-only per-connection state."""
 
-    __slots__ = ("writer", "decoder", "write_lock", "pending", "closed")
+    __slots__ = ("writer", "decoder", "out", "pending", "closed")
 
     def __init__(self, writer: asyncio.StreamWriter, max_frame_bytes: int):
         self.writer = writer
         self.decoder = FrameDecoder(max_body=max_frame_bytes)
-        self.write_lock = asyncio.Lock()
+        self.out = bytearray()  # encoded frames not yet handed to the socket
         self.pending: dict[int, object] = {}  # request_id -> backend future
         self.closed = False
 
@@ -192,7 +198,9 @@ class NetFrontend:
         Object with ``submit(image) -> concurrent.futures.Future``
         resolving to a :class:`~repro.serve.server.ServeResult` — a
         :class:`~repro.serve.CascadeServer` or a
-        :class:`~repro.net.router.ShardRouter`.  The frontend does
+        :class:`~repro.net.router.ShardRouter`.  An optional
+        ``try_submit(image) -> Future | None`` (``None`` = would block)
+        lets the loop submit without a thread hop.  The frontend does
         **not** own the backend; close it separately (backend last, so
         in-flight work can still resolve during the drain window).
     host / port:
@@ -235,6 +243,10 @@ class NetFrontend:
         self._started = threading.Event()
         self._start_error: BaseException | None = None
         self._address: tuple[str, int] | None = None
+        self._try_submit = getattr(backend, "try_submit", None)
+        # Backend completions waiting for the loop (see _on_done).
+        self._done: deque = deque()
+        self._done_lock = threading.Lock()
 
     # -- lifecycle ------------------------------------------------------------
     @property
@@ -325,11 +337,12 @@ class NetFrontend:
                 self._dec_inflight()
                 self.metrics.record_failed()
                 obs.count("net.failed", 1)
-                await self._send(
-                    conn,
-                    Error(request_id, protocol.ERR_SHUTDOWN, "frontend closing"),
+                self._send(
+                    conn, Error(request_id, protocol.ERR_SHUTDOWN, "frontend closing")
                 )
-            await self._send(conn, Shutdown("frontend closing"))
+            self._send(conn, Shutdown("frontend closing"))
+            self._flush(conn)
+            await self._drain(conn)
             conn.closed = True
             try:
                 conn.writer.close()
@@ -360,17 +373,43 @@ class NetFrontend:
                         frames = conn.decoder.feed(data)
                 except ProtocolError as exc:
                     self.metrics.record_protocol_error()
-                    await self._send(
+                    self._send(
                         conn,
                         Error(0, protocol.ERR_PROTOCOL, f"{type(exc).__name__}: {exc}"),
                     )
                     break
                 for frame in frames:
-                    await self._dispatch(conn, frame)
+                    if isinstance(frame, Request):
+                        if not self._handle_request(conn, frame):
+                            # The backend would block: ACCEPTED goes out
+                            # now, the submit waits off the loop.
+                            self._flush(conn)
+                            await self._submit_blocking(conn, frame)
+                    elif isinstance(frame, Ping):
+                        self.metrics.record_ping()
+                        self._send(conn, Pong(frame.nonce))
+                    else:
+                        # Server-to-client frame types arriving here are nonsense.
+                        self.metrics.record_protocol_error()
+                        self._send(
+                            conn,
+                            Error(
+                                0,
+                                protocol.ERR_PROTOCOL,
+                                f"unexpected client frame {frame.type_name!r}",
+                            ),
+                        )
+                        self._flush(conn)
+                        conn.closed = True
+                        break
+                # One write per read, whatever it carried.
+                self._flush(conn)
+                await self._drain(conn)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             if conn in self._conns:
+                self._flush(conn)
                 self._conns.discard(conn)
                 conn.closed = True
                 # The peer is gone; its admitted requests still resolve in
@@ -381,127 +420,117 @@ class NetFrontend:
                     pass
             self.metrics.record_connection_closed()
 
-    async def _dispatch(self, conn: _Connection, frame) -> None:
-        if isinstance(frame, Request):
-            await self._handle_request(conn, frame)
-        elif isinstance(frame, Ping):
-            self.metrics.record_ping()
-            await self._send(conn, Pong(frame.nonce))
-        else:
-            # Server-to-client frame types arriving here are nonsense.
-            self.metrics.record_protocol_error()
-            await self._send(
-                conn,
-                Error(
-                    0,
-                    protocol.ERR_PROTOCOL,
-                    f"unexpected client frame {frame.type_name!r}",
-                ),
-            )
-            conn.closed = True
+    def _reject(self, conn: _Connection, request_id: int, code: int, detail: str) -> None:
+        self.metrics.record_rejected()
+        obs.count("net.rejected", 1)
+        self._send(conn, Rejected(request_id, code, detail))
 
-    async def _handle_request(self, conn: _Connection, frame: Request) -> None:
+    def _handle_request(self, conn: _Connection, frame: Request) -> bool:
+        """Admit *frame* and submit it without blocking the loop.
+
+        Returns ``False`` when the request is admitted (``ACCEPTED``
+        queued) but the backend would block or has no ``try_submit``:
+        the caller then submits it through :meth:`_submit_blocking`.
+        """
         self.metrics.record_request()
         obs.count("net.request", 1)
+        request_id = frame.request_id
         if self._closing:
-            self.metrics.record_rejected()
-            obs.count("net.rejected", 1)
-            await self._send(
-                conn, Rejected(frame.request_id, protocol.REJECT_CLOSING, "closing")
-            )
-            return
+            self._reject(conn, request_id, protocol.REJECT_CLOSING, "closing")
+            return True
         if self._inflight >= self._max_inflight:
-            self.metrics.record_rejected()
-            obs.count("net.rejected", 1)
-            await self._send(
-                conn,
-                Rejected(
-                    frame.request_id,
-                    protocol.REJECT_QUEUE_FULL,
-                    f"{self._inflight} requests in flight (max {self._max_inflight})",
-                ),
+            self._reject(
+                conn, request_id, protocol.REJECT_QUEUE_FULL,
+                f"{self._inflight} requests in flight (max {self._max_inflight})",
             )
-            return
+            return True
         if frame.tenant and getattr(self._backend, "tenant_names", None) is None:
             # Tenant-addressed frame, single-tenant backend: typed refusal
             # beats silently answering with the wrong model.
-            self.metrics.record_rejected()
-            obs.count("net.rejected", 1)
-            await self._send(
-                conn,
-                Rejected(
-                    frame.request_id,
-                    protocol.REJECT_TENANT,
-                    f"backend is single-tenant, cannot serve {frame.tenant!r}",
-                ),
+            self._reject(
+                conn, request_id, protocol.REJECT_TENANT,
+                f"backend is single-tenant, cannot serve {frame.tenant!r}",
             )
-            return
+            return True
         self._inflight += 1
-        await self._send(conn, Accepted(frame.request_id))
-        loop = asyncio.get_running_loop()
+        self._send(conn, Accepted(request_id))
+        if frame.tenant or self._try_submit is None:
+            return False
+        try:
+            backend_future = self._try_submit(frame.image)
+        except Exception as exc:
+            self._submit_failed(conn, request_id, exc)
+            return True
+        if backend_future is None:
+            return False
+        self._track(conn, request_id, backend_future)
+        return True
+
+    async def _submit_blocking(self, conn: _Connection, frame: Request) -> None:
+        """``backend.submit`` on the loop's executor (it may block)."""
         if frame.tenant:
             submit = lambda: self._backend.submit(frame.image, tenant=frame.tenant)
         else:
             submit = lambda: self._backend.submit(frame.image)
         try:
-            # submit() may block on the cascade's backpressure: executor.
-            backend_future = await loop.run_in_executor(None, submit)
-        except UnknownTenant as exc:
-            self._dec_inflight()
-            self.metrics.record_rejected()
-            obs.count("net.rejected", 1)
-            await self._send(
-                conn, Rejected(frame.request_id, protocol.REJECT_TENANT, str(exc))
-            )
-            return
-        except TenantQuotaExceeded as exc:
-            self._dec_inflight()
-            self.metrics.record_rejected()
-            obs.count("net.rejected", 1)
-            await self._send(
-                conn, Rejected(frame.request_id, protocol.REJECT_QUEUE_FULL, str(exc))
-            )
-            return
-        except NoHealthyReplica as exc:
-            self._dec_inflight()
-            self.metrics.record_rejected()
-            obs.count("net.rejected", 1)
-            await self._send(
-                conn, Rejected(frame.request_id, protocol.REJECT_NO_REPLICA, str(exc))
-            )
-            return
+            backend_future = await asyncio.get_running_loop().run_in_executor(None, submit)
         except Exception as exc:
-            self._dec_inflight()
+            self._submit_failed(conn, frame.request_id, exc)
+            return
+        self._track(conn, frame.request_id, backend_future)
+
+    def _submit_failed(self, conn: _Connection, request_id: int, exc: Exception) -> None:
+        self._dec_inflight()
+        if isinstance(exc, UnknownTenant):
+            self._reject(conn, request_id, protocol.REJECT_TENANT, str(exc))
+        elif isinstance(exc, TenantQuotaExceeded):
+            self._reject(conn, request_id, protocol.REJECT_QUEUE_FULL, str(exc))
+        elif isinstance(exc, NoHealthyReplica):
+            self._reject(conn, request_id, protocol.REJECT_NO_REPLICA, str(exc))
+        else:
             self.metrics.record_failed()
             obs.count("net.failed", 1)
-            await self._send(
-                conn, Error(frame.request_id, _error_code_for(exc), repr(exc))
-            )
-            return
-        conn.pending[frame.request_id] = backend_future
-        request_id = frame.request_id
+            self._send(conn, Error(request_id, _error_code_for(exc), repr(exc)))
 
-        def _on_done(fut, conn=conn, request_id=request_id):
-            # Runs on a backend serving thread: hop back onto the loop.
+    def _track(self, conn: _Connection, request_id: int, backend_future) -> None:
+        conn.pending[request_id] = backend_future
+        backend_future.add_done_callback(
+            lambda fut: self._on_done(conn, request_id, fut)
+        )
+
+    def _on_done(self, conn: _Connection, request_id: int, fut) -> None:
+        """Backend completion, on a serving thread: queue it for the loop,
+        waking the loop only if the queue was empty."""
+        with self._done_lock:
+            wake = not self._done
+            self._done.append((conn, request_id, fut))
+        if wake:
             try:
-                self._loop.call_soon_threadsafe(
-                    lambda: self._loop.create_task(self._finish(conn, request_id, fut))
-                )
+                self._loop.call_soon_threadsafe(self._answer_done)
             except RuntimeError:  # loop already closed; shutdown path answered
                 pass
 
-        backend_future.add_done_callback(_on_done)
-
-    async def _finish(self, conn: _Connection, request_id: int, fut) -> None:
-        if conn.pending.pop(request_id, None) is None:
-            return  # already answered by the shutdown path — exactly once
-        self._dec_inflight()
-        exc = fut.exception()
-        if exc is None:
+    def _answer_done(self) -> None:
+        """Answer every queued completion, then write each connection once."""
+        with self._done_lock:
+            done = list(self._done)
+            self._done.clear()
+        touched = {}
+        for conn, request_id, fut in done:
+            if conn.pending.pop(request_id, None) is None:
+                continue  # already answered by the shutdown path — exactly once
+            self._dec_inflight()
+            touched[conn] = None
+            exc = fut.exception()
+            if exc is not None:
+                self.metrics.record_failed()
+                obs.count("net.failed", 1)
+                self._send(conn, Error(request_id, _error_code_for(exc), repr(exc)))
+                continue
             result = fut.result()
             self.metrics.record_answered()
             obs.count("net.answered", 1)
-            await self._send(
+            self._send(
                 conn,
                 Decision(
                     request_id,
@@ -512,26 +541,43 @@ class NetFrontend:
                     float(result.latency_seconds),
                 ),
             )
-            await self._send(
-                conn,
-                Logits(request_id, np.asarray([result.confidence], dtype=np.float64)),
+            self._send(
+                conn, Logits(request_id, np.asarray([result.confidence], dtype=np.float64))
             )
-        else:
-            self.metrics.record_failed()
-            obs.count("net.failed", 1)
-            await self._send(conn, Error(request_id, _error_code_for(exc), repr(exc)))
+        for conn in touched:
+            self._flush(conn)
 
     def _dec_inflight(self) -> None:
         self._inflight -= 1
         if self._inflight <= 0 and self._drained is not None:
             self._drained.set()
 
-    async def _send(self, conn: _Connection, frame) -> None:
+    @staticmethod
+    def _send(conn: _Connection, frame) -> None:
+        """Queue *frame* on the connection; :meth:`_flush` writes it."""
+        if not conn.closed:
+            conn.out += encode_frame(frame)
+
+    @staticmethod
+    def _flush(conn: _Connection) -> None:
+        """Hand every queued frame to the socket in one write."""
+        if conn.closed or not conn.out:
+            return
+        # The transport may keep a view of what it could not send yet, so
+        # it gets the buffer and the connection starts a fresh one.
+        data, conn.out = conn.out, bytearray()
+        try:
+            conn.writer.write(data)
+        except (ConnectionError, RuntimeError, OSError):
+            conn.closed = True
+
+    @staticmethod
+    async def _drain(conn: _Connection) -> None:
+        """Wait while the socket's send buffer is over its high-water mark:
+        a slow reader backpressures only its own connection."""
         if conn.closed:
             return
         try:
-            async with conn.write_lock:
-                conn.writer.write(encode_frame(frame))
-                await conn.writer.drain()
+            await conn.writer.drain()
         except (ConnectionError, RuntimeError, OSError):
             conn.closed = True

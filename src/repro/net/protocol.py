@@ -592,9 +592,15 @@ def decode_frame(buf: bytes | bytearray | memoryview, max_body: int = MAX_FRAME_
     its first 8 bytes.
     """
     buf = bytes(buf) if not isinstance(buf, bytes) else buf
-    if len(buf) < HEADER_SIZE:
-        raise TruncatedFrame(f"incomplete header ({len(buf)}/{HEADER_SIZE} bytes)")
-    magic, version, frame_type, length = _HEADER.unpack_from(buf, 0)
+    return _decode_at(buf, 0, max_body)
+
+
+def _decode_at(buf: bytes, start: int, max_body: int):
+    """:func:`decode_frame` on ``buf[start:]`` without copying the tail."""
+    available = len(buf) - start
+    if available < HEADER_SIZE:
+        raise TruncatedFrame(f"incomplete header ({available}/{HEADER_SIZE} bytes)")
+    magic, version, frame_type, length = _HEADER.unpack_from(buf, start)
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic!r} (want {MAGIC!r})")
     if version != VERSION:
@@ -603,11 +609,11 @@ def decode_frame(buf: bytes | bytearray | memoryview, max_body: int = MAX_FRAME_
         raise UnknownFrameType(f"unknown frame type 0x{frame_type:02x}")
     if length > max_body:
         raise FrameTooLarge(f"advertised body {length} bytes exceeds max {max_body}")
-    if len(buf) < HEADER_SIZE + length:
+    if available < HEADER_SIZE + length:
         raise TruncatedFrame(
-            f"incomplete body ({len(buf) - HEADER_SIZE}/{length} bytes)"
+            f"incomplete body ({available - HEADER_SIZE}/{length} bytes)"
         )
-    body = buf[HEADER_SIZE:HEADER_SIZE + length]
+    body = buf[start + HEADER_SIZE:start + HEADER_SIZE + length]
     return _DECODERS[frame_type](body), HEADER_SIZE + length
 
 
@@ -635,16 +641,25 @@ class FrameDecoder:
         """Append *data*; return every complete frame now available."""
         if self._error is not None:
             raise self._error
-        self._buffer.extend(data)
+        # One snapshot per feed, decoded at offsets; compacted once.
+        if self._buffer:
+            self._buffer += data
+            buf = bytes(self._buffer)
+        else:
+            buf = bytes(data)
         frames = []
-        while self._buffer:
-            try:
-                frame, consumed = decode_frame(bytes(self._buffer), self._max_body)
-            except TruncatedFrame:
-                break
-            except ProtocolError as exc:
-                self._error = exc
-                raise
-            del self._buffer[:consumed]
-            frames.append(frame)
+        offset = 0
+        try:
+            while offset < len(buf):
+                try:
+                    frame, consumed = _decode_at(buf, offset, self._max_body)
+                except TruncatedFrame:
+                    break
+                except ProtocolError as exc:
+                    self._error = exc
+                    raise
+                offset += consumed
+                frames.append(frame)
+        finally:
+            self._buffer = bytearray(memoryview(buf)[offset:])
         return frames

@@ -15,7 +15,9 @@ accrues during the previous batch's compute, so batches form for free.
 
 ``submit`` applies front-door backpressure: when the pending buffer is at
 capacity it blocks until the consumer takes a batch, so an open-loop
-client can never grow memory without bound.
+client can never grow memory without bound.  ``try_submit`` is the
+non-blocking twin for callers that must not block (an event loop): it
+refuses instead of waiting.
 
 Paper anchor: the front door of Fig. 1's cascade — the batch dimension
 is what the paper's FPGA streaming (and Eq. (5)'s per-batch overheads)
@@ -88,14 +90,30 @@ class MicroBatcher(Generic[T]):
         with self._lock:
             while len(self._pending) >= self.max_pending and not self._closed:
                 self._has_room.wait()
-            if self._closed:
-                raise RuntimeError("batcher is closed")
-            if not self._pending:
-                self._oldest_ts = self._clock()
-                tracer = obs.active()
-                self._oldest_trace_ts = tracer.now() if tracer is not None else None
-            self._pending.append(item)
-            self._has_work.notify()
+            self._append(item)
+
+    def try_submit(self, item: T) -> bool:
+        """Enqueue one item unless the pending buffer is full; never blocks.
+
+        Returns ``False`` (and enqueues nothing) where :meth:`submit`
+        would block.
+        """
+        with self._lock:
+            if len(self._pending) >= self.max_pending and not self._closed:
+                return False
+            self._append(item)
+            return True
+
+    def _append(self, item: T) -> None:
+        """Enqueue under the lock (the caller has made room)."""
+        if self._closed:
+            raise RuntimeError("batcher is closed")
+        if not self._pending:
+            self._oldest_ts = self._clock()
+            tracer = obs.active()
+            self._oldest_trace_ts = tracer.now() if tracer is not None else None
+        self._pending.append(item)
+        self._has_work.notify()
 
     @property
     def pending(self) -> int:

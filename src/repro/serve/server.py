@@ -431,6 +431,19 @@ class CascadeServer:
         :class:`StageFailure` / :class:`DeadlineExceeded` /
         :class:`ServerClosed`.
         """
+        return self._enqueue(image, self._batcher.submit)
+
+    def try_submit(self, image: np.ndarray) -> Future | None:
+        """:meth:`submit` without the wait: ``None`` while the front buffer
+        is full (nothing is enqueued or counted), else the same future.
+
+        For callers that must never block, such as an event loop; they
+        fall back to :meth:`submit` off-thread when refused.
+        """
+        return self._enqueue(image, self._batcher.try_submit)
+
+    def _enqueue(self, image: np.ndarray, put) -> Future | None:
+        """Register one request and hand it to *put* (a batcher submit)."""
         if self._closed:
             raise ServerClosed("server is closed")
         now = self._clock()
@@ -440,7 +453,7 @@ class CascadeServer:
             self._inflight.add(request)
         self.metrics.record_submitted(1)
         try:
-            self._batcher.submit(request)
+            refused = put(request) is False
         except RuntimeError:
             # Batcher closed between our check and the submit: fail the
             # request we registered rather than stranding it.
@@ -448,6 +461,13 @@ class CascadeServer:
                 self.metrics.record_failure(1)
                 request.future.set_exception(ServerClosed("server is closed"))
             raise ServerClosed("server is closed") from None
+        if refused:
+            # Counted above like a submit blocked on backpressure; a
+            # refused try never entered, so take it back out.
+            with self._inflight_lock:
+                self._inflight.discard(request)
+            self.metrics.record_submitted(-1)
+            return None
         return request.future
 
     def classify_many(
