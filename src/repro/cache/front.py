@@ -17,12 +17,14 @@ work twice over:
   same answer (as a ``source="cache"`` result).  N concurrent submits
   of one image cost exactly one cascade pass.
 
-Books (shared :class:`repro.serve.ServerMetrics`): the hit and follower
-paths record ``submitted`` + ``cache_hits`` + a latency sample at the
-frontend; the leader path records nothing here — the backend books its
-``submitted`` and terminal decision itself — so
+Books (shared :class:`repro.serve.ServerMetrics` ledger): the hit and
+follower paths add ``submitted`` + ``cache_hits`` (a failed leader's
+followers: ``failed``) and a latency sample at the frontend; the leader
+path adds nothing here — the backend books its ``submitted`` and
+terminal decision itself — so the server's declared law
 ``accepted + rerun + degraded + cache_hits + failed == submitted``
-keeps holding with the wrapper attached.  Exactly-once: a flight is
+keeps holding with the wrapper attached.  Leaders and followers are
+counted in the frontend's own ledger.  Exactly-once: a flight is
 popped from the registry before its followers are resolved, so no
 future can ever be resolved twice; a failed leader fails its followers
 with the same exception and caches nothing.
@@ -38,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .. import obs
+from ..obs.ledger import Ledger
 from ..serve.metrics import MetricsSnapshot, ServerMetrics
 from ..serve.server import ServeResult
 from .result_cache import CachedAnswer, CacheSnapshot, ResultCache
@@ -102,8 +104,7 @@ class CachingFrontend:
         self.metrics = metrics if metrics is not None else ServerMetrics(clock=clock)
         self._flights: dict[bytes, _Flight] = {}
         self._flight_lock = threading.Lock()
-        self._leaders = 0
-        self._followers = 0
+        self.ledger = Ledger({"leaders": None, "followers": "cache.single_flight"})
 
     # -- submit path ----------------------------------------------------------
     def submit(self, image: np.ndarray) -> Future:
@@ -119,13 +120,12 @@ class CachingFrontend:
             if flight is not None:
                 future: Future = Future()
                 flight.followers.append((future, start))
-                self._followers += 1
-                self.metrics.record_submitted(1)
-                obs.count("cache.single_flight", 1)
+                self.ledger.add(followers=1)
+                self.metrics.add(submitted=1)
                 return future
             flight = _Flight()
             self._flights[key] = flight
-            self._leaders += 1
+            self.ledger.add(leaders=1)
         # Leader path: enter the cascade *outside* the lock — submit()
         # blocks under backpressure and must not hold up other keys.
         try:
@@ -143,10 +143,9 @@ class CachingFrontend:
         return [f.result(timeout=timeout) for f in futures]
 
     def _serve_hit(self, answer: CachedAnswer, start: float) -> Future:
-        self.metrics.record_submitted(1)
-        self.metrics.record_cache_hit(1)
+        self.metrics.add(submitted=1, cache_hits=1)
         latency = self._clock() - start
-        self.metrics.record_latency(latency)
+        self.metrics.latencies.append(latency)
         future: Future = Future()
         future.set_result(self._cached_result(answer, latency))
         return future
@@ -178,7 +177,7 @@ class CachingFrontend:
         # Populate the cache *before* closing the flight so no submit
         # can slip between them and miss both tiers.
         self.cache.put(key, image, answer)
-        self.metrics.set_cache_bytes(self.cache.bytes)
+        self.metrics.set(cache_bytes=self.cache.bytes)
         self._finish_flight(key, answer, None)
 
     def _finish_flight(
@@ -192,17 +191,17 @@ class CachingFrontend:
             return
         for future, start in flight.followers:
             if exc is not None:
-                self.metrics.record_failure(1)
+                self.metrics.add(failed=1)
                 future.set_exception(exc)
             else:
-                self.metrics.record_cache_hit(1)
+                self.metrics.add(cache_hits=1)
                 latency = self._clock() - start
-                self.metrics.record_latency(latency)
+                self.metrics.latencies.append(latency)
                 future.set_result(self._cached_result(answer, latency))
 
     # -- reading / lifecycle --------------------------------------------------
     def snapshot(self) -> MetricsSnapshot:
-        self.metrics.set_cache_bytes(self.cache.bytes)
+        self.metrics.set(cache_bytes=self.cache.bytes)
         return self.metrics.snapshot()
 
     def cache_snapshot(self) -> CacheSnapshot:
@@ -211,9 +210,7 @@ class CachingFrontend:
     def single_flight_snapshot(self) -> SingleFlightSnapshot:
         with self._flight_lock:
             return SingleFlightSnapshot(
-                leaders=self._leaders,
-                followers=self._followers,
-                in_flight=len(self._flights),
+                **self.ledger.read().counters, in_flight=len(self._flights)
             )
 
     def close(self, *args, **kwargs) -> None:

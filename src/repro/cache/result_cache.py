@@ -10,8 +10,8 @@ gate.
 
 Concurrency: the key space is split across ``shards`` independent
 locks (key bytes pick the shard), so concurrent tenants and serving
-threads never serialize on one cache-wide mutex; the counters live
-behind one separate, cheap counter lock.
+threads never serialize on one cache-wide mutex; the counters live in
+the cache's own :class:`repro.obs.Ledger`, behind its one lock.
 
 Near-duplicate tier (optional, for video): every stored image is also
 indexed by a **quantized thumbnail fingerprint** — block-mean
@@ -25,10 +25,10 @@ the answer a cold run would have produced.  Setting ``atol > 0``
 opts into *approximate* reuse (consecutive video crops that differ by
 sensor noise), explicitly trading bit-identity for hit rate.
 
-Books: ``hits + misses == lookups`` always (the reconciliation
-``repro serve-bench`` and ``repro serve-tenants`` exit nonzero
-without), with ``near_hits`` counting the subset of hits that came
-through the fingerprint tier.
+Books: the declared law :data:`LOOKUPS`, ``hits + misses == lookups``,
+holds always (the reconciliation ``repro serve-bench`` and ``repro
+serve-tenants`` exit nonzero without), with ``near_hits`` counting the
+subset of hits that came through the fingerprint tier.
 """
 
 from __future__ import annotations
@@ -39,10 +39,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import obs
+from ..obs.ledger import Law, Ledger, violations
 from ..util.hashing import content_key
 
-__all__ = ["CachedAnswer", "CacheSnapshot", "ResultCache"]
+__all__ = ["LOOKUPS", "CachedAnswer", "CacheSnapshot", "ResultCache"]
+
+#: Every lookup is a hit or a miss.
+LOOKUPS = Law("lookups", ("hits", "misses"), "lookups")
+#: Counter -> tracer name.
+_COUNTERS = {
+    "lookups": None, "hits": "cache.hit", "misses": "cache.miss", "near_hits": None,
+    "near_rejects": None, "insertions": None, "evictions": "cache.evicted",
+}
 
 #: Fixed per-entry bookkeeping cost (key, answer, dict slots) charged
 #: against the byte budget even when no canonical image is stored.
@@ -67,7 +75,7 @@ class CachedAnswer:
 
 @dataclass(frozen=True)
 class CacheSnapshot:
-    """Point-in-time cache books; ``hits + misses == lookups`` always."""
+    """Point-in-time cache books; :data:`LOOKUPS` holds always."""
 
     lookups: int
     hits: int
@@ -87,7 +95,7 @@ class CacheSnapshot:
     @property
     def balanced(self) -> bool:
         """The cache books reconcile (CI gate of the bench harnesses)."""
-        return self.hits + self.misses == self.lookups
+        return not violations((LOOKUPS,), self)
 
 
 class _Entry:
@@ -160,14 +168,7 @@ class ResultCache:
         # shards, so a per-shard index would never connect them.
         self._fp_lock = threading.Lock()
         self._fp_index: dict[bytes, bytes] = {}  # fingerprint -> canonical key
-        self._counter_lock = threading.Lock()
-        self._lookups = 0
-        self._hits = 0
-        self._misses = 0
-        self._near_hits = 0
-        self._near_rejects = 0
-        self._insertions = 0
-        self._evictions = 0
+        self.ledger = Ledger(_COUNTERS, laws=(LOOKUPS,))
 
     # -- keying ---------------------------------------------------------------
     @staticmethod
@@ -237,20 +238,11 @@ class ResultCache:
                             near = True
                             cshard.entries.move_to_end(candidate_key)
                         else:
-                            with self._counter_lock:
-                                self._near_rejects += 1
-        with self._counter_lock:
-            self._lookups += 1
-            if entry is None:
-                self._misses += 1
-            else:
-                self._hits += 1
-                if near:
-                    self._near_hits += 1
+                            self.ledger.add(near_rejects=1)
         if entry is None:
-            obs.count("cache.miss", 1)
+            self.ledger.add(lookups=1, misses=1)
             return None
-        obs.count("cache.hit", 1)
+        self.ledger.add(lookups=1, hits=1, near_hits=int(near))
         return entry.answer
 
     def put(self, key: bytes, image: np.ndarray, answer: CachedAnswer) -> None:
@@ -273,7 +265,6 @@ class ResultCache:
                 victim_key, victim = shard.entries.popitem(last=False)
                 shard.bytes -= victim.nbytes
                 victims.append((victim_key, victim))
-        evicted = len(victims)
         if fingerprint is not None or victims:
             with self._fp_lock:
                 for victim_key, victim in victims:
@@ -284,11 +275,7 @@ class ResultCache:
                         del self._fp_index[victim.fingerprint]
                 if fingerprint is not None:
                     self._fp_index[fingerprint] = key
-        with self._counter_lock:
-            self._insertions += 1
-            self._evictions += evicted
-        if evicted:
-            obs.count("cache.evicted", evicted)
+        self.ledger.add(insertions=1, evictions=len(victims))
 
     # -- reading --------------------------------------------------------------
     @property
@@ -300,18 +287,8 @@ class ResultCache:
         return sum(len(shard.entries) for shard in self._shards)
 
     def snapshot(self) -> CacheSnapshot:
-        with self._counter_lock:
-            lookups, hits, misses = self._lookups, self._hits, self._misses
-            near_hits, near_rejects = self._near_hits, self._near_rejects
-            insertions, evictions = self._insertions, self._evictions
         return CacheSnapshot(
-            lookups=lookups,
-            hits=hits,
-            misses=misses,
-            near_hits=near_hits,
-            near_rejects=near_rejects,
-            insertions=insertions,
-            evictions=evictions,
+            **self.ledger.read().counters,
             entries=self.entries,
             bytes=self.bytes,
             max_bytes=self.max_bytes,

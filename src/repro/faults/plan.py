@@ -130,17 +130,30 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
+        """Build a plan from parsed JSON; any malformed input raises ``ValueError``."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a FaultPlan must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - {"seed", "specs"}
         if unknown:
             raise ValueError(f"unknown FaultPlan keys: {sorted(unknown)}")
-        return cls(
-            seed=int(data.get("seed", 0)),
-            specs=tuple(FaultSpec(**spec) for spec in data.get("specs", ())),
-        )
+        specs = data.get("specs", [])
+        if not isinstance(specs, list) or not all(isinstance(s, dict) for s in specs):
+            raise ValueError("FaultPlan 'specs' must be a list of objects")
+        try:
+            return cls(
+                seed=int(data.get("seed", 0)),
+                specs=tuple(FaultSpec(**spec) for spec in specs),
+            )
+        except (TypeError, OverflowError) as exc:  # a mistyped field or value
+            raise ValueError(f"malformed FaultPlan: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError("FaultPlan JSON nests too deeply") from exc
+        return cls.from_dict(data)
 
 
 def load_fault_plan(path: str | Path) -> FaultPlan:

@@ -35,9 +35,10 @@ frame and sends each open connection — including half-read ones whose
 decoder holds a partial frame — a ``SHUTDOWN`` frame before the socket
 closes.  No client ever observes a silent reset with work in flight.
 
-Observability: ``net.accept`` / ``net.request`` / ``net.answered`` /
-``net.rejected`` / ``net.failed`` counters and a ``net.decode`` span
-around frame reassembly (see ``docs/NETWORK.md``).
+Observability: the :class:`NetMetrics` ledger, mirrored as the
+``net.accept`` / ``net.request`` / ``net.answered`` / ``net.rejected`` /
+``net.failed`` tracer counters, and a ``net.decode`` span around frame
+reassembly (see ``docs/NETWORK.md``).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
+from ..obs.ledger import Law, Ledger, violations
 from ..serve.resilience import DeadlineExceeded, ServerClosed, StageFailure
 from ..serve.tenancy import TenantQuotaExceeded, UnknownTenant
 from . import protocol
@@ -69,14 +71,19 @@ from .protocol import (
 )
 from .router import NoHealthyReplica, ReplicaFailure
 
-__all__ = ["NetMetrics", "NetMetricsSnapshot", "NetFrontend"]
+__all__ = ["FRONTEND_LAW", "NetMetrics", "NetMetricsSnapshot", "NetFrontend"]
+
+
+#: Every REQUEST frame read off the wire gets exactly one terminal frame.
+FRONTEND_LAW = Law("terminal", ("answered", "rejected", "failed"), "requests", drained=True)
 
 
 @dataclass(frozen=True)
 class NetMetricsSnapshot:
     """Point-in-time view of the frontend's wire accounting.
 
-    The invariant chaos tests assert once traffic has drained::
+    :data:`FRONTEND_LAW`, which chaos tests assert once traffic has
+    drained::
 
         answered + rejected + failed == requests
     """
@@ -93,75 +100,33 @@ class NetMetricsSnapshot:
     @property
     def terminal(self) -> int:
         """Requests that reached *any* terminal frame."""
-        return self.answered + self.rejected + self.failed
+        return FRONTEND_LAW.terminal(self)
 
     @property
     def in_flight(self) -> int:
-        return self.requests - self.terminal
+        return FRONTEND_LAW.gap(self)
 
     @property
     def balanced(self) -> bool:
-        return self.in_flight == 0
+        return not violations((FRONTEND_LAW,), self)
 
 
-class NetMetrics:
-    """Thread-safe counters for the socket frontend (ServerMetrics-style)."""
+class NetMetrics(Ledger):
+    """The socket frontend's ledger: ``add(<field>=1)`` per wire event."""
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._connections = 0
-        self._connections_closed = 0
-        self._requests = 0
-        self._answered = 0
-        self._rejected = 0
-        self._failed = 0
-        self._protocol_errors = 0
-        self._pings = 0
-
-    def record_connection(self) -> None:
-        with self._lock:
-            self._connections += 1
-
-    def record_connection_closed(self) -> None:
-        with self._lock:
-            self._connections_closed += 1
-
-    def record_request(self) -> None:
-        with self._lock:
-            self._requests += 1
-
-    def record_answered(self) -> None:
-        with self._lock:
-            self._answered += 1
-
-    def record_rejected(self) -> None:
-        with self._lock:
-            self._rejected += 1
-
-    def record_failed(self) -> None:
-        with self._lock:
-            self._failed += 1
-
-    def record_protocol_error(self) -> None:
-        with self._lock:
-            self._protocol_errors += 1
-
-    def record_ping(self) -> None:
-        with self._lock:
-            self._pings += 1
+        super().__init__(
+            {
+                "connections": "net.accept", "connections_closed": None,
+                "requests": "net.request", "answered": "net.answered",
+                "rejected": "net.rejected", "failed": "net.failed",
+                "protocol_errors": None, "pings": None,
+            },
+            laws=(FRONTEND_LAW,),
+        )
 
     def snapshot(self) -> NetMetricsSnapshot:
-        with self._lock:
-            return NetMetricsSnapshot(
-                connections=self._connections,
-                connections_closed=self._connections_closed,
-                requests=self._requests,
-                answered=self._answered,
-                rejected=self._rejected,
-                failed=self._failed,
-                protocol_errors=self._protocol_errors,
-                pings=self._pings,
-            )
+        return NetMetricsSnapshot(**self.read().counters)
 
 
 def _error_code_for(exc: BaseException) -> int:
@@ -335,8 +300,7 @@ class NetFrontend:
             for request_id in list(conn.pending):
                 conn.pending.pop(request_id, None)
                 self._dec_inflight()
-                self.metrics.record_failed()
-                obs.count("net.failed", 1)
+                self.metrics.add(failed=1)
                 self._send(
                     conn, Error(request_id, protocol.ERR_SHUTDOWN, "frontend closing")
                 )
@@ -361,8 +325,7 @@ class NetFrontend:
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
         conn = _Connection(writer, self._max_frame_bytes)
         self._conns.add(conn)
-        self.metrics.record_connection()
-        obs.count("net.accept", 1)
+        self.metrics.add(connections=1)
         try:
             while not conn.closed:
                 data = await reader.read(1 << 16)
@@ -372,7 +335,7 @@ class NetFrontend:
                     with obs.trace_span("net.decode", nbytes=len(data)):
                         frames = conn.decoder.feed(data)
                 except ProtocolError as exc:
-                    self.metrics.record_protocol_error()
+                    self.metrics.add(protocol_errors=1)
                     self._send(
                         conn,
                         Error(0, protocol.ERR_PROTOCOL, f"{type(exc).__name__}: {exc}"),
@@ -386,11 +349,11 @@ class NetFrontend:
                             self._flush(conn)
                             await self._submit_blocking(conn, frame)
                     elif isinstance(frame, Ping):
-                        self.metrics.record_ping()
+                        self.metrics.add(pings=1)
                         self._send(conn, Pong(frame.nonce))
                     else:
                         # Server-to-client frame types arriving here are nonsense.
-                        self.metrics.record_protocol_error()
+                        self.metrics.add(protocol_errors=1)
                         self._send(
                             conn,
                             Error(
@@ -418,11 +381,10 @@ class NetFrontend:
                     writer.close()
                 except Exception:
                     pass
-            self.metrics.record_connection_closed()
+            self.metrics.add(connections_closed=1)
 
     def _reject(self, conn: _Connection, request_id: int, code: int, detail: str) -> None:
-        self.metrics.record_rejected()
-        obs.count("net.rejected", 1)
+        self.metrics.add(rejected=1)
         self._send(conn, Rejected(request_id, code, detail))
 
     def _handle_request(self, conn: _Connection, frame: Request) -> bool:
@@ -432,8 +394,7 @@ class NetFrontend:
         queued) but the backend would block or has no ``try_submit``:
         the caller then submits it through :meth:`_submit_blocking`.
         """
-        self.metrics.record_request()
-        obs.count("net.request", 1)
+        self.metrics.add(requests=1)
         request_id = frame.request_id
         if self._closing:
             self._reject(conn, request_id, protocol.REJECT_CLOSING, "closing")
@@ -488,8 +449,7 @@ class NetFrontend:
         elif isinstance(exc, NoHealthyReplica):
             self._reject(conn, request_id, protocol.REJECT_NO_REPLICA, str(exc))
         else:
-            self.metrics.record_failed()
-            obs.count("net.failed", 1)
+            self.metrics.add(failed=1)
             self._send(conn, Error(request_id, _error_code_for(exc), repr(exc)))
 
     def _track(self, conn: _Connection, request_id: int, backend_future) -> None:
@@ -523,13 +483,11 @@ class NetFrontend:
             touched[conn] = None
             exc = fut.exception()
             if exc is not None:
-                self.metrics.record_failed()
-                obs.count("net.failed", 1)
+                self.metrics.add(failed=1)
                 self._send(conn, Error(request_id, _error_code_for(exc), repr(exc)))
                 continue
             result = fut.result()
-            self.metrics.record_answered()
-            obs.count("net.answered", 1)
+            self.metrics.add(answered=1)
             self._send(
                 conn,
                 Decision(

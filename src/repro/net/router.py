@@ -57,12 +57,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import obs
+from ..obs.ledger import Law, Ledger, violations
 from ..parallel import default_start_method
 from ..serve.resilience import CircuitBreaker
 from ..serve.server import ServeResult
 from ..util.hashing import rendezvous_order
 
 __all__ = [
+    "ROUTER_LAW",
+    "BY_REPLICA",
     "ReplicaFailure",
     "NoHealthyReplica",
     "RouterMetrics",
@@ -89,11 +92,18 @@ class NoHealthyReplica(RuntimeError):
     """Admission refused: every replica is dead or breaker-open."""
 
 
+#: Every submitted request lands in exactly one bucket once drained.
+ROUTER_LAW = Law("terminal", ("routed", "rejected", "failed"), "submitted", drained=True)
+#: The per-replica split of ``routed`` re-sums to it.
+BY_REPLICA = Law("by_replica", ("replica_routed",), "routed")
+
+
 @dataclass(frozen=True)
 class RouterSnapshot:
     """Point-in-time view of the router's books.
 
-    ``routed + rejected + failed == submitted`` once traffic drains.
+    :data:`ROUTER_LAW` (``routed + rejected + failed == submitted``)
+    holds once traffic drains; :data:`BY_REPLICA` always.
     """
 
     submitted: int
@@ -106,64 +116,33 @@ class RouterSnapshot:
 
     @property
     def terminal(self) -> int:
-        return self.routed + self.rejected + self.failed
+        return ROUTER_LAW.terminal(self)
 
     @property
     def in_flight(self) -> int:
-        return self.submitted - self.terminal
+        return ROUTER_LAW.gap(self)
 
     @property
     def balanced(self) -> bool:
-        return self.in_flight == 0
+        return not violations((ROUTER_LAW, BY_REPLICA), self)
 
 
-class RouterMetrics:
-    """Thread-safe routed/rejected/failed accounting (ServerMetrics-style)."""
+class RouterMetrics(Ledger):
+    """The router's ledger: ``add(<field>=1)``, per replica where keyed."""
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._submitted = 0
-        self._routed = 0
-        self._rejected = 0
-        self._failed = 0
-        self._failovers = 0
-        self._replica_routed: dict[int, int] = {}
-        self._replica_failed: dict[int, int] = {}
-
-    def record_submitted(self) -> None:
-        with self._lock:
-            self._submitted += 1
-
-    def record_routed(self, replica: int) -> None:
-        with self._lock:
-            self._routed += 1
-            self._replica_routed[replica] = self._replica_routed.get(replica, 0) + 1
-
-    def record_rejected(self) -> None:
-        with self._lock:
-            self._rejected += 1
-
-    def record_failed(self, replica: int | None = None) -> None:
-        with self._lock:
-            self._failed += 1
-            if replica is not None:
-                self._replica_failed[replica] = self._replica_failed.get(replica, 0) + 1
-
-    def record_failover(self) -> None:
-        with self._lock:
-            self._failovers += 1
+        super().__init__(
+            {
+                "submitted": None, "routed": None, "rejected": "net.rejected",
+                "failed": None, "failovers": "net.failover",
+                "replica_routed": None, "replica_failed": None,
+            },
+            keyed=("replica_routed", "replica_failed"),
+            laws=(ROUTER_LAW, BY_REPLICA),
+        )
 
     def snapshot(self) -> RouterSnapshot:
-        with self._lock:
-            return RouterSnapshot(
-                submitted=self._submitted,
-                routed=self._routed,
-                rejected=self._rejected,
-                failed=self._failed,
-                failovers=self._failovers,
-                replica_routed=dict(self._replica_routed),
-                replica_failed=dict(self._replica_failed),
-            )
+        return RouterSnapshot(**self.read().counters)
 
 
 # -- replica handles ----------------------------------------------------------
@@ -549,7 +528,7 @@ class ShardRouter:
         """
         if self._closed:
             raise NoHealthyReplica("router is closed")
-        self.metrics.record_submitted()
+        self.metrics.add(submitted=1)
         image = np.asarray(image)
         with obs.trace_span("net.route"):
             order = self._order(image)
@@ -562,19 +541,16 @@ class ShardRouter:
                     inner = replica.submit(image)
                 except Exception:
                     breaker.record_failure()
-                    self.metrics.record_failover()
-                    obs.count("net.failover", 1)
+                    self.metrics.add(failovers=1)
                     continue
                 if position > 0:
-                    self.metrics.record_failover()
-                    obs.count("net.failover", 1)
+                    self.metrics.add(failovers=1)
                 outer: Future = Future()
                 inner.add_done_callback(
                     lambda fut, index=index, outer=outer: self._settle(outer, index, fut)
                 )
                 return outer
-        self.metrics.record_rejected()
-        obs.count("net.rejected", 1)
+        self.metrics.add(rejected=1)
         raise NoHealthyReplica(
             f"no healthy replica among {len(self._replicas)} "
             f"(alive: {[r.alive() for r in self._replicas]})"
@@ -583,11 +559,11 @@ class ShardRouter:
     def _settle(self, outer: Future, index: int, inner: Future) -> None:
         exc = inner.exception()
         if exc is None:
-            self.metrics.record_routed(index)
+            self.metrics.add(index, routed=1, replica_routed=1)
             self._breakers[index].record_success()
             outer.set_result(inner.result())
         else:
-            self.metrics.record_failed(index)
+            self.metrics.add(index, failed=1, replica_failed=1)
             self._breakers[index].record_failure()
             outer.set_exception(exc)
 

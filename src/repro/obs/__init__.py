@@ -17,6 +17,10 @@ checkable on a live run:
   simulated :mod:`repro.hetero` timeline.
 * :mod:`~repro.obs.residuals` — Eq. (1)/(1N) and Eqs. (3)–(5)
   predicted-vs-measured residuals (2-stage and N-stage ladders).
+* :mod:`~repro.obs.ledger` — the :class:`Ledger` every serving layer
+  keeps its books in: declared counters and gauges, conservation laws
+  (:class:`Law`) checked by one ``check()``, mirrored into the installed
+  tracer's counters.
 
 The serving layer (:mod:`repro.serve`), the folded BNN
 (:class:`repro.bnn.FoldedBNN`), the kernel backends and the offline
@@ -31,6 +35,7 @@ from .export import (
     trace_summary,
     write_chrome_trace,
 )
+from .ledger import Law, Ledger, Reading
 from .residuals import eq1_residual, eq345_layer_residuals, ladder_eq1_residual
 from .stats import (
     Histogram,
@@ -82,6 +87,10 @@ __all__ = [
     "write_chrome_trace",
     "trace_summary",
     "timeline_to_chrome",
+    # ledger
+    "Law",
+    "Ledger",
+    "Reading",
     # residuals
     "eq1_residual",
     "ladder_eq1_residual",

@@ -321,7 +321,7 @@ class ParallelHostRunner:
             finally:
                 self.n_workers = len(self._workers)
                 if self._metrics is not None:
-                    self._metrics.set_host_parallel_workers(self.n_workers)
+                    self._metrics.set(host_parallel_workers=self.n_workers)
             obs.gauge("parallel.pool_size", self.n_workers)
             return self.n_workers
 
@@ -490,7 +490,7 @@ class ParallelHostRunner:
         """Attach a :class:`repro.serve.metrics.ServerMetrics` bridge."""
         self._metrics = metrics
         if metrics is not None:
-            metrics.set_host_parallel_workers(self.n_workers)
+            metrics.set(host_parallel_workers=self.n_workers)
 
     def _require_open(self) -> None:
         if self._closed:
@@ -587,7 +587,9 @@ class ParallelHostRunner:
                                     category="parallel", worker=worker.index,
                                     images=count)
                 if self._metrics is not None:
-                    self._metrics.record_host_worker_images(worker.index, count, seconds)
+                    self._metrics.add(
+                        worker.index, host_worker_images=count, host_worker_seconds=seconds
+                    )
                 return ShardOutcome(worker.index, start, stop, values=values,
                                     infer_seconds=seconds)
             if kind == "error" and reply[1] == slot and reply[2] == seq:

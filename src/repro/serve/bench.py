@@ -369,24 +369,15 @@ class ServeBenchRun:
 def run_books(total: MetricsSnapshot) -> dict:
     """Per-stage accounting of a fully drained run.
 
-    ``balanced`` asserts the ladder invariant: every submitted request is
-    accounted for exactly once (``accepted + rerun + degraded +
-    cache_hits + failed == submitted``) and the per-rung breakdown
-    re-sums to the top line (``Σ rerun_stages == rerun``).
-    ``cache_hits`` stays zero unless a :class:`repro.cache.CachingFrontend`
-    shares the server's metrics.
+    ``balanced`` is ``total.check()`` finding no broken law among the
+    server's declared ones (:data:`repro.serve.metrics.SERVER_LAWS`):
+    every submitted request is accounted for exactly once, and the
+    per-rung breakdown re-sums to the top line.
     """
-    answered = (
-        total.accepted + total.rerun + total.degraded + total.cache_hits
-        + total.failed
-    )
     return dict(
         pick(total, "submitted", "accepted", "rerun", "degraded", "cache_hits", "failed"),
         rerun_stages=dict(total.rerun_stages),
-        balanced=(
-            answered == total.submitted
-            and total.rerun_stage_total == total.rerun
-        ),
+        balanced=not total.check(),
     )
 
 
@@ -417,11 +408,8 @@ class ServeBenchReport:
 
     @property
     def books_balanced(self) -> bool:
-        """True when both legs' per-stage books balance (CI gate)."""
-        return all(
-            run.books is not None and run.books["balanced"]
-            for run in (self.naive, self.adaptive)
-        )
+        """True when both legs' books break no declared law (CI gate)."""
+        return not any(run.total.check() for run in (self.naive, self.adaptive))
 
     @property
     def cache_books_balanced(self) -> bool:

@@ -1,49 +1,68 @@
 """Serving metrics: per-stage latency/throughput, queues, faults, breaker.
 
-One :class:`ServerMetrics` instance is shared by every component of a
-:class:`repro.serve.CascadeServer` (batcher, BNN worker, host pool,
-controller, circuit breaker).  All mutation goes through a single lock,
-and :meth:`ServerMetrics.snapshot` returns an immutable, self-consistent
-view that the reporting layers — ``repro.cli serve-bench`` and
-:func:`repro.hetero.metrics.compare_serving_with_eq1` — consume.
+One :class:`ServerMetrics` — a :class:`repro.obs.Ledger` — is shared by
+every component of a :class:`repro.serve.CascadeServer`; they add to its
+declared counters and set its gauges, and :meth:`ServerMetrics.snapshot`
+builds an immutable :class:`MetricsSnapshot` from one consistent read
+for ``repro serve-bench`` and :func:`repro.hetero.compare_serving_with_eq1`.
 
-Paper anchors: the accepted/rerun/degraded counts realize the paper's
-``R_rerun`` (Sec. III), the quantity Eq. (1) prices host time with
-(``t_multi = max(t_fp * R_rerun, t_bnn)``); ``MetricsSnapshot.since``
-carves the steady-state windows that are compared against that bound.
-
-N-stage ladders (``docs/LADDER.md``) keep the same top-line books —
-``rerun`` totals every answer produced *above* stage 0 — and add a
-per-stage breakdown: ``rerun_stages[name]`` splits ``rerun`` by the
-answering rung (so ``accepted + Σ rerun_stages + degraded + failed ==
-submitted`` once drained), while ``stage_arrived`` / ``stage_forwarded``
-record per-rung traffic, giving the measured forward ratios ``r_i``
-that :func:`repro.obs.ladder_eq1_residual` checks against Eq. (1N).
-
-Robustness accounting (``docs/ROBUSTNESS.md``): every injected or
-organic stage fault, host retry, deadline miss and failed request is
-counted, and circuit-breaker transitions are integrated into
-degraded-mode intervals — so a chaos run can assert the books balance:
-``accepted + rerun + degraded + cache_hits + failed == submitted`` once
-drained (``cache_hits`` stays zero unless a
-:class:`repro.cache.CachingFrontend` shares the metrics object).
-For event-level timing (individual spans rather than aggregates) the
-server is instrumented with :mod:`repro.obs`.
+Paper anchors: accepted/rerun/degraded realize ``R_rerun`` (Sec. III),
+which Eq. (1) prices host time with (``t_multi = max(t_fp * R_rerun,
+t_bnn)``); ``MetricsSnapshot.since`` carves the steady-state windows held
+against that bound.  The books obey :data:`SERVER_LAWS`: :data:`TERMINAL`
+once drained (``cache_hits`` is nonzero only when a
+:class:`repro.cache.CachingFrontend` shares the ledger) and
+:data:`BY_RUNG` always — ladders (``docs/LADDER.md``) keep ``rerun`` as
+every answer above rung 0 and split it per answering rung, while
+``stage_arrived`` / ``stage_forwarded`` give the forward ratios ``r_i``
+of Eq. (1N).  Faults, retries, deadline misses and breaker time feed the
+chaos books (``docs/ROBUSTNESS.md``).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-__all__ = [
-    "StageStats",
-    "QueueStats",
-    "MetricsSnapshot",
-    "ServerMetrics",
-]
+from ..obs.ledger import Law, Ledger, deltas, violations
+
+__all__ = ["StageStats", "QueueStats", "MetricsSnapshot", "ServerMetrics", "SERVER_LAWS"]
+
+#: Every submitted request reaches exactly one terminal state.
+TERMINAL = Law(
+    "terminal", ("accepted", "rerun", "degraded", "cache_hits", "failed"), "submitted",
+    drained=True,
+)
+#: The per-rung split of ``rerun`` re-sums to it.
+BY_RUNG = Law("by_rung", ("rerun_stages",), "rerun")
+SERVER_LAWS = (TERMINAL, BY_RUNG)
+
+#: Counter -> tracer name.  Rung 0 keeps the paper cascade's names; a
+#: middle rung's accepts and forwards are ``serve.<rung>.*``.
+_COUNTERS = {
+    "submitted": None, "accepted": "serve.accepted", "rerun": "serve.rerun",
+    "degraded": "serve.degraded", "cache_hits": None, "failed": "serve.failed",
+    "retries": "serve.retry", "deadline_missed": "serve.deadline_missed",
+    "breaker_trips": None, "faults": "serve.fault.{}",
+    "rerun_stages": lambda rung: None if rung == "host" else f"serve.{rung}.accepted",
+    "stage_arrived": None,
+    "stage_forwarded": lambda rung: None if rung == "bnn" else f"serve.{rung}.forwarded",
+    "host_worker_images": None, "host_worker_seconds": None,
+    "stage_images": None, "stage_seconds": None,
+}
+#: Gauge -> tracer name; rung 0's depth is the batcher's own ``batcher.pending``.
+_GAUGES = {
+    "cache_bytes": None, "host_parallel_workers": None, "queue_capacity": None,
+    "queue_depth": lambda rung: None if rung == "bnn" else f"queue.{rung}",
+    "stage_batch_seconds": None,
+}
+_PLAIN = ("submitted", "accepted", "rerun", "degraded", "cache_hits", "failed", "retries",
+          "deadline_missed", "breaker_trips", "cache_bytes", "host_parallel_workers")
+#: Counters a :class:`MetricsSnapshot` carries under the same name.
+_SNAPSHOT_COUNTERS = tuple(c for c in _COUNTERS if c not in ("stage_images", "stage_seconds"))
+#: What :meth:`MetricsSnapshot.since` turns into window deltas.
+_WINDOWED = _SNAPSHOT_COUNTERS + ("completed", "wall_seconds", "breaker_open_seconds")
 
 
 @dataclass(frozen=True)
@@ -108,12 +127,16 @@ class MetricsSnapshot:
     @property
     def terminal(self) -> int:
         """Requests that reached *any* terminal state (answer or error)."""
-        return self.completed + self.failed
+        return TERMINAL.terminal(self)
 
     @property
     def in_flight(self) -> int:
         """Submitted requests without a terminal state at snapshot time."""
-        return self.submitted - self.terminal
+        return TERMINAL.gap(self)
+
+    def check(self, drained: bool = True) -> list[Law]:
+        """The :data:`SERVER_LAWS` these books break (see :meth:`Ledger.check`)."""
+        return violations(SERVER_LAWS, self, drained)
 
     @property
     def fault_total(self) -> int:
@@ -134,7 +157,7 @@ class MetricsSnapshot:
 
     @property
     def rerun_stage_total(self) -> int:
-        """Σ rerun_i — must equal ``rerun`` when the breakdown is recorded."""
+        """Σ rerun_i — equals ``rerun`` by :data:`BY_RUNG`."""
         return sum(self.rerun_stages.values())
 
     @property
@@ -157,60 +180,7 @@ class MetricsSnapshot:
         ``rerun_ratio`` and ``images_per_second`` describe only the
         window.
         """
-        return MetricsSnapshot(
-            stages=self.stages,
-            queues=self.queues,
-            completed=self.completed - earlier.completed,
-            accepted=self.accepted - earlier.accepted,
-            rerun=self.rerun - earlier.rerun,
-            degraded=self.degraded - earlier.degraded,
-            threshold=self.threshold,
-            threshold_trajectory=self.threshold_trajectory,
-            wall_seconds=self.wall_seconds - earlier.wall_seconds,
-            submitted=self.submitted - earlier.submitted,
-            failed=self.failed - earlier.failed,
-            faults={
-                stage: count - earlier.faults.get(stage, 0)
-                for stage, count in self.faults.items()
-            },
-            retries=self.retries - earlier.retries,
-            deadline_missed=self.deadline_missed - earlier.deadline_missed,
-            breaker_state=self.breaker_state,
-            breaker_trips=self.breaker_trips - earlier.breaker_trips,
-            breaker_open_seconds=self.breaker_open_seconds - earlier.breaker_open_seconds,
-            host_parallel_workers=self.host_parallel_workers,
-            host_worker_images={
-                worker: count - earlier.host_worker_images.get(worker, 0)
-                for worker, count in self.host_worker_images.items()
-            },
-            host_worker_seconds={
-                worker: secs - earlier.host_worker_seconds.get(worker, 0.0)
-                for worker, secs in self.host_worker_seconds.items()
-            },
-            rerun_stages={
-                name: count - earlier.rerun_stages.get(name, 0)
-                for name, count in self.rerun_stages.items()
-            },
-            stage_arrived={
-                name: count - earlier.stage_arrived.get(name, 0)
-                for name, count in self.stage_arrived.items()
-            },
-            stage_forwarded={
-                name: count - earlier.stage_forwarded.get(name, 0)
-                for name, count in self.stage_forwarded.items()
-            },
-            cache_hits=self.cache_hits - earlier.cache_hits,
-            cache_bytes=self.cache_bytes,
-        )
-
-
-class _MutableStage:
-    __slots__ = ("count", "total_seconds", "max_seconds")
-
-    def __init__(self):
-        self.count = 0
-        self.total_seconds = 0.0
-        self.max_seconds = 0.0
+        return replace(self, **deltas(self, earlier, _WINDOWED))
 
 
 #: Bounded end-to-end latency buffer: old samples are dropped once the
@@ -226,233 +196,80 @@ LATENCY_BUFFER_LIMIT = 100_000
 TRAJECTORY_BUFFER_LIMIT = 10_000
 
 
-class ServerMetrics:
-    """Thread-safe metrics facade for the cascade serving layer."""
+class ServerMetrics(Ledger):
+    """The cascade server's ledger — ``metrics.add(failed=1)``,
+    ``metrics.add(rung, faults=1)``, ``metrics.set(rung, queue_depth=d)``,
+    under :class:`MetricsSnapshot`'s names — plus the state that is not a
+    count: the threshold trajectory, the latency window, the breaker clock."""
 
     def __init__(self, clock=time.monotonic):
+        keyed = {*_COUNTERS, *_GAUGES} - set(_PLAIN)
+        super().__init__(_COUNTERS, _GAUGES, keyed, SERVER_LAWS)
         self._clock = clock
-        self._lock = threading.Lock()
-        self._stages: dict[str, _MutableStage] = {}
-        self._queue_capacity: dict[str, int] = {}
-        self._queue_depth: dict[str, int] = {}
-        self._queue_max_depth: dict[str, int] = {}
-        self._submitted = 0
-        self._accepted = 0
-        self._rerun = 0
-        self._degraded = 0
-        self._failed = 0
-        self._faults: dict[str, int] = {}
-        self._retries = 0
-        self._deadline_missed = 0
-        self._breaker_state = "closed"
-        self._breaker_since = clock()
-        self._breaker_open_seconds = 0.0
-        self._breaker_trips = 0
-        self._threshold = float("nan")
-        self._trajectory: deque[float] = deque(maxlen=TRAJECTORY_BUFFER_LIMIT)
-        self._host_parallel_workers = 0
-        self._host_worker_images: dict[int, int] = {}
-        self._host_worker_seconds: dict[int, float] = {}
-        self._rerun_stages: dict[str, int] = {}
-        self._stage_arrived: dict[str, int] = {}
-        self._stage_forwarded: dict[str, int] = {}
-        self._cache_hits = 0
-        self._cache_bytes = 0
-        self._latencies: deque[float] = deque(maxlen=LATENCY_BUFFER_LIMIT)
         self._started = clock()
+        self._trajectory: deque[float] = deque(maxlen=TRAJECTORY_BUFFER_LIMIT)
+        #: submit→resolve latencies, appended by whatever resolves a request.
+        self.latencies: deque[float] = deque(maxlen=LATENCY_BUFFER_LIMIT)
+        # (state, since, open seconds closed out before *since*)
+        self._breaker = ("closed", clock(), 0.0)
 
-    # -- stage latency ------------------------------------------------------
     def observe_stage(self, name: str, seconds: float, count: int = 1) -> None:
         """Record that *count* images spent *seconds* in stage *name*."""
+        self.add(name, stage_images=count, stage_seconds=seconds)
+        self.set(name, stage_batch_seconds=seconds)
+
+    def set_threshold(self, threshold: float) -> None:
+        """The hop-0 threshold now applied (appended to the trajectory)."""
         with self._lock:
-            stage = self._stages.setdefault(name, _MutableStage())
-            stage.count += count
-            stage.total_seconds += seconds
-            stage.max_seconds = max(stage.max_seconds, seconds)
-
-    # -- queues -------------------------------------------------------------
-    def register_queue(self, name: str, capacity: int) -> None:
-        with self._lock:
-            self._queue_capacity[name] = capacity
-            self._queue_depth.setdefault(name, 0)
-            self._queue_max_depth.setdefault(name, 0)
-
-    def set_queue_depth(self, name: str, depth: int) -> None:
-        with self._lock:
-            self._queue_depth[name] = depth
-            if depth > self._queue_max_depth.get(name, 0):
-                self._queue_max_depth[name] = depth
-
-    # -- cascade decisions ----------------------------------------------------
-    def record_submitted(self, count: int = 1) -> None:
-        with self._lock:
-            self._submitted += count
-
-    def record_decisions(
-        self,
-        accepted: int = 0,
-        rerun: int = 0,
-        degraded: int = 0,
-        stage: str | None = None,
-    ) -> None:
-        """Book terminal answers; *stage* names the rung behind a ``rerun``.
-
-        The top-line ``rerun`` counter is unchanged by *stage* — the
-        per-rung breakdown rides alongside so the 2-stage books invariant
-        keeps holding verbatim for ladders of any depth.
-        """
-        with self._lock:
-            self._accepted += accepted
-            self._rerun += rerun
-            self._degraded += degraded
-            if stage is not None and rerun:
-                self._rerun_stages[stage] = self._rerun_stages.get(stage, 0) + rerun
-
-    def record_cache_hit(self, count: int = 1) -> None:
-        """*count* requests were answered from the result cache.
-
-        A cache hit is a terminal answer: it counts toward ``completed``
-        alongside accepted/rerun/degraded, keeping the books invariant
-        ``accepted + rerun + degraded + cache_hits + failed == submitted``
-        once drained.
-        """
-        with self._lock:
-            self._cache_hits += count
-
-    def set_cache_bytes(self, nbytes: int) -> None:
-        """Gauge: bytes currently resident in the attached result cache."""
-        with self._lock:
-            self._cache_bytes = int(nbytes)
-
-    def record_stage_traffic(self, name: str, arrived: int = 0, forwarded: int = 0) -> None:
-        """Per-rung traffic: *arrived* images scored, *forwarded* sent up."""
-        with self._lock:
-            if arrived:
-                self._stage_arrived[name] = self._stage_arrived.get(name, 0) + arrived
-            if forwarded:
-                self._stage_forwarded[name] = (
-                    self._stage_forwarded.get(name, 0) + forwarded
-                )
-
-    def record_threshold(self, threshold: float) -> None:
-        with self._lock:
-            self._threshold = float(threshold)
             self._trajectory.append(float(threshold))
 
-    # -- parallel host pool ---------------------------------------------------
-    def set_host_parallel_workers(self, n_workers: int) -> None:
-        """Declare that the host stage is a parallel pool of *n_workers*."""
+    def set_breaker_state(self, state: str) -> None:
+        """Breaker transition: time in any state but ``"closed"`` (half-open
+        still degrades) is ``breaker_open_seconds``; entering ``"open"``
+        adds a ``breaker_trips``."""
         with self._lock:
-            self._host_parallel_workers = int(n_workers)
-
-    def record_host_worker_images(self, worker: int, count: int, seconds: float = 0.0) -> None:
-        """One pool worker served *count* images in *seconds* of inference."""
-        with self._lock:
-            self._host_worker_images[worker] = self._host_worker_images.get(worker, 0) + count
-            self._host_worker_seconds[worker] = (
-                self._host_worker_seconds.get(worker, 0.0) + seconds
-            )
-
-    # -- end-to-end latency ---------------------------------------------------
-    def record_latency(self, seconds: float) -> None:
-        """One request's submit→resolve latency (fed to the SLO autoscaler)."""
-        with self._lock:
-            self._latencies.append(float(seconds))
+            old, since, open_seconds = self._breaker
+            now = self._clock()
+            if old != "closed":
+                open_seconds += now - since
+            self._breaker = (state, now, open_seconds)
+        if state == "open" and old != "open":
+            self.add(breaker_trips=1)
 
     def drain_latencies(self) -> list[float]:
-        """Pop every latency sample recorded since the previous drain.
+        """Pop every latency sample since the previous drain: each
+        :class:`repro.serve.SLOAutoscaler` tick drains, so the list *is*
+        its control window, and no sample is counted twice."""
+        latencies = self.latencies
+        return [latencies.popleft() for _ in range(len(latencies))]
 
-        Each :class:`repro.serve.SLOAutoscaler` tick drains, so the
-        returned list *is* the control window by construction — no
-        timestamp filtering needed, and two consumers never double-count.
-        """
-        with self._lock:
-            samples = list(self._latencies)
-            self._latencies.clear()
-        return samples
-
-    # -- robustness ----------------------------------------------------------
-    def record_fault(self, stage: str, count: int = 1) -> None:
-        """A stage callable raised (injected or organic)."""
-        with self._lock:
-            self._faults[stage] = self._faults.get(stage, 0) + count
-
-    def record_retry(self, count: int = 1) -> None:
-        """A host re-inference attempt is being retried after a failure."""
-        with self._lock:
-            self._retries += count
-
-    def record_deadline_miss(self, count: int = 1) -> None:
-        with self._lock:
-            self._deadline_missed += count
-
-    def record_failure(self, count: int = 1) -> None:
-        """*count* request futures were resolved with an exception."""
-        with self._lock:
-            self._failed += count
-
-    def record_breaker_state(self, state: str) -> None:
-        """Circuit-breaker transition; integrates degraded-mode time.
-
-        Any state other than ``"closed"`` counts toward
-        ``breaker_open_seconds`` (half-open still degrades most flagged
-        traffic); entering ``"open"`` increments ``breaker_trips``.
-        """
-        with self._lock:
-            now = self._clock()
-            if self._breaker_state != "closed":
-                self._breaker_open_seconds += now - self._breaker_since
-            if state == "open" and self._breaker_state != "open":
-                self._breaker_trips += 1
-            self._breaker_state = state
-            self._breaker_since = now
-
-    # -- reading ------------------------------------------------------------
     def snapshot(self) -> MetricsSnapshot:
+        reading = self.read()
         with self._lock:
-            stages = {
-                name: StageStats(name, s.count, s.total_seconds, s.max_seconds)
-                for name, s in self._stages.items()
-            }
-            queues = {
-                name: QueueStats(
-                    name,
-                    self._queue_capacity.get(name, 0),
-                    self._queue_depth.get(name, 0),
-                    self._queue_max_depth.get(name, 0),
-                )
-                for name in self._queue_capacity
-            }
+            trajectory = tuple(self._trajectory)
+            state, since, open_seconds = self._breaker
             now = self._clock()
-            open_seconds = self._breaker_open_seconds
-            if self._breaker_state != "closed":
-                open_seconds += now - self._breaker_since
-            return MetricsSnapshot(
-                stages=stages,
-                queues=queues,
-                completed=(
-                    self._accepted + self._rerun + self._degraded + self._cache_hits
-                ),
-                accepted=self._accepted,
-                rerun=self._rerun,
-                degraded=self._degraded,
-                threshold=self._threshold,
-                threshold_trajectory=tuple(self._trajectory),
-                wall_seconds=now - self._started,
-                submitted=self._submitted,
-                failed=self._failed,
-                faults=dict(self._faults),
-                retries=self._retries,
-                deadline_missed=self._deadline_missed,
-                breaker_state=self._breaker_state,
-                breaker_trips=self._breaker_trips,
-                breaker_open_seconds=open_seconds,
-                host_parallel_workers=self._host_parallel_workers,
-                host_worker_images=dict(self._host_worker_images),
-                host_worker_seconds=dict(self._host_worker_seconds),
-                rerun_stages=dict(self._rerun_stages),
-                stage_arrived=dict(self._stage_arrived),
-                stage_forwarded=dict(self._stage_forwarded),
-                cache_hits=self._cache_hits,
-                cache_bytes=self._cache_bytes,
-            )
+        if state != "closed":
+            open_seconds += now - since
+        c, g, top = reading.counters, reading.gauges, reading.maxima
+        return MetricsSnapshot(
+            stages={
+                name: StageStats(name, c["stage_images"].get(name, 0),
+                                 c["stage_seconds"].get(name, 0.0), longest)
+                for name, longest in top["stage_batch_seconds"].items()
+            },
+            queues={
+                name: QueueStats(name, capacity, g["queue_depth"].get(name, 0),
+                                 top["queue_depth"].get(name, 0))
+                for name, capacity in g["queue_capacity"].items()
+            },
+            completed=TERMINAL.terminal(c) - c["failed"],
+            threshold=trajectory[-1] if trajectory else float("nan"),
+            threshold_trajectory=trajectory,
+            wall_seconds=now - self._started,
+            breaker_state=state,
+            breaker_open_seconds=open_seconds,
+            host_parallel_workers=g["host_parallel_workers"],
+            cache_bytes=g["cache_bytes"],
+            **{name: c[name] for name in _SNAPSHOT_COUNTERS},
+        )

@@ -154,18 +154,13 @@ class _Rung:
         #: Bounded queue feeding this rung; ``None`` = the micro-batcher.
         self.inbox: queue.Queue | None = inbox
         self.threads: list[threading.Thread] = []
-        # Metric / span / counter names, built once: the workers format
+        # Metric / span names, built once: the workers format
         # no string per batch.  Rung 0 keeps the paper cascade's names.
         dmu_name = "dmu" if hop == 0 else f"{name}.dmu"
         self.span = f"serve.{name}"
-        self.fault_counter = f"serve.fault.{name}"
         self.dmu_span = f"serve.{dmu_name}"
         self.dmu_fault = dmu_name
-        self.dmu_fault_counter = f"serve.fault.{dmu_name}"
-        self.accepted_counter = "serve.accepted" if hop == 0 else f"serve.{name}.accepted"
-        self.forwarded_counter = "serve.rerun" if hop == 0 else f"serve.{name}.forwarded"
         self.wait_stage = f"{name}_queue_wait"
-        self.queue_gauge = f"queue.{name}"
 
     @property
     def threshold(self) -> float:
@@ -346,8 +341,8 @@ class CascadeServer:
             self._rungs.append(
                 _Rung(hop, name, score_fn, rung_dmu, knobs[hop], static[hop], inbox)
             )
-            self.metrics.register_queue(name, capacity)
-        self.metrics.record_threshold(self.threshold)
+            self.metrics.set(name, queue_capacity=capacity)
+        self.metrics.set_threshold(self.threshold)
 
         self._deadline_s = deadline_s
         self._retry = retry if retry is not None else RetryPolicy()
@@ -451,14 +446,14 @@ class CascadeServer:
         request = _Request(np.asarray(image), now, deadline)
         with self._inflight_lock:
             self._inflight.add(request)
-        self.metrics.record_submitted(1)
+        self.metrics.add(submitted=1)
         try:
             refused = put(request) is False
         except RuntimeError:
             # Batcher closed between our check and the submit: fail the
             # request we registered rather than stranding it.
             if self._claim(request):
-                self.metrics.record_failure(1)
+                self.metrics.add(failed=1)
                 request.future.set_exception(ServerClosed("server is closed"))
             raise ServerClosed("server is closed") from None
         if refused:
@@ -466,7 +461,7 @@ class CascadeServer:
             # refused try never entered, so take it back out.
             with self._inflight_lock:
                 self._inflight.discard(request)
-            self.metrics.record_submitted(-1)
+            self.metrics.add(submitted=-1)
             return None
         return request.future
 
@@ -542,8 +537,7 @@ class CascadeServer:
             stranded = list(self._inflight)
             self._inflight.clear()
         if stranded:
-            self.metrics.record_failure(len(stranded))
-            obs.count("serve.failed", len(stranded))
+            self.metrics.add(failed=len(stranded))
             for request in stranded:
                 request.future.set_exception(ServerClosed("server closed mid-flight"))
 
@@ -566,16 +560,16 @@ class CascadeServer:
         if not self._claim(request):
             return  # already failed by close()/deadline — exactly-once wins
         if source == "bnn":
-            self.metrics.record_decisions(accepted=1)
+            self.metrics.add(accepted=1)
         elif source == "degraded":
-            self.metrics.record_decisions(degraded=1)
+            self.metrics.add(degraded=1)
         else:
             # Any rung above 0 — "host" or a middle-stage name.  The
             # top-line ``rerun`` counter keeps the 2-stage books
-            # invariant; the stage tag adds the per-rung breakdown.
-            self.metrics.record_decisions(rerun=1, stage=source)
+            # invariant; the per-rung split rides in the same add.
+            self.metrics.add(source, rerun=1, rerun_stages=1)
         latency = self._clock() - request.submit_ts
-        self.metrics.record_latency(latency)
+        self.metrics.latencies.append(latency)
         prediction, bnn = int(prediction), request.bnn_prediction
         request.future.set_result(
             ServeResult(
@@ -591,8 +585,7 @@ class CascadeServer:
     def _fail(self, request: _Request, exc: BaseException) -> None:
         if not self._claim(request):
             return
-        self.metrics.record_failure(1)
-        obs.count("serve.failed", 1)
+        self.metrics.add(failed=1)
         request.future.set_exception(exc)
 
     def _past_deadline(self, request: _Request) -> bool:
@@ -629,7 +622,7 @@ class CascadeServer:
         if q is None:
             batch = self._batcher.take()
             if batch is not None:
-                self.metrics.set_queue_depth(rung.name, self._batcher.pending)
+                self.metrics.set(rung.name, queue_depth=self._batcher.pending)
             return batch
         first = q.get()
         if first is _SHUTDOWN:
@@ -647,9 +640,7 @@ class CascadeServer:
                 q.put(item)
                 break
             requests.append(item)
-        depth = q.qsize()
-        self.metrics.set_queue_depth(rung.name, depth)
-        obs.gauge(rung.queue_gauge, depth)
+        self.metrics.set(rung.name, queue_depth=q.qsize())
         return requests
 
     def _run_rung(self, rung: _Rung, requests: list[_Request]) -> None:
@@ -658,8 +649,7 @@ class CascadeServer:
         live: list[_Request] = []
         for request in requests:
             if self._past_deadline(request):
-                self.metrics.record_deadline_miss(1)
-                obs.count("serve.deadline_missed", 1)
+                self.metrics.add(deadline_missed=1)
                 self._fall_back(
                     request, DeadlineExceeded("deadline passed before BNN stage")
                 )
@@ -668,7 +658,7 @@ class CascadeServer:
         if not live:
             return
         if last:
-            self.metrics.record_stage_traffic(rung.name, arrived=len(live))
+            self.metrics.add(rung.name, stage_arrived=len(live))
         if rung.inbox is not None:
             # Queue-wait vs pure-inference split: the stage timer below
             # covers only the scoring call, so time parked in the inbox is
@@ -695,8 +685,7 @@ class CascadeServer:
                     )
                 break
             except Exception as exc:
-                self.metrics.record_fault(rung.name)
-                obs.count(rung.fault_counter, 1)
+                self.metrics.add(rung.name, faults=1)
                 if last:
                     # Only the last rung retries and feeds the breaker: the
                     # rungs below it have a cheaper fallback one hop away.
@@ -705,8 +694,7 @@ class CascadeServer:
                         self._breaker.record_failure()
                         tripped = self._breaker.state == CircuitBreaker.OPEN
                     if retries < self._retry.max_retries and not (tripped or self._closed):
-                        self.metrics.record_retry(1)
-                        obs.count("serve.retry", 1)
+                        self.metrics.add(retries=1)
                         time.sleep(self._retry.backoff_s(retries, self._retry_rng))
                         retries += 1
                         continue
@@ -735,10 +723,7 @@ class CascadeServer:
         if accept is None:
             # DMU down but the rung answered: CascadeCNN fall-back — keep
             # this rung's answer as a degraded result (Eq. (2) floor).
-            self.metrics.record_fault(rung.dmu_fault)
-            obs.count(rung.dmu_fault_counter, 1)
-            if obs.enabled():
-                obs.count("serve.degraded", len(live))
+            self.metrics.add(rung.dmu_fault, faults=1)
             for request, answer in zip(live, predictions):
                 self._resolve(request, answer, "degraded")
             return
@@ -746,11 +731,7 @@ class CascadeServer:
         accepted, forwarded, degraded = self._route(
             rung, live, predictions.tolist(), confidence, accept
         )
-        self.metrics.record_stage_traffic(rung.name, arrived=len(live), forwarded=forwarded)
-        if obs.enabled():
-            obs.count(rung.accepted_counter, accepted)
-            obs.count(rung.forwarded_counter, forwarded)
-            obs.count("serve.degraded", degraded)
+        self.metrics.add(rung.name, stage_arrived=len(live), stage_forwarded=forwarded)
         ctrl = rung.controller
         if ctrl is not None:
             new_threshold = ctrl.observe(
@@ -758,7 +739,7 @@ class CascadeServer:
             )
             if rung.hop == 0:
                 # snapshot().threshold tracks the public `threshold` (hop 0).
-                self.metrics.record_threshold(new_threshold)
+                self.metrics.set_threshold(new_threshold)
                 obs.gauge("serve.threshold", new_threshold)
 
     def _route(
@@ -785,8 +766,7 @@ class CascadeServer:
                 accepted += 1
                 continue
             if self._past_deadline(request):
-                self.metrics.record_deadline_miss(1)
-                obs.count("serve.deadline_missed", 1)
+                self.metrics.add(deadline_missed=1)
             else:
                 if guarded and skip_next is None:
                     skip_next = self._breaker is not None and not self._breaker.allow()
@@ -801,9 +781,7 @@ class CascadeServer:
                         pass
                     else:
                         forwarded += 1
-                        depth = nxt.inbox.qsize()
-                        self.metrics.set_queue_depth(nxt.name, depth)
-                        obs.gauge(nxt.queue_gauge, depth)
+                        self.metrics.set(nxt.name, queue_depth=nxt.inbox.qsize())
                         continue
             # Late, breaker open ("accept current result, skip host") or
             # the next rung saturated: an answer exists at this precision,
@@ -815,6 +793,6 @@ class CascadeServer:
 
     # -- internal: breaker bridge --------------------------------------------
     def _on_breaker_transition(self, state: str) -> None:
-        self.metrics.record_breaker_state(state)
+        self.metrics.set_breaker_state(state)
         if obs.enabled():
             obs.instant("serve.breaker", state=state)

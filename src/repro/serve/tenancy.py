@@ -26,8 +26,12 @@ Admission control is per tenant: :meth:`MultiTenantServer.submit`
 raises :class:`TenantQuotaExceeded` once the tenant's in-flight count
 reaches its quota (the request is *not* booked as submitted), and
 :class:`UnknownTenant` for names never registered.  Books therefore
-balance per tenant **and** globally:
-``accepted + rerun + degraded + cache_hits + failed == submitted``.
+balance per tenant **and** globally: the server's declared laws
+(:data:`repro.serve.metrics.SERVER_LAWS`, e.g.
+``accepted + rerun + degraded + cache_hits + failed == submitted``)
+hold on each tenant's ledger and on their sum.  The pool's own ledger
+obeys :data:`POOL_LAW`: every enqueued host batch is executed or, at
+close, stranded.
 
 With ``host_workers`` (or ``REPRO_HOST_WORKERS``) set, each tenant's
 raw host callable is wrapped in its own
@@ -52,7 +56,8 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 import numpy as np
 
 from .. import obs
-from .metrics import MetricsSnapshot, ServerMetrics
+from ..obs.ledger import Law, Ledger, tally, violations
+from .metrics import SERVER_LAWS, MetricsSnapshot, ServerMetrics
 from .server import CascadeServer
 
 if TYPE_CHECKING:
@@ -64,6 +69,7 @@ if TYPE_CHECKING:
 __all__ = [
     "MultiTenantServer",
     "MultiTenantSnapshot",
+    "POOL_LAW",
     "PoolTenantStats",
     "SharedHostPool",
     "TenantQuotaExceeded",
@@ -128,10 +134,7 @@ class _Work:
 
 
 class _PoolTenant:
-    __slots__ = (
-        "name", "predict_fn", "weight", "queue", "deficit",
-        "cost_s_per_image", "scheduled", "images_executed", "busy_seconds",
-    )
+    __slots__ = ("name", "predict_fn", "weight", "queue", "deficit", "cost_s_per_image")
 
     def __init__(self, name, predict_fn, weight, cost_s_per_image):
         self.name = name
@@ -140,9 +143,16 @@ class _PoolTenant:
         self.queue: deque[_Work] = deque()
         self.deficit = 0.0
         self.cost_s_per_image = float(cost_s_per_image)
-        self.scheduled = 0          # work items executed
-        self.images_executed = 0
-        self.busy_seconds = 0.0     # measured host time consumed
+
+
+#: Every enqueued host batch is executed (``scheduled``, raise or not)
+#: or, when the pool closes first, ``stranded``.
+POOL_LAW = Law("work", ("scheduled", "stranded"), "enqueued", drained=True)
+#: Per-tenant pool counters (all keyed by tenant name) -> tracer name.
+_POOL_COUNTERS = {
+    "enqueued": None, "scheduled": "tenant.{}.scheduled", "stranded": None,
+    "images_executed": None, "busy_seconds": None,
+}
 
 
 @dataclass(frozen=True)
@@ -200,6 +210,7 @@ class SharedHostPool:
         self._space_ready = threading.Condition(self._lock)
         self._tenants: dict[str, _PoolTenant] = {}
         self._order: list[_PoolTenant] = []
+        self.ledger = Ledger(_POOL_COUNTERS, keyed=_POOL_COUNTERS, laws=(POOL_LAW,))
         self._cursor = 0
         self._closed = False
         self._lanes = [
@@ -246,6 +257,7 @@ class SharedHostPool:
                 raise RuntimeError("shared host pool is closed")
             tenant.queue.append(work)
             self._work_ready.notify()
+        self.ledger.add(tenant.name, enqueued=1)
         return work.future.result()
 
     # -- dispatcher side ------------------------------------------------------
@@ -302,27 +314,27 @@ class SharedHostPool:
             work.future.set_result(labels)
 
     def _account(self, tenant: _PoolTenant, work: _Work, elapsed: float) -> None:
-        with self._lock:
-            tenant.scheduled += 1
-            tenant.images_executed += len(work.images)
-            tenant.busy_seconds += elapsed
-            if len(work.images):
+        self.ledger.add(
+            tenant.name, scheduled=1, images_executed=len(work.images), busy_seconds=elapsed
+        )
+        if len(work.images):
+            with self._lock:
                 per_image = elapsed / len(work.images)
                 tenant.cost_s_per_image += self._alpha * (
                     per_image - tenant.cost_s_per_image
                 )
-        obs.count(f"tenant.{tenant.name}.scheduled", 1)
 
     # -- reading / lifecycle --------------------------------------------------
     def stats(self) -> dict[str, PoolTenantStats]:
+        c = self.ledger.read().counters
         with self._lock:
             return {
                 t.name: PoolTenantStats(
                     name=t.name,
                     weight=t.weight,
-                    scheduled=t.scheduled,
-                    images_executed=t.images_executed,
-                    busy_seconds=t.busy_seconds,
+                    scheduled=c["scheduled"].get(t.name, 0),
+                    images_executed=c["images_executed"].get(t.name, 0),
+                    busy_seconds=c["busy_seconds"].get(t.name, 0.0),
                     cost_s_per_image=t.cost_s_per_image,
                     queued=len(t.queue),
                     deficit=t.deficit,
@@ -341,6 +353,7 @@ class SharedHostPool:
                 work for tenant in self._order for work in tenant.queue
             ]
             for tenant in self._order:
+                self.ledger.add(tenant.name, stranded=len(tenant.queue))
                 tenant.queue.clear()
             self._work_ready.notify_all()
             self._space_ready.notify_all()
@@ -373,11 +386,8 @@ class TenantSnapshot:
 
     @property
     def balanced(self) -> bool:
-        m = self.metrics
-        return (
-            m.accepted + m.rerun + m.degraded + m.cache_hits + m.failed
-            == m.submitted
-        )
+        """The tenant's ledger breaks none of the server's laws."""
+        return not self.metrics.check()
 
 
 @dataclass(frozen=True)
@@ -387,31 +397,32 @@ class MultiTenantSnapshot:
     tenants: dict[str, TenantSnapshot]
     cache: CacheSnapshot | None = None
 
+    def summed(self) -> dict[str, int]:
+        """Every counter the server's laws name, summed over the tenants."""
+        names = {name for law in SERVER_LAWS for name in (*law.parts, law.total)}
+        return {
+            name: sum(tally(t.metrics, name) for t in self.tenants.values())
+            for name in names
+        }
+
     @property
     def submitted(self) -> int:
-        return sum(t.metrics.submitted for t in self.tenants.values())
+        return self.summed()["submitted"]
 
     @property
     def terminal(self) -> int:
-        return sum(
-            t.metrics.accepted + t.metrics.rerun + t.metrics.degraded
-            + t.metrics.cache_hits + t.metrics.failed
-            for t in self.tenants.values()
-        )
+        return SERVER_LAWS[0].terminal(self.summed())
 
     @property
     def balanced(self) -> bool:
-        """Global books: every submitted request reached one terminal state."""
-        return self.terminal == self.submitted and all(
+        """Global books: the server's laws hold on the sum and per tenant."""
+        return not violations(SERVER_LAWS, self.summed()) and all(
             t.balanced for t in self.tenants.values()
         )
 
 
 class _Tenant:
-    __slots__ = (
-        "spec", "metrics", "server", "frontend", "runner",
-        "in_flight", "rejected", "admit_lock",
-    )
+    __slots__ = ("spec", "metrics", "server", "frontend", "runner", "in_flight", "admit_lock")
 
 
 class MultiTenantServer:
@@ -478,6 +489,8 @@ class MultiTenantServer:
         from ..parallel import resolve_host_workers
 
         n_procs = resolve_host_workers(host_workers)
+        #: Quota rejections per tenant (never booked as submitted).
+        self.ledger = Ledger({"rejected": "tenant.{}.rejected"}, keyed=("rejected",))
         self._tenants: dict[str, _Tenant] = {}
         self.default_tenant = tenants[0].name
         try:
@@ -492,7 +505,6 @@ class MultiTenantServer:
         tenant.spec = spec
         tenant.metrics = ServerMetrics(clock=self._clock)
         tenant.in_flight = 0
-        tenant.rejected = 0
         tenant.admit_lock = threading.Lock()
         tenant.runner = None
         predict_fn = spec.host_predict_fn
@@ -554,8 +566,7 @@ class MultiTenantServer:
         t = self._lookup(tenant)
         with t.admit_lock:
             if t.in_flight >= t.spec.quota:
-                t.rejected += 1
-                obs.count(f"tenant.{t.spec.name}.rejected", 1)
+                self.ledger.add(t.spec.name, rejected=1)
                 raise TenantQuotaExceeded(
                     f"tenant {t.spec.name!r} is at its quota of {t.spec.quota}"
                 )
@@ -583,15 +594,13 @@ class MultiTenantServer:
         t = self._lookup(name)
         pool_stats = self.pool.stats()[t.spec.name]
         if self.cache is not None:
-            t.metrics.set_cache_bytes(self.cache.bytes)
-        with t.admit_lock:
-            rejected, in_flight = t.rejected, t.in_flight
+            t.metrics.set(cache_bytes=self.cache.bytes)
         return TenantSnapshot(
             name=t.spec.name,
             metrics=t.metrics.snapshot(),
             pool=pool_stats,
-            rejected=rejected,
-            in_flight=in_flight,
+            rejected=self.ledger.read().counters["rejected"].get(t.spec.name, 0),
+            in_flight=t.in_flight,
             quota=t.spec.quota,
             weight=t.spec.weight,
             cache=self.cache.snapshot() if self.cache is not None else None,

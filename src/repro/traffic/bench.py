@@ -288,7 +288,7 @@ def run_serve_load(config: ServeLoadConfig | None = None) -> ServeLoadReport:
                     index=decision.window,
                     offered_rate=(offered - prev_offered) / span,
                     accepted_rate=delta.submitted / span,
-                    completed_rate=(delta.completed + delta.failed) / span,
+                    completed_rate=delta.terminal / span,
                     p50_ms=decision.p50_ms,
                     p99_ms=decision.p99_ms,
                     violating=decision.violating,

@@ -59,7 +59,10 @@ class ArrivalEvent:
     payload_ref: int
 
     def __post_init__(self):
-        offset = float(self.t_offset)
+        try:
+            offset = float(self.t_offset)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise TraceFormatError(f"t_offset must be a number, got {self.t_offset!r}") from exc
         if not math.isfinite(offset):
             raise TraceFormatError(f"t_offset must be finite, got {self.t_offset!r}")
         if offset < 0.0:
@@ -197,8 +200,10 @@ class ArrivalTrace:
     def from_json(cls, text: str) -> "ArrivalTrace":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"trace is not valid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, an over-long integer literal, or nesting
+            # deeper than the parser's recursion limit.
+            raise TraceFormatError(f"trace is not valid JSON: {exc!r:.200}") from exc
         return cls.from_dict(data)
 
 
@@ -207,6 +212,6 @@ def load_trace(path: str | Path) -> ArrivalTrace:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise TraceFormatError(f"cannot read trace file {path}: {exc}") from exc
     return ArrivalTrace.from_json(text)

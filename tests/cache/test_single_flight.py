@@ -68,7 +68,7 @@ class ManualBackend:
         self.submits = 0
 
     def submit(self, image: np.ndarray) -> Future:
-        self.metrics.record_submitted(1)
+        self.metrics.add(submitted=1)
         self.submits += 1
         future: Future = Future()
         self.pending.append((np.asarray(image), future))
@@ -77,11 +77,11 @@ class ManualBackend:
     def resolve(self, index: int = 0, source: str = "host") -> None:
         image, future = self.pending.pop(index)
         prediction = int(image.flat[0])
-        self.metrics.record_decisions(
-            accepted=1 if source == "bnn" else 0,
-            rerun=1 if source == "host" else 0,
-        )
-        self.metrics.record_latency(0.0)
+        if source == "bnn":
+            self.metrics.add(accepted=1)
+        else:
+            self.metrics.add(source, rerun=1, rerun_stages=1)
+        self.metrics.latencies.append(0.0)
         future.set_result(ServeResult(
             prediction=prediction, bnn_prediction=prediction, confidence=0.5,
             source=source, latency_seconds=0.0,
@@ -89,7 +89,7 @@ class ManualBackend:
 
     def fail(self, index: int = 0) -> None:
         _, future = self.pending.pop(index)
-        self.metrics.record_failure(1)
+        self.metrics.add(failed=1)
         future.set_exception(RuntimeError("backend exploded"))
 
     def close(self, *args, **kwargs) -> None:

@@ -223,9 +223,10 @@ class _ResolveOnFail(NetMetrics):
         super().__init__()
         self._backend = backend
 
-    def record_failed(self) -> None:
-        super().record_failed()
-        self._backend.resolve_held()
+    def add(self, key=None, /, **counts) -> None:
+        super().add(key, **counts)
+        if "failed" in counts:
+            self._backend.resolve_held()
 
 
 def _terminal_counts(frames) -> dict[int, int]:

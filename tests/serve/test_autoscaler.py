@@ -39,7 +39,7 @@ class Plant:
         relief = 0.5 ** self.scaler.tighten_depth
         latency_s = self.base_ms * 1e-3 * self.load * relief / workers
         for _ in range(200):
-            self.metrics.record_latency(latency_s)
+            self.metrics.latencies.append(latency_s)
         self.clock[0] += 1.0
         return self.scaler.observe_window()
 
@@ -173,7 +173,7 @@ def test_threshold_only_mode_without_pool():
     )
     for _ in range(4):
         for _ in range(50):
-            metrics.record_latency(0.05)
+            metrics.latencies.append(0.05)
         clock[0] += 1.0
         scaler.observe_window()
     assert scaler.tighten_depth > 0

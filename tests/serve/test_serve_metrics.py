@@ -35,9 +35,9 @@ class TestStages:
 class TestQueues:
     def test_depth_gauge_tracks_maximum(self, clocked):
         _, metrics = clocked
-        metrics.register_queue("host", capacity=8)
+        metrics.set("host", queue_capacity=8)
         for depth in (3, 7, 2):
-            metrics.set_queue_depth("host", depth)
+            metrics.set("host", queue_depth=depth)
         q = metrics.snapshot().queues["host"]
         assert (q.capacity, q.depth, q.max_depth) == (8, 2, 7)
 
@@ -45,7 +45,8 @@ class TestQueues:
 class TestDecisions:
     def test_counters_and_ratios(self, clocked):
         clock, metrics = clocked
-        metrics.record_decisions(accepted=60, rerun=30, degraded=10)
+        metrics.add(accepted=60, degraded=10)
+        metrics.add("host", rerun=30, rerun_stages=30)
         clock.now = 2.0
         snap = metrics.snapshot()
         assert snap.completed == 100
@@ -65,7 +66,7 @@ class TestDecisions:
     def test_threshold_trajectory_records_every_update(self, clocked):
         _, metrics = clocked
         for t in (0.9, 0.8, 0.7):
-            metrics.record_threshold(t)
+            metrics.set_threshold(t)
         snap = metrics.snapshot()
         assert snap.threshold == 0.7
         assert snap.threshold_trajectory == (0.9, 0.8, 0.7)
@@ -80,17 +81,17 @@ class TestDecisions:
         metrics = ServerMetrics()
         values = [i / 100 for i in range(limit + extra)]
         for t in values:
-            metrics.record_threshold(t)
+            metrics.set_threshold(t)
         snap = metrics.snapshot()
         assert snap.threshold_trajectory == tuple(values[-limit:])
         assert snap.threshold == values[-1]
 
     def test_since_windows_counters_and_wall_clock(self, clocked):
         clock, metrics = clocked
-        metrics.record_decisions(accepted=50, rerun=50)
+        metrics.add("host", accepted=50, rerun=50, rerun_stages=50)
         clock.now = 1.0
         earlier = metrics.snapshot()
-        metrics.record_decisions(accepted=90, rerun=10)
+        metrics.add("host", accepted=90, rerun=10, rerun_stages=10)
         clock.now = 2.0
         window = metrics.snapshot().since(earlier)
         assert window.completed == 100
@@ -102,14 +103,14 @@ class TestDecisions:
 class TestRobustnessCounters:
     def test_fault_retry_deadline_failure_counters(self, clocked):
         _, metrics = clocked
-        metrics.record_submitted(10)
-        metrics.record_fault("host")
-        metrics.record_fault("host")
-        metrics.record_fault("bnn")
-        metrics.record_retry(3)
-        metrics.record_deadline_miss(2)
-        metrics.record_failure(1)
-        metrics.record_decisions(accepted=5, rerun=2, degraded=2)
+        metrics.add(submitted=10)
+        metrics.add("host", faults=1)
+        metrics.add("host", faults=1)
+        metrics.add("bnn", faults=1)
+        metrics.add(retries=3)
+        metrics.add(deadline_missed=2)
+        metrics.add(failed=1)
+        metrics.add("host", accepted=5, rerun=2, rerun_stages=2, degraded=2)
         snap = metrics.snapshot()
         assert snap.submitted == 10
         assert snap.faults == {"host": 2, "bnn": 1}
@@ -121,17 +122,18 @@ class TestRobustnessCounters:
         assert snap.terminal == 10
         assert snap.in_flight == 0
         assert snap.answered == 9
+        assert snap.check() == [] and metrics.check() == []
 
     def test_cache_hits_balance_the_books(self, clocked):
         # accepted + rerun + degraded + cache_hits + failed == submitted:
         # a cache-served answer is a terminal state of its own, counted
         # toward completed but never toward the stage decisions.
         _, metrics = clocked
-        metrics.record_submitted(10)
-        metrics.record_decisions(accepted=4, rerun=2, degraded=1)
-        metrics.record_cache_hit(2)
-        metrics.record_failure(1)
-        metrics.set_cache_bytes(4096)
+        metrics.add(submitted=10)
+        metrics.add("host", accepted=4, rerun=2, rerun_stages=2, degraded=1)
+        metrics.add(cache_hits=2)
+        metrics.add(failed=1)
+        metrics.set(cache_bytes=4096)
         snap = metrics.snapshot()
         assert snap.cache_hits == 2
         assert snap.cache_bytes == 4096
@@ -145,14 +147,12 @@ class TestRobustnessCounters:
 
     def test_cache_hits_window_delta(self, clocked):
         clock, metrics = clocked
-        metrics.record_submitted(4)
-        metrics.record_cache_hit(3)
-        metrics.set_cache_bytes(100)
+        metrics.add(submitted=4, cache_hits=3)
+        metrics.set(cache_bytes=100)
         clock.now = 1.0
         earlier = metrics.snapshot()
-        metrics.record_submitted(2)
-        metrics.record_cache_hit(1)
-        metrics.set_cache_bytes(250)
+        metrics.add(submitted=2, cache_hits=1)
+        metrics.set(cache_bytes=250)
         clock.now = 2.0
         window = metrics.snapshot().since(earlier)
         assert window.cache_hits == 1
@@ -161,11 +161,11 @@ class TestRobustnessCounters:
 
     def test_breaker_state_integrates_open_time(self, clocked):
         clock, metrics = clocked
-        metrics.record_breaker_state("open")
+        metrics.set_breaker_state("open")
         clock.now = 2.0
-        metrics.record_breaker_state("half_open")
+        metrics.set_breaker_state("half_open")
         clock.now = 3.0
-        metrics.record_breaker_state("closed")
+        metrics.set_breaker_state("closed")
         snap = metrics.snapshot()
         assert snap.breaker_state == "closed"
         assert snap.breaker_trips == 1
@@ -174,7 +174,7 @@ class TestRobustnessCounters:
 
     def test_breaker_open_time_accrues_while_still_open(self, clocked):
         clock, metrics = clocked
-        metrics.record_breaker_state("open")
+        metrics.set_breaker_state("open")
         clock.now = 1.5
         snap = metrics.snapshot()
         assert snap.breaker_state == "open"
@@ -182,17 +182,17 @@ class TestRobustnessCounters:
 
     def test_since_windows_robustness_counters(self, clocked):
         clock, metrics = clocked
-        metrics.record_submitted(5)
-        metrics.record_fault("host")
-        metrics.record_retry(1)
+        metrics.add(submitted=5)
+        metrics.add("host", faults=1)
+        metrics.add(retries=1)
         clock.now = 1.0
         earlier = metrics.snapshot()
-        metrics.record_submitted(7)
-        metrics.record_fault("host")
-        metrics.record_fault("dmu")
-        metrics.record_retry(2)
-        metrics.record_deadline_miss(1)
-        metrics.record_failure(1)
+        metrics.add(submitted=7)
+        metrics.add("host", faults=1)
+        metrics.add("dmu", faults=1)
+        metrics.add(retries=2)
+        metrics.add(deadline_missed=1)
+        metrics.add(failed=1)
         window = metrics.snapshot().since(earlier)
         assert window.submitted == 7
         assert window.faults == {"host": 1, "dmu": 1}
