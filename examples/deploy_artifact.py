@@ -33,7 +33,7 @@ def main() -> None:
     )
     trainer.fit(x_train, splits.train.labels, epochs=4, batch_size=64)
 
-    print("folding to deployment form (BN+sign -> thresholds, packed weights) ...")
+    print("folding to deployment form (BN+sign -> thresholds, ±1 weights) ...")
     folded = fold_network(net, num_classes=10)
 
     with tempfile.TemporaryDirectory() as tmp:

@@ -2,14 +2,16 @@
 
 Training uses straight-through estimators over latent real weights
 (:mod:`repro.bnn.layers`); deployment folds BatchNorm+sign into integer
-thresholds (:mod:`repro.bnn.thresholding`) and evaluates convolutions as
-bit-packed XNOR-popcount products (:mod:`repro.bnn.xnor`), yielding a
-bit-exact functional model of the FPGA datapath
-(:mod:`repro.bnn.inference`).
+thresholds (:mod:`repro.bnn.thresholding`) and :func:`fold_network` turns
+the trained net into weight/threshold records (:mod:`repro.bnn.inference`).
+One datapath runs them: the compiled 0/1-plane plan
+(:mod:`repro.bnn.plan`), a functional model of the FPGA datapath whose
+scores equal the eval-mode training network's.  A padded binary conv pads
+with 0 in ±1 terms, as the training network does.  The bit-packed
+XNOR-popcount form of the same arithmetic is the test suite's oracle.
 """
 
 from .binarize import binarize_sign, clip_weights, ste_mask
-from .bitops import popcount, popcount_rows
 from .export import load_folded_bnn, save_folded_bnn
 from .inference import (
     FloatDenseHead,
@@ -19,9 +21,7 @@ from .inference import (
     FoldedPool,
     fold_network,
 )
-from .kernels import BinaryKernel, available_backends, get_kernel
-from .packing import PackedMaps, PackedRows, maxpool_packed
-from .plan import CompiledBNNPlan, PlanUnsupported
+from .plan import CompiledBNNPlan
 from .layers import BinaryActivation, BinaryConv2D, BinaryDense
 from .quantize import (
     QuantizedActivation,
@@ -31,31 +31,17 @@ from .quantize import (
     quantize_weights,
 )
 from .thresholding import ChannelThresholds, fold_batchnorm
-from .xnor import binary_dot, pack_pm1, unpack_pm1, xnor_popcount_matmul
 
 __all__ = [
     "binarize_sign",
     "ste_mask",
     "clip_weights",
-    "popcount",
-    "popcount_rows",
-    "BinaryKernel",
-    "get_kernel",
-    "available_backends",
     "CompiledBNNPlan",
-    "PlanUnsupported",
-    "PackedRows",
-    "PackedMaps",
-    "maxpool_packed",
     "BinaryConv2D",
     "BinaryDense",
     "BinaryActivation",
     "ChannelThresholds",
     "fold_batchnorm",
-    "pack_pm1",
-    "unpack_pm1",
-    "xnor_popcount_matmul",
-    "binary_dot",
     "FoldedBNN",
     "FoldedConv",
     "FoldedDense",

@@ -1,22 +1,25 @@
-"""Compiled FoldedBNN inference: unpack once, stay unpacked.
+"""The compiled BNN plan: the one executor of a :class:`FoldedBNN`.
 
 :meth:`repro.bnn.FoldedBNN.compile_inference` returns a
 :class:`CompiledBNNPlan` — the BNN-side counterpart of
-:meth:`repro.nn.Sequential.compile_inference`.  The uncompiled
-:meth:`FoldedBNN.forward_uncompiled` keeps activations bit-packed between
-stages, which is FINN's wire format but the wrong one for BLAS: every
-layer packs its output only for the next layer to unpack it once per
-kernel offset.  The plan instead carries activations as **0/1 float
-planes** (NHWC maps, ``(n, features)`` rows) from the first threshold to
-the last layer:
+:meth:`repro.nn.Sequential.compile_inference` — and
+:meth:`FoldedBNN.forward` always runs one.  FINN's bit-packed XNOR-popcount
+words are the hardware's wire format, the wrong one for BLAS, so the plan
+carries activations as **0/1 float planes** (NHWC maps, ``(n, features)``
+rows) from the first threshold to the last layer:
 
-* **conv1** (real-valued input) runs the same im2col + float64 GEMM as
-  the uncompiled path and thresholds its accumulator straight into a 0/1
-  map — one compare, written through ``out=``.
+* **conv1** (real-valued input) runs an im2col + float64 GEMM and
+  thresholds its accumulator straight into a 0/1 map — one compare,
+  written through ``out=``.
 * **every later binary stage** is three passes: gather ``k·C``-float
   runs of the map into an im2col plane, one GEMM against
   compile-time-folded weights, one ``prod >= bound`` compare written into
   the next map.  No ``*2``, no ``+c``, no sign flip, no pack, no unpack.
+* **padded binary convs** zero-pad the 0/1 map.  The training network
+  pads its ±1 maps with 0, so a pad tap adds nothing to the dot product:
+  ``dot = 2p − sw_valid(pos)``, where ``sw_valid`` sums only the weights
+  on real pixels.  The folded bound is then a compile-time (output
+  position × channel) table; interior positions hold the unpadded bound.
 * **two images per lane**: a binary conv of fan-in K fed a chunk of
   n >= 2 images packs its two halves into one plane, ``x[:⌈n/2⌉] +
   B·x[⌈n/2⌉:]`` with B the smallest power of two >= 2K + 2 (FINN packs
@@ -35,6 +38,10 @@ the last layer:
   boolean OR).
 * **the affine output layer** rescales its handful of popcounts to ±1
   dot products and applies the BatchNorm affine.
+* **a float head** (partially-binarised network) maps its 0/1 input back
+  to ±1 float64 in the training network's (c, h, w) flatten order and
+  runs the float GEMM + bias.  A network that ends in a thresholding
+  stage returns its ±1 output the same way (NCHW maps, or rows).
 
 The fold (:func:`_fold_threshold`) is FINN's τ⁺ = (τ + S)/2 in exact
 integer algebra.  With ``p = a01·w`` and ``sw = Σw`` the ±1 dot product is
@@ -50,65 +57,77 @@ over image groups sized so one im2col tile fits ``_PLANE_TILE_BYTES``
 (it is read back by the GEMM while still cache-resident).  ``threads=``
 maps those tiles over a thread pool capped at the CPUs the process may
 run on; without it they run serially, and integer-exact tiles make the
-result independent of the split.  ``backend=`` only selects the kernel
-of non-fused suffix stages: a stage that breaks the chain (float head,
-padded inner conv) gets the map packed once at the boundary and runs,
-with everything after it, through the uncompiled per-stage calls inside
-the same chunk loop — results stay identical for *any* foldable
-topology.  ``packed=False`` networks do not compile
-(:class:`PlanUnsupported`).
+result independent of the split.  Every foldable topology compiles; a
+stage whose input cannot feed it (wrong channel count or fan-in, a window
+that does not fit, a stage after the output layer) raises ``ValueError``
+when the plan compiles for an input geometry.
 
 Buffers: every plane, product and map buffer is allocated once, at
 compile time, sized for ``micro_batch``; smaller chunks use ``[:n]``
 views, so the set never grows, whatever batch sizes arrive.
 
-Bit-identity contract: binary stages are exact integers under any
-tiling, and the one float GEMM issues the identical BLAS call per chunk,
-so ``plan.forward(x)`` equals ``FoldedBNN.forward_uncompiled(x,
-batch_size=B)`` bit-for-bit whenever ``micro_batch == B`` (BLAS results
-may depend on the GEMM's M dimension, so matched chunking is the stable
-boundary).
+Bit-identity contract: binary stages are exact integers under any tiling,
+and each float GEMM (conv1, a float head) issues the same BLAS call per
+chunk, so scores do not depend on ``threads`` and are reproducible for a
+fixed ``micro_batch`` (BLAS results may depend on the GEMM's M dimension,
+so matched chunking is the stable boundary).  The test suite checks the
+plan bit for bit against an XNOR-popcount oracle at matched chunking, and
+against the eval-mode training network.
 
 Tracing: per-stage ``bnn.<label>`` spans (``repro trace`` keys its
 Eqs. (3)-(5) residuals off them) plus ``bnn.plan.compile`` /
-``bnn.plan.forward``; ``kernel.<name>`` spans appear only for suffix
-stages, which still call a kernel backend.
+``bnn.plan.forward``.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .. import obs
 from ..nn import functional as F
-from .inference import FoldedConv, FoldedDense, FoldedPool, _run_stage
-from .kernels import available_cpus, get_kernel
-from .kernels.base import _F32_EXACT_LIMIT
-from .packing import PackedMaps, PackedRows
+from .inference import FloatDenseHead, FoldedConv, FoldedDense, FoldedPool
 from .thresholding import ChannelThresholds
 
-__all__ = ["CompiledBNNPlan", "PlanUnsupported"]
+__all__ = ["CompiledBNNPlan"]
+
+#: Above this fan-in float32 accumulation could round; planes switch to f64.
+_F32_EXACT_LIMIT = 1 << 24
 
 #: Budget for one im2col plane tile.  A tile is written by the gather and
 #: read back by the GEMM, so it should still be in L2 when BLAS packs it.
 _PLANE_TILE_BYTES = 1 << 20
 
 
-class PlanUnsupported(TypeError):
-    """The folded network cannot be compiled (e.g. ``packed=False``)."""
+def available_cpus() -> int:
+    """CPUs this process may run on: the affinity mask where the platform
+    has one (a pinned process must not size thread pools by the machine),
+    else ``os.cpu_count()``."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        return max(1, len(getaffinity(0)))
+    return os.cpu_count() or 1
 
 
 def _fold_threshold(
-    weight_t: np.ndarray, thresholds: ChannelThresholds, dtype
+    weight_t: np.ndarray,
+    thresholds: ChannelThresholds,
+    dtype,
+    valid: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fold a stage's thresholds into its weights: ``(W', bound')``.
 
     ``weight_t`` is the (K, N) ±1 weight matrix in the plane's column
     order.  For any 0/1 activation row ``a``, ``(a @ W') >= bound'`` is
-    the decision ``ChannelThresholds.apply_bits`` takes on the ±1
-    accumulator ``(2a − 1) @ weight_t``, bit for bit.
+    the decision ``ChannelThresholds.apply`` takes on the ±1 accumulator
+    ``(2a − 1) @ weight_t``, bit for bit.
+
+    ``valid`` (P, K) marks, per output position of a padded conv, the
+    columns that are real pixels (1) rather than zero pad (0).  A pad tap
+    adds 0 to the ±1 accumulator, which is then ``(2a − 1)·valid @
+    weight_t``, and ``bound'`` becomes a (P, N) table.
     """
     k = weight_t.shape[0]
     neg = thresholds.sign < 0
@@ -116,8 +135,10 @@ def _fold_threshold(
     # The accumulator is an integer, so dot >= tau iff dot >= ceil(tau) and
     # dot <= tau iff -dot >= -floor(tau); with dot = 2p - sw either reads
     # p >= (bound_on_dot + sw) / 2, rounded up because p is an integer too.
+    # sw sums the weights on real pixels only (pad taps have a = 0).
     dot_bound = np.where(neg, -np.floor(thresholds.tau), np.ceil(thresholds.tau))
-    bound = np.ceil((dot_bound + w.sum(axis=0)) / 2.0)
+    weight_sum = w.sum(axis=0) if valid is None else valid @ w
+    bound = np.ceil((dot_bound + weight_sum) / 2.0)
     # |p| <= K: clipping keeps every decision and every bound exact in dtype.
     bound = np.clip(bound, -(k + 1), k + 1)
     bound = _constant_bounds(thresholds, bound)
@@ -160,6 +181,23 @@ def _lane_base(fan_in: int, dtype) -> int | None:
     return base if (base + 1) * fan_in < _F32_EXACT_LIMIT else None
 
 
+def _valid_taps(h: int, w: int, k: int, s: int, p: int, c: int) -> np.ndarray:
+    """(OH·OW, K·K·C) 0/1: which im2col plane columns of each output
+    position are real pixels of an (h, w) map padded by ``p``, in the
+    plane's (kh, kw, c) column order."""
+    oh, ow = F.conv_output_size(h, k, s, p), F.conv_output_size(w, k, s, p)
+    ys = np.arange(oh)[:, None] * s + np.arange(k)[None, :] - p
+    xs = np.arange(ow)[:, None] * s + np.arange(k)[None, :] - p
+    inside_y, inside_x = (ys >= 0) & (ys < h), (xs >= 0) & (xs < w)
+    taps = inside_y[:, None, :, None] & inside_x[None, :, None, :]  # (oh, ow, k, k)
+    return np.repeat(taps.reshape(oh * ow, k * k), c, axis=1).astype(np.float64)
+
+
+def _check_channels(stage: FoldedConv, channels: int) -> None:
+    if channels != stage.in_channels:
+        raise ValueError(f"conv expects {stage.in_channels} input channels, got {channels}")
+
+
 def _hwc_weight_t(weight_matrix: np.ndarray, c: int, h: int, w: int) -> np.ndarray:
     """(OD, C*H*W) weights in (c, h, w) column order -> (H*W*C, OD)."""
     od = weight_matrix.shape[0]
@@ -178,44 +216,25 @@ class CompiledBNNPlan:
     Parameters
     ----------
     folded:
-        The folded network to compile (must have ``packed=True``).
+        The folded network to compile.
     micro_batch:
         Fixed chunk size the buffers are sized for.  Also the
-        bit-stability boundary: output equals
-        ``folded.forward_uncompiled(x, batch_size=micro_batch)`` exactly.
-    backend:
-        Kernel backend of non-fused suffix stages; ``None`` defers to the
-        folded network's backend.  Fused stages run the plane dataflow
-        whatever the backend.  An unknown name raises ``KeyError``.
+        bit-stability boundary of the float GEMMs (conv1, a float head).
     threads:
-        Thread count for the fused stages' tile loop: ``None`` (serial)
+        Thread count for the binary convs' tile loop: ``None`` (serial)
         or >= 1, capped at the CPUs the process may run on.
     """
 
-    def __init__(
-        self,
-        folded,
-        micro_batch: int = 64,
-        backend: str | None = None,
-        threads: int | None = None,
-    ):
+    def __init__(self, folded, micro_batch: int = 64, threads: int | None = None):
         if micro_batch < 1:
             raise ValueError("micro_batch must be >= 1")
         if threads is not None and threads < 1:
             raise ValueError(f"threads must be None or >= 1, got {threads}")
-        if not folded.packed:
-            raise PlanUnsupported(
-                "compile_inference requires a packed-pipeline FoldedBNN "
-                "(packed=False is the float equivalence path)"
-            )
         self.folded = folded
         self.micro_batch = int(micro_batch)
-        self.backend = backend if backend is not None else folded.backend
-        get_kernel(self.backend)  # reject unknown names now
         self.threads = threads
         self.stages = list(folded.stages)
         self.labels = folded.stage_labels
-        self.emit = folded._emit_plan()
         self._buffers: list[np.ndarray] = []
         self._ops: list | None = None  # resolved lazily at first chunk
         self._geometry: tuple | None = None
@@ -241,8 +260,10 @@ class CompiledBNNPlan:
 
         Runs once per geometry.  ``state`` is the representation flowing
         into the next stage: ``("float", C, H, W)`` images, ``("map", H,
-        W, C)`` / ``("rows", features)`` 0/1 planes, or ``None`` once a
-        stage has left the fused chain (everything after runs uncompiled).
+        W, C)`` / ``("rows", features)`` 0/1 planes, or ``("scores",)``
+        after an output layer.  A stage its input cannot feed raises
+        ``ValueError``; a network that ends on a 0/1 plane returns it as
+        ±1 floats in the training network's layout.
         """
         fan_ins = [
             s.fan_in for s in self.stages if isinstance(s, (FoldedConv, FoldedDense))
@@ -253,33 +274,31 @@ class CompiledBNNPlan:
         self._threads = self._tile_threads()
         self._buffers = []
         ops: list = []
-        state: tuple | None = ("float",) + tuple(geometry)
-        for i, stage in enumerate(self.stages):
-            op = None
-            if state is None:
-                pass
-            elif isinstance(stage, FoldedConv) and self.emit[i]:
-                if state[0] == "float" and not stage.binary_input:
-                    op, state = self._conv_float_op(stage, state)
-                elif (
-                    state[0] == "map" and stage.binary_input and stage.pad == 0
-                    and state[3] == stage.in_channels
-                ):
-                    op, state = self._conv_plane_op(stage, state)
-            elif isinstance(stage, FoldedPool) and state[0] == "map":
+        state: tuple = ("float",) + tuple(geometry)
+        for label, stage in zip(self.labels, self.stages):
+            kind = state[0]
+            if isinstance(stage, FoldedConv) and not stage.binary_input and kind == "float":
+                op, state = self._conv_float_op(stage, state)
+            elif isinstance(stage, FoldedConv) and stage.binary_input and kind == "map":
+                op, state = self._conv_plane_op(stage, state)
+            elif isinstance(stage, FoldedPool) and kind == "map":
                 op, state = self._pool_op(stage, state)
-            elif isinstance(stage, FoldedDense) and state[0] in ("map", "rows"):
-                if stage.thresholds is None or self.emit[i]:
-                    op, state = self._dense_op(stage, state)
-            if op is None:
-                op = self._suffix_op(i, state)
-                state = None
+            elif isinstance(stage, FoldedDense) and kind in ("map", "rows"):
+                op, state = self._dense_op(stage, state)
+            elif isinstance(stage, FloatDenseHead) and kind in ("map", "rows"):
+                op, state = self._head_op(stage, state)
+            else:
+                raise ValueError(f"{label} ({type(stage).__name__}) cannot take {kind} input")
             ops.append(op)
+        if state[0] != "scores":
+            last, to_pm1 = ops[-1], self._pm1_op(state)
+            ops[-1] = lambda x: to_pm1(last(x))
         self._ops = ops
         self._geometry = tuple(geometry)
 
     def _conv_float_op(self, stage, state: tuple):
         _, c, h, w = state
+        _check_channels(stage, c)
         k, s, p = stage.kernel_size, stage.stride, stage.pad
         oh = F.conv_output_size(h, k, s, p)
         ow = F.conv_output_size(w, k, s, p)
@@ -304,8 +323,8 @@ class CompiledBNNPlan:
         def run(x: np.ndarray) -> np.ndarray:
             n = x.shape[0]
             m = n * oh * ow
-            # Any real dtype widens to float64 exactly, as the float GEMM
-            # of the uncompiled path would widen it.
+            # Any real dtype widens to float64 exactly, as the training
+            # network's float GEMM would widen it.
             x = np.asarray(x, dtype=np.float64)
             if p:
                 padded[:n, :, p : p + h, p : p + w] = x
@@ -321,13 +340,23 @@ class CompiledBNNPlan:
 
     def _conv_plane_op(self, stage, state: tuple):
         _, h, w, c = state
-        k, s = stage.kernel_size, stage.stride
-        oh = F.conv_output_size(h, k, s, 0)
-        ow = F.conv_output_size(w, k, s, 0)
+        _check_channels(stage, c)
+        k, s, p = stage.kernel_size, stage.stride, stage.pad
+        oh = F.conv_output_size(h, k, s, p)
+        ow = F.conv_output_size(w, k, s, p)
+        hp, wp = h + 2 * p, w + 2 * p
         oc, nb, dtype = stage.out_channels, self.micro_batch, self._dtype
+        # A padded conv's bound depends on how many taps are real pixels:
+        # a (OH, OW, OC) table, broadcast against each image's products.
+        valid = _valid_taps(h, w, k, s, p, c) if p else None
         weight_t, bound = _fold_threshold(
-            _hwc_weight_t(stage.weight_matrix, c, k, k), stage.thresholds, dtype
+            _hwc_weight_t(stage.weight_matrix, c, k, k), stage.thresholds, dtype, valid
         )
+        if p:
+            bound = bound.reshape(oh, ow, oc)
+            # The zero border is written here and never again: a pad tap
+            # is 0 in the plane, in the lanes built from it too.
+            padded = self._buffer((nb, hp, wp, c), dtype, zero=True)
         fan_in, run_len, pixels = k * k * c, k * c, oh * ow
         base = _lane_base(fan_in, dtype) if nb >= 2 else None
         # Packed images per full chunk: two per lane when packing.
@@ -338,7 +367,7 @@ class CompiledBNNPlan:
         prods = self._buffer((slots, group * pixels, oc), dtype)
         out_buf = self._buffer((nb, oh, ow, oc), dtype)
         if base is not None:
-            lanes_buf = self._buffer((rows_nb, h, w, c), dtype)
+            lanes_buf = self._buffer((rows_nb, hp, wp, c), dtype)
             his = self._buffer((slots, group * pixels, oc), dtype)
 
         def gemm(slot: int, x: np.ndarray) -> np.ndarray:
@@ -356,14 +385,20 @@ class CompiledBNNPlan:
             np.matmul(plane, weight_t, out=prod)
             return prod
 
+        def decide(prod: np.ndarray, maps: np.ndarray) -> None:
+            """Threshold product rows into the 0/1 output maps of their images."""
+            np.greater_equal(prod.reshape(maps.shape), bound, out=maps)
+
         def run(x: np.ndarray) -> np.ndarray:
             n = x.shape[0]
             out = out_buf[:n]
+            if p:
+                padded[:n, p : p + h, p : p + w] = x
+                x = padded[:n]
             if base is None or n < 2:
 
                 def tile(slot: int, lo: int, hi: int) -> None:
-                    prod = gemm(slot, x[lo:hi])
-                    np.greater_equal(prod, bound, out=out[lo:hi].reshape(-1, oc))
+                    decide(gemm(slot, x[lo:hi]), out[lo:hi])
 
                 self._run_tiles(tile, n, group)
                 return out
@@ -384,13 +419,10 @@ class CompiledBNNPlan:
                 np.multiply(prod, 1.0 / base, out=hi_lane)
                 np.rint(hi_lane, out=hi_lane)
                 top = max(0, min(hi, pairs) - lo)
-                np.greater_equal(
-                    hi_lane[: top * pixels], bound,
-                    out=out[half + lo : half + lo + top].reshape(-1, oc),
-                )
+                decide(hi_lane[: top * pixels], out[half + lo : half + lo + top])
                 np.multiply(hi_lane, base, out=hi_lane)
                 np.subtract(prod, hi_lane, out=prod)
-                np.greater_equal(prod, bound, out=out[lo:hi].reshape(-1, oc))
+                decide(prod, out[lo:hi])
 
             self._run_tiles(packed_tile, half, group)
             return out
@@ -400,10 +432,8 @@ class CompiledBNNPlan:
     def _pool_op(self, stage, state: tuple):
         _, h, w, c = state
         win, s = stage.window, stage.stride
-        oh = (h - win) // s + 1
-        ow = (w - win) // s + 1
-        if oh <= 0 or ow <= 0:
-            return None, state
+        oh = F.pool_output_size(h, win, s)
+        ow = F.pool_output_size(w, win, s)
         out_buf = self._buffer((self.micro_batch, oh, ow, c), self._dtype)
         offsets = [(dy, dx) for dy in range(win) for dx in range(win)]
 
@@ -427,15 +457,14 @@ class CompiledBNNPlan:
 
     def _dense_op(self, stage, state: tuple):
         nb, dtype, od = self.micro_batch, self._dtype, stage.out_features
+        features = int(np.prod(state[1:]))
+        if features != stage.fan_in:
+            raise ValueError(f"dense fan-in {stage.fan_in} cannot take {features} features")
         if state[0] == "map":
             _, h, w, c = state
-            features = h * w * c
             weight_t = _hwc_weight_t(stage.weight_matrix, c, h, w)
         else:
-            features = state[1]
             weight_t = stage.weight_matrix.T
-        if features != stage.fan_in:
-            return None, state
         prod_buf = self._buffer((nb, od), dtype)
 
         if stage.thresholds is not None:
@@ -467,25 +496,46 @@ class CompiledBNNPlan:
                 np.add(out, stage.output_offset, out=out)
             return out
 
-        return run_affine, None
+        return run_affine, ("scores",)
 
-    def _suffix_op(self, i: int, state: tuple | None):
-        """Stage *i* through the uncompiled code path.
+    def _pm1_op(self, state: tuple):
+        """0/1 plane -> float64 ±1 in the training network's layout: NCHW
+        maps, ``(n, features)`` rows."""
+        if state[0] == "map":
+            _, h, w, c = state
+            out_buf = self._buffer((self.micro_batch, c, h, w), np.float64)
+            axes = (0, 3, 1, 2)
+        else:
+            out_buf = self._buffer((self.micro_batch, state[1]), np.float64)
+            axes = (0, 1)
 
-        The first suffix stage packs the incoming 0/1 plane (once, at the
-        boundary); later ones receive whatever the previous stage emitted.
-        """
-        stage, emit, backend = self.stages[i], self.emit[i], self.backend
-        kind = state[0] if state is not None else None
-
-        def run(x):
-            if kind == "map":
-                x = PackedMaps(np.packbits(x != 0, axis=3), state[3])
-            elif kind == "rows":
-                x = PackedRows(np.packbits(x != 0, axis=1), state[1])
-            return _run_stage(stage, x, emit, backend)
+        def run(x: np.ndarray) -> np.ndarray:
+            out = out_buf[: x.shape[0]]
+            np.multiply(x.transpose(axes), 2.0, out=out)
+            np.subtract(out, 1.0, out=out)
+            return out
 
         return run
+
+    def _head_op(self, stage, state: tuple):
+        """Float head: ±1 features in (c, h, w) flatten order, float64 GEMM + bias."""
+        features = int(np.prod(state[1:]))
+        if features != stage.weight.shape[0]:
+            raise ValueError(
+                f"float head fan-in {stage.weight.shape[0]} cannot take {features} features"
+            )
+        to_pm1 = self._pm1_op(state)
+        out_buf = self._buffer((self.micro_batch, stage.out_features), np.float64)
+
+        def run(x: np.ndarray) -> np.ndarray:
+            n = x.shape[0]
+            out = out_buf[:n]
+            np.matmul(to_pm1(x).reshape(n, features), stage.weight, out=out)
+            if stage.bias is not None:
+                np.add(out, stage.bias, out=out)
+            return out
+
+        return run, ("scores",)
 
     # -- runtime ------------------------------------------------------------
 
@@ -520,7 +570,7 @@ class CompiledBNNPlan:
         return x
 
     def forward(self, images: np.ndarray, batch_size: int | None = None) -> np.ndarray:
-        """Raw output scores, bit-identical to the uncompiled forward.
+        """Raw output scores of the folded network.
 
         ``batch_size`` is accepted for signature compatibility but must
         match the plan's ``micro_batch`` when given — chunking is part of

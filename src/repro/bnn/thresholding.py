@@ -58,23 +58,6 @@ class ChannelThresholds:
         decided = np.where(sgn * (y - tau) >= 0.0, 1.0, -1.0)
         return np.where(sgn == 0, const, decided)
 
-    def apply_bits(self, y: np.ndarray) -> np.ndarray:
-        """Threshold a (M, channels) accumulator straight to packed bits.
-
-        Returns (M, ceil(channels/8)) uint8 with bit 1 encoding +1 —
-        identical decisions to :meth:`apply` (including the ``sign(0) =
-        +1`` convention and the ``sign == 0`` constant channels) without
-        materializing the ±1 float intermediate.
-        """
-        if y.ndim != 2 or y.shape[1] != self.num_channels:
-            raise ValueError(
-                f"apply_bits expects (M, {self.num_channels}) accumulators, "
-                f"got shape {y.shape}"
-            )
-        decided = self.sign[None, :] * (y - self.tau[None, :]) >= 0.0
-        bits = np.where(self.sign[None, :] == 0, self.constant[None, :] > 0, decided)
-        return np.packbits(bits, axis=1)
-
 
 def fold_batchnorm(bn: BatchNorm) -> ChannelThresholds:
     """Fold an eval-mode BatchNorm + sign() into channel thresholds."""

@@ -16,7 +16,6 @@ __all__ = [
     "pool_output_size",
     "pad_nchw",
     "im2col",
-    "im2col_packed",
     "col2im",
     "softmax",
     "log_softmax",
@@ -89,44 +88,6 @@ def im2col(
     # (N, OH, OW, C, KH, KW) -> rows indexed by output pixel.
     cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kernel_h * kernel_w)
     return np.ascontiguousarray(cols)
-
-
-def im2col_packed(
-    words: np.ndarray, kernel_h: int, kernel_w: int, stride: int = 1
-) -> np.ndarray:
-    """Bit-plane-aware im2col over channel-packed ±1 maps.
-
-    Parameters
-    ----------
-    words:
-        Packed input of shape ``(N, H, W, B)`` uint8 — each pixel's
-        channel bits as ``B`` bytes (see :class:`repro.bnn.PackedMaps`).
-    kernel_h, kernel_w, stride:
-        Window geometry.  No padding: zero bits encode -1, so spatial
-        zero padding has no ±1 representation (binarized inner layers
-        are unpadded, as in the FINN CNV topology).
-
-    Returns
-    -------
-    numpy.ndarray
-        Shape ``(N * OH * OW, kernel_h * kernel_w * B)`` uint8.  Row ``i``
-        concatenates the packed pixel byte-groups of output pixel ``i``'s
-        receptive field in (kh, kw, c) order — a pure byte gather, never
-        touching individual bits.
-    """
-    if words.ndim != 4 or words.dtype != np.uint8:
-        raise ValueError("im2col_packed expects (N, H, W, B) uint8 input")
-    n, h, w, b = words.shape
-    oh = conv_output_size(h, kernel_h, stride, 0)
-    ow = conv_output_size(w, kernel_w, stride, 0)
-    sn, sh, sw, sb = words.strides
-    windows = np.lib.stride_tricks.as_strided(
-        words,
-        shape=(n, oh, ow, kernel_h, kernel_w, b),
-        strides=(sn, sh * stride, sw * stride, sh, sw, sb),
-        writeable=False,
-    )
-    return np.ascontiguousarray(windows.reshape(n * oh * ow, kernel_h * kernel_w * b))
 
 
 def col2im(

@@ -210,26 +210,11 @@ def folded_bnn_scores_fn(folded, batch_size: int = 128):
     """Adapt a :class:`repro.bnn.FoldedBNN` to the CascadeServer BNN stage.
 
     This is how a deployment serves real images instead of the
-    synthetic stream.  Packed networks route through one
-    :class:`repro.bnn.CompiledBNNPlan` built here and reused for the life
-    of the server (geometry resolves on the first batch; every later
-    batch hits preallocated buffers); networks the plan cannot compile
-    (``packed=False``) keep the uncompiled datapath.  The results are
-    bit-identical either way.
+    synthetic stream: one :class:`repro.bnn.CompiledBNNPlan` built here
+    and reused for the life of the server (geometry resolves on the first
+    batch; every later batch hits preallocated buffers).
     """
-    from ..bnn.plan import PlanUnsupported
-
-    try:
-        plan = folded.compile_inference(micro_batch=batch_size)
-    except PlanUnsupported:
-        plan = None
-
-    def fn(images: np.ndarray) -> np.ndarray:
-        if plan is not None:
-            return plan.class_scores(images)
-        return folded.class_scores(images, batch_size=batch_size)
-
-    return fn
+    return folded.compile_inference(micro_batch=batch_size).class_scores
 
 
 def measured_t_bnn(

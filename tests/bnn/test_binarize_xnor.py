@@ -1,20 +1,14 @@
-"""Binarization primitives and XNOR-popcount kernels."""
+"""Binarization primitives and the oracle's XNOR-popcount arithmetic."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bnn import (
-    binarize_sign,
-    binary_dot,
-    clip_weights,
-    pack_pm1,
-    ste_mask,
-    unpack_pm1,
-    xnor_popcount_matmul,
-)
+from repro.bnn import binarize_sign, clip_weights, ste_mask
 from repro.nn import Parameter
+
+from oracle import binary_dot, pack_pm1, unpack_pm1, xnor_popcount_matmul
 
 
 class TestBinarizeSign:

@@ -1,10 +1,10 @@
-"""Kernel backend contract: every backend is bit-exact ±1 arithmetic.
+"""Binary matmul contract: both datapaths are bit-exact ±1 arithmetic.
 
-Property-tests both backends against an independent float matmul oracle
-(not the packed path) across random shapes and fan-ins, including widths
-that are not multiples of 8 or 64 so pad-bit handling is exercised; plus
-the NumPy-1.x LUT popcount fallback, the two-entry backend table with
-its legacy spellings, and the affinity-capped thread count.
+Property-tests the oracle's XNOR-popcount product and the compiled
+plan's 0/1-plane GEMM against an independent float matmul across random
+shapes and fan-ins, including widths that are not multiples of 8 so
+pad-bit handling is exercised; plus the NumPy-1.x LUT popcount fallback,
+the legacy backend spellings, and the affinity-capped thread count.
 """
 
 import os
@@ -14,19 +14,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bnn import BinaryActivation, BinaryConv2D, BinaryDense, bitops, fold_network
-from repro.bnn.kernels import (
-    available_backends,
-    available_cpus,
-    clear_selection_cache,
-    get_kernel,
+from repro.bnn import (
+    BinaryActivation,
+    BinaryConv2D,
+    BinaryDense,
+    FoldedBNN,
+    FoldedDense,
+    fold_network,
 )
-from repro.bnn.xnor import binary_dot, pack_pm1, xnor_popcount_matmul
+from repro.bnn.kernels import clear_selection_cache
+from repro.bnn.plan import CompiledBNNPlan, available_cpus
 from repro.nn import BatchNorm, Flatten, Sequential
+
+import oracle
+from oracle import binary_dot, pack_pm1, xnor_popcount_matmul
 
 
 def random_pm1(rng, shape):
     return rng.choice([-1.0, 1.0], size=shape)
+
+
+def plane_matmul(a, w):
+    """The plan's affine dense stage on ±1 rows: 0/1 plane GEMM, then 2p - sw."""
+    stage = FoldedDense(w, thresholds=None)
+    plan = CompiledBNNPlan(FoldedBNN([stage]), micro_batch=len(a))
+    plan._dtype = np.dtype(np.float32)
+    op, _ = plan._dense_op(stage, ("rows", w.shape[1]))
+    return op((a > 0).astype(np.float32))
 
 
 @given(
@@ -42,40 +56,37 @@ def test_all_backends_match_float_oracle(seed, m, n_out, n_bits):
     rng = np.random.default_rng(seed)
     a = random_pm1(rng, (m, n_bits))
     w = random_pm1(rng, (n_out, n_bits))
-    oracle = (a @ w.T).astype(np.int64)
+    expected = (a @ w.T).astype(np.int64)
 
     a_words, n = pack_pm1(a)
     w_words, _ = pack_pm1(w)
-    for name in available_backends():
-        kernel = get_kernel(name)
-        out = kernel.matmul(a_words, kernel.prepare(w_words, n), n)
-        assert out.dtype == np.int64, name
-        np.testing.assert_array_equal(out, oracle, err_msg=name)
+    out = xnor_popcount_matmul(a_words, w_words, n)
+    assert out.dtype == np.int64
+    np.testing.assert_array_equal(out, expected)
+    np.testing.assert_array_equal(plane_matmul(a, w), expected)
 
 
 @given(seed=st.integers(0, 10_000), n_bits=st.integers(1, 130))
 @settings(max_examples=25, deadline=None)
 def test_backends_match_binary_dot(seed, n_bits):
     rng = np.random.default_rng(seed)
-    a = random_pm1(rng, (n_bits,))
-    w = random_pm1(rng, (n_bits,))
+    a = random_pm1(rng, (1, n_bits))
+    w = random_pm1(rng, (1, n_bits))
     expected = binary_dot(a, w)
-    a_words, n = pack_pm1(a.reshape(1, -1))
-    w_words, _ = pack_pm1(w.reshape(1, -1))
-    for name in available_backends():
-        kernel = get_kernel(name)
-        assert int(kernel.matmul(a_words, kernel.prepare(w_words, n), n)[0, 0]) == expected
+    assert expected == int((a @ w.T)[0, 0])
+    assert plane_matmul(a, w)[0, 0] == expected
 
 
 def test_popcount_lut_fallback_matches_native(monkeypatch):
     """The NumPy<2.0 path (no ``np.bitwise_count``) must agree everywhere."""
     rng = np.random.default_rng(0)
     words = rng.integers(0, 256, size=(64, 18), dtype=np.uint8)
-    native = bitops.popcount(words)
-    monkeypatch.setattr(bitops, "HAVE_BITWISE_COUNT", False)
-    np.testing.assert_array_equal(bitops.popcount(words), native)
+    native = np.array([[bin(int(v)).count("1") for v in row] for row in words])
+    np.testing.assert_array_equal(oracle.popcount(words), native)
+    monkeypatch.setattr(oracle, "HAVE_BITWISE_COUNT", False)
+    np.testing.assert_array_equal(oracle.popcount(words), native)
 
-    # The whole reference kernel keeps working on the fallback.
+    # The whole XNOR-popcount product keeps working on the fallback.
     a = random_pm1(rng, (9, 77))
     w = random_pm1(rng, (5, 77))
     a_words, n = pack_pm1(a)
@@ -85,21 +96,7 @@ def test_popcount_lut_fallback_matches_native(monkeypatch):
     )
 
 
-def test_popcount_u64_matches_bit_count():
-    rng = np.random.default_rng(1)
-    words = rng.integers(0, 2**63, size=37, dtype=np.uint64)
-    expected = np.array([bin(int(v)).count("1") for v in words])
-    np.testing.assert_array_equal(bitops.popcount_u64(words), expected)
-
-
-def test_registry_and_reference_first():
-    assert available_backends() == ("reference", "bitplane")
-    for name in ("threaded", "threaded@2", "no-such-backend"):
-        with pytest.raises(KeyError, match="valid: reference, bitplane"):
-            get_kernel(name)
-
-
-def _tiny_folded():
+def _tiny_folded(backend=None):
     rng = np.random.default_rng(0)
     net = Sequential(
         [
@@ -109,19 +106,20 @@ def _tiny_folded():
         ]
     )
     net.eval_mode()
-    return fold_network(net, num_classes=3)
+    return fold_network(net, num_classes=3, backend=backend)
 
 
 def test_legacy_spellings_run_the_serial_bitplane_plan(tmp_path, monkeypatch):
-    """The frozen benchmark's names: same kernel, same serial plan, same scores."""
-    assert get_kernel("auto") is get_kernel("threaded@1") is get_kernel("bitplane")
-    folded = _tiny_folded()
+    """The frozen benchmark's names: accepted, and they change nothing."""
     images = np.random.default_rng(1).uniform(-1.0, 1.0, size=(9, 3, 8, 8))
-    expected = folded.compile_inference(micro_batch=4, backend="bitplane").forward(images)
-    for name in ("auto", "threaded@1"):
-        plan = folded.with_backend(name).compile_inference(micro_batch=4)
+    expected = _tiny_folded().compile_inference(micro_batch=4).forward(images)
+    for name in ("bitplane", "auto", "threaded@1"):
+        plan = _tiny_folded(name).compile_inference(micro_batch=4)
         np.testing.assert_array_equal(plan.forward(images), expected, err_msg=name)
         assert plan._threads == 1
+    for name in ("reference", "threaded", "threaded@2", "no-such-backend"):
+        with pytest.raises(KeyError, match="valid: bitplane, auto, threaded@1"):
+            _tiny_folded(name)
     # Nothing left to clear, and nothing on disk is touched.
     monkeypatch.setenv("HOME", str(tmp_path))
     assert clear_selection_cache() is None

@@ -210,6 +210,29 @@ class TestFoldNetwork:
         with pytest.raises(ValueError):
             FoldedBNN([])
 
+    def test_padded_inner_conv_pads_with_zero_like_the_training_net(self):
+        # The training net zero-pads its ±1 maps, so a pad tap adds 0 to
+        # the dot product; padding with -1 instead moves scores by several
+        # units and flips decisions.
+        rng = np.random.default_rng(7)
+        net = Sequential(
+            [
+                BinaryConv2D(2, 8, 3, rng=rng), BatchNorm(8), BinaryActivation(),
+                BinaryConv2D(8, 8, 3, pad=1, rng=rng), BatchNorm(8), BinaryActivation(),
+                MaxPool2D(2),
+                Flatten(),
+                BinaryDense(8 * 3 * 3, 3, rng=rng),
+                BatchNorm(3),
+            ]
+        )
+        x = rng.uniform(-1, 1, size=(64, 2, 8, 8))
+        _materialize_running_stats(net, x, rng)
+        folded = fold_network(net, num_classes=3)
+        want = net.forward(x)
+        got = folded.forward(x)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+        np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
     def test_batched_forward_consistent(self):
         rng = np.random.default_rng(5)
         net = tiny_bnn(rng)

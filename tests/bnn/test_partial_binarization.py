@@ -79,6 +79,15 @@ class TestFloatHead:
             FloatDenseHead(np.zeros((3, 4)), np.zeros(3))
 
     def test_head_without_bias(self):
-        head = FloatDenseHead(np.eye(3), None)
-        x = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_allclose(head(x), x)
+        rng = np.random.default_rng(2)
+        net = Sequential(
+            [
+                BinaryConv2D(2, 8, 3, rng=rng), BatchNorm(8), BinaryActivation(),
+                MaxPool2D(2), Flatten(), Dense(8 * 3 * 3, 5, use_bias=False, rng=rng),
+            ]
+        )
+        net.eval_mode()
+        folded = fold_network(net, num_classes=5)
+        assert folded.stages[-1].bias is None
+        x = rng.uniform(-1, 1, size=(7, 2, 8, 8))
+        np.testing.assert_allclose(folded.forward(x), net.forward(x), rtol=1e-9, atol=1e-9)

@@ -1,12 +1,12 @@
-"""Compiled-plan contract: ``FoldedBNN.compile_inference`` is invisible.
+"""Compiled-plan contract: the one BNN executor is invisible.
 
 The plan preallocates every buffer and carries 0/1 float planes between
 stages with the thresholds folded into the weights, but the arithmetic
-is integer-exact, so on a *trained* network the compiled path must
-reproduce the uncompiled loop bit-for-bit — for both backends (and the
-two legacy spellings), every thread count, and batch sizes that exercise full chunks, ragged tails,
-and single images.  Buffer reuse across calls must be observable only as
-speed, never as state.
+is integer-exact, so on a *trained* network it must reproduce the
+XNOR-popcount oracle (``oracle.forward_oracle``) bit-for-bit — under
+every legacy backend spelling, every thread count, and batch sizes that
+exercise full chunks, ragged tails, and single images.  Buffer reuse
+across calls must be observable only as speed, never as state.
 """
 
 import os
@@ -22,21 +22,26 @@ from repro.bnn import (
     BinaryActivation,
     BinaryConv2D,
     BinaryDense,
+    ChannelThresholds,
     FoldedBNN,
-    PlanUnsupported,
+    FoldedConv,
+    FoldedDense,
+    FoldedPool,
     fold_network,
 )
 from repro.bnn import plan as plan_module
 from repro.data import normalize_to_pm1
 from repro.nn import BatchNorm, Dense, Flatten, MaxPool2D, Sequential
 
+from oracle import forward_oracle
+
 BATCH_SIZES = (1, 7, 64, 129)
-BACKENDS = ("reference", "bitplane", "auto", "threaded@1")
+BACKENDS = (None, "bitplane", "auto", "threaded@1")
 
 
 @pytest.fixture(scope="module")
 def folded_packed(micro_workbench):
-    return fold_network(micro_workbench.bnn_net, packed=True)
+    return fold_network(micro_workbench.bnn_net)
 
 
 @pytest.fixture(scope="module")
@@ -45,17 +50,16 @@ def test_images(micro_workbench):
 
 
 @pytest.mark.parametrize("micro_batch", BATCH_SIZES)
-def test_plan_bit_identical_every_backend(folded_packed, test_images, micro_batch):
-    # batch 1 walks one image per chunk; cap the count so the slow
-    # reference backend stays cheap without losing the ragged-tail case.
+def test_plan_bit_identical_every_backend(micro_workbench, test_images, micro_batch):
+    # batch 1 walks one image per chunk; cap the count so the oracle
+    # stays cheap without losing the ragged-tail case.
     images = test_images[:13] if micro_batch == 1 else test_images
+    expected = None
     for backend in BACKENDS:
-        expected = folded_packed.with_backend(backend).forward_uncompiled(
-            images, batch_size=micro_batch
-        )
-        plan = folded_packed.compile_inference(
-            micro_batch=micro_batch, backend=backend
-        )
+        folded = fold_network(micro_workbench.bnn_net, backend=backend)
+        if expected is None:
+            expected = forward_oracle(folded, images, batch_size=micro_batch)
+        plan = folded.compile_inference(micro_batch=micro_batch)
         np.testing.assert_array_equal(
             plan.forward(images), expected, err_msg=f"{backend}@batch{micro_batch}"
         )
@@ -98,32 +102,21 @@ def test_forward_autocompiles(folded_packed, test_images):
     auto = folded_packed.forward(test_images, batch_size=64)
     assert folded_packed._auto_plan(64) is not None
     np.testing.assert_array_equal(
-        auto, folded_packed.forward_uncompiled(test_images, batch_size=64)
+        auto, forward_oracle(folded_packed, test_images, batch_size=64)
     )
 
 
-def test_unknown_backend_rejected_at_construction(folded_packed):
-    # Fully fused: no stage would ever look the name up, so only the
-    # constructor can catch it.
-    with pytest.raises(KeyError, match="valid: reference, bitplane"):
-        folded_packed.compile_inference(backend="nonesuch")
-    with pytest.raises(KeyError, match="nonesuch"):
-        folded_packed.with_backend("nonesuch")
-    with pytest.raises(KeyError, match="nonesuch"):
-        FoldedBNN(folded_packed.stages, backend="nonesuch")
+def test_unknown_backend_rejected_at_construction(micro_workbench):
+    # The name changes nothing, so only the fold can catch it.
+    for name in ("nonesuch", "reference"):
+        with pytest.raises(KeyError, match=f"{name}.*valid: bitplane, auto, threaded@1"):
+            fold_network(micro_workbench.bnn_net, backend=name)
 
 
 def test_threads_below_one_rejected_at_construction(folded_packed):
     for threads in (0, -5):
         with pytest.raises(ValueError, match="threads"):
             folded_packed.compile_inference(threads=threads)
-
-
-def test_unpacked_network_is_unsupported(micro_workbench):
-    unpacked = fold_network(micro_workbench.bnn_net, packed=False)
-    with pytest.raises(PlanUnsupported):
-        unpacked.compile_inference()
-    assert unpacked._auto_plan(64) is None  # forward falls back silently
 
 
 def test_batch_size_must_match_micro_batch(folded_packed, test_images):
@@ -141,12 +134,11 @@ def test_plan_matches_uncompiled_on_random_inputs(folded_packed, seed, n):
     images = rng.uniform(-1.0, 1.0, size=(n, 3, 32, 32))
     plan = folded_packed.compile_inference(micro_batch=4)
     np.testing.assert_array_equal(
-        plan.forward(images),
-        folded_packed.forward_uncompiled(images, batch_size=4),
+        plan.forward(images), forward_oracle(folded_packed, images, batch_size=4)
     )
 
 
-# -- the plane dataflow: chunk sizes, suffix fallback, float64 planes --------
+# -- the plane dataflow: chunk sizes, every topology, float64 planes ---------
 
 
 def test_every_chunk_size_and_ragged_tails(folded_packed, test_images):
@@ -155,7 +147,7 @@ def test_every_chunk_size_and_ragged_tails(folded_packed, test_images):
     for n in [*range(1, micro_batch + 1), micro_batch + 1, 2 * micro_batch + 5]:
         np.testing.assert_array_equal(
             plan.forward(test_images[:n]),
-            folded_packed.forward_uncompiled(test_images[:n], batch_size=micro_batch),
+            forward_oracle(folded_packed, test_images[:n], batch_size=micro_batch),
             err_msg=f"n={n}",
         )
 
@@ -228,23 +220,65 @@ def _padded_inner_conv_net(rng):
 
 
 @pytest.mark.parametrize("build", [_float_head_net, _padded_inner_conv_net])
-def test_suffix_fallback_is_bit_identical(build):
+def test_padded_conv_and_float_head_compile(build):
     rng = np.random.default_rng(3)
-    folded = fold_network(build(rng), num_classes=5, backend="bitplane")
-    images = rng.uniform(-1.0, 1.0, size=(11, 3, 10, 10))
+    net = build(rng)
+    folded = fold_network(net, num_classes=5)
+    images = rng.uniform(-1.0, 1.0, size=(64, 3, 10, 10))
     plan = folded.compile_inference(micro_batch=4)
     with obs.tracing() as tracer:
         scores = plan.forward(images)
-    np.testing.assert_array_equal(scores, folded.forward_uncompiled(images, batch_size=4))
-    if build is _padded_inner_conv_net:
-        # Only the suffix (the conv feeding the padded one, onwards) still
-        # calls a kernel backend; the fused prefix does not.
-        kernel_parents = {s.parent for s in tracer.spans if s.name == "kernel.bitplane"}
-        assert kernel_parents == {"bnn.conv3", "bnn.conv4", "bnn.fc1"}
+    np.testing.assert_array_equal(scores, forward_oracle(folded, images, batch_size=4))
+    # The training net pads with 0, and so do the plan and the oracle.
+    np.testing.assert_allclose(scores, net.forward(images), rtol=1e-9, atol=1e-9)
+    assert {"bnn." + label for label in folded.stage_labels} <= {s.name for s in tracer.spans}
+
+
+def test_terminal_thresholding_stage_outputs_pm1_in_training_layout():
+    rng = np.random.default_rng(4)
+    net = _randomize_batchnorms(
+        Sequential([*_conv_block(3, 8, rng), MaxPool2D(2), *_conv_block(8, 5, rng, pad=1)]),
+        rng,
+    )
+    folded = fold_network(net)
+    images = rng.uniform(-1.0, 1.0, size=(9, 3, 10, 10))
+    scores = folded.compile_inference(micro_batch=4).forward(images)
+    assert scores.shape == (9, 5, 4, 4) and scores.dtype == np.float64
+    np.testing.assert_array_equal(scores, forward_oracle(folded, images, batch_size=4))
+    np.testing.assert_array_equal(scores, net.forward(images))
+
+
+def _plain_conv(cin, cout, binary_input=True):
+    thresholds = ChannelThresholds(np.zeros(cout), np.ones(cout), np.ones(cout))
+    return FoldedConv(np.ones((cout, cin * 9)), 3, 1, 0, cin, thresholds, binary_input)
+
+
+@pytest.mark.parametrize(
+    "stages,match",
+    [
+        ([_plain_conv(4, 8, binary_input=False)], "4 input channels, got 3"),
+        ([_plain_conv(3, 8, binary_input=False), _plain_conv(4, 8)], "4 input channels, got 8"),
+        ([_plain_conv(3, 8)], "conv1 .* cannot take float input"),
+        ([_plain_conv(3, 8, binary_input=False), FoldedPool(9, 9)], "does not fit"),
+        ([_plain_conv(3, 8, binary_input=False), FoldedDense(np.ones((2, 7)), None)], "fan-in 7"),
+        (
+            [
+                _plain_conv(3, 8, binary_input=False),
+                FoldedDense(np.ones((2, 8 * 6 * 6)), None),
+                FoldedDense(np.ones((2, 2)), None),
+            ],
+            "fc2 .* cannot take scores input",
+        ),
+    ],
+)
+def test_impossible_geometry_raises_at_compile(stages, match):
+    plan = FoldedBNN(stages).compile_inference(micro_batch=2)
+    with pytest.raises(ValueError, match=match):
+        plan.forward(np.zeros((1, 3, 8, 8)))
 
 
 def test_fully_fused_network_calls_no_kernel_backend(folded_packed, test_images):
-    plan = folded_packed.compile_inference(micro_batch=8, backend="bitplane")
+    plan = folded_packed.compile_inference(micro_batch=8)
     with obs.tracing() as tracer:
         plan.forward(test_images[:8])
     names = {s.name for s in tracer.spans}
@@ -269,7 +303,6 @@ def test_tile_threads_policy(folded_packed, monkeypatch):
         return folded_packed.compile_inference(**kwargs)._tile_threads()
 
     assert threads() == 1                            # serial unless asked
-    assert threads(backend="reference") == 1         # the backend is not a knob
     assert threads(threads=3) == 3
     assert threads(threads=8) == 4                   # capped at the affinity
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)

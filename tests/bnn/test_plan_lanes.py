@@ -3,9 +3,9 @@
 A binary conv stage of fan-in K packs the two halves of a chunk into one
 plane, ``x[:⌈n/2⌉] + B·x[⌈n/2⌉:]``, runs one GEMM over half the rows and
 decodes both lanes.  Packing must be invisible: every decision equals
-the unpacked (uncompiled) stage's, for any fan-in the exactness check
-admits, for odd and even chunks, serial and tiled — and a fan-in one past
-the check must stay unpacked.
+the XNOR-popcount oracle's, for any fan-in the exactness check admits,
+for odd and even chunks, padded or not, serial and tiled — and a fan-in
+one past the check must stay unpacked.
 """
 
 import numpy as np
@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from repro.bnn import FoldedBNN, fold_network
 from repro.bnn import plan as plan_module
 from repro.bnn.inference import FoldedConv
-from repro.bnn.packing import PackedMaps
 from repro.bnn.plan import CompiledBNNPlan, _lane_base
 from repro.bnn.thresholding import ChannelThresholds
 from repro.data import normalize_to_pm1
+
+from oracle import forward_oracle, oracle_stage
 
 #: The largest fan-in whose packed GEMM stays exact: B = 4096 and
 #: (B + 1)·K < 2**24; K + 1 needs B = 8192 and fails the check.
@@ -37,7 +38,7 @@ def test_lane_base_boundary():
         assert base >= 2 * k + 2 and base & (base - 1) == 0 and base // 2 < 2 * k + 2
 
 
-def _conv_stage(rng, k, c, oc, stride):
+def _conv_stage(rng, k, c, oc, stride, pad=0):
     """A binary conv engine whose columns and thresholds include extremes."""
     lean = rng.choice([0.0, 0.5, 1.0], size=oc)  # all -1, mixed, all +1 columns
     weights = np.where(rng.random((oc, c * k * k)) < lean[:, None], 1.0, -1.0)
@@ -48,7 +49,7 @@ def _conv_stage(rng, k, c, oc, stride):
         sign=rng.choice([-1.0, 0.0, 1.0], size=oc, p=[0.4, 0.1, 0.5]),
         constant=rng.choice([-1.0, 1.0], size=oc),
     )
-    return FoldedConv(weights, k, stride, 0, c, thresholds, binary_input=True)
+    return FoldedConv(weights, k, stride, pad, c, thresholds, binary_input=True)
 
 
 def _plane_op(stage, h, w, micro_batch, threads):
@@ -61,10 +62,9 @@ def _plane_op(stage, h, w, micro_batch, threads):
 
 
 def _unpacked(stage, maps):
-    """The uncompiled stage's 0/1 decisions, NHWC."""
-    words = np.packbits(maps != 0, axis=3)
-    out = stage(PackedMaps(words, stage.in_channels), emit_packed=True)
-    return np.unpackbits(out.words, axis=3)[..., : stage.out_channels]
+    """The oracle's 0/1 decisions for the stage, NHWC."""
+    pm1 = maps.transpose(0, 3, 1, 2).astype(np.float64) * 2.0 - 1.0
+    return oracle_stage(stage, pm1).transpose(0, 2, 3, 1) > 0
 
 
 @given(
@@ -75,6 +75,7 @@ def _unpacked(stage, maps):
     ),
     oc=st.integers(1, 12),
     stride=st.sampled_from([1, 2]),
+    pad=st.sampled_from([0, 0, 1]),
     extra=st.tuples(st.integers(0, 3), st.integers(0, 3)),
     micro_batch=st.integers(1, 9),
     fill=st.sampled_from([0.0, 0.5, 1.0]),
@@ -86,12 +87,12 @@ def _unpacked(stage, maps):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_packed_stage_equals_unpacked(
-    seed, shape, oc, stride, extra, micro_batch, fill, threads, data, monkeypatch
+    seed, shape, oc, stride, pad, extra, micro_batch, fill, threads, data, monkeypatch
 ):
     monkeypatch.setattr(plan_module, "available_cpus", lambda: 2)
     k, c = shape
     rng = np.random.default_rng(seed)
-    stage = _conv_stage(rng, k, c, oc, stride)
+    stage = _conv_stage(rng, k, c, oc, stride, pad)
     h, w = k + extra[0], k + extra[1]
     n = data.draw(st.integers(1, micro_batch), label="n")
     maps = (rng.random((n, h, w, c)) < fill).astype(np.float32)
@@ -112,7 +113,7 @@ def test_packed_stage_equals_unpacked(
 
 @pytest.fixture(scope="module")
 def folded_packed(micro_workbench):
-    return fold_network(micro_workbench.bnn_net, packed=True)
+    return fold_network(micro_workbench.bnn_net)
 
 
 @pytest.mark.parametrize("micro_batch", [2, 3, 5, 7])
@@ -128,7 +129,7 @@ def test_plan_matches_uncompiled_at_odd_chunks(
         buf.fill(0)
     np.testing.assert_array_equal(
         plan.forward(images),
-        folded_packed.forward_uncompiled(images, batch_size=micro_batch),
+        forward_oracle(folded_packed, images, batch_size=micro_batch),
     )
     # Every binary conv of this network is inside the exactness check, so
     # the chunks of >= 2 images left lane values (>= B) in float32 buffers.

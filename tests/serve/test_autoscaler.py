@@ -311,9 +311,10 @@ def test_for_server_reads_every_knob_off_the_public_controllers():
         return images.argmax(axis=1)
 
     ladder_ctrl = LadderThresholdController.from_targets([0.9, 0.8], [0.3, 0.5])
+    # host_workers=0: the serial host below, whatever REPRO_HOST_WORKERS says.
     with CascadeServer(
         scores_fn, dmu(), host_fn, controller=ladder_ctrl,
-        ladder=[LadderStage("mid", scores_fn, dmu=dmu())],
+        ladder=[LadderStage("mid", scores_fn, dmu=dmu())], host_workers=0,
     ) as server:
         assert server.num_stages == 3
         assert server.controllers == ladder_ctrl.knobs

@@ -139,6 +139,9 @@ class Harness:
             deadline_s=1.0, clock=self.clock, metrics=self.metrics,
             retry=RetryPolicy(max_retries=2, base_delay_s=0.0, max_delay_s=0.0),
             breaker=self.breaker,
+            # The scripted stages keep their state in this process; a
+            # REPRO_HOST_WORKERS pool would run the host script elsewhere.
+            host_workers=0,
         )
         self.helpers: list = []     # futures of the requests that set the scene
 
@@ -347,10 +350,12 @@ def test_no_ladder_and_empty_ladder_are_the_same_server():
         dmu = DecisionMakingUnit(weights, bias=0.0, threshold=0.6)
         # A frozen clock takes every wall-clock field out of the snapshot;
         # one request in flight at a time takes batch cuts and queue
-        # depths out of it.
+        # depths out of it.  The property is rung topology, not the host
+        # pool: pool workers time host_worker_seconds on their own clocks,
+        # so host_workers=0 keeps REPRO_HOST_WORKERS out of the books.
         with CascadeServer(
             lambda x: x, dmu, lambda x: x.argmax(axis=1) + 100,
-            clock=lambda: 0.0, **kwargs,
+            clock=lambda: 0.0, host_workers=0, **kwargs,
         ) as server:
             results = [server.submit(img).result(timeout=WAIT) for img in images]
         runs.append((results, server.snapshot()))

@@ -54,14 +54,10 @@ README = REPO_ROOT / "README.md"
 # genuinely unreferenced — prune an entry the moment a doc names it.
 INTERNAL_HELPERS = frozenset({
     "repro.bnn.binarize",
-    "repro.bnn.bitops",
     "repro.bnn.export",
-    "repro.bnn.kernels.base",
     "repro.bnn.layers",
-    "repro.bnn.packing",
     "repro.bnn.quantize",
     "repro.bnn.thresholding",
-    "repro.bnn.xnor",
     "repro.core.ascii_chart",
     "repro.core.report",
     "repro.data.augment",
