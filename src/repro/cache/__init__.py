@@ -1,17 +1,15 @@
 """Content-addressed result cache for the cascade serving layer.
 
 Video workloads (:mod:`repro.stream` / :class:`repro.traffic.VideoTrafficSource`)
-re-submit near-identical ROI crops frame after frame, so a large
+re-submit the same ROI crops frame after frame, so a large
 fraction of cascade work is recomputation of answers the server already
 produced.  This package short-circuits that work *in front of*
 ``submit()``:
 
 * :class:`ResultCache` — sharded-lock, byte-bounded LRU mapping a
   blake2b content key (:func:`repro.util.hashing.content_key`) to the
-  terminal answer of a previous cascade pass, with an optional
-  near-duplicate tier (quantized-thumbnail fingerprint + an exact
-  ``atol=0`` compare gate by default, so hits stay bit-identical to a
-  cold run).
+  terminal answer of a previous cascade pass, so every hit is
+  bit-identical to a cold run.
 * :class:`CachingFrontend` — wraps any ``submit() -> Future`` backend
   (an in-process :class:`repro.serve.CascadeServer`, one tenant of a
   :class:`repro.serve.MultiTenantServer`, or a ``repro.net`` replica)

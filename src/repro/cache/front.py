@@ -113,7 +113,7 @@ class CachingFrontend:
         start = self._clock()
         key = self.cache.key_for(image, self.namespace)
         with self._flight_lock:
-            answer = self.cache.get(key, image)
+            answer = self.cache.get(key)
             if answer is not None:
                 return self._serve_hit(answer, start)
             flight = self._flights.get(key)

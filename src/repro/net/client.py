@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..serve.server import ServeResult
 from .protocol import (
     Accepted,
     Decision,
@@ -66,13 +67,11 @@ class WireResult:
     prediction: int
     bnn_prediction: int
     confidence: float
-    source: str                 # "bnn" | "host" | "degraded"
+    source: str                 # "bnn" | "degraded" | "host" | a rung name
     latency_seconds: float      # server-side latency, as reported
     logits: np.ndarray
 
-    @property
-    def rerun(self) -> bool:
-        return self.source == "host"
+    rerun = ServeResult.rerun  # one rule for both result types
 
 
 class WireRejected(RuntimeError):

@@ -35,11 +35,9 @@ where ``routed`` counts requests answered by a replica, ``rejected``
 counts admission refusals (:class:`NoHealthyReplica`), and ``failed``
 counts typed terminal errors after placement.
 
-The replica control plane is a duplex pipe like
-:mod:`repro.parallel.runner`'s worker plane (ping/submit/stop
-messages); images ride the pipe because the router is a control-path
-fan-out — the data-path shared-memory rings stay where the bandwidth
-is, inside each replica's host pool.
+Each replica has one duplex pipe, like each of
+:mod:`repro.parallel.runner`'s workers (ping/submit/stop messages);
+images ride that pipe.
 """
 
 from __future__ import annotations
@@ -185,14 +183,14 @@ def replica_main(conn, factory: Callable[[], dict]) -> None:
     *factory* returns the keyword arguments for
     :class:`~repro.serve.CascadeServer` (it runs in the child, so heavy
     state — trained networks, fault injectors — is built post-fork).
-    Three extra keys are popped before the server is built and, when
-    ``cache_max_bytes`` is truthy, wrap the replica in a per-replica
-    :class:`~repro.cache.CachingFrontend`: ``cache_max_bytes``,
-    ``cache_near_duplicate`` and ``cache_atol``.  Per-replica caches
+    One extra key, ``cache_max_bytes``, is popped before the server is
+    built; when truthy it wraps the replica in a per-replica
+    :class:`~repro.cache.CachingFrontend` of that byte budget.  Per-replica caches
     compose with rendezvous placement — the same image bytes that pick
     a replica also name that replica's cache entry, so repeats of an
     image always land where its answer is already cached.
-    Messages: ``("submit", rid, image)`` → ``("result", rid, ...)`` or
+    Messages: ``("submit", rid, image)`` → ``("result", rid, prediction,
+    bnn_prediction, confidence, source, latency, cold_source)`` or
     ``("error", rid, repr)``; ``("ping", token)`` → ``("pong", token)``;
     ``("stop",)`` drains and exits.
     """
@@ -201,20 +199,11 @@ def replica_main(conn, factory: Callable[[], dict]) -> None:
     try:
         kwargs = factory()
         cache_max_bytes = kwargs.pop("cache_max_bytes", 0)
-        cache_near_duplicate = kwargs.pop("cache_near_duplicate", False)
-        cache_atol = kwargs.pop("cache_atol", 0.0)
         server = CascadeServer(**kwargs)
         if cache_max_bytes:
             from ..cache import CachingFrontend, ResultCache
 
-            server = CachingFrontend(
-                server,
-                ResultCache(
-                    max_bytes=int(cache_max_bytes),
-                    near_duplicate=bool(cache_near_duplicate),
-                    atol=float(cache_atol),
-                ),
-            )
+            server = CachingFrontend(server, ResultCache(max_bytes=int(cache_max_bytes)))
     except Exception as exc:
         try:
             conn.send(("init_error", repr(exc)))
@@ -236,7 +225,7 @@ def replica_main(conn, factory: Callable[[], dict]) -> None:
             r = fut.result()
             reply((
                 "result", rid, int(r.prediction), int(r.bnn_prediction),
-                float(r.confidence), r.source, float(r.latency_seconds),
+                float(r.confidence), r.source, float(r.latency_seconds), r.cold_source,
             ))
         else:
             reply(("error", rid, repr(exc)))
@@ -334,7 +323,7 @@ class ProcessReplica:
                 break
             kind = message[0]
             if kind == "result":
-                _, rid, prediction, bnn_prediction, confidence, source, latency = message
+                _, rid, prediction, bnn_prediction, confidence, source, latency, cold = message
                 fut = self._pop_pending(rid)
                 if fut is not None:
                     fut.set_result(ServeResult(
@@ -343,6 +332,7 @@ class ProcessReplica:
                         confidence=confidence,
                         source=source,
                         latency_seconds=latency,
+                        cold_source=cold,
                     ))
             elif kind == "error":
                 _, rid, detail = message

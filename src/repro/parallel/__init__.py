@@ -1,14 +1,14 @@
-"""Process-parallel host inference over shared-memory rings.
+"""Process-parallel host inference over one pipe per worker.
 
 The paper's Eq. (1) bound ``t_multi ~= max(t_fp * R_rerun, t_bnn)`` is
 dominated by the host float path once the BNN stage is fast; this
 subpackage attacks ``t_fp`` directly by sharding rerun batches across
 ``N`` warm worker processes (``t_fp -> t_fp / N`` on an ``N``-core
-host).  Images and logits travel through preallocated
-``multiprocessing.shared_memory`` slot rings (:mod:`repro.parallel.shm`)
-rather than pickles; shard cuts align with the
-:class:`repro.nn.InferenceEngine` micro-batch so parallel logits are
-bit-identical to serial for any worker count.
+host).  Each worker's duplex pipe is the pool's only channel: a shard's
+pixels travel as raw bytes (never a pickle) and its logits or labels
+come back in the reply (:mod:`repro.parallel.worker`).  Shard cuts
+align with the :class:`repro.nn.InferenceEngine` micro-batch, so
+parallel logits are bit-identical to serial for any worker count.
 
 Entry points:
 
@@ -26,7 +26,6 @@ from .runner import (
     default_start_method,
     resolve_host_workers,
 )
-from .shm import RingSpec, SlotRing, WorkerRing
 from .worker import worker_main
 
 __all__ = [
@@ -35,8 +34,5 @@ __all__ = [
     "ShardReport",
     "default_start_method",
     "resolve_host_workers",
-    "RingSpec",
-    "SlotRing",
-    "WorkerRing",
     "worker_main",
 ]

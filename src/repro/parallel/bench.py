@@ -13,7 +13,7 @@ images and verifies the determinism contract while doing so:
 * ``threads-K`` — the same engine sharded across K Python threads (the
   GIL control group);
 * ``procs-K`` — :class:`repro.parallel.ParallelHostRunner` with K
-  shared-memory worker processes, K in ``worker_counts``.
+  worker processes, K in ``worker_counts``.
 
 The report is honest about the machine: it records ``cpu_count`` and the
 scheduler affinity, and on a single-core box it says outright that the
@@ -199,7 +199,7 @@ def run_parallel_bench(config: ParallelBenchConfig | None = None) -> dict:
         with ParallelHostRunner(
             model=net, n_workers=k, micro_batch=config.micro_batch
         ) as pool:
-            pool.predict_scores(images[: config.micro_batch])  # warmup: rings + engines
+            pool.predict_scores(images[: config.micro_batch * k])  # warmup: every worker
             sec_k, scores_k = _time_best(pool.predict_scores, images, config.repeats)
             stats = pool.worker_stats()
         ideal_spi = spi_serial_engine / k

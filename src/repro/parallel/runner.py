@@ -4,9 +4,10 @@
 callable of :class:`repro.serve.CascadeServer`: it is a plain
 ``(N, ...) images -> (N,) labels`` callable, but internally it shards
 each batch across ``n_workers`` *processes* — side-stepping the GIL that
-serializes the server's ``serve-host-*`` threads — and moves pixels and
-logits through preallocated :mod:`repro.parallel.shm` ring buffers
-(zero-copy slabs, seqlock slot headers) instead of pickles.
+serializes the server's ``serve-host-*`` threads.  Each worker has one
+duplex pipe: a shard travels as a small ``run`` header plus its raw
+pixel bytes (``send_bytes``, never a pickle), and the logits or labels
+come back in the ``done`` reply (see :mod:`repro.parallel.worker`).
 
 Two modes share the machinery:
 
@@ -27,7 +28,7 @@ An exception *inside* a worker's compute fails only that worker's shard:
 :class:`~repro.serve.resilience.StageFailure` and every other shard still
 resolves.  A *dead* worker (crash, ``kill -9``) is detected at collect
 time, its shard fails the same way, and the pool **crash-replaces** the
-worker — fresh process, fresh ring, weights re-broadcast — before the
+worker — fresh process, fresh pipe, weights re-broadcast — before the
 next call, so the pool self-heals.  The strict ``__call__`` facade used
 by the server raises the first ``StageFailure`` for the whole batch,
 which plugs into the PR 4 retry-with-backoff / degrade-to-BNN contract
@@ -52,7 +53,6 @@ import numpy as np
 
 from .. import obs
 from ..serve.resilience import StageFailure
-from .shm import SlotRing, ensure_tracker
 from .worker import worker_main
 
 __all__ = [
@@ -145,20 +145,19 @@ class ShardReport:
 
 
 class _Worker:
-    __slots__ = ("index", "proc", "conn", "ring", "images", "infer_seconds", "replacements")
+    __slots__ = ("index", "proc", "conn", "images", "infer_seconds", "replacements")
 
     def __init__(self, index: int):
         self.index = index
         self.proc = None
         self.conn = None
-        self.ring: SlotRing | None = None
         self.images = 0
         self.infer_seconds = 0.0
         self.replacements = 0
 
 
 class ParallelHostRunner:
-    """Multiprocess shared-memory host-inference pool (see module docs).
+    """Multiprocess host-inference pool (see module docs).
 
     Parameters
     ----------
@@ -175,9 +174,6 @@ class ParallelHostRunner:
         Engine precision and micro-batch (model mode; see
         :class:`repro.nn.InferenceEngine`).  float32 is the paper host's
         inference precision.
-    slots_per_worker:
-        Ring depth per worker.  Two slots let the runner publish call
-        *k+1*'s shard while the response of call *k* is still being read.
     start_method:
         ``fork`` (default on POSIX; zero-copy weight broadcast) or
         ``spawn`` (portable; weights pickled once).  ``REPRO_MP_START``
@@ -185,7 +181,10 @@ class ParallelHostRunner:
     shard_timeout_s:
         Per-shard collect timeout.  ``None`` (default) waits for the
         response or worker death; set it to bound hung-worker stalls —
-        a timed-out worker is killed and crash-replaced.
+        a timed-out worker is killed and crash-replaced.  That kill is
+        also what keeps dispatch safe: ``send_bytes`` blocks until the
+        worker reads a shard larger than the pipe buffer, and every
+        worker that survives a call is back in its receive loop.
     spawn_timeout_s:
         Deadline for a worker to report ready at (re)spawn.
     """
@@ -197,7 +196,6 @@ class ParallelHostRunner:
         n_workers: int | None = None,
         dtype=np.float32,
         micro_batch: int = 16,
-        slots_per_worker: int = 2,
         start_method: str | None = None,
         shard_timeout_s: float | None = None,
         spawn_timeout_s: float = 60.0,
@@ -211,7 +209,6 @@ class ParallelHostRunner:
         self.micro_batch = int(micro_batch)
         if self.micro_batch < 1:
             raise ValueError("micro_batch must be >= 1")
-        self.slots_per_worker = int(slots_per_worker)
         self.start_method = start_method or default_start_method()
         self.shard_timeout_s = shard_timeout_s
         self.spawn_timeout_s = spawn_timeout_s
@@ -222,14 +219,13 @@ class ParallelHostRunner:
             self._payload = ("callable", predict_fn, {})
         self._ctx = multiprocessing.get_context(self.start_method)
         self._lock = threading.Lock()
-        self._geometry: tuple | None = None  # (item_shape, item_dtype, resp_shape, resp_dtype, capacity)
+        self._seq = 0  # tags each dispatched shard; replies must echo it
         self._metrics = None
         self._closed = False
         self._workers = [_Worker(i) for i in range(self.n_workers)]
         # Worker indices are never reused across resize(): per-worker
         # metrics/stats keys stay unambiguous for the whole pool lifetime.
         self._next_index = self.n_workers
-        ensure_tracker()  # children must inherit the parent's tracker
         try:
             for w in self._workers:
                 self._spawn(w)
@@ -248,17 +244,15 @@ class ParallelHostRunner:
         )
         proc.start()
         child_conn.close()
-        worker.proc, worker.conn, worker.ring = proc, parent_conn, None
+        worker.proc, worker.conn = proc, parent_conn
         reply = self._recv(worker, timeout=self.spawn_timeout_s)
         if reply is None or reply[0] != "ready":
             detail = reply[1] if reply and reply[0] == "init_error" else reply
             self._kill(worker)
             raise RuntimeError(f"worker {worker.index} failed to start: {detail}")
-        if self._geometry is not None:
-            self._issue_ring(worker)
 
     def _respawn(self, worker: _Worker) -> None:
-        """Crash-replace: fresh process + fresh ring, weights re-broadcast."""
+        """Crash-replace: fresh process + fresh pipe, weights re-broadcast."""
         self._kill(worker)
         worker.replacements += 1
         self._spawn(worker)
@@ -279,16 +273,12 @@ class ParallelHostRunner:
                 worker.proc.kill()
                 worker.proc.join(timeout=5.0)
             worker.proc = None
-        if worker.ring is not None:
-            worker.ring.close()
-            worker.ring = None
 
     def resize(self, n: int) -> int:
         """Grow or shrink the pool to *n* workers; returns the new size.
 
         Shrinking stops and reaps the highest-numbered workers; growing
-        spawns fresh processes (ring issued immediately when geometry is
-        already known).  The pool lock serializes this against
+        spawns fresh processes.  The pool lock serializes this against
         :meth:`run_sharded`, so a resize only ever lands *between*
         batches — shards are re-cut on the next call and, in model mode,
         stay on micro-batch boundaries, preserving bit-identity across
@@ -326,7 +316,7 @@ class ParallelHostRunner:
             return self.n_workers
 
     def close(self, timeout: float = 10.0) -> None:
-        """Stop all workers and unlink every shm segment (idempotent)."""
+        """Stop and reap all workers (idempotent)."""
         with self._lock:
             if self._closed:
                 return
@@ -367,51 +357,6 @@ class ParallelHostRunner:
                 return None
             if deadline is not None and time.monotonic() >= deadline:
                 return None
-
-    def _issue_ring(self, worker: _Worker) -> None:
-        """(Re)allocate this worker's ring at the current geometry."""
-        item_shape, item_dtype, resp_shape, resp_dtype, capacity = self._geometry
-        if worker.ring is not None:
-            worker.ring.close()
-        worker.ring = SlotRing(
-            capacity=capacity,
-            item_shape=item_shape,
-            item_dtype=item_dtype,
-            resp_shape=resp_shape,
-            resp_dtype=resp_dtype,
-            n_slots=self.slots_per_worker,
-        )
-        worker.conn.send(("attach", worker.ring.spec()))
-        reply = self._recv(worker, timeout=self.spawn_timeout_s)
-        if reply is None or reply[0] != "attached":
-            self._kill(worker)
-            raise RuntimeError(f"worker {worker.index} failed to attach ring: {reply}")
-
-    def _ensure_geometry(self, images: np.ndarray, max_shard: int) -> None:
-        item_shape = images.shape[1:]
-        if self.mode == "model":
-            item_dtype = self.dtype            # cast once, in the parent, via the slab
-            out_shape = tuple(self._model.output_shape(item_shape))
-            resp_shape, resp_dtype = out_shape, self.dtype
-        else:
-            item_dtype = images.dtype
-            resp_shape, resp_dtype = (), np.dtype(np.int64)
-        needed_capacity = max(max_shard, self.micro_batch)
-        geom = self._geometry
-        if (
-            geom is not None
-            and geom[0] == item_shape
-            and geom[1] == item_dtype
-            and geom[2] == resp_shape
-            and geom[3] == resp_dtype
-            and geom[4] >= needed_capacity
-        ):
-            return
-        capacity = max(needed_capacity, 0 if geom is None else geom[4])
-        self._geometry = (item_shape, np.dtype(item_dtype), resp_shape, np.dtype(resp_dtype), capacity)
-        for w in self._workers:
-            if w.conn is not None:
-                self._issue_ring(w)
 
     def _shards(self, n: int) -> list[tuple[int, int]]:
         """Contiguous (start, stop) per worker, cut on micro-batch boundaries.
@@ -505,30 +450,34 @@ class ParallelHostRunner:
             self._require_open()
             if n == 0:
                 return ShardReport(0, [])
-            shards = self._shards(n)
-            self._ensure_geometry(images, max(stop - start for start, stop in shards))
-
+            # Model mode casts to the engine dtype here, once per shard.
+            dtype = self.dtype if self.mode == "model" else images.dtype
+            if dtype.hasobject:
+                raise TypeError("object arrays cannot cross the worker pipe")
             tracer = obs.active()
-            pending = []  # (worker, start, stop, slot, seq, t_dispatch)
-            for (start, stop), worker in zip(shards, self._workers):
+            pending = []  # (worker, start, stop, seq, t_dispatch, dispatch_exc)
+            for (start, stop), worker in zip(self._shards(n), self._workers):
                 if worker.proc is None or not worker.proc.is_alive():
                     try:
                         self._respawn(worker)
                     except Exception as exc:
-                        pending.append((worker, start, stop, None, None, None, exc))
+                        pending.append((worker, start, stop, None, None, exc))
                         continue
+                self._seq += 1
+                shard = np.ascontiguousarray(images[start:stop], dtype=dtype)
                 try:
-                    slot, seq, count = worker.ring.publish(images[start:stop])
-                    worker.conn.send(("run", slot, seq, count))
+                    worker.conn.send(("run", self._seq, shard.shape, shard.dtype.str))
+                    worker.conn.send_bytes(shard)  # raw bytes, never a pickle
                     t0 = None if tracer is None else tracer.now()
-                    pending.append((worker, start, stop, slot, seq, t0, None))
-                except (OSError, BrokenPipeError, ValueError) as exc:
-                    pending.append((worker, start, stop, None, None, None, exc))
+                    pending.append((worker, start, stop, self._seq, t0, None))
+                except OSError as exc:  # maybe half-sent: replace the worker
+                    self._kill(worker)
+                    pending.append((worker, start, stop, None, None, exc))
             obs.gauge("parallel.inflight", len(pending))
 
             outcomes = []
             dead: list[_Worker] = []
-            for worker, start, stop, slot, seq, t0, dispatch_exc in pending:
+            for worker, start, stop, seq, t0, dispatch_exc in pending:
                 if dispatch_exc is not None:
                     outcomes.append(
                         ShardOutcome(worker.index, start, stop,
@@ -537,7 +486,7 @@ class ParallelHostRunner:
                     if worker.proc is None or not worker.proc.is_alive():
                         dead.append(worker)
                     continue
-                outcome = self._collect(worker, start, stop, slot, seq, t0, tracer)
+                outcome = self._collect(worker, start, stop, seq, t0, tracer)
                 if not outcome.ok and (worker.proc is None or not worker.proc.is_alive()):
                     dead.append(worker)
                 outcomes.append(outcome)
@@ -557,7 +506,7 @@ class ParallelHostRunner:
             obs.gauge("parallel.inflight", 0)
             return ShardReport(n, outcomes)
 
-    def _collect(self, worker, start, stop, slot, seq, t0, tracer) -> ShardOutcome:
+    def _collect(self, worker, start, stop, seq, t0, tracer) -> ShardOutcome:
         while True:
             reply = self._recv(worker, self.shard_timeout_s)
             if reply is None:
@@ -571,9 +520,8 @@ class ParallelHostRunner:
                         f"parallel host worker {worker.index} {detail}")),
                 )
             kind = reply[0]
-            if kind == "done" and reply[1] == slot and reply[2] == seq:
-                _, _, _, count, seconds = reply
-                values = worker.ring.read_response(slot, seq, count)
+            if kind == "done" and reply[1] == seq:
+                _, _, count, values, seconds = reply
                 worker.images += count
                 worker.infer_seconds += seconds
                 if tracer is not None:
@@ -592,11 +540,11 @@ class ParallelHostRunner:
                     )
                 return ShardOutcome(worker.index, start, stop, values=values,
                                     infer_seconds=seconds)
-            if kind == "error" and reply[1] == slot and reply[2] == seq:
+            if kind == "error" and reply[1] == seq:
                 return ShardOutcome(
                     worker.index, start, stop,
                     error=StageFailure("host", RuntimeError(
-                        f"parallel host worker {worker.index} failed:\n{reply[3]}")),
+                        f"parallel host worker {worker.index} failed:\n{reply[2]}")),
                 )
             # anything else is stale traffic from an earlier timed-out shard
 
@@ -607,11 +555,7 @@ class ParallelHostRunner:
         images = np.asarray(images)
         report = self.run_sharded(images)
         if report.n == 0:
-            resp_shape = (
-                self._geometry[2]
-                if self._geometry is not None
-                else tuple(self._model.output_shape(images.shape[1:]))
-            )
+            resp_shape = tuple(self._model.output_shape(images.shape[1:]))
             return np.empty((0,) + resp_shape, self.dtype)
         return report.assemble()
 

@@ -7,23 +7,25 @@ pickle — and, in model mode, the :class:`repro.nn.InferenceEngine` is
 compiled *before* the worker reports ready, so the first real batch never
 pays compilation cost.
 
-Control plane (one duplex pipe per worker):
+One duplex pipe per worker carries everything:
 
-================  =============================  ==========================
-parent -> worker  worker -> parent               meaning
-================  =============================  ==========================
-``('attach', spec)``  ``('attached',)``          map the shm ring, warm up
-``('run', slot, seq, n)``  ``('done', slot, seq, n, secs)``  process a shard
-\\                 ``('error', slot, seq, tb)``   shard failed (contained)
-``('ping', tok)``  ``('pong', tok)``             health check
-``('stop',)``      —                             drain and exit 0
-================  =============================  ==========================
+======================================  =====================================  ====================
+parent -> worker                        worker -> parent                       meaning
+======================================  =====================================  ====================
+``('run', seq, shape, dtype)`` + bytes  ``('done', seq, n, values, secs)``     process a shard
+\\                                      ``('error', seq, tb)``                 shard failed
+``('ping', tok)``                       ``('pong', tok)``                      health check
+``('stop',)``                           —                                      drain and exit 0
+======================================  =====================================  ====================
 
-Data plane: the :mod:`repro.parallel.shm` request/response slabs — images
-in, logits (model mode) or int64 labels (callable mode) out.  A failure
-inside the user callable / engine is *contained*: the worker reports
-``('error', ...)`` and keeps serving; only process death (crash, kill)
-loses the worker, and the parent then crash-replaces it.
+A ``run`` header is followed by the shard's C-contiguous pixels as one
+raw ``send_bytes`` message (never a pickle); the worker reads them into
+a fresh array, so what it computes on is writable and its own.
+``values`` — logits (model mode) or int64 labels (callable mode) — come
+back pickled inside the ``done`` reply.  A failure inside the user
+callable / engine is *contained*: the worker reports ``('error', ...)``
+and keeps serving; only process death (crash, kill) loses the worker,
+and the parent then crash-replaces it.
 
 Workers emit ``parallel.worker.infer`` spans when a :mod:`repro.obs`
 tracer is installed *in the worker process* (by default none is — the
@@ -34,6 +36,8 @@ instead, so the trace stays single-process).
 from __future__ import annotations
 
 import multiprocessing
+import os
+import struct
 import time
 import traceback
 from multiprocessing.connection import wait as _conn_wait
@@ -41,7 +45,6 @@ from multiprocessing.connection import wait as _conn_wait
 import numpy as np
 
 from .. import obs
-from .shm import RingSpec, WorkerRing
 
 __all__ = ["worker_main"]
 
@@ -56,7 +59,7 @@ def _build_compute(payload):
         return engine.predict_scores
     if mode == "callable":
         def compute(images: np.ndarray) -> np.ndarray:
-            return np.asarray(target(images)).reshape(len(images))
+            return np.asarray(target(images)).reshape(len(images)).astype(np.int64)
         return compute
     raise ValueError(f"unknown worker mode {mode!r}")
 
@@ -81,7 +84,6 @@ def worker_main(worker_id: int, conn, payload) -> None:
     parent = multiprocessing.parent_process()
     watch = [conn] if parent is None else [conn, parent.sentinel]
 
-    ring: WorkerRing | None = None
     while True:
         try:
             if conn not in _conn_wait(watch):
@@ -95,27 +97,14 @@ def worker_main(worker_id: int, conn, payload) -> None:
         if kind == "ping":
             conn.send(("pong", msg[1]))
             continue
-        if kind == "attach":
-            spec: RingSpec = msg[1]
-            if ring is not None:
-                ring.close()
-            ring = WorkerRing(spec)
-            # Warm-up: run one item through so every numpy buffer and BLAS
-            # code path is hot before the first real shard arrives.
-            try:
-                warm = np.zeros((1,) + spec.item_shape, dtype=np.dtype(spec.item_dtype))
-                compute(warm)
-            except Exception:
-                pass  # real batches will surface any genuine failure
-            conn.send(("attached",))
-            continue
         if kind == "run":
-            _, slot, seq, n = msg
-            if ring is None:
-                conn.send(("error", slot, seq, "run before attach"))
-                continue
+            _, seq, shape, dtype = msg
             try:
-                images = ring.read_request(slot, seq, n)
+                images = _recv_array(conn, shape, np.dtype(dtype))
+            except (EOFError, OSError):
+                break  # parent gone, or the stream is out of step: exit
+            n = shape[0]
+            try:
                 start = time.perf_counter()
                 with obs.trace_span("parallel.worker.infer", worker=worker_id, images=n):
                     values = np.asarray(compute(images))
@@ -124,12 +113,45 @@ def worker_main(worker_id: int, conn, payload) -> None:
                     raise ValueError(
                         f"compute returned {values.shape[0]} results for {n} images"
                     )
-                ring.write_response(slot, seq, values)
-                conn.send(("done", slot, seq, n, seconds))
+                conn.send(("done", seq, n, values, seconds))
             except BaseException:
-                conn.send(("error", slot, seq, traceback.format_exc()))
+                conn.send(("error", seq, traceback.format_exc()))
             continue
-        conn.send(("error", -1, -1, f"unknown message {msg!r}"))
-    if ring is not None:
-        ring.close()
+        conn.send(("error", -1, f"unknown message {msg!r}"))
     conn.close()
+
+
+def _recv_array(conn, shape: tuple, dtype: np.dtype) -> np.ndarray:
+    """Receive one raw ``send_bytes`` message as a fresh writable array.
+
+    ``Connection.recv_bytes_into`` reassembles the message through a
+    ``BytesIO`` of per-read ``bytes`` chunks and then copies it again;
+    on a 768 KiB shard that made the round trip about four times slower.  So where the
+    platform has ``os.readv`` the frame — ``send_bytes``' 4-byte
+    big-endian length (``-1`` plus an 8-byte length past 2 GiB), then
+    the payload — is read straight into the array's buffer.
+    """
+    images = np.empty(shape, dtype)
+    view = memoryview(images).cast("B")
+    if not hasattr(os, "readv"):  # pragma: no cover - non-POSIX
+        conn.recv_bytes_into(view)
+        return images
+    fd = conn.fileno()
+    (size,) = struct.unpack("!i", _read_exact(fd, bytearray(4)))
+    if size == -1:
+        (size,) = struct.unpack("!Q", _read_exact(fd, bytearray(8)))
+    if size != len(view):
+        raise EOFError(f"shard is {size} bytes, header promised {len(view)}")
+    _read_exact(fd, view)
+    return images
+
+
+def _read_exact(fd: int, buf):
+    """Fill the writable buffer *buf* from *fd*; returns *buf*."""
+    view, got = memoryview(buf), 0
+    while got < len(view):
+        n = os.readv(fd, [view[got:]])
+        if n == 0:
+            raise EOFError("pipe closed mid-shard")
+        got += n
+    return buf

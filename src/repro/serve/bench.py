@@ -277,7 +277,7 @@ def measure_t_host(
     from ..parallel import ParallelHostRunner
 
     with ParallelHostRunner(model=net, n_workers=workers, micro_batch=micro_batch) as pool:
-        pool.predict_scores(images[:micro_batch])  # warmup (spawns + rings)
+        pool.predict_scores(images[: micro_batch * workers])  # warmup: every worker
         start = time.perf_counter()
         pool.predict_scores(images)
         return (time.perf_counter() - start) / len(images)
@@ -556,8 +556,8 @@ def run_serve_bench(config: ServeBenchConfig | None = None) -> ServeBenchReport:
             csnap = front.cache_snapshot()
             cache_books = dict(
                 pick(
-                    csnap, "lookups", "hits", "misses", "near_hits", "near_rejects",
-                    "entries", "bytes", "max_bytes", "hit_rate", "balanced",
+                    csnap, "lookups", "hits", "misses", "entries", "bytes", "max_bytes",
+                    "hit_rate", "balanced",
                 ),
                 single_flight_followers=front.single_flight_snapshot().followers,
                 served_from_cache=total.cache_hits,

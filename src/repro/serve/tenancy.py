@@ -444,8 +444,6 @@ class MultiTenantServer:
         Byte budget of the shared result cache; ``0`` disables caching
         entirely.  Keys are namespaced per tenant (same image, two
         models → two entries).
-    cache_near_duplicate / cache_atol:
-        Near-duplicate tier knobs (:class:`repro.cache.ResultCache`).
     host_workers:
         Per-tenant :class:`~repro.parallel.ParallelHostRunner` size
         (``None`` → ``REPRO_HOST_WORKERS`` env var; 0/unset → serial).
@@ -461,8 +459,6 @@ class MultiTenantServer:
         quantum_s: float = 0.002,
         max_pending: int = 64,
         cache_max_bytes: int = 64 * 1024 * 1024,
-        cache_near_duplicate: bool = False,
-        cache_atol: float = 0.0,
         host_workers: int | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
@@ -478,13 +474,7 @@ class MultiTenantServer:
         from ..cache import ResultCache
 
         self.cache: ResultCache | None = (
-            ResultCache(
-                max_bytes=cache_max_bytes,
-                near_duplicate=cache_near_duplicate,
-                atol=cache_atol,
-            )
-            if cache_max_bytes
-            else None
+            ResultCache(max_bytes=cache_max_bytes) if cache_max_bytes else None
         )
         from ..parallel import resolve_host_workers
 

@@ -1,4 +1,4 @@
-"""ResultCache: keys, LRU byte bound, near-duplicate tier, books."""
+"""ResultCache: keys, LRU byte bound, books."""
 
 import threading
 
@@ -56,18 +56,12 @@ class TestExactTier:
             ResultCache(max_bytes=0)
         with pytest.raises(ValueError):
             ResultCache(shards=0)
-        with pytest.raises(ValueError):
-            ResultCache(atol=-1.0)
 
 
 class TestByteBound:
     def test_lru_eviction_keeps_bytes_within_budget(self):
-        # One shard makes the LRU order observable; every near-dup entry
-        # stores its canonical image, so entries are big enough to evict.
-        cache = ResultCache(
-            max_bytes=4 * (ENTRY_OVERHEAD_BYTES + 8 * 8), shards=1,
-            near_duplicate=True,
-        )
+        # One shard makes the LRU order observable; the budget holds four.
+        cache = ResultCache(max_bytes=4 * ENTRY_OVERHEAD_BYTES, shards=1)
         imgs = [np.full((8,), float(i)) for i in range(10)]
         for img in imgs:
             cache.put(cache.key_for(img), img, answer())
@@ -79,10 +73,7 @@ class TestByteBound:
         assert cache.get(cache.key_for(imgs[0])) is None
 
     def test_get_refreshes_lru_position(self):
-        cache = ResultCache(
-            max_bytes=2 * (ENTRY_OVERHEAD_BYTES + 8 * 8), shards=1,
-            near_duplicate=True,
-        )
+        cache = ResultCache(max_bytes=2 * ENTRY_OVERHEAD_BYTES, shards=1)
         a, b, c = (np.full((8,), float(i)) for i in range(3))
         cache.put(cache.key_for(a), a, answer(1))
         cache.put(cache.key_for(b), b, answer(2))
@@ -92,14 +83,14 @@ class TestByteBound:
         assert cache.get(cache.key_for(b)) is None
 
     def test_oversized_entry_is_skipped_silently(self):
-        cache = ResultCache(max_bytes=256, shards=1, near_duplicate=True)
+        cache = ResultCache(max_bytes=ENTRY_OVERHEAD_BYTES // 2, shards=1)
         huge = np.zeros(4096)
         cache.put(cache.key_for(huge), huge, answer())
         assert cache.entries == 0
         assert cache.get(cache.key_for(huge)) is None
 
     def test_clear_resets_storage(self):
-        cache = ResultCache(max_bytes=1 << 20, near_duplicate=True)
+        cache = ResultCache(max_bytes=1 << 20)
         img = image(3)
         cache.put(cache.key_for(img), img, answer())
         cache.clear()
@@ -107,69 +98,9 @@ class TestByteBound:
         assert cache.get(cache.key_for(img), img) is None
 
 
-class TestNearDuplicateTier:
-    def _noisy(self, img, eps):
-        noisy = img.copy()
-        noisy.flat[0] += eps
-        return noisy
-
-    def test_exact_gate_rejects_near_duplicates_at_atol_zero(self):
-        cache = ResultCache(max_bytes=1 << 20, near_duplicate=True, atol=0.0)
-        img = image(4)
-        cache.put(cache.key_for(img), img, answer())
-        noisy = self._noisy(img, 1e-9)  # same fingerprint bucket, new bytes
-        assert cache.fingerprint(noisy) == cache.fingerprint(img)
-        assert cache.get(cache.key_for(noisy), noisy) is None
-        snap = cache.snapshot()
-        assert snap.near_rejects == 1
-        assert snap.near_hits == 0
-        assert snap.balanced
-
-    def test_atol_opts_into_approximate_reuse(self):
-        cache = ResultCache(max_bytes=1 << 20, near_duplicate=True, atol=1e-6)
-        img = image(5)
-        cache.put(cache.key_for(img), img, answer(prediction=9))
-        noisy = self._noisy(img, 1e-9)
-        got = cache.get(cache.key_for(noisy), noisy)
-        assert got is not None and got.prediction == 9
-        snap = cache.snapshot()
-        assert snap.near_hits == 1 and snap.hits == 1
-
-    def test_gate_needs_query_pixels(self):
-        # Without the image there is nothing to compare: exact miss.
-        cache = ResultCache(max_bytes=1 << 20, near_duplicate=True, atol=1.0)
-        img = image(6)
-        cache.put(cache.key_for(img), img, answer())
-        noisy = self._noisy(img, 1e-9)
-        assert cache.get(cache.key_for(noisy)) is None
-
-    def test_shape_mismatch_never_gates(self):
-        cache = ResultCache(
-            max_bytes=1 << 20, near_duplicate=True, atol=100.0, thumb_size=2
-        )
-        img = np.zeros((4, 4))
-        cache.put(cache.key_for(img), img, answer())
-        other = np.zeros((2, 8))  # same bytes, different geometry
-        assert cache.get(cache.key_for(other), other) is None
-
-    def test_eviction_cleans_fingerprint_index(self):
-        cache = ResultCache(
-            max_bytes=ENTRY_OVERHEAD_BYTES + 8 * 8, shards=1,
-            near_duplicate=True, atol=1e-3,
-        )
-        a = np.full((8,), 1.0)
-        b = np.linspace(0.0, 7.0, 8)
-        cache.put(cache.key_for(a), a, answer(1))
-        cache.put(cache.key_for(b), b, answer(2))  # evicts a
-        assert cache.entries == 1
-        near_a = a.copy()
-        near_a[0] += 1e-9
-        assert cache.get(cache.key_for(near_a), near_a) is None
-
-
 class TestConcurrency:
     def test_books_balance_under_concurrent_mixed_traffic(self):
-        cache = ResultCache(max_bytes=1 << 16, shards=4, near_duplicate=True)
+        cache = ResultCache(max_bytes=1 << 16, shards=4)
         imgs = [np.full((16,), float(i)) for i in range(32)]
         keys = [cache.key_for(img) for img in imgs]
         errors = []

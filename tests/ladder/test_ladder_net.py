@@ -8,6 +8,9 @@ from repro.net.bench import (
     oracle_replica_kwargs,
     run_net_bench,
 )
+from repro.net.client import NetClient
+from repro.net.frontend import NetFrontend
+from repro.serve import CascadeServer, ServeResult
 
 
 def test_mid_oracle_boosts_the_label():
@@ -42,3 +45,23 @@ def test_serve_net_ladder_end_to_end():
     sources = report["client"]["sources"]
     assert sources.get("mid1", 0) > 0  # the named source crossed the wire
     assert set(sources) <= {"bnn", "mid1", "host", "degraded"}
+
+
+def test_wire_rerun_agrees_with_serve_result():
+    """A middle rung's answer is a rerun over the wire, as in-process."""
+    images = make_oracle_images(60, seed=4, signal=0.5)
+    server = CascadeServer(**oracle_replica_kwargs(ladder=True))
+    try:
+        with NetFrontend(server) as frontend:
+            with NetClient(*frontend.address) as client:
+                answers = client.classify_many(images)
+    finally:
+        server.close()
+    assert {a.source for a in answers} >= {"bnn", "mid1"}
+    for a in answers:
+        local = ServeResult(
+            prediction=a.prediction, bnn_prediction=a.bnn_prediction,
+            confidence=a.confidence, source=a.source,
+            latency_seconds=a.latency_seconds,
+        )
+        assert a.rerun == local.rerun, a.source

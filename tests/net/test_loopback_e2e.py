@@ -8,7 +8,7 @@ are **bit-identical** to in-process
 :meth:`repro.serve.CascadeServer.submit` on the same images — the wire
 adds encoding, framing, admission and async plumbing, but not one ULP
 of numerical difference.  Repeated with ``REPRO_HOST_WORKERS=2`` so the
-shared-memory parallel host path is under the same contract.
+process-parallel host path is under the same contract.
 """
 
 import numpy as np

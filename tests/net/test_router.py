@@ -200,6 +200,23 @@ class TestProcessReplica:
         with pytest.raises(RuntimeError, match="failed to start"):
             ProcessReplica(0, _broken_factory)
 
+    def test_routed_cache_hit_keeps_cold_source(self):
+        replica = ProcessReplica(0, _cached_factory)
+        try:
+            image = make_oracle_images(1, seed=5, signal=4.0)[0]
+            cold = replica.submit(image).result(timeout=30.0)
+            assert cold.source in ("bnn", "host") and cold.cold_source is None
+            hit = replica.submit(image).result(timeout=30.0)
+            assert hit.source == "cache"
+            assert hit.cold_source == cold.source
+            assert hit.prediction == cold.prediction
+        finally:
+            replica.close(timeout=5.0)
+
 
 def _broken_factory():
     raise RuntimeError("no cascade for you")
+
+
+def _cached_factory():
+    return dict(oracle_replica_kwargs(threshold=0.7), cache_max_bytes=1 << 20)

@@ -2,6 +2,7 @@
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -33,6 +34,13 @@ def crashy_host(images: np.ndarray) -> np.ndarray:
     return np.full(len(images), 7, dtype=np.int64)
 
 
+def sleepy_host(images: np.ndarray) -> np.ndarray:
+    """Host callable that hangs on a marker image, else thresholds sums."""
+    if float(images.max()) > 1e5:
+        time.sleep(600)
+    return (images.reshape(len(images), -1).sum(axis=1) > 0).astype(np.int64)
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("model", ["a", "b", "c"])
     def test_bit_identical_across_worker_counts(self, model):
@@ -59,7 +67,7 @@ class TestEquivalence:
         with ParallelHostRunner(predict_fn=host, n_workers=3) as pool:
             np.testing.assert_array_equal(pool(x), host(x))
 
-    def test_geometry_change_reallocates_rings(self):
+    def test_shard_size_change_keeps_bit_identity(self):
         net = make_net()
         serial = net.compile_inference()
         with ParallelHostRunner(model=net, n_workers=2) as pool:
@@ -133,6 +141,35 @@ class TestFaultContainment:
             stats = pool.worker_stats()
             assert stats[0]["replacements"] == 1
             assert stats[0]["pid"] != pids[0] and stats[0]["alive"]
+
+    def test_hung_worker_times_out_alone_and_pool_recovers(self):
+        # 64 float64 images: each worker's 32-image shard (768 KiB) is
+        # larger than a pipe buffer, so dispatch blocks until the worker
+        # reads.  The next call completes only because the timed-out
+        # worker was killed and replaced rather than left unread.
+        x = make_images(64)
+        x[0, 0] = 1e6  # marker lands in worker 0's shard
+        with ParallelHostRunner(
+            predict_fn=sleepy_host, n_workers=2, shard_timeout_s=0.5
+        ) as pool:
+            report = pool.run_sharded(x)
+            assert len(report.errors) == 1
+            bad = report.errors[0]
+            assert bad.worker == 0 and (bad.start, bad.stop) == (0, 32)
+            assert isinstance(bad.error, StageFailure)
+            assert "timeout" in str(bad.error)
+            sibling = report.outcomes[1]
+            assert sibling.ok and (sibling.start, sibling.stop) == (32, 64)
+            np.testing.assert_array_equal(sibling.values, sleepy_host(x[32:]))
+            assert [s["replacements"] for s in pool.worker_stats()] == [1, 0]
+
+            clean = make_images(64, seed=2)
+            answers = []
+            caller = threading.Thread(target=lambda: answers.append(pool(clean)))
+            caller.start()
+            caller.join(timeout=60.0)
+            assert not caller.is_alive() and len(answers) == 1
+            np.testing.assert_array_equal(answers[0], sleepy_host(clean))
 
     def test_strict_facade_raises_stage_failure(self):
         x = make_images(20)
