@@ -6,7 +6,7 @@ callable of :class:`repro.serve.CascadeServer`: it is a plain
 each batch across ``n_workers`` *processes* — side-stepping the GIL that
 serializes the server's ``serve-host-*`` threads.  Each worker has one
 duplex pipe: a shard travels as a small ``run`` header plus its raw
-pixel bytes (``send_bytes``, never a pickle), and the logits or labels
+pixel bytes (never a pickle), and the logits or labels
 come back in the ``done`` reply (see :mod:`repro.parallel.worker`).
 
 Two modes share the machinery:
@@ -53,7 +53,7 @@ import numpy as np
 
 from .. import obs
 from ..serve.resilience import StageFailure
-from .worker import worker_main
+from .worker import send_shard, worker_main
 
 __all__ = [
     "ParallelHostRunner",
@@ -182,7 +182,7 @@ class ParallelHostRunner:
         Per-shard collect timeout.  ``None`` (default) waits for the
         response or worker death; set it to bound hung-worker stalls —
         a timed-out worker is killed and crash-replaced.  That kill is
-        also what keeps dispatch safe: ``send_bytes`` blocks until the
+        also what keeps dispatch safe: a send blocks until the
         worker reads a shard larger than the pipe buffer, and every
         worker that survives a call is back in its receive loop.
     spawn_timeout_s:
@@ -466,8 +466,7 @@ class ParallelHostRunner:
                 self._seq += 1
                 shard = np.ascontiguousarray(images[start:stop], dtype=dtype)
                 try:
-                    worker.conn.send(("run", self._seq, shard.shape, shard.dtype.str))
-                    worker.conn.send_bytes(shard)  # raw bytes, never a pickle
+                    send_shard(worker.conn, self._seq, shard)
                     t0 = None if tracer is None else tracer.now()
                     pending.append((worker, start, stop, self._seq, t0, None))
                 except OSError as exc:  # maybe half-sent: replace the worker

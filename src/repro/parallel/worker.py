@@ -18,9 +18,11 @@ parent -> worker                        worker -> parent                       m
 ``('stop',)``                           —                                      drain and exit 0
 ======================================  =====================================  ====================
 
-A ``run`` header is followed by the shard's C-contiguous pixels as one
-raw ``send_bytes`` message (never a pickle); the worker reads them into
-a fresh array, so what it computes on is writable and its own.
+A ``run`` header is followed by the shard's C-contiguous pixels, written
+raw onto the pipe's descriptor with no frame of their own (never a
+pickle): the header's shape and dtype fix the byte count, and the worker
+reads exactly that many into a fresh array, so what it computes on is
+writable and its own.
 ``values`` — logits (model mode) or int64 labels (callable mode) — come
 back pickled inside the ``done`` reply.  A failure inside the user
 callable / engine is *contained*: the worker reports ``('error', ...)``
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import struct
 import time
 import traceback
 from multiprocessing.connection import wait as _conn_wait
@@ -102,7 +103,7 @@ def worker_main(worker_id: int, conn, payload) -> None:
             try:
                 images = _recv_array(conn, shape, np.dtype(dtype))
             except (EOFError, OSError):
-                break  # parent gone, or the stream is out of step: exit
+                break  # parent gone mid-shard: exit
             n = shape[0]
             try:
                 start = time.perf_counter()
@@ -121,37 +122,28 @@ def worker_main(worker_id: int, conn, payload) -> None:
     conn.close()
 
 
-def _recv_array(conn, shape: tuple, dtype: np.dtype) -> np.ndarray:
-    """Receive one raw ``send_bytes`` message as a fresh writable array.
+def send_shard(conn, seq: int, shard: np.ndarray) -> None:
+    """Send one ``run`` request: the header, then *shard*'s bytes raw.
 
-    ``Connection.recv_bytes_into`` reassembles the message through a
-    ``BytesIO`` of per-read ``bytes`` chunks and then copies it again;
-    on a 768 KiB shard that made the round trip about four times slower.  So where the
-    platform has ``os.readv`` the frame — ``send_bytes``' 4-byte
-    big-endian length (``-1`` plus an 8-byte length past 2 GiB), then
-    the payload — is read straight into the array's buffer.
+    The C-contiguous bytes go straight onto *conn*'s descriptor with no
+    length prefix and no pickle: the header's shape and dtype fix how
+    many bytes the worker reads.
     """
-    images = np.empty(shape, dtype)
-    view = memoryview(images).cast("B")
-    if not hasattr(os, "readv"):  # pragma: no cover - non-POSIX
-        conn.recv_bytes_into(view)
-        return images
+    conn.send(("run", seq, shard.shape, shard.dtype.str))
+    view = memoryview(shard.reshape(-1).view(np.uint8))
     fd = conn.fileno()
-    (size,) = struct.unpack("!i", _read_exact(fd, bytearray(4)))
-    if size == -1:
-        (size,) = struct.unpack("!Q", _read_exact(fd, bytearray(8)))
-    if size != len(view):
-        raise EOFError(f"shard is {size} bytes, header promised {len(view)}")
-    _read_exact(fd, view)
-    return images
+    while view:
+        view = view[os.write(fd, view):]
 
 
-def _read_exact(fd: int, buf):
-    """Fill the writable buffer *buf* from *fd*; returns *buf*."""
-    view, got = memoryview(buf), 0
+def _recv_array(conn, shape: tuple, dtype: np.dtype) -> np.ndarray:
+    """Read the bytes of one :func:`send_shard` into a fresh writable array."""
+    images = np.empty(shape, dtype)
+    view, got = memoryview(images.reshape(-1).view(np.uint8)), 0
+    fd = conn.fileno()
     while got < len(view):
         n = os.readv(fd, [view[got:]])
         if n == 0:
             raise EOFError("pipe closed mid-shard")
         got += n
-    return buf
+    return images

@@ -41,6 +41,11 @@ def sleepy_host(images: np.ndarray) -> np.ndarray:
     return (images.reshape(len(images), -1).sum(axis=1) > 0).astype(np.int64)
 
 
+def byte_sum_host(images: np.ndarray) -> np.ndarray:
+    """Host callable over any dtype: per-image element sum, mod 7."""
+    return images.reshape(len(images), -1).astype(np.int64).sum(axis=1) % 7
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("model", ["a", "b", "c"])
     def test_bit_identical_across_worker_counts(self, model):
@@ -66,6 +71,17 @@ class TestEquivalence:
         x = make_images(23)
         with ParallelHostRunner(predict_fn=host, n_workers=3) as pool:
             np.testing.assert_array_equal(pool(x), host(x))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_])
+    def test_one_byte_dtypes_cross_the_pipe_whole(self, dtype):
+        # 40000 rows of 12 bytes each: the byte count on the wire must be
+        # nbytes, not the length of the first axis.
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, 256, size=(40000, 3, 4)).astype(dtype)
+        with ParallelHostRunner(predict_fn=byte_sum_host, n_workers=2) as pool:
+            np.testing.assert_array_equal(pool(x), byte_sum_host(x))
+            np.testing.assert_array_equal(pool(x[:5]), byte_sum_host(x[:5]))
+            assert [s["replacements"] for s in pool.worker_stats()] == [0, 0]
 
     def test_shard_size_change_keeps_bit_identity(self):
         net = make_net()
