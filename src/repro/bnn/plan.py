@@ -52,19 +52,30 @@ partial sum is an integer below ``_F32_EXACT_LIMIT`` — and float64 when a
 fan-in reaches that limit.
 
 Scheduling is fixed at compile time, as FINN fixes each engine's
-folding at synthesis: the gather→GEMM→compare loop of a conv stage runs
-over image groups sized so one im2col tile fits ``_PLANE_TILE_BYTES``
-(it is read back by the GEMM while still cache-resident).  ``threads=``
-maps those tiles over a thread pool capped at the CPUs the process may
-run on; without it they run serially, and integer-exact tiles make the
-result independent of the split.  Every foldable topology compiles; a
-stage whose input cannot feed it (wrong channel count or fan-in, a window
-that does not fit, a stage after the output layer) raises ``ValueError``
-when the plan compiles for an input geometry.
+schedule at synthesis.  Compiling for an input geometry resolves every
+stage (folded weights and bounds, tile size, lane base) and allocates its
+buffers.  The first chunk of each size n ≤ ``micro_batch`` then builds
+that size's *program*: a flat list of numpy calls
+(``functools.partial`` over views of those buffers) that every later
+n-image chunk replays with no per-call Python beyond the loop.  The views
+carry everything that depends on n: the ``as_strided`` windows, the
+``[:n]`` slices and reshapes, the tile bounds and slot assignment, the
+lane halves and an odd chunk's unpartnered image, the decode slices.
+Only the first call, conv1's gather or pad copy, takes the chunk.  A
+conv stage's gather→GEMM→compare runs over image groups sized so one
+im2col tile fits ``_PLANE_TILE_BYTES`` (it is read back by the GEMM while
+still cache-resident).  ``threads=`` gives each of up to that many slots
+its own call list and maps the lists over a thread pool capped at the
+CPUs the process may run on; without it the tiles run serially, and
+integer-exact tiles make the result independent of the split.  Every
+foldable topology compiles; a stage whose input cannot feed it (wrong
+channel count or fan-in, a window that does not fit, a stage after the
+output layer) raises ``ValueError`` when the plan compiles for an input
+geometry, and leaves the plan as it was.
 
-Buffers: every plane, product and map buffer is allocated once, at
-compile time, sized for ``micro_batch``; smaller chunks use ``[:n]``
-views, so the set never grows, whatever batch sizes arrive.
+Buffers: every plane, product and map buffer is allocated once per
+geometry, sized for ``micro_batch``; programs hold only ``[:n]`` views of
+them, so the set never grows, whatever batch sizes arrive.
 
 Bit-identity contract: binary stages are exact integers under any tiling,
 and each float GEMM (conv1, a float head) issues the same BLAS call per
@@ -74,15 +85,17 @@ so matched chunking is the stable boundary).  The test suite checks the
 plan bit for bit against an XNOR-popcount oracle at matched chunking, and
 against the eval-mode training network.
 
-Tracing: per-stage ``bnn.<label>`` spans (``repro trace`` keys its
-Eqs. (3)-(5) residuals off them) plus ``bnn.plan.compile`` /
-``bnn.plan.forward``.
+Tracing: one ``bnn.<label>`` span per stage and chunk (``repro trace``
+keys its Eqs. (3)-(5) residuals off them) inside ``bnn.plan.forward``,
+plus ``bnn.plan.compile``: once per input geometry, and once per chunk
+size (``chunk=n``) when its program is built.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -204,6 +217,319 @@ def _hwc_weight_t(weight_matrix: np.ndarray, c: int, h: int, w: int) -> np.ndarr
     return weight_matrix.reshape(od, c, h, w).transpose(2, 3, 1, 0).reshape(h * w * c, od)
 
 
+def _run_calls(calls) -> None:
+    for call in calls:
+        call()
+
+
+def _run_slots(executor: ThreadPoolExecutor, slots) -> None:
+    """A stage's per-slot call lists, one thread each."""
+    # list() reads every result, so a worker's exception surfaces here.
+    list(executor.map(_run_calls, slots))
+
+
+def _take_images(index: np.ndarray, out: np.ndarray, chunk: np.ndarray) -> None:
+    """conv1's gather straight from the chunk into its im2col rows."""
+    # Any real dtype widens to float64 exactly, as the training network's
+    # float GEMM would widen it.
+    flat = np.asarray(chunk, dtype=np.float64).reshape(chunk.shape[0], -1)
+    # Indices are in range by construction; "clip" skips the check.
+    np.take(flat, index, axis=1, out=out, mode="clip")
+
+
+class _Compiler:
+    """One compile for an input geometry: stage builders and their buffers.
+
+    Each stage method allocates the stage's buffers, sized for
+    ``micro_batch``, and returns ``(build, state)``.  ``build(n, x)``
+    returns the stage's calls for an n-image chunk whose input is the view
+    ``x`` (``None`` for conv1, whose first call takes the chunk) and the
+    view those calls write.  A build allocates nothing, so every chunk size
+    shares the one buffer set.  ``parallel(slots)`` turns per-slot call
+    lists into one call that maps them over the plan's threads.
+    """
+
+    def __init__(self, micro_batch: int, dtype, threads: int, parallel):
+        self.micro_batch = micro_batch
+        self.dtype = np.dtype(dtype)
+        self.threads = threads
+        self.parallel = parallel
+        self.buffers: list[np.ndarray] = []
+
+    def buffer(self, shape: tuple, dtype, zero: bool = False) -> np.ndarray:
+        buf = (np.zeros if zero else np.empty)(shape, dtype=dtype)
+        self.buffers.append(buf)
+        return buf
+
+    def tiles(self, tile, n: int, group: int) -> list:
+        """The calls of every image group of an n-image chunk, ``tile(slot,
+        lo, hi)`` each.  Groups with the same slot never run concurrently
+        (a slot owns one plane/product buffer pair)."""
+        bounds = [(lo, min(lo + group, n)) for lo in range(0, n, group)]
+        workers = min(self.threads, len(bounds))
+        if workers <= 1:
+            return [call for lo, hi in bounds for call in tile(0, lo, hi)]
+        slots = [
+            [call for lo, hi in bounds[slot::workers] for call in tile(slot, lo, hi)]
+            for slot in range(workers)
+        ]
+        return [self.parallel(slots)]
+
+    def conv_float(self, stage, state: tuple):
+        _, c, h, w = state
+        _check_channels(stage, c)
+        k, s, p = stage.kernel_size, stage.stride, stage.pad
+        oh = F.conv_output_size(h, k, s, p)
+        ow = F.conv_output_size(w, k, s, p)
+        oc, rows = stage.out_channels, self.micro_batch * oh * ow
+        weight_t, bound = _fold_float(stage.weight_matrix, stage.thresholds)
+        hp, wp = h + 2 * p, w + 2 * p
+        # Flat source index of every im2col element, (oy, ox, c, kh, kw)
+        # order: the gather becomes one np.take per chunk instead of a 6-d
+        # strided copy with 3-element runs, and fills the same matrix.
+        index = np.arange(c * hp * wp).reshape(c, hp, wp)
+        sc, sh, sw = index.strides
+        index = np.lib.stride_tricks.as_strided(
+            index, shape=(oh, ow, c, k, k), strides=(sh * s, sw * s, sc, sh, sw)
+        ).reshape(-1)
+        # Borders of the padded input are zero-filled here and never
+        # written again.
+        padded = self.buffer((self.micro_batch, c, hp, wp), np.float64, zero=True) if p else None
+        cols_buf = self.buffer((rows, c * k * k), np.float64)
+        acc_buf = self.buffer((rows, oc), np.float64)
+        out_buf = self.buffer((self.micro_batch, oh, ow, oc), self.dtype)
+
+        def build(n: int, _x: None):
+            m = n * oh * ow
+            cols, acc, out = cols_buf[:m], acc_buf[:m], out_buf[:n]
+            if p:
+                calls = [
+                    partial(np.copyto, padded[:n, :, p : p + h, p : p + w]),
+                    partial(
+                        np.take, padded[:n].reshape(n, -1), index, axis=1,
+                        out=cols.reshape(n, -1), mode="clip",
+                    ),
+                ]
+            else:
+                calls = [partial(_take_images, index, cols.reshape(n, -1))]
+            calls += [
+                partial(np.matmul, cols, weight_t, out=acc),
+                partial(np.greater_equal, acc, bound, out=out.reshape(m, oc)),
+            ]
+            return calls, out
+
+        return build, ("map", oh, ow, oc)
+
+    def conv_plane(self, stage, state: tuple):
+        _, h, w, c = state
+        _check_channels(stage, c)
+        k, s, p = stage.kernel_size, stage.stride, stage.pad
+        oh = F.conv_output_size(h, k, s, p)
+        ow = F.conv_output_size(w, k, s, p)
+        hp, wp = h + 2 * p, w + 2 * p
+        oc, nb, dtype = stage.out_channels, self.micro_batch, self.dtype
+        # A padded conv's bound depends on how many taps are real pixels:
+        # a (OH, OW, OC) table, broadcast against each image's products.
+        valid = _valid_taps(h, w, k, s, p, c) if p else None
+        weight_t, bound = _fold_threshold(
+            _hwc_weight_t(stage.weight_matrix, c, k, k), stage.thresholds, dtype, valid
+        )
+        if p:
+            bound = bound.reshape(oh, ow, oc)
+            # The zero border is written here and never again: a pad tap
+            # is 0 in the plane, in the lanes built from it too.
+            padded = self.buffer((nb, hp, wp, c), dtype, zero=True)
+        fan_in, run_len, pixels = k * k * c, k * c, oh * ow
+        base = _lane_base(fan_in, dtype) if nb >= 2 else None
+        # Packed images per full chunk: two per lane when packing.
+        rows_nb = nb if base is None else -(-nb // 2)
+        group = min(rows_nb, max(1, _PLANE_TILE_BYTES // (pixels * fan_in * dtype.itemsize)))
+        slots = min(self.threads, -(-rows_nb // group))
+        planes = self.buffer((slots, group * pixels, fan_in), dtype)
+        prods = self.buffer((slots, group * pixels, oc), dtype)
+        out_buf = self.buffer((nb, oh, ow, oc), dtype)
+        if base is not None:
+            lanes_buf = self.buffer((rows_nb, hp, wp, c), dtype)
+            his = self.buffer((slots, group * pixels, oc), dtype)
+
+        def gemm(slot: int, x: np.ndarray) -> tuple[list, np.ndarray]:
+            """gather -> GEMM over the images of *x*; the calls and the
+            product rows they write."""
+            g = x.shape[0]
+            sn, sh, sw, sc = x.strides
+            # Row dy of a window is k adjacent pixels: one k*C-float run.
+            windows = np.lib.stride_tricks.as_strided(
+                x, shape=(g, oh, ow, k, run_len),
+                strides=(sn, sh * s, sw * s, sh, sc), writeable=False,
+            )
+            plane, prod = planes[slot, : g * pixels], prods[slot, : g * pixels]
+            return [
+                partial(np.copyto, plane.reshape(g, oh, ow, k, run_len), windows),
+                partial(np.matmul, plane, weight_t, out=prod),
+            ], prod
+
+        def decide(prod: np.ndarray, maps: np.ndarray):
+            """Threshold product rows into the 0/1 output maps of their images."""
+            return partial(np.greater_equal, prod.reshape(maps.shape), bound, out=maps)
+
+        def build(n: int, x: np.ndarray):
+            out, calls = out_buf[:n], []
+            if p:
+                calls.append(partial(np.copyto, padded[:n, p : p + h, p : p + w], x))
+                x = padded[:n]
+            if base is None or n < 2:
+
+                def tile(slot: int, lo: int, hi: int) -> list:
+                    steps, prod = gemm(slot, x[lo:hi])
+                    return steps + [decide(prod, out[lo:hi])]
+
+                return calls + self.tiles(tile, n, group), out
+            # Image i shares a lane with image half + i; an odd chunk's
+            # middle image has no partner and rides alone (hi lane 0).
+            half = -(-n // 2)
+            pairs = n - half
+            lanes = lanes_buf[:half]
+            calls += [
+                partial(np.multiply, x[half:], base, out=lanes[:pairs]),
+                partial(np.add, lanes[:pairs], x[:pairs], out=lanes[:pairs]),
+            ]
+            if half > pairs:
+                calls.append(partial(np.copyto, lanes[pairs:], x[pairs:half]))
+
+            def packed_tile(slot: int, lo: int, hi: int) -> list:
+                steps, prod = gemm(slot, lanes[lo:hi])
+                # |p_lo| <= K < B/2, so v/B rounds to p_hi and v - B*p_hi
+                # is p_lo; every step is exact in float32.
+                hi_lane = his[slot, : prod.shape[0]]
+                steps += [
+                    partial(np.multiply, prod, 1.0 / base, out=hi_lane),
+                    partial(np.rint, hi_lane, out=hi_lane),
+                ]
+                top = max(0, min(hi, pairs) - lo)
+                if top:
+                    steps.append(decide(hi_lane[: top * pixels], out[half + lo : half + lo + top]))
+                return steps + [
+                    partial(np.multiply, hi_lane, base, out=hi_lane),
+                    partial(np.subtract, prod, hi_lane, out=prod),
+                    decide(prod, out[lo:hi]),
+                ]
+
+            return calls + self.tiles(packed_tile, half, group), out
+
+        return build, ("map", oh, ow, oc)
+
+    def pool(self, stage, state: tuple):
+        _, h, w, c = state
+        win, s = stage.window, stage.stride
+        oh = F.pool_output_size(h, win, s)
+        ow = F.pool_output_size(w, win, s)
+        out_buf = self.buffer((self.micro_batch, oh, ow, c), self.dtype)
+        offsets = [(dy, dx) for dy in range(win) for dx in range(win)]
+
+        def build(n: int, x: np.ndarray):
+            out = out_buf[:n]
+            # max over {0, 1} is FINN's boolean OR; one strided binary
+            # ufunc per window offset keeps the inner loop on 4-d views.
+            views = [
+                x[:, dy : dy + s * (oh - 1) + 1 : s, dx : dx + s * (ow - 1) + 1 : s]
+                for dy, dx in offsets
+            ]
+            if len(views) == 1:
+                return [partial(np.copyto, out, views[0])], out
+            calls = [partial(np.maximum, views[0], views[1], out=out)]
+            calls += [partial(np.maximum, out, view, out=out) for view in views[2:]]
+            return calls, out
+
+        return build, ("map", oh, ow, c)
+
+    def dense(self, stage, state: tuple):
+        nb, dtype, od = self.micro_batch, self.dtype, stage.out_features
+        features = int(np.prod(state[1:]))
+        if features != stage.fan_in:
+            raise ValueError(f"dense fan-in {stage.fan_in} cannot take {features} features")
+        if state[0] == "map":
+            _, h, w, c = state
+            weight_t = _hwc_weight_t(stage.weight_matrix, c, h, w)
+        else:
+            weight_t = stage.weight_matrix.T
+        prod_buf = self.buffer((nb, od), dtype)
+
+        if stage.thresholds is not None:
+            weight_t, bound = _fold_threshold(weight_t, stage.thresholds, dtype)
+            out_buf = self.buffer((nb, od), dtype)
+
+            def build(n: int, x: np.ndarray):
+                prod, out = prod_buf[:n], out_buf[:n]
+                # Stage outputs are C-contiguous [:n] slices: the reshape is a view.
+                return [
+                    partial(np.matmul, x.reshape(n, features), weight_t, out=prod),
+                    partial(np.greater_equal, prod, bound, out=out),
+                ], out
+
+            return build, ("rows", od)
+
+        weight_t = np.ascontiguousarray(weight_t, dtype=dtype)
+        weight_sum = stage.weight_matrix.sum(axis=1)
+        out_buf = self.buffer((nb, od), np.float64)
+
+        def build_affine(n: int, x: np.ndarray):
+            prod, out = prod_buf[:n], out_buf[:n]
+            calls = [
+                partial(np.matmul, x.reshape(n, features), weight_t, out=prod),
+                # Back to the ±1 accumulator, dot = 2p - sw (exact integers).
+                partial(np.multiply, prod, 2.0, out=out),
+                partial(np.subtract, out, weight_sum, out=out),
+            ]
+            if stage.output_scale is not None:
+                calls += [
+                    partial(np.multiply, out, stage.output_scale, out=out),
+                    partial(np.add, out, stage.output_offset, out=out),
+                ]
+            return calls, out
+
+        return build_affine, ("scores",)
+
+    def pm1(self, state: tuple):
+        """0/1 plane -> float64 ±1 in the training network's layout: NCHW
+        maps, ``(n, features)`` rows.  Returns a build."""
+        if state[0] == "map":
+            _, h, w, c = state
+            out_buf = self.buffer((self.micro_batch, c, h, w), np.float64)
+            axes = (0, 3, 1, 2)
+        else:
+            out_buf = self.buffer((self.micro_batch, state[1]), np.float64)
+            axes = (0, 1)
+
+        def build(n: int, x: np.ndarray):
+            out = out_buf[:n]
+            return [
+                partial(np.multiply, x.transpose(axes), 2.0, out=out),
+                partial(np.subtract, out, 1.0, out=out),
+            ], out
+
+        return build
+
+    def head(self, stage, state: tuple):
+        """Float head: ±1 features in (c, h, w) flatten order, float64 GEMM + bias."""
+        features = int(np.prod(state[1:]))
+        if features != stage.weight.shape[0]:
+            raise ValueError(
+                f"float head fan-in {stage.weight.shape[0]} cannot take {features} features"
+            )
+        to_pm1 = self.pm1(state)
+        out_buf = self.buffer((self.micro_batch, stage.out_features), np.float64)
+
+        def build(n: int, x: np.ndarray):
+            calls, pm1 = to_pm1(n, x)
+            out = out_buf[:n]
+            calls.append(partial(np.matmul, pm1.reshape(n, features), stage.weight, out=out))
+            if stage.bias is not None:
+                calls.append(partial(np.add, out, stage.bias, out=out))
+            return calls, out
+
+        return build, ("scores",)
+
+
 class CompiledBNNPlan:
     """A preplanned, buffer-reusing executor for one :class:`FoldedBNN`.
 
@@ -236,7 +562,8 @@ class CompiledBNNPlan:
         self.stages = list(folded.stages)
         self.labels = folded.stage_labels
         self._buffers: list[np.ndarray] = []
-        self._ops: list | None = None  # resolved lazily at first chunk
+        self._builds: list = []  # (span name, [build, ...]) per stage
+        self._programs: dict = {}  # chunk size -> (load, [(span name, calls)], out)
         self._geometry: tuple | None = None
         self._executor: ThreadPoolExecutor | None = None
 
@@ -248,326 +575,89 @@ class CompiledBNNPlan:
             return 1
         return min(self.threads, available_cpus())
 
-    def _buffer(self, shape: tuple, dtype, zero: bool = False) -> np.ndarray:
-        """A buffer sized for the full micro-batch; chunks use ``[:n]`` views,
-        so the plan holds one set however batch sizes vary."""
-        buf = (np.zeros if zero else np.empty)(shape, dtype=dtype)
-        self._buffers.append(buf)
-        return buf
+    def _parallel(self, slots: list) -> partial:
+        """One call that runs each slot's calls on its own thread."""
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                max_workers=self._tile_threads(), thread_name_prefix="repro-bnn-plan"
+            )
+        return partial(_run_slots, self._executor, [tuple(calls) for calls in slots])
+
+    def _compiler(self, dtype) -> _Compiler:
+        return _Compiler(self.micro_batch, dtype, self._tile_threads(), self._parallel)
 
     def _compile(self, geometry: tuple) -> None:
-        """Build one callable per stage for the given (C, H, W) input.
+        """Resolve every stage and allocate its buffers for a (C, H, W) input.
 
         Runs once per geometry.  ``state`` is the representation flowing
         into the next stage: ``("float", C, H, W)`` images, ``("map", H,
         W, C)`` / ``("rows", features)`` 0/1 planes, or ``("scores",)``
         after an output layer.  A stage its input cannot feed raises
-        ``ValueError``; a network that ends on a 0/1 plane returns it as
-        ±1 floats in the training network's layout.
+        ``ValueError`` and leaves the plan as it was; a network that ends
+        on a 0/1 plane returns it as ±1 floats in the training network's
+        layout.
         """
         fan_ins = [
             s.fan_in for s in self.stages if isinstance(s, (FoldedConv, FoldedDense))
         ]
-        self._dtype = np.dtype(
+        compiler = self._compiler(
             np.float32 if max(fan_ins, default=0) < _F32_EXACT_LIMIT else np.float64
         )
-        self._threads = self._tile_threads()
-        self._buffers = []
-        ops: list = []
+        builds: list = []
         state: tuple = ("float",) + tuple(geometry)
         for label, stage in zip(self.labels, self.stages):
             kind = state[0]
             if isinstance(stage, FoldedConv) and not stage.binary_input and kind == "float":
-                op, state = self._conv_float_op(stage, state)
+                build, state = compiler.conv_float(stage, state)
             elif isinstance(stage, FoldedConv) and stage.binary_input and kind == "map":
-                op, state = self._conv_plane_op(stage, state)
+                build, state = compiler.conv_plane(stage, state)
             elif isinstance(stage, FoldedPool) and kind == "map":
-                op, state = self._pool_op(stage, state)
+                build, state = compiler.pool(stage, state)
             elif isinstance(stage, FoldedDense) and kind in ("map", "rows"):
-                op, state = self._dense_op(stage, state)
+                build, state = compiler.dense(stage, state)
             elif isinstance(stage, FloatDenseHead) and kind in ("map", "rows"):
-                op, state = self._head_op(stage, state)
+                build, state = compiler.head(stage, state)
             else:
                 raise ValueError(f"{label} ({type(stage).__name__}) cannot take {kind} input")
-            ops.append(op)
+            builds.append(("bnn." + label, [build]))
         if state[0] != "scores":
-            last, to_pm1 = ops[-1], self._pm1_op(state)
-            ops[-1] = lambda x: to_pm1(last(x))
-        self._ops = ops
+            builds[-1][1].append(compiler.pm1(state))
+        # Commit together, only once the whole geometry has compiled.
+        self._builds, self._buffers, self._programs = builds, compiler.buffers, {}
+        self._dtype, self._threads = compiler.dtype, compiler.threads
         self._geometry = tuple(geometry)
 
-    def _conv_float_op(self, stage, state: tuple):
-        _, c, h, w = state
-        _check_channels(stage, c)
-        k, s, p = stage.kernel_size, stage.stride, stage.pad
-        oh = F.conv_output_size(h, k, s, p)
-        ow = F.conv_output_size(w, k, s, p)
-        oc, rows = stage.out_channels, self.micro_batch * oh * ow
-        weight_t, bound = _fold_float(stage.weight_matrix, stage.thresholds)
-        hp, wp = h + 2 * p, w + 2 * p
-        # Flat source index of every im2col element, (oy, ox, c, kh, kw)
-        # order: the gather becomes one np.take per chunk instead of a 6-d
-        # strided copy with 3-element runs, and fills the same matrix.
-        index = np.arange(c * hp * wp).reshape(c, hp, wp)
-        sc, sh, sw = index.strides
-        index = np.lib.stride_tricks.as_strided(
-            index, shape=(oh, ow, c, k, k), strides=(sh * s, sw * s, sc, sh, sw)
-        ).reshape(-1)
-        # Borders of the padded input are zero-filled here and never
-        # written again.
-        padded = self._buffer((self.micro_batch, c, hp, wp), np.float64, zero=True) if p else None
-        cols_buf = self._buffer((rows, c * k * k), np.float64)
-        acc_buf = self._buffer((rows, oc), np.float64)
-        out_buf = self._buffer((self.micro_batch, oh, ow, oc), self._dtype)
+    def _program(self, n: int) -> tuple:
+        """Build and keep the calls that run an n-image chunk.
 
-        def run(x: np.ndarray) -> np.ndarray:
-            n = x.shape[0]
-            m = n * oh * ow
-            # Any real dtype widens to float64 exactly, as the training
-            # network's float GEMM would widen it.
-            x = np.asarray(x, dtype=np.float64)
-            if p:
-                padded[:n, :, p : p + h, p : p + w] = x
-                x = padded[:n]
-            cols, acc, out = cols_buf[:m], acc_buf[:m], out_buf[:n]
-            # Indices are in range by construction; "clip" skips the check.
-            np.take(x.reshape(n, -1), index, axis=1, out=cols.reshape(n, -1), mode="clip")
-            np.matmul(cols, weight_t, out=acc)
-            np.greater_equal(acc, bound, out=out.reshape(m, oc))
-            return out
-
-        return run, ("map", oh, ow, oc)
-
-    def _conv_plane_op(self, stage, state: tuple):
-        _, h, w, c = state
-        _check_channels(stage, c)
-        k, s, p = stage.kernel_size, stage.stride, stage.pad
-        oh = F.conv_output_size(h, k, s, p)
-        ow = F.conv_output_size(w, k, s, p)
-        hp, wp = h + 2 * p, w + 2 * p
-        oc, nb, dtype = stage.out_channels, self.micro_batch, self._dtype
-        # A padded conv's bound depends on how many taps are real pixels:
-        # a (OH, OW, OC) table, broadcast against each image's products.
-        valid = _valid_taps(h, w, k, s, p, c) if p else None
-        weight_t, bound = _fold_threshold(
-            _hwc_weight_t(stage.weight_matrix, c, k, k), stage.thresholds, dtype, valid
-        )
-        if p:
-            bound = bound.reshape(oh, ow, oc)
-            # The zero border is written here and never again: a pad tap
-            # is 0 in the plane, in the lanes built from it too.
-            padded = self._buffer((nb, hp, wp, c), dtype, zero=True)
-        fan_in, run_len, pixels = k * k * c, k * c, oh * ow
-        base = _lane_base(fan_in, dtype) if nb >= 2 else None
-        # Packed images per full chunk: two per lane when packing.
-        rows_nb = nb if base is None else -(-nb // 2)
-        group = min(rows_nb, max(1, _PLANE_TILE_BYTES // (pixels * fan_in * dtype.itemsize)))
-        slots = min(self._threads, -(-rows_nb // group))
-        planes = self._buffer((slots, group * pixels, fan_in), dtype)
-        prods = self._buffer((slots, group * pixels, oc), dtype)
-        out_buf = self._buffer((nb, oh, ow, oc), dtype)
-        if base is not None:
-            lanes_buf = self._buffer((rows_nb, hp, wp, c), dtype)
-            his = self._buffer((slots, group * pixels, oc), dtype)
-
-        def gemm(slot: int, x: np.ndarray) -> np.ndarray:
-            """gather -> GEMM over the images of *x*; the product rows."""
-            g = x.shape[0]
-            sn, sh, sw, sc = x.strides
-            # Row dy of a window is k adjacent pixels: one k*C-float run.
-            windows = np.lib.stride_tricks.as_strided(
-                x, shape=(g, oh, ow, k, run_len),
-                strides=(sn, sh * s, sw * s, sh, sc), writeable=False,
-            )
-            plane = planes[slot, : g * pixels]
-            plane.reshape(g, oh, ow, k, run_len)[...] = windows
-            prod = prods[slot, : g * pixels]
-            np.matmul(plane, weight_t, out=prod)
-            return prod
-
-        def decide(prod: np.ndarray, maps: np.ndarray) -> None:
-            """Threshold product rows into the 0/1 output maps of their images."""
-            np.greater_equal(prod.reshape(maps.shape), bound, out=maps)
-
-        def run(x: np.ndarray) -> np.ndarray:
-            n = x.shape[0]
-            out = out_buf[:n]
-            if p:
-                padded[:n, p : p + h, p : p + w] = x
-                x = padded[:n]
-            if base is None or n < 2:
-
-                def tile(slot: int, lo: int, hi: int) -> None:
-                    decide(gemm(slot, x[lo:hi]), out[lo:hi])
-
-                self._run_tiles(tile, n, group)
-                return out
-            # Image i shares a lane with image half + i; an odd chunk's
-            # middle image has no partner and rides alone (hi lane 0).
-            half = -(-n // 2)
-            pairs = n - half
-            lanes = lanes_buf[:half]
-            np.multiply(x[half:], base, out=lanes[:pairs])
-            np.add(lanes[:pairs], x[:pairs], out=lanes[:pairs])
-            lanes[pairs:] = x[pairs:half]
-
-            def packed_tile(slot: int, lo: int, hi: int) -> None:
-                prod = gemm(slot, lanes[lo:hi])
-                # |p_lo| <= K < B/2, so v/B rounds to p_hi and v - B*p_hi
-                # is p_lo; every step is exact in float32.
-                hi_lane = his[slot, : prod.shape[0]]
-                np.multiply(prod, 1.0 / base, out=hi_lane)
-                np.rint(hi_lane, out=hi_lane)
-                top = max(0, min(hi, pairs) - lo)
-                decide(hi_lane[: top * pixels], out[half + lo : half + lo + top])
-                np.multiply(hi_lane, base, out=hi_lane)
-                np.subtract(prod, hi_lane, out=prod)
-                decide(prod, out[lo:hi])
-
-            self._run_tiles(packed_tile, half, group)
-            return out
-
-        return run, ("map", oh, ow, oc)
-
-    def _pool_op(self, stage, state: tuple):
-        _, h, w, c = state
-        win, s = stage.window, stage.stride
-        oh = F.pool_output_size(h, win, s)
-        ow = F.pool_output_size(w, win, s)
-        out_buf = self._buffer((self.micro_batch, oh, ow, c), self._dtype)
-        offsets = [(dy, dx) for dy in range(win) for dx in range(win)]
-
-        def run(x: np.ndarray) -> np.ndarray:
-            out = out_buf[: x.shape[0]]
-            # max over {0, 1} is FINN's boolean OR; one strided binary
-            # ufunc per window offset keeps the inner loop on 4-d views.
-            views = [
-                x[:, dy : dy + s * (oh - 1) + 1 : s, dx : dx + s * (ow - 1) + 1 : s]
-                for dy, dx in offsets
-            ]
-            if len(views) == 1:
-                out[...] = views[0]
-                return out
-            np.maximum(views[0], views[1], out=out)
-            for view in views[2:]:
-                np.maximum(out, view, out=out)
-            return out
-
-        return run, ("map", oh, ow, c)
-
-    def _dense_op(self, stage, state: tuple):
-        nb, dtype, od = self.micro_batch, self._dtype, stage.out_features
-        features = int(np.prod(state[1:]))
-        if features != stage.fan_in:
-            raise ValueError(f"dense fan-in {stage.fan_in} cannot take {features} features")
-        if state[0] == "map":
-            _, h, w, c = state
-            weight_t = _hwc_weight_t(stage.weight_matrix, c, h, w)
-        else:
-            weight_t = stage.weight_matrix.T
-        prod_buf = self._buffer((nb, od), dtype)
-
-        if stage.thresholds is not None:
-            weight_t, bound = _fold_threshold(weight_t, stage.thresholds, dtype)
-            out_buf = self._buffer((nb, od), dtype)
-
-            def run(x: np.ndarray) -> np.ndarray:
-                n = x.shape[0]
-                prod, out = prod_buf[:n], out_buf[:n]
-                np.matmul(x.reshape(n, features), weight_t, out=prod)
-                np.greater_equal(prod, bound, out=out)
-                return out
-
-            return run, ("rows", od)
-
-        weight_t = np.ascontiguousarray(weight_t, dtype=dtype)
-        weight_sum = stage.weight_matrix.sum(axis=1)
-        out_buf = self._buffer((nb, od), np.float64)
-
-        def run_affine(x: np.ndarray) -> np.ndarray:
-            n = x.shape[0]
-            prod, out = prod_buf[:n], out_buf[:n]
-            np.matmul(x.reshape(n, features), weight_t, out=prod)
-            # Back to the ±1 accumulator, dot = 2p - sw (exact integers).
-            np.multiply(prod, 2.0, out=out)
-            np.subtract(out, weight_sum, out=out)
-            if stage.output_scale is not None:
-                np.multiply(out, stage.output_scale, out=out)
-                np.add(out, stage.output_offset, out=out)
-            return out
-
-        return run_affine, ("scores",)
-
-    def _pm1_op(self, state: tuple):
-        """0/1 plane -> float64 ±1 in the training network's layout: NCHW
-        maps, ``(n, features)`` rows."""
-        if state[0] == "map":
-            _, h, w, c = state
-            out_buf = self._buffer((self.micro_batch, c, h, w), np.float64)
-            axes = (0, 3, 1, 2)
-        else:
-            out_buf = self._buffer((self.micro_batch, state[1]), np.float64)
-            axes = (0, 1)
-
-        def run(x: np.ndarray) -> np.ndarray:
-            out = out_buf[: x.shape[0]]
-            np.multiply(x.transpose(axes), 2.0, out=out)
-            np.subtract(out, 1.0, out=out)
-            return out
-
-        return run
-
-    def _head_op(self, stage, state: tuple):
-        """Float head: ±1 features in (c, h, w) flatten order, float64 GEMM + bias."""
-        features = int(np.prod(state[1:]))
-        if features != stage.weight.shape[0]:
-            raise ValueError(
-                f"float head fan-in {stage.weight.shape[0]} cannot take {features} features"
-            )
-        to_pm1 = self._pm1_op(state)
-        out_buf = self._buffer((self.micro_batch, stage.out_features), np.float64)
-
-        def run(x: np.ndarray) -> np.ndarray:
-            n = x.shape[0]
-            out = out_buf[:n]
-            np.matmul(to_pm1(x).reshape(n, features), stage.weight, out=out)
-            if stage.bias is not None:
-                np.add(out, stage.bias, out=out)
-            return out
-
-        return run, ("scores",)
+        Returns ``(load, stages, out)``: ``load(chunk)`` is conv1's first
+        call, the only one that takes an argument; ``stages`` pairs each
+        span name with its calls; ``out`` is the view the last call writes.
+        """
+        with obs.trace_span("bnn.plan.compile", category="bnn", chunk=n):
+            stages, x = [], None
+            for span, builds in self._builds:
+                calls: list = []
+                for build in builds:
+                    more, x = build(n, x)
+                    calls += more
+                stages.append((span, calls))
+            program = stages[0][1].pop(0), stages, x
+        self._programs[n] = program
+        return program
 
     # -- runtime ------------------------------------------------------------
 
-    def _run_tiles(self, tile, n: int, group: int) -> None:
-        """Call ``tile(slot, lo, hi)`` for every image group of the chunk.
-
-        Tiles with the same slot never run concurrently (a slot owns one
-        plane/product buffer pair).
-        """
-        bounds = [(lo, min(lo + group, n)) for lo in range(0, n, group)]
-        workers = min(self._threads, len(bounds))
-        if workers <= 1:
-            for lo, hi in bounds:
-                tile(0, lo, hi)
-            return
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._threads, thread_name_prefix="repro-bnn-plan"
-            )
-
-        def run_slot(slot: int) -> None:
-            for lo, hi in bounds[slot::workers]:
-                tile(slot, lo, hi)
-
-        # list() reads every result, so a worker's exception surfaces here.
-        list(self._executor.map(run_slot, range(workers)))
-
-    def _run_chunk(self, x):
-        for label, op in zip(self.labels, self._ops):
-            with obs.trace_span("bnn." + label, category="bnn"):
-                x = op(x)
-        return x
+    def _run_chunk(self, chunk: np.ndarray) -> np.ndarray:
+        n = chunk.shape[0]
+        load, stages, out = self._programs.get(n) or self._program(n)
+        for i, (span, calls) in enumerate(stages):
+            with obs.trace_span(span, category="bnn"):
+                if not i:
+                    load(chunk)
+                for call in calls:
+                    call()
+        return out
 
     def forward(self, images: np.ndarray, batch_size: int | None = None) -> np.ndarray:
         """Raw output scores of the folded network.
@@ -593,7 +683,7 @@ class CompiledBNNPlan:
                     self._compile(images.shape[1:])
             result: np.ndarray | None = None
             for start in range(0, images.shape[0], self.micro_batch):
-                out = np.asarray(self._run_chunk(images[start : start + self.micro_batch]))
+                out = self._run_chunk(images[start : start + self.micro_batch])
                 if result is None:
                     result = np.empty(
                         (images.shape[0],) + out.shape[1:], dtype=out.dtype

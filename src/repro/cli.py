@@ -478,7 +478,7 @@ def _bench_parallel() -> Command:
         description=(
             "Benchmark the host float path serially (legacy forward vs the "
             "inference engine), across threads (GIL control) and across "
-            "shared-memory worker processes; verify bit-identical logits in "
+            "worker processes fed over pipes; verify bit-identical logits in "
             "every mode and write a JSON report with the Eq. (1) implications."
         ),
         config=ParallelBenchConfig,

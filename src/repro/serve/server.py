@@ -215,8 +215,8 @@ class CascadeServer:
         Process-parallel host pool size.  When set (or via the
         ``REPRO_HOST_WORKERS`` env var), ``host_predict_fn`` is wrapped
         in a :class:`repro.parallel.ParallelHostRunner` that shards each
-        host batch across that many worker *processes* over shared
-        memory — the Eq. (1) ``t_fp -> t_fp / N`` lever.  The server
+        host batch across that many worker *processes*, each shard sent
+        over the worker's pipe — the Eq. (1) ``t_fp -> t_fp / N`` lever.  The server
         owns and closes the pool.  Alternatively pass an existing
         ``ParallelHostRunner`` directly as ``host_predict_fn`` (the
         caller keeps ownership); either way its per-worker counters are

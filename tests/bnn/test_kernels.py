@@ -23,6 +23,7 @@ from repro.bnn import (
     fold_network,
 )
 from repro.bnn.kernels import clear_selection_cache
+from repro.bnn import plan as plan_module
 from repro.bnn.plan import CompiledBNNPlan, available_cpus
 from repro.nn import BatchNorm, Flatten, Sequential
 
@@ -38,9 +39,10 @@ def plane_matmul(a, w):
     """The plan's affine dense stage on ±1 rows: 0/1 plane GEMM, then 2p - sw."""
     stage = FoldedDense(w, thresholds=None)
     plan = CompiledBNNPlan(FoldedBNN([stage]), micro_batch=len(a))
-    plan._dtype = np.dtype(np.float32)
-    op, _ = plan._dense_op(stage, ("rows", w.shape[1]))
-    return op((a > 0).astype(np.float32))
+    build, _ = plan._compiler(np.float32).dense(stage, ("rows", w.shape[1]))
+    calls, out = build(len(a), (a > 0).astype(np.float32))
+    plan_module._run_calls(calls)
+    return out
 
 
 @given(

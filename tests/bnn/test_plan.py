@@ -31,6 +31,7 @@ from repro.bnn import (
 )
 from repro.bnn import plan as plan_module
 from repro.data import normalize_to_pm1
+from repro.models import build_finn_cnv
 from repro.nn import BatchNorm, Dense, Flatten, MaxPool2D, Sequential
 
 from oracle import forward_oracle
@@ -167,6 +168,54 @@ def test_one_buffer_set_whatever_the_batch_size(folded_packed, test_images):
     for n in sizes[1:]:
         plan.forward(test_images[:n])
         assert buffer_set() == first, n
+
+
+def test_spans_per_chunk_and_one_program_per_chunk_size(folded_packed, test_images):
+    micro_batch = 8
+    plan = folded_packed.compile_inference(micro_batch=micro_batch)
+    spans = ["bnn." + label for label in folded_packed.stage_labels]
+    with obs.tracing() as tracer:
+        plan.forward(test_images[: 2 * micro_batch + 3])
+    (forward,) = [s for s in tracer.spans if s.name == "bnn.plan.forward"]
+    staged = sorted((s for s in tracer.spans if s.name in spans), key=lambda s: s.start)
+    # Three chunks (8, 8, 3), each running every stage once, in order.
+    assert [s.name for s in staged] == spans * 3
+    assert all(s.parent == "bnn.plan.forward" for s in staged)
+    assert all(forward.start <= s.start <= s.end <= forward.end for s in staged)
+    chunks = [s.args["chunk"] for s in tracer.spans if "chunk" in s.args]
+    assert sorted(chunks) == [3, micro_batch]
+
+    def programs_built():
+        with obs.tracing() as tracer:
+            for n in range(1, micro_batch + 1):
+                plan.forward(test_images[:n])
+        return sorted(s.args["chunk"] for s in tracer.spans if s.name == "bnn.plan.compile")
+
+    assert programs_built() == [n for n in range(1, micro_batch + 1) if n not in (3, micro_batch)]
+    assert programs_built() == []
+
+
+@pytest.fixture(scope="module")
+def cnv_folded():
+    net = build_finn_cnv(scale=0.25, rng=np.random.default_rng(0))
+    net.eval_mode()
+    return fold_network(net)
+
+
+def test_failed_recompile_leaves_the_plan_as_it_was(cnv_folded):
+    images = np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 3, 32, 32))
+    plan = cnv_folded.compile_inference(micro_batch=4)
+    before = plan.class_scores(images)
+
+    def buffer_set():
+        return [(id(buf), buf.tobytes()) for buf in plan._buffers]
+
+    kept = buffer_set()
+    for bad in (np.zeros((2, 3, 8, 8)), np.zeros((2, 4, 32, 32))):
+        with pytest.raises(ValueError):
+            plan.class_scores(bad)
+        assert buffer_set() == kept, bad.shape
+    np.testing.assert_array_equal(plan.class_scores(images), before)
 
 
 def _conv_block(cin, cout, rng, pad=0):

@@ -53,12 +53,18 @@ def _conv_stage(rng, k, c, oc, stride, pad=0):
 
 
 def _plane_op(stage, h, w, micro_batch, threads):
-    """Compile *stage* alone as a float32 plane conv of the plan."""
+    """Compile *stage* alone as a float32 plane conv of the plan; returns
+    the compile (it owns the buffers) and a function running a chunk."""
     plan = CompiledBNNPlan(FoldedBNN([stage]), micro_batch=micro_batch, threads=threads)
-    plan._dtype = np.dtype(np.float32)
-    plan._threads = plan._tile_threads()
-    op, _ = plan._conv_plane_op(stage, ("map", h, w, stage.in_channels))
-    return plan, op
+    compiler = plan._compiler(np.float32)
+    build, _ = compiler.conv_plane(stage, ("map", h, w, stage.in_channels))
+
+    def op(maps):
+        calls, out = build(len(maps), maps)
+        plan_module._run_calls(calls)
+        return out
+
+    return compiler, op
 
 
 def _unpacked(stage, maps):
@@ -97,8 +103,8 @@ def test_packed_stage_equals_unpacked(
     n = data.draw(st.integers(1, micro_batch), label="n")
     maps = (rng.random((n, h, w, c)) < fill).astype(np.float32)
     maps[-1] = 1.0  # image n-1 sits in the hi lane whenever n >= 2
-    plan, op = _plane_op(stage, h, w, micro_batch, threads)
-    for buf in plan._buffers:
+    compiler, op = _plane_op(stage, h, w, micro_batch, threads)
+    for buf in compiler.buffers:
         buf.fill(0)
 
     np.testing.assert_array_equal(op(maps), _unpacked(stage, maps))
@@ -108,7 +114,7 @@ def test_packed_stage_equals_unpacked(
         # Packing really ran: unpacked, no buffer ever holds a value >= B
         # (planes and maps are 0/1, products |p| <= K), but the all-ones
         # hi-lane image put B into the lane plane.
-        assert any((buf >= base).any() for buf in plan._buffers)
+        assert any((buf >= base).any() for buf in compiler.buffers)
 
 
 @pytest.fixture(scope="module")
