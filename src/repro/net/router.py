@@ -35,21 +35,19 @@ where ``routed`` counts requests answered by a replica, ``rejected``
 counts admission refusals (:class:`NoHealthyReplica`), and ``failed``
 counts typed terminal errors after placement.
 
-Each replica has one duplex pipe, like each of
-:mod:`repro.parallel.runner`'s workers (ping/submit/stop messages);
-images ride that pipe.
+Each process replica is a :class:`repro.parallel.child.Child`, the same
+child-process channel as each host pool worker: one duplex pipe, images
+as raw bytes after a small header, ping/stop and the orphan guard
+written once (the message table is in :mod:`repro.parallel.child`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import multiprocessing
-import os
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _conn_wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,8 +55,8 @@ import numpy as np
 from .. import obs
 from ..obs.ledger import Law, Ledger, violations
 from ..parallel import default_start_method
+from ..parallel.child import Child
 from ..serve.resilience import CircuitBreaker
-from ..serve.server import ServeResult
 from ..util.hashing import rendezvous_order
 
 __all__ = [
@@ -70,7 +68,6 @@ __all__ = [
     "RouterSnapshot",
     "InProcessReplica",
     "ProcessReplica",
-    "replica_main",
     "ShardRouter",
 ]
 
@@ -177,255 +174,52 @@ class InProcessReplica:
         self._server.close()
 
 
-def replica_main(conn, factory: Callable[[], dict]) -> None:
-    """Child-process body: build a cascade and serve the control pipe.
-
-    *factory* returns the keyword arguments for
-    :class:`~repro.serve.CascadeServer` (it runs in the child, so heavy
-    state — trained networks, fault injectors — is built post-fork).
-    One extra key, ``cache_max_bytes``, is popped before the server is
-    built; when truthy it wraps the replica in a per-replica
-    :class:`~repro.cache.CachingFrontend` of that byte budget.  Per-replica caches
-    compose with rendezvous placement — the same image bytes that pick
-    a replica also name that replica's cache entry, so repeats of an
-    image always land where its answer is already cached.
-    Messages: ``("submit", rid, image)`` → ``("result", rid, prediction,
-    bnn_prediction, confidence, source, latency, cold_source)`` or
-    ``("error", rid, repr)``; ``("ping", token)`` → ``("pong", token)``;
-    ``("stop",)`` drains and exits.
-    """
+def _replica_handler(factory: Callable[[], dict]):
+    """Build a replica's cascade in the child (see :class:`ProcessReplica`)."""
     from ..serve.server import CascadeServer
 
-    try:
-        kwargs = factory()
-        cache_max_bytes = kwargs.pop("cache_max_bytes", 0)
-        server = CascadeServer(**kwargs)
-        if cache_max_bytes:
-            from ..cache import CachingFrontend, ResultCache
+    kwargs = factory()
+    cache_max_bytes = kwargs.pop("cache_max_bytes", 0)
+    server = CascadeServer(**kwargs)
+    if cache_max_bytes:
+        from ..cache import CachingFrontend, ResultCache
 
-            server = CachingFrontend(server, ResultCache(max_bytes=int(cache_max_bytes)))
-    except Exception as exc:
-        try:
-            conn.send(("init_error", repr(exc)))
-        except Exception:
-            pass
-        return
-    send_lock = threading.Lock()
-
-    def reply(message) -> None:
-        with send_lock:
-            try:
-                conn.send(message)
-            except Exception:
-                pass
-
-    def on_done(fut, rid):
-        exc = fut.exception()
-        if exc is None:
-            r = fut.result()
-            reply((
-                "result", rid, int(r.prediction), int(r.bnn_prediction),
-                float(r.confidence), r.source, float(r.latency_seconds), r.cold_source,
-            ))
-        else:
-            reply(("error", rid, repr(exc)))
-
-    conn.send(("ready", os.getpid()))
-    # Watch the parent's death sentinel alongside the control pipe: the
-    # replica is non-daemonic (it may own a host worker pool), so if the
-    # router's process is SIGKILLed a blocking recv() would leave the
-    # replica — and its workers — orphaned forever.
-    parent = multiprocessing.parent_process()
-    watch = [conn] if parent is None else [conn, parent.sentinel]
-    while True:
-        try:
-            if conn not in _conn_wait(watch):
-                break  # parent died with nothing left to read
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        kind = message[0]
-        if kind == "stop":
-            break
-        if kind == "ping":
-            reply(("pong", message[1]))
-            continue
-        if kind == "submit":
-            _, rid, image = message
-            try:
-                fut = server.submit(image)
-            except Exception as exc:
-                reply(("error", rid, repr(exc)))
-                continue
-            fut.add_done_callback(lambda f, rid=rid: on_done(f, rid))
-    server.close()
+        server = CachingFrontend(server, ResultCache(max_bytes=int(cache_max_bytes)))
+    return (lambda kind, array: server.submit(array)), server.close
 
 
-class ProcessReplica:
+class ProcessReplica(Child):
     """A full cascade replica in its own process.
 
-    The parent keeps a duplex pipe: a writer lock serializes submits, a
-    reader thread resolves futures as results stream back.  Death (EOF
-    on the pipe, or the process gone) fails every in-flight future with
-    :class:`ReplicaFailure` and marks the replica dead — the router's
-    breakers then drain its traffic to survivors.
+    A :class:`~repro.parallel.child.Child`: each image goes out as a
+    ``submit`` request with its pixels as raw bytes, and the child
+    answers from its server's done-callback.  *factory* returns the
+    :class:`~repro.serve.CascadeServer` keyword arguments and runs in the
+    child (trained networks, fault injectors are built post-fork).  An
+    extra ``cache_max_bytes`` key, when truthy, wraps the replica in a
+    :class:`~repro.cache.CachingFrontend` of that byte budget; with
+    rendezvous placement the image bytes that pick a replica also name
+    its cache entry, so repeats land where their answer is cached.
+    Death fails every in-flight future with :class:`ReplicaFailure`.
     """
 
-    def __init__(
-        self,
-        index: int,
-        factory: Callable[[], dict],
-        *,
-        start_method: str | None = None,
-        spawn_timeout_s: float = 60.0,
-    ):
+    def __init__(self, index: int, factory: Callable[[], dict], *,
+                 start_method: str | None = None, spawn_timeout_s: float = 60.0):
         self.index = index
-        self._ctx = multiprocessing.get_context(start_method or default_start_method())
-        parent_conn, child_conn = self._ctx.Pipe()
-        self._conn = parent_conn
         # Not a daemon: the replica's own CascadeServer may spawn a
         # host worker pool (REPRO_HOST_WORKERS), and daemonic processes
-        # cannot have children.  close()/kill() own the lifecycle.
-        self._proc = self._ctx.Process(
-            target=replica_main,
-            args=(child_conn, factory),
+        # cannot have children.
+        super().__init__(
+            functools.partial(_replica_handler, factory),
             name=f"repro-replica-{index}",
+            start_method=start_method or default_start_method(),
             daemon=False,
+            spawn_timeout_s=spawn_timeout_s,
+            error=functools.partial(ReplicaFailure, index),
         )
-        self._proc.start()
-        child_conn.close()
-        self._send_lock = threading.Lock()
-        self._pending_lock = threading.Lock()
-        self._pending: dict[int, Future] = {}
-        self._pongs: dict[int, threading.Event] = {}
-        self._rid = itertools.count(1)
-        self._dead = False
-        if not self._conn.poll(spawn_timeout_s):
-            self._fail_all("replica failed to start in time")
-            self.kill()
-            raise RuntimeError(f"replica {index} failed to start in time")
-        reply = self._conn.recv()
-        if reply[0] != "ready":
-            detail = reply[1] if len(reply) > 1 else reply
-            self.kill()
-            raise RuntimeError(f"replica {index} failed to start: {detail}")
-        self._reader = threading.Thread(
-            target=self._read_loop, name=f"replica-{index}-reader", daemon=True
-        )
-        self._reader.start()
-
-    # -- parent-side plumbing --------------------------------------------------
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                message = self._conn.recv()
-            except (EOFError, OSError):
-                break
-            kind = message[0]
-            if kind == "result":
-                _, rid, prediction, bnn_prediction, confidence, source, latency, cold = message
-                fut = self._pop_pending(rid)
-                if fut is not None:
-                    fut.set_result(ServeResult(
-                        prediction=prediction,
-                        bnn_prediction=bnn_prediction,
-                        confidence=confidence,
-                        source=source,
-                        latency_seconds=latency,
-                        cold_source=cold,
-                    ))
-            elif kind == "error":
-                _, rid, detail = message
-                fut = self._pop_pending(rid)
-                if fut is not None:
-                    fut.set_exception(ReplicaFailure(self.index, detail))
-            elif kind == "pong":
-                event = self._pongs.pop(message[1], None)
-                if event is not None:
-                    event.set()
-        self._fail_all("replica process died")
-
-    def _pop_pending(self, rid: int) -> Future | None:
-        with self._pending_lock:
-            return self._pending.pop(rid, None)
-
-    def _fail_all(self, detail: str) -> None:
-        self._dead = True
-        with self._pending_lock:
-            stranded = list(self._pending.values())
-            self._pending.clear()
-        for fut in stranded:
-            if not fut.done():
-                fut.set_exception(ReplicaFailure(self.index, detail))
-
-    # -- replica handle API ----------------------------------------------------
-    @property
-    def pid(self) -> int | None:
-        return None if self._proc is None else self._proc.pid
 
     def submit(self, image: np.ndarray) -> Future:
-        if self._dead or not self._proc.is_alive():
-            raise ReplicaFailure(self.index, "replica is dead")
-        rid = next(self._rid)
-        fut: Future = Future()
-        with self._pending_lock:
-            self._pending[rid] = fut
-        try:
-            with self._send_lock:
-                self._conn.send(("submit", rid, np.asarray(image)))
-        except (OSError, BrokenPipeError, ValueError) as exc:
-            self._pop_pending(rid)
-            self._fail_all("replica pipe broke")
-            raise ReplicaFailure(self.index, exc) from exc
-        return fut
-
-    def alive(self) -> bool:
-        return not self._dead and self._proc.is_alive()
-
-    def ping(self, timeout: float = 5.0) -> bool:
-        if not self.alive():
-            return False
-        token = time.monotonic_ns()
-        event = threading.Event()
-        self._pongs[token] = event
-        try:
-            with self._send_lock:
-                self._conn.send(("ping", token))
-        except (OSError, BrokenPipeError):
-            self._pongs.pop(token, None)
-            return False
-        ok = event.wait(timeout)
-        self._pongs.pop(token, None)
-        return ok
-
-    def kill(self) -> None:
-        """Chaos hook: hard-kill the replica process (SIGKILL)."""
-        self._dead = True
-        if self._proc.is_alive():
-            self._proc.kill()
-        self._proc.join(timeout=5.0)
-        try:
-            self._conn.close()
-        except Exception:
-            pass
-        self._fail_all("replica killed")
-
-    def close(self, timeout: float = 10.0) -> None:
-        self._dead = True
-        try:
-            with self._send_lock:
-                self._conn.send(("stop",))
-        except Exception:
-            pass
-        self._proc.join(timeout=timeout)
-        if self._proc.is_alive():
-            self._proc.kill()
-            self._proc.join(timeout=5.0)
-        try:
-            self._conn.close()
-        except Exception:
-            pass
-        self._fail_all("replica closed")
+        return self.request("submit", array=image)
 
 
 # -- router -------------------------------------------------------------------

@@ -4,9 +4,10 @@ The paper's Eq. (1) bound ``t_multi ~= max(t_fp * R_rerun, t_bnn)`` is
 dominated by the host float path once the BNN stage is fast; this
 subpackage attacks ``t_fp`` directly by sharding rerun batches across
 ``N`` warm worker processes (``t_fp -> t_fp / N`` on an ``N``-core
-host).  Each worker's duplex pipe is the pool's only channel: a shard's
-pixels travel as raw bytes (never a pickle) and its logits or labels
-come back in the reply (:mod:`repro.parallel.worker`).  Shard cuts
+host).  Each worker is a :class:`repro.parallel.child.Child` — the one
+child-process channel the package has, shared with the cascade
+replicas: a shard's pixels travel as raw bytes (never a pickle) and its
+logits or labels come back in the reply.  Shard cuts
 align with the :class:`repro.nn.InferenceEngine` micro-batch, so
 parallel logits are bit-identical to serial for any worker count.
 
@@ -26,7 +27,6 @@ from .runner import (
     default_start_method,
     resolve_host_workers,
 )
-from .worker import worker_main
 
 __all__ = [
     "ParallelHostRunner",
@@ -34,5 +34,4 @@ __all__ = [
     "ShardReport",
     "default_start_method",
     "resolve_host_workers",
-    "worker_main",
 ]

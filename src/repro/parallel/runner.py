@@ -4,10 +4,11 @@
 callable of :class:`repro.serve.CascadeServer`: it is a plain
 ``(N, ...) images -> (N,) labels`` callable, but internally it shards
 each batch across ``n_workers`` *processes* — side-stepping the GIL that
-serializes the server's ``serve-host-*`` threads.  Each worker has one
-duplex pipe: a shard travels as a small ``run`` header plus its raw
-pixel bytes (never a pickle), and the logits or labels
-come back in the ``done`` reply (see :mod:`repro.parallel.worker`).
+serializes the server's ``serve-host-*`` threads.  Each worker is a
+:class:`~repro.parallel.child.Child`: a shard goes out as a ``run``
+request with its pixels as raw bytes (never a pickle), and the logits or
+labels come back in the reply (the message table is in
+:mod:`repro.parallel.child`).
 
 Two modes share the machinery:
 
@@ -43,17 +44,20 @@ durations, a ``parallel.inflight`` gauge and ``parallel.images`` /
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
 import threading
 import time
+from concurrent.futures import TimeoutError as FutureTimeout
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import obs
 from ..serve.resilience import StageFailure
-from .worker import send_shard, worker_main
+from .child import Child
 
 __all__ = [
     "ParallelHostRunner",
@@ -69,13 +73,9 @@ def resolve_host_workers(explicit: int | None = None) -> int | None:
 
     Returns ``None`` when parallel host inference is not requested.
     """
-    if explicit is not None:
-        return int(explicit) if explicit > 0 else None
-    env = os.environ.get("REPRO_HOST_WORKERS", "").strip()
-    if env:
-        value = int(env)
-        return value if value > 0 else None
-    return None
+    if explicit is None:
+        explicit = int(os.environ.get("REPRO_HOST_WORKERS", "").strip() or 0)
+    return int(explicit) if explicit > 0 else None
 
 
 def default_start_method() -> str:
@@ -91,36 +91,28 @@ def default_start_method() -> str:
     return "fork" if "fork" in methods else methods[0]
 
 
+@dataclass(slots=True, eq=False)
 class ShardOutcome:
     """Result of one worker's shard within one batch."""
 
-    __slots__ = ("worker", "start", "stop", "values", "error", "infer_seconds")
-
-    def __init__(self, worker, start, stop, values=None, error=None, infer_seconds=0.0):
-        self.worker = worker
-        self.start = start
-        self.stop = stop
-        self.values = values          # logits (model mode) or labels (callable mode)
-        self.error = error            # StageFailure | None
-        self.infer_seconds = infer_seconds
+    worker: int
+    start: int
+    stop: int
+    values: np.ndarray | None = None  # logits (model mode) or labels (callable mode)
+    error: StageFailure | None = None
+    infer_seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
         return self.error is None
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "ok" if self.ok else f"error={self.error!r}"
-        return f"ShardOutcome(worker={self.worker}, [{self.start}:{self.stop}], {state})"
 
-
+@dataclass(slots=True, eq=False)
 class ShardReport:
     """All shard outcomes of one :meth:`ParallelHostRunner.run_sharded` call."""
 
-    __slots__ = ("n", "outcomes")
-
-    def __init__(self, n: int, outcomes: list[ShardOutcome]):
-        self.n = n
-        self.outcomes = outcomes
+    n: int
+    outcomes: list[ShardOutcome]
 
     @property
     def errors(self) -> list[ShardOutcome]:
@@ -144,16 +136,42 @@ class ShardReport:
         return np.concatenate(parts, axis=0)
 
 
-class _Worker:
-    __slots__ = ("index", "proc", "conn", "images", "infer_seconds", "replacements")
+def _shard_handler(worker_id: int, payload):
+    """Build a worker's handler in the child (see :class:`repro.parallel.child.Child`).
 
-    def __init__(self, index: int):
-        self.index = index
-        self.proc = None
-        self.conn = None
-        self.images = 0
-        self.infer_seconds = 0.0
-        self.replacements = 0
+    Model mode compiles the :class:`repro.nn.InferenceEngine` here,
+    before the worker reports ready, so the first real batch never pays
+    compilation.  A ``run`` answers ``(values, seconds)``: logits (model
+    mode) or int64 labels (callable mode), and the compute time.
+    """
+    mode, target, options = payload
+    if mode == "model":
+        compute = target.compile_inference(
+            dtype=np.dtype(options["dtype"]), micro_batch=options["micro_batch"]
+        ).predict_scores
+    else:
+        def compute(images: np.ndarray) -> np.ndarray:
+            return np.asarray(target(images)).reshape(len(images)).astype(np.int64)
+
+    def run(kind: str, array: np.ndarray):
+        n = len(array)
+        start = time.perf_counter()
+        with obs.trace_span("parallel.worker.infer", worker=worker_id, images=n):
+            values = np.asarray(compute(array))
+        if values.shape[0] != n:
+            raise ValueError(f"compute returned {values.shape[0]} results for {n} images")
+        return values, time.perf_counter() - start
+
+    return run, None
+
+
+@dataclass(eq=False)
+class _Worker:
+    index: int
+    child: Child
+    images: int = 0
+    infer_seconds: float = 0.0
+    replacements: int = 0
 
 
 class ParallelHostRunner:
@@ -217,62 +235,36 @@ class ParallelHostRunner:
             self._payload = ("model", model, {"dtype": self.dtype.str, "micro_batch": self.micro_batch})
         else:
             self._payload = ("callable", predict_fn, {})
-        self._ctx = multiprocessing.get_context(self.start_method)
         self._lock = threading.Lock()
-        self._seq = 0  # tags each dispatched shard; replies must echo it
         self._metrics = None
         self._closed = False
-        self._workers = [_Worker(i) for i in range(self.n_workers)]
+        self._workers: list[_Worker] = []
         # Worker indices are never reused across resize(): per-worker
         # metrics/stats keys stay unambiguous for the whole pool lifetime.
-        self._next_index = self.n_workers
+        self._next_index = 0
         try:
-            for w in self._workers:
-                self._spawn(w)
+            self.resize(self.n_workers)
         except Exception:
             self.close()
             raise
 
     # -- lifecycle ------------------------------------------------------------
-    def _spawn(self, worker: _Worker) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(worker.index, child_conn, self._payload),
-            name=f"repro-host-{worker.index}",
-            daemon=True,
+    def _spawn(self, index: int) -> Child:
+        return Child(
+            functools.partial(_shard_handler, index, self._payload),
+            name=f"repro-host-{index}",
+            start_method=self.start_method,
+            spawn_timeout_s=self.spawn_timeout_s,
+            error=lambda detail: RuntimeError(f"parallel host worker {index} failed: {detail}"),
         )
-        proc.start()
-        child_conn.close()
-        worker.proc, worker.conn = proc, parent_conn
-        reply = self._recv(worker, timeout=self.spawn_timeout_s)
-        if reply is None or reply[0] != "ready":
-            detail = reply[1] if reply and reply[0] == "init_error" else reply
-            self._kill(worker)
-            raise RuntimeError(f"worker {worker.index} failed to start: {detail}")
 
     def _respawn(self, worker: _Worker) -> None:
         """Crash-replace: fresh process + fresh pipe, weights re-broadcast."""
-        self._kill(worker)
+        self._require_open()
+        worker.child.kill()
         worker.replacements += 1
-        self._spawn(worker)
+        worker.child = self._spawn(worker.index)
         obs.count("parallel.worker_replacements", 1)
-
-    def _kill(self, worker: _Worker) -> None:
-        if worker.conn is not None:
-            try:
-                worker.conn.close()
-            except Exception:
-                pass
-            worker.conn = None
-        if worker.proc is not None:
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-            worker.proc.join(timeout=5.0)
-            if worker.proc.is_alive():  # pragma: no cover - last resort
-                worker.proc.kill()
-                worker.proc.join(timeout=5.0)
-            worker.proc = None
 
     def resize(self, n: int) -> int:
         """Grow or shrink the pool to *n* workers; returns the new size.
@@ -294,20 +286,10 @@ class ParallelHostRunner:
                 return self.n_workers
             try:
                 while len(self._workers) > n:
-                    worker = self._workers.pop()
-                    if worker.conn is not None:
-                        try:
-                            worker.conn.send(("stop",))
-                        except Exception:
-                            pass
-                    if worker.proc is not None:
-                        worker.proc.join(timeout=5.0)
-                    self._kill(worker)
+                    self._workers.pop().child.close(timeout=5.0)
                 while len(self._workers) < n:
-                    worker = _Worker(self._next_index)
+                    self._workers.append(_Worker(self._next_index, self._spawn(self._next_index)))
                     self._next_index += 1
-                    self._spawn(worker)
-                    self._workers.append(worker)
             finally:
                 self.n_workers = len(self._workers)
                 if self._metrics is not None:
@@ -315,22 +297,27 @@ class ParallelHostRunner:
             obs.gauge("parallel.pool_size", self.n_workers)
             return self.n_workers
 
-    def close(self, timeout: float = 10.0) -> None:
-        """Stop and reap all workers (idempotent)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            for w in self._workers:
-                if w.conn is not None:
-                    try:
-                        w.conn.send(("stop",))
-                    except Exception:
-                        pass
-            for w in self._workers:
-                if w.proc is not None:
-                    w.proc.join(timeout=timeout)
-                self._kill(w)
+    def close(self, timeout: float | None = 10.0) -> None:
+        """Stop and reap all workers (idempotent).
+
+        Does not wait for a running call first: closing its workers
+        fails that call's pending shards, so a call stuck on a hung
+        worker returns :class:`StageFailure` instead of blocking close
+        forever.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self._close_workers(timeout)
+        with self._lock:  # the running call is done: reap what it respawned
+            self._close_workers(timeout)
+
+    def _close_workers(self, timeout: float | None) -> None:
+        children = [w.child for w in self._workers]
+        for child in children:
+            child.stop()
+        for child in children:
+            child.close(timeout)
 
     def __enter__(self) -> "ParallelHostRunner":
         return self
@@ -343,20 +330,6 @@ class ParallelHostRunner:
             self.close()
         except Exception:
             pass
-
-    # -- plumbing -------------------------------------------------------------
-    def _recv(self, worker: _Worker, timeout: float | None):
-        """Next control message, or ``None`` on timeout / dead worker."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            try:
-                wait = None if deadline is None else max(0.0, deadline - time.monotonic())
-                if worker.conn.poll(wait if wait is not None else None):
-                    return worker.conn.recv()
-            except (EOFError, OSError, BrokenPipeError):
-                return None
-            if deadline is not None and time.monotonic() >= deadline:
-                return None
 
     def _shards(self, n: int) -> list[tuple[int, int]]:
         """Contiguous (start, stop) per worker, cut on micro-batch boundaries.
@@ -385,25 +358,7 @@ class ParallelHostRunner:
         """Round-trip health check; ``True`` per worker that answered."""
         with self._lock:
             self._require_open()
-            results = []
-            for w in self._workers:
-                token = time.monotonic_ns()
-                ok = False
-                if w.conn is not None and w.proc is not None and w.proc.is_alive():
-                    try:
-                        w.conn.send(("ping", token))
-                        while True:
-                            reply = self._recv(w, timeout)
-                            if reply is None:
-                                break
-                            if reply[0] == "pong" and reply[1] == token:
-                                ok = True
-                                break
-                            # stale shard traffic from a timed-out call: skip
-                    except (OSError, BrokenPipeError):
-                        ok = False
-                results.append(ok)
-            return results
+            return [w.child.ping(timeout) for w in self._workers]
 
     def ensure_healthy(self, timeout: float = 5.0) -> int:
         """Ping all workers, crash-replace the dead; returns replacements."""
@@ -422,8 +377,8 @@ class ParallelHostRunner:
         return [
             {
                 "worker": w.index,
-                "pid": None if w.proc is None else w.proc.pid,
-                "alive": w.proc is not None and w.proc.is_alive(),
+                "pid": w.child.pid,
+                "alive": w.child.alive(),
                 "images": w.images,
                 "infer_seconds": w.infer_seconds,
                 "replacements": w.replacements,
@@ -455,97 +410,64 @@ class ParallelHostRunner:
             if dtype.hasobject:
                 raise TypeError("object arrays cannot cross the worker pipe")
             tracer = obs.active()
-            pending = []  # (worker, start, stop, seq, t_dispatch, dispatch_exc)
+            pending = []  # (worker, start, stop, future or dispatch error, t_dispatch)
             for (start, stop), worker in zip(self._shards(n), self._workers):
-                if worker.proc is None or not worker.proc.is_alive():
-                    try:
-                        self._respawn(worker)
-                    except Exception as exc:
-                        pending.append((worker, start, stop, None, None, exc))
-                        continue
-                self._seq += 1
-                shard = np.ascontiguousarray(images[start:stop], dtype=dtype)
                 try:
-                    send_shard(worker.conn, self._seq, shard)
-                    t0 = None if tracer is None else tracer.now()
-                    pending.append((worker, start, stop, self._seq, t0, None))
-                except OSError as exc:  # maybe half-sent: replace the worker
-                    self._kill(worker)
-                    pending.append((worker, start, stop, None, None, exc))
+                    if not worker.child.alive():
+                        self._respawn(worker)
+                    shard = np.ascontiguousarray(images[start:stop], dtype=dtype)
+                    sent = worker.child.request("run", array=shard)
+                except Exception as exc:
+                    sent = exc
+                pending.append((worker, start, stop, sent, None if tracer is None else tracer.now()))
             obs.gauge("parallel.inflight", len(pending))
 
-            outcomes = []
-            dead: list[_Worker] = []
-            for worker, start, stop, seq, t0, dispatch_exc in pending:
-                if dispatch_exc is not None:
-                    outcomes.append(
-                        ShardOutcome(worker.index, start, stop,
-                                     error=StageFailure("host", dispatch_exc))
-                    )
-                    if worker.proc is None or not worker.proc.is_alive():
-                        dead.append(worker)
-                    continue
-                outcome = self._collect(worker, start, stop, seq, t0, tracer)
-                if not outcome.ok and (worker.proc is None or not worker.proc.is_alive()):
-                    dead.append(worker)
-                outcomes.append(outcome)
-
+            outcomes = [self._collect(*entry, tracer) for entry in pending]
             # Crash-replace *now* so the pool is healthy for the next call.
-            for worker in dead:
-                try:
-                    self._respawn(worker)
-                except Exception:  # replacement itself failed; retried next call
-                    pass
+            for worker, *_ in pending:
+                if not worker.child.alive():
+                    try:
+                        self._respawn(worker)
+                    except Exception:  # replacement failed or pool closed; retried next call
+                        pass
 
-            ok_images = sum(o.stop - o.start for o in outcomes if o.ok)
-            obs.count("parallel.images", ok_images)
-            failures = len([o for o in outcomes if not o.ok])
-            if failures:
-                obs.count("parallel.shard_failures", failures)
+            report = ShardReport(n, outcomes)
+            obs.count("parallel.images", sum(o.stop - o.start for o in outcomes if o.ok))
+            if report.errors:
+                obs.count("parallel.shard_failures", len(report.errors))
             obs.gauge("parallel.inflight", 0)
-            return ShardReport(n, outcomes)
+            return report
 
-    def _collect(self, worker, start, stop, seq, t0, tracer) -> ShardOutcome:
-        while True:
-            reply = self._recv(worker, self.shard_timeout_s)
-            if reply is None:
-                alive = worker.proc is not None and worker.proc.is_alive()
-                detail = "hung (timeout)" if alive else "died mid-batch"
-                if alive:  # hung: kill so the replacement starts clean
-                    self._kill(worker)
-                return ShardOutcome(
-                    worker.index, start, stop,
-                    error=StageFailure("host", RuntimeError(
-                        f"parallel host worker {worker.index} {detail}")),
-                )
-            kind = reply[0]
-            if kind == "done" and reply[1] == seq:
-                _, _, count, values, seconds = reply
-                worker.images += count
-                worker.infer_seconds += seconds
-                if tracer is not None:
-                    end = tracer.now()
-                    tracer.add_span("parallel.shard", t0, end,
-                                    category="parallel", worker=worker.index,
-                                    images=count)
-                    # Re-materialized from the worker's reported duration
-                    # (its clock is unsynchronized; anchor on receipt).
-                    tracer.add_span("parallel.worker.infer", end - seconds, end,
-                                    category="parallel", worker=worker.index,
-                                    images=count)
-                if self._metrics is not None:
-                    self._metrics.add(
-                        worker.index, host_worker_images=count, host_worker_seconds=seconds
-                    )
-                return ShardOutcome(worker.index, start, stop, values=values,
-                                    infer_seconds=seconds)
-            if kind == "error" and reply[1] == seq:
-                return ShardOutcome(
-                    worker.index, start, stop,
-                    error=StageFailure("host", RuntimeError(
-                        f"parallel host worker {worker.index} failed:\n{reply[2]}")),
-                )
-            # anything else is stale traffic from an earlier timed-out shard
+    def _collect(self, worker, start, stop, sent, t0, tracer) -> ShardOutcome:
+        try:
+            if isinstance(sent, BaseException):
+                raise sent
+            values, seconds = sent.result(timeout=self.shard_timeout_s)
+        except FutureTimeout:  # hung: kill so the replacement starts clean
+            worker.child.kill()
+            return ShardOutcome(
+                worker.index, start, stop,
+                error=StageFailure("host", RuntimeError(
+                    f"parallel host worker {worker.index} hung (timeout)")),
+            )
+        except Exception as exc:
+            return ShardOutcome(worker.index, start, stop, error=StageFailure("host", exc))
+        count = stop - start
+        worker.images += count
+        worker.infer_seconds += seconds
+        if tracer is not None:
+            end = tracer.now()
+            tracer.add_span("parallel.shard", t0, end,
+                            category="parallel", worker=worker.index, images=count)
+            # Re-materialized from the worker's reported duration (its
+            # clock is unsynchronized; anchor on receipt).
+            tracer.add_span("parallel.worker.infer", end - seconds, end,
+                            category="parallel", worker=worker.index, images=count)
+        if self._metrics is not None:
+            self._metrics.add(
+                worker.index, host_worker_images=count, host_worker_seconds=seconds
+            )
+        return ShardOutcome(worker.index, start, stop, values=values, infer_seconds=seconds)
 
     def predict_scores(self, images: np.ndarray) -> np.ndarray:
         """Logits ``(N, C)`` — model mode only; raises on any shard failure."""

@@ -530,7 +530,7 @@ class CascadeServer:
             for thread in self._rungs[-1].threads:
                 thread.join(timeout=timeout)
         if first and self._owns_host_runner and self._host_runner is not None:
-            self._host_runner.close()
+            self._host_runner.close(timeout)
         # Anything still unresolved is stuck behind a dead/hung stage (or
         # the joins timed out): fail it now so no caller waits forever.
         with self._inflight_lock:

@@ -4,6 +4,8 @@ import os
 import signal
 import threading
 import time
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,34 @@ def byte_sum_host(images: np.ndarray) -> np.ndarray:
     return images.reshape(len(images), -1).astype(np.int64).sum(axis=1) % 7
 
 
+def zeros_host(images: np.ndarray) -> np.ndarray:
+    return np.zeros(len(images), dtype=np.int64)
+
+
+def sign_host(images: np.ndarray) -> np.ndarray:
+    return np.asarray([int(img.sum() > 0) for img in images])
+
+
+def flaky_host(images: np.ndarray) -> np.ndarray:
+    if float(images[0].max()) > 1e5:
+        raise RuntimeError("boom")
+    return np.zeros(len(images), dtype=np.int64)
+
+
+def hang_host(flag: str, images: np.ndarray) -> np.ndarray:
+    """Host callable that touches *flag*, then hangs: the test waits on the file."""
+    Path(flag).touch()
+    time.sleep(600)
+    return np.zeros(len(images), dtype=np.int64)
+
+
+def wait_for(path: Path, timeout: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        assert time.monotonic() < deadline, f"{path} never appeared"
+        time.sleep(0.01)
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("model", ["a", "b", "c"])
     def test_bit_identical_across_worker_counts(self, model):
@@ -65,12 +95,9 @@ class TestEquivalence:
             assert scores.shape[0] == 0
 
     def test_callable_mode_matches_contiguous_shards(self):
-        def host(images):
-            return np.asarray([int(img.sum() > 0) for img in images])
-
         x = make_images(23)
-        with ParallelHostRunner(predict_fn=host, n_workers=3) as pool:
-            np.testing.assert_array_equal(pool(x), host(x))
+        with ParallelHostRunner(predict_fn=sign_host, n_workers=3) as pool:
+            np.testing.assert_array_equal(pool(x), sign_host(x))
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.bool_])
     def test_one_byte_dtypes_cross_the_pipe_whole(self, dtype):
@@ -123,14 +150,9 @@ def shared_pool():
 
 class TestFaultContainment:
     def test_compute_error_is_contained_to_shard(self):
-        def flaky(images):
-            if float(images[0].max()) > 1e5:
-                raise RuntimeError("boom")
-            return np.zeros(len(images), dtype=np.int64)
-
         x = make_images(20)
         x[0, 0] = 1e6  # worker 0's shard carries the poison image
-        with ParallelHostRunner(predict_fn=flaky, n_workers=2) as pool:
+        with ParallelHostRunner(predict_fn=flaky_host, n_workers=2) as pool:
             report = pool.run_sharded(x)
             assert len(report.errors) == 1
             bad = report.errors[0]
@@ -198,10 +220,7 @@ class TestFaultContainment:
             )
 
     def test_kill_between_batches_heals_at_dispatch(self):
-        def host(images):
-            return np.zeros(len(images), dtype=np.int64)
-
-        with ParallelHostRunner(predict_fn=host, n_workers=2) as pool:
+        with ParallelHostRunner(predict_fn=zeros_host, n_workers=2) as pool:
             pool(make_images(8))
             os.kill(pool.worker_stats()[1]["pid"], signal.SIGKILL)
             deadline = time.monotonic() + 5.0
@@ -211,10 +230,7 @@ class TestFaultContainment:
             assert pool.run_sharded(make_images(8)).ok
 
     def test_ensure_healthy_replaces_dead_workers(self):
-        def host(images):
-            return np.zeros(len(images), dtype=np.int64)
-
-        with ParallelHostRunner(predict_fn=host, n_workers=2) as pool:
+        with ParallelHostRunner(predict_fn=zeros_host, n_workers=2) as pool:
             pool(make_images(4))
             assert pool.ping() == [True, True]
             os.kill(pool.worker_stats()[0]["pid"], signal.SIGKILL)
@@ -223,6 +239,29 @@ class TestFaultContainment:
                 time.sleep(0.01)
             assert pool.ensure_healthy() == 1
             assert pool.ping() == [True, True]
+
+    def test_close_does_not_wait_for_a_call_on_a_hung_worker(self, tmp_path):
+        flag = tmp_path / "hung"
+        pool = ParallelHostRunner(predict_fn=partial(hang_host, str(flag)), n_workers=1)
+        raised = []
+
+        def call():
+            try:
+                pool(make_images(2))
+            except StageFailure as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        wait_for(flag)  # the worker is inside the hang, the call holds the pool
+        closer = threading.Thread(target=pool.close, kwargs={"timeout": 1.0}, daemon=True)
+        closer.start()
+        closer.join(timeout=10.0)
+        assert not closer.is_alive()
+        caller.join(timeout=10.0)
+        assert not caller.is_alive() and len(raised) == 1
+        assert raised[0].stage == "host"
+        assert pool.worker_stats()[0]["alive"] is False
 
     def test_closed_pool_rejects_work(self):
         net = make_net()
@@ -253,10 +292,7 @@ class TestResize:
             assert pool.ping() == [True]
 
     def test_resize_is_idempotent_and_validated(self):
-        def host(images):
-            return np.zeros(len(images), dtype=np.int64)
-
-        with ParallelHostRunner(predict_fn=host, n_workers=2) as pool:
+        with ParallelHostRunner(predict_fn=zeros_host, n_workers=2) as pool:
             assert pool.resize(2) == 2  # no-op keeps the same workers
             with pytest.raises(ValueError):
                 pool.resize(0)

@@ -162,7 +162,7 @@ def test_replica_and_host_pool_share_one_start_method(start_method, monkeypatch)
         with ParallelHostRunner(
             predict_fn=OracleStage(answer="label"), n_workers=1
         ) as pool:
-            assert replica._ctx.get_start_method() == pool.start_method
+            assert replica.start_method == pool.start_method
             assert expected in (None, pool.start_method)
             np.testing.assert_array_equal(
                 pool.predict_classes(images), images[:, 10].astype(int)

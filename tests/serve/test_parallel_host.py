@@ -1,11 +1,17 @@
 """CascadeServer with the process-parallel host pool (host_workers=N)."""
 
+import threading
+import time
+from functools import partial
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.core import DecisionMakingUnit
 from repro.parallel import ParallelHostRunner
 from repro.serve import CascadeServer
+from repro.serve.resilience import ServerClosed
 from repro.serve.metrics import ServerMetrics
 
 NUM_CLASSES = 10
@@ -33,6 +39,13 @@ def host_predict_fn(images: np.ndarray) -> np.ndarray:
 def flaky_host(images: np.ndarray) -> np.ndarray:
     if float(images.max()) > 1e5:  # any shard carrying the poison image fails
         raise RuntimeError("injected host fault")
+    return host_predict_fn(images)
+
+
+def hang_host(flag: str, images: np.ndarray) -> np.ndarray:
+    """Host callable that touches *flag*, then hangs: the test waits on the file."""
+    Path(flag).touch()
+    time.sleep(600)
     return host_predict_fn(images)
 
 
@@ -123,3 +136,27 @@ class TestParallelHostServer:
             assert server._host_runner is None
             server.classify_many(list(make_images(10)), timeout=30.0)
             assert server.snapshot().host_parallel_workers == 0
+
+    def test_close_with_a_hung_host_worker_strands_nothing(self, tmp_path):
+        flag = tmp_path / "hung"
+        server = CascadeServer(
+            bnn_scores_fn, make_dmu(), partial(hang_host, str(flag)),
+            host_workers=1, batch_delay_s=0.001,
+        )
+        # Equal top scores: confidence 0.5 < 0.7, so the host must rerun it.
+        future = server.submit(np.zeros((NUM_CLASSES, 1, 1)))
+        deadline = time.monotonic() + 60.0
+        while not flag.exists():
+            assert time.monotonic() < deadline, "the host worker never started"
+            time.sleep(0.01)
+        closer = threading.Thread(target=server.close, kwargs={"timeout": 1.0}, daemon=True)
+        closer.start()
+        closer.join(timeout=10.0)
+        assert not closer.is_alive()
+        assert future.done()
+        try:
+            assert future.result(timeout=0).source == "degraded"
+        except ServerClosed:
+            pass
+        snap = server.snapshot()
+        assert snap.check() == [] and snap.submitted == 1
