@@ -185,7 +185,16 @@ def _replica_handler(factory: Callable[[], dict]):
         from ..cache import CachingFrontend, ResultCache
 
         server = CachingFrontend(server, ResultCache(max_bytes=int(cache_max_bytes)))
-    return (lambda kind, array: server.submit(array)), server.close
+
+    def submit(kind: str, array: np.ndarray) -> Future:
+        try:
+            return server.submit(array)
+        except Exception as exc:  # e.g. ServerClosed: the caller sees its repr
+            refused: Future = Future()
+            refused.set_exception(exc)
+            return refused
+
+    return submit, server.close
 
 
 class ProcessReplica(Child):
@@ -203,8 +212,14 @@ class ProcessReplica(Child):
     Death fails every in-flight future with :class:`ReplicaFailure`.
     """
 
-    def __init__(self, index: int, factory: Callable[[], dict], *,
-                 start_method: str | None = None, spawn_timeout_s: float = 60.0):
+    def __init__(
+        self,
+        index: int,
+        factory: Callable[[], dict],
+        *,
+        start_method: str | None = None,
+        spawn_timeout_s: float = 60.0,
+    ):
         self.index = index
         # Not a daemon: the replica's own CascadeServer may spawn a
         # host worker pool (REPRO_HOST_WORKERS), and daemonic processes

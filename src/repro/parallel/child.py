@@ -4,7 +4,7 @@ Every process the package starts — host pool workers
 (:mod:`repro.parallel.runner`) and cascade replicas
 (:mod:`repro.net.router`) — is a :class:`Child`.  The parent half
 spawns it, waits for ``ready`` and resolves one ``Future`` per request
-from a reader thread; the child half, :func:`serve`, builds the caller's
+as replies arrive; the child half, :func:`serve`, builds the caller's
 handler *in the child* (heavy state is built post-fork) and answers the
 pipe.  One message table covers both users:
 
@@ -27,11 +27,20 @@ a fresh array, so what the handler computes on is writable and its own.
 Replies are small and pickled.  A handler may return a ``Future``; the
 reply then goes out from its done-callback, under the same send lock.
 
+Who reads the replies is the one choice a caller makes.  A replica has
+many requests in flight and nobody waiting on them, so a reader thread
+resolves its futures.  The host pool keeps one request per worker in
+flight and always waits for it, so it passes ``reader_thread=False``
+and :meth:`Child.result` reads the reply in the waiting thread: a
+reader thread would add a wake-up, and under load a wait for the GIL,
+to every shard.
+
 Three rules hold for every child:
 
 * **One terminal state per request.**  Death, :meth:`Child.kill` and
   :meth:`Child.close` fail every pending future with the caller's typed
-  error; a handler exception fails only its own request.
+  error; a handler exception (any ``BaseException``) fails only its own
+  request.
 * **No orphans.**  The child watches its parent's death sentinel beside
   the pipe: siblings' forked copies of the pipe keep it from reaching
   EOF if the parent is SIGKILLed, and an orphan would pin the parent's
@@ -48,6 +57,7 @@ import itertools
 import multiprocessing
 import os
 import threading
+import time
 import traceback
 from concurrent.futures import Future
 from multiprocessing.connection import wait as _conn_wait
@@ -56,11 +66,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["Child", "ChildFailure", "serve"]
-
-
-class ChildFailure(RuntimeError):
-    """A request failed in, or with, its child process (the default error)."""
+__all__ = ["Child", "serve"]
 
 
 class Child:
@@ -72,7 +78,9 @@ class Child:
     Under ``spawn`` it must pickle.  *error* turns a failure detail (the
     handler's traceback, ``"process died"``, ``"killed"``, ``"closed"``)
     into the exception every failed future carries.  *daemon* is
-    ``False`` only for a child that starts children of its own.
+    ``False`` only for a child that starts children of its own.  With
+    *reader_thread* ``False`` replies are read only inside
+    :meth:`result` (see the module docs).
     """
 
     def __init__(
@@ -81,9 +89,10 @@ class Child:
         *,
         name: str,
         start_method: str,
+        error: Callable[[str], BaseException],
         daemon: bool = True,
+        reader_thread: bool = True,
         spawn_timeout_s: float = 60.0,
-        error: Callable[[str], BaseException] = ChildFailure,
     ):
         self.start_method = start_method
         self._error = error
@@ -96,6 +105,8 @@ class Child:
         child_conn.close()
         self._lock = threading.Lock()       # guards _pending and _dead
         self._send_lock = threading.Lock()  # one message (and its bytes) at a time
+        self._read_lock = threading.Lock()  # one reader of the pipe at a time
+        self._reader: threading.Thread | None = None
         self._pending: dict[int, Future] = {}
         self._rids = itertools.count(1)
         self._dead: str | None = None       # why new requests are refused
@@ -108,10 +119,10 @@ class Child:
             reply = ("init_error", "exited before reporting ready")
         if reply[0] != "ready":
             self.kill()
-            self._conn.close()
             raise RuntimeError(f"{name} failed to start: {reply[1]}")
-        self._reader = threading.Thread(target=self._read, name=f"{name}-reader", daemon=True)
-        self._reader.start()
+        if reader_thread:
+            self._reader = threading.Thread(target=self._read, name=f"{name}-reader", daemon=True)
+            self._reader.start()
 
     @property
     def pid(self) -> int | None:
@@ -135,10 +146,25 @@ class Child:
             layout = (array.shape, array.dtype.str)
         return self._send("request", kind, fields, layout, array=array)
 
+    def result(self, future: Future, timeout: float | None = None):
+        """The value of *future*, one of this child's requests.
+
+        Raises ``concurrent.futures.TimeoutError`` after *timeout*
+        seconds.  Without a reader thread the caller reads the pipe here
+        until *future* is done, resolving any other reply on the way.
+        """
+        if self._reader is None:
+            deadline = None if timeout is None else time.monotonic() + timeout
+            with self._read_lock:
+                while not future.done() and self._receive(deadline):
+                    pass
+            timeout = 0
+        return future.result(timeout)
+
     def ping(self, timeout: float = 5.0) -> bool:
         """Round trip through the child's loop; ``False`` if dead or slow."""
         try:
-            return self._send("ping").result(timeout) is None
+            return self.result(self._send("ping"), timeout) is None
         except Exception:
             return False
 
@@ -148,12 +174,18 @@ class Child:
         self._proc.kill()  # a no-op once the child is reaped
         self._proc.join(timeout=5.0)
         self._fail_pending()
+        # A caller reading in result() sees EOF now and lets go.
+        if self._reader is None and self._read_lock.acquire(timeout=5.0):
+            try:
+                self._hang_up()
+            finally:
+                self._read_lock.release()
 
     def close(self, timeout: float | None = 10.0) -> None:
         """Stop, join up to *timeout*, then kill (idempotent)."""
         self.stop()
         self._proc.join(timeout)
-        if not self._proc.is_alive():
+        if self._reader is not None and not self._proc.is_alive():
             # Deliver what the child answered before it exited.
             self._reader.join(5.0 if timeout is None else timeout)
         self.kill()
@@ -190,23 +222,35 @@ class Child:
         return future
 
     def _read(self) -> None:
+        while self._receive(None):
+            pass
+
+    def _receive(self, deadline: float | None) -> bool:
+        """Resolve one reply; ``False`` at *deadline* or once the pipe is done."""
         try:
-            while True:
-                kind, rid, value = self._conn.recv()
-                with self._lock:
-                    future = self._pending.pop(rid, None)
-                if future is None:
-                    continue  # already failed by kill()
-                if kind == "error":
-                    future.set_exception(self._error(value))
-                else:
-                    future.set_result(value)
+            if deadline is not None and not self._conn.poll(max(0.0, deadline - time.monotonic())):
+                return False
+            kind, rid, value = self._conn.recv()
         except (EOFError, OSError):  # the child is gone
             detail = "process died"
         except Exception as exc:  # an unreadable reply: the stream is lost
             detail = f"unreadable reply: {exc!r}"
+        else:
+            with self._lock:
+                future = self._pending.pop(rid, None)
+            if future is None:
+                pass  # already failed by kill()
+            elif kind == "error":
+                future.set_exception(self._error(value))
+            else:
+                future.set_result(value)
+            return True
         self._refuse(detail)
         self._fail_pending()
+        self._hang_up()
+        return False
+
+    def _hang_up(self) -> None:
         with self._send_lock:  # never under a sender's feet
             self._conn.close()
 
@@ -230,7 +274,7 @@ def serve(conn, build: Callable) -> None:
     """Child half: build the handler, then answer *conn* until stop or EOF."""
     try:
         handle, close = build()
-    except Exception:
+    except BaseException:
         try:
             conn.send(("init_error", traceback.format_exc()))
         finally:
@@ -271,7 +315,7 @@ def serve(conn, build: Callable) -> None:
             array = None if layout is None else _read_raw(conn, *layout)
             try:
                 value = handle(kind, *fields, array=array)
-            except Exception:
+            except BaseException:  # even SystemExit fails only its request
                 reply("error", rid, traceback.format_exc())
                 continue
             if isinstance(value, Future):

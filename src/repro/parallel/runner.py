@@ -73,9 +73,13 @@ def resolve_host_workers(explicit: int | None = None) -> int | None:
 
     Returns ``None`` when parallel host inference is not requested.
     """
-    if explicit is None:
-        explicit = int(os.environ.get("REPRO_HOST_WORKERS", "").strip() or 0)
-    return int(explicit) if explicit > 0 else None
+    if explicit is not None:
+        return int(explicit) if explicit > 0 else None
+    env = os.environ.get("REPRO_HOST_WORKERS", "").strip()
+    if env:
+        value = int(env)
+        return value if value > 0 else None
+    return None
 
 
 def default_start_method() -> str:
@@ -91,28 +95,36 @@ def default_start_method() -> str:
     return "fork" if "fork" in methods else methods[0]
 
 
-@dataclass(slots=True, eq=False)
 class ShardOutcome:
     """Result of one worker's shard within one batch."""
 
-    worker: int
-    start: int
-    stop: int
-    values: np.ndarray | None = None  # logits (model mode) or labels (callable mode)
-    error: StageFailure | None = None
-    infer_seconds: float = 0.0
+    __slots__ = ("worker", "start", "stop", "values", "error", "infer_seconds")
+
+    def __init__(self, worker, start, stop, values=None, error=None, infer_seconds=0.0):
+        self.worker = worker
+        self.start = start
+        self.stop = stop
+        self.values = values          # logits (model mode) or labels (callable mode)
+        self.error = error            # StageFailure | None
+        self.infer_seconds = infer_seconds
 
     @property
     def ok(self) -> bool:
         return self.error is None
 
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        state = "ok" if self.ok else f"error={self.error!r}"
+        return f"ShardOutcome(worker={self.worker}, [{self.start}:{self.stop}], {state})"
 
-@dataclass(slots=True, eq=False)
+
 class ShardReport:
     """All shard outcomes of one :meth:`ParallelHostRunner.run_sharded` call."""
 
-    n: int
-    outcomes: list[ShardOutcome]
+    __slots__ = ("n", "outcomes")
+
+    def __init__(self, n: int, outcomes: list[ShardOutcome]):
+        self.n = n
+        self.outcomes = outcomes
 
     @property
     def errors(self) -> list[ShardOutcome]:
@@ -256,6 +268,7 @@ class ParallelHostRunner:
             start_method=self.start_method,
             spawn_timeout_s=self.spawn_timeout_s,
             error=lambda detail: RuntimeError(f"parallel host worker {index} failed: {detail}"),
+            reader_thread=False,  # run_sharded waits on every shard it sends
         )
 
     def _respawn(self, worker: _Worker) -> None:
@@ -442,7 +455,7 @@ class ParallelHostRunner:
         try:
             if isinstance(sent, BaseException):
                 raise sent
-            values, seconds = sent.result(timeout=self.shard_timeout_s)
+            values, seconds = worker.child.result(sent, timeout=self.shard_timeout_s)
         except FutureTimeout:  # hung: kill so the replacement starts clean
             worker.child.kill()
             return ShardOutcome(

@@ -11,8 +11,10 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeout
 from functools import partial
 from pathlib import Path
 
@@ -20,16 +22,18 @@ import numpy as np
 import pytest
 
 from repro.net.bench import make_oracle_images, oracle_replica_kwargs
-from repro.net.router import ProcessReplica
+from repro.net.router import ProcessReplica, ReplicaFailure
 from repro.parallel import default_start_method
-from repro.parallel.child import Child, ChildFailure
+from repro.parallel.child import Child
+from repro.serve.resilience import ServerClosed
 from repro.serve.server import CascadeServer
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def toy_handler(flag: str | None = None):
-    """``sum`` answers at once, ``later`` from a future, ``hang`` never."""
+    """``sum`` answers at once, ``later`` from a future, ``hang`` never;
+    ``exit`` raises ``SystemExit``."""
     later: list[Future] = []
 
     def handle(kind, *fields, array=None):
@@ -48,6 +52,8 @@ def toy_handler(flag: str | None = None):
         if kind == "hang":
             Path(flag).touch()
             time.sleep(600)
+        if kind == "exit":
+            sys.exit(3)
         raise ValueError(f"no such request {kind!r}")
 
     return handle, None
@@ -57,7 +63,12 @@ def broken_handler():
     raise RuntimeError("no handler for you")
 
 
+class ToyFailure(RuntimeError):
+    """The toy children's typed error."""
+
+
 def spawn_toy(**kwargs) -> Child:
+    kwargs.setdefault("error", ToyFailure)
     return Child(
         partial(toy_handler, kwargs.pop("flag", None)),
         name="toy", start_method=default_start_method(), **kwargs,
@@ -71,79 +82,120 @@ def wait_for(path: Path, timeout: float = 60.0) -> None:
         time.sleep(0.01)
 
 
+@pytest.mark.parametrize("reader_thread", [True, False], ids=["reader", "caller_reads"])
 class TestChild:
-    def test_requests_answer_in_any_order(self):
-        child = spawn_toy()
+    def test_requests_answer_in_any_order(self, reader_thread):
+        child = spawn_toy(reader_thread=reader_thread)
         try:
             assert child.alive() and child.ping(timeout=10.0)
             held = child.request("later")
             x = np.arange(12, dtype=np.uint8).reshape(3, 4)
-            assert child.request("sum", 5, array=x).result(timeout=10.0) == 71
+            assert child.result(child.request("sum", 5, array=x), 10.0) == 71
             assert not held.done()
-            assert child.request("release").result(timeout=10.0) == 1
-            assert held.result(timeout=10.0) == "released"
+            assert child.result(child.request("release"), 10.0) == 1
+            assert child.result(held, 10.0) == "released"
         finally:
             child.close(timeout=5.0)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.bool_, np.float32, ">i4"])
-    def test_arrays_cross_raw_and_whole(self, dtype):
+    def test_arrays_cross_raw_and_whole(self, reader_thread, dtype):
         x = np.arange(4 * 5 * 6).reshape(4, 5, 6).astype(dtype)
         view = x.transpose(2, 0, 1)[::2]  # not C-contiguous
-        child = spawn_toy()
+        child = spawn_toy(reader_thread=reader_thread)
         try:
             for array in (x, view):
-                shape, dt, writeable, raw = child.request("echo", array=array).result(10.0)
+                echo = child.request("echo", array=array)
+                shape, dt, writeable, raw = child.result(echo, 10.0)
                 assert (shape, dt, writeable) == (array.shape, array.dtype.str, True)
                 assert raw == np.ascontiguousarray(array).tobytes()
         finally:
             child.close(timeout=5.0)
 
-    def test_handler_error_fails_only_its_request(self):
-        child = spawn_toy(error=lambda detail: KeyError(detail))
+    def test_handler_error_fails_only_its_request(self, reader_thread):
+        child = spawn_toy(reader_thread=reader_thread, error=lambda detail: KeyError(detail))
         try:
             with pytest.raises(KeyError, match="no such request"):
-                child.request("nope").result(timeout=10.0)
-            assert child.request("sum", array=np.ones(3)).result(timeout=10.0) == 3
+                child.result(child.request("nope"), 10.0)
+            with pytest.raises(KeyError, match="SystemExit"):
+                child.result(child.request("exit"), 10.0)
+            assert child.result(child.request("sum", array=np.ones(3)), 10.0) == 3
         finally:
             child.close(timeout=5.0)
 
-    def test_init_error_raises_failed_to_start(self):
+    def test_init_error_raises_failed_to_start(self, reader_thread):
         with pytest.raises(RuntimeError, match="(?s)failed to start.*no handler for you"):
-            Child(broken_handler, name="broken", start_method=default_start_method())
+            Child(broken_handler, name="broken", start_method=default_start_method(),
+                  error=ToyFailure, reader_thread=reader_thread)
 
-    def test_kill_fails_pending_and_refuses_new_requests(self):
-        child = spawn_toy()
+    def test_kill_fails_pending_and_refuses_new_requests(self, reader_thread):
+        child = spawn_toy(reader_thread=reader_thread)
         held = child.request("later")
         child.kill()
-        with pytest.raises(ChildFailure, match="killed"):
-            held.result(timeout=10.0)
+        with pytest.raises(ToyFailure, match="killed"):
+            child.result(held, 10.0)
         assert not child.alive() and not child.ping(timeout=1.0)
-        with pytest.raises(ChildFailure):
+        with pytest.raises(ToyFailure):
             child.request("sum", array=np.ones(1))
         child.close(timeout=1.0)  # idempotent after kill
 
-    def test_death_fails_pending(self):
-        child = spawn_toy()
+    def test_death_fails_pending(self, reader_thread):
+        child = spawn_toy(reader_thread=reader_thread)
         held = child.request("later")
         os.kill(child.pid, signal.SIGKILL)
-        with pytest.raises(ChildFailure, match="process died"):
-            held.result(timeout=10.0)
+        with pytest.raises(ToyFailure, match="process died"):
+            child.result(held, 10.0)
         assert not child.alive()
         child.close(timeout=1.0)
 
-    def test_close_kills_a_hung_child_and_fails_its_request(self, tmp_path):
+    def test_result_times_out_on_a_hung_request(self, reader_thread, tmp_path):
         flag = tmp_path / "hung"
-        child = spawn_toy(flag=str(flag))
+        child = spawn_toy(reader_thread=reader_thread, flag=str(flag))
+        try:
+            hung = child.request("hang")
+            wait_for(flag)
+            with pytest.raises(FutureTimeout):
+                child.result(hung, 0.2)
+            assert child.alive() and not hung.done()
+        finally:
+            child.close(timeout=0.5)
+
+    def test_close_fails_a_request_another_thread_waits_on(self, reader_thread, tmp_path):
+        flag = tmp_path / "hung"
+        child = spawn_toy(reader_thread=reader_thread, flag=str(flag))
         hung = child.request("hang")
+        outcome: list[BaseException] = []
+
+        def wait() -> None:
+            try:
+                child.result(hung)
+            except BaseException as exc:
+                outcome.append(exc)
+
+        waiter = threading.Thread(target=wait, daemon=True)
+        waiter.start()
         wait_for(flag)
         child.close(timeout=0.5)
-        with pytest.raises(ChildFailure, match="closed"):
-            hung.result(timeout=10.0)
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive(), "close() left the waiting thread blocked"
+        assert len(outcome) == 1 and isinstance(outcome[0], ToyFailure)
+        assert "closed" in str(outcome[0])
         assert not child.alive()
 
 
 def _replica_factory():
     return oracle_replica_kwargs(threshold=0.7)
+
+
+def _closed_replica_factory():
+    """Replica kwargs whose server refuses every image as closed.
+
+    The factory runs in the replica process, so the patch stays there.
+    """
+    def refuse(self, image):
+        raise ServerClosed("server is closed")
+
+    CascadeServer.submit = refuse
+    return _replica_factory()
 
 
 class TestReplicaTransport:
@@ -171,12 +223,23 @@ class TestReplicaTransport:
         assert [r.prediction for r in remote] == [r.prediction for r in local]
         assert [r.source for r in remote] == [r.source for r in local]
 
+    def test_a_refused_submit_fails_with_its_repr(self):
+        replica = ProcessReplica(0, _closed_replica_factory)
+        try:
+            future = replica.submit(make_oracle_images(1, seed=3)[0])
+            with pytest.raises(ReplicaFailure) as info:
+                future.result(timeout=30.0)
+            assert info.value.detail == repr(ServerClosed("server is closed"))
+            assert replica.alive()
+        finally:
+            replica.close(timeout=5.0)
+
 
 ORPHAN_SCRIPT = textwrap.dedent(
     """
     import functools, time
     from repro.net.bench import oracle_replica_kwargs
-    from repro.net.router import ProcessReplica
+    from repro.net.router import ProcessReplica, ReplicaFailure
     from repro.parallel import ParallelHostRunner
     from repro.serve.oracle import OracleStage
 
