@@ -43,6 +43,7 @@ import numpy as np
 from ..obs.ledger import Ledger
 from ..serve.metrics import MetricsSnapshot, ServerMetrics
 from ..serve.server import ServeResult
+from ..util.hashing import PayloadMemo
 from .result_cache import CachedAnswer, CacheSnapshot, ResultCache
 
 __all__ = ["CachingFrontend", "SingleFlightSnapshot"]
@@ -104,6 +105,7 @@ class CachingFrontend:
         self.metrics = metrics if metrics is not None else ServerMetrics(clock=clock)
         self._flights: dict[bytes, _Flight] = {}
         self._flight_lock = threading.Lock()
+        self._recent = PayloadMemo()
         self.ledger = Ledger({"leaders": None, "followers": "cache.single_flight"})
 
     # -- submit path ----------------------------------------------------------
@@ -111,7 +113,11 @@ class CachingFrontend:
         """Serve *image* from cache / an in-flight duplicate / the backend."""
         image = np.asarray(image)
         start = self._clock()
-        key = self.cache.key_for(image, self.namespace)
+        key = self._recent.lookup(
+            image,
+            (self.namespace, str(image.dtype), image.shape),
+            lambda owned: self.cache.key_for(owned, self.namespace),
+        )
         with self._flight_lock:
             answer = self.cache.get(key)
             if answer is not None:

@@ -57,7 +57,7 @@ from ..obs.ledger import Law, Ledger, violations
 from ..parallel import default_start_method
 from ..parallel.child import Child
 from ..serve.resilience import CircuitBreaker
-from ..util.hashing import rendezvous_order
+from ..util.hashing import PayloadMemo, rendezvous_order
 
 __all__ = [
     "ROUTER_LAW",
@@ -275,6 +275,7 @@ class ShardRouter:
         self._breakers = [breaker_factory() for _ in self._replicas]
         self._rr = itertools.count()
         self._rr_lock = threading.Lock()
+        self._recent = PayloadMemo()
         self._closed = False
 
     @classmethod
@@ -306,7 +307,7 @@ class ShardRouter:
         return tuple(self._replicas)
 
     # -- placement -------------------------------------------------------------
-    def _order(self, image: np.ndarray) -> list[int]:
+    def _order(self, image: np.ndarray) -> Sequence[int]:
         n = len(self._replicas)
         if self._placement == "round_robin":
             with self._rr_lock:
@@ -315,8 +316,11 @@ class ShardRouter:
         # Rendezvous (highest-random-weight): deterministic per image.
         # The keyed-blake2b construction lives in repro.util.hashing so
         # the cache keys the same bytes; placement is pinned by a golden
-        # test and must stay byte-identical.
-        return rendezvous_order(image, n)
+        # test and must stay byte-identical.  A repeated payload reuses
+        # its order from the memo for one byte comparison.
+        return self._recent.lookup(
+            image, n, lambda owned: tuple(rendezvous_order(owned, n))
+        )
 
     # -- submission ------------------------------------------------------------
     def submit(self, image: np.ndarray) -> Future:

@@ -5,14 +5,18 @@ computed from the same im2col weight matrix, over the geometries where
 a tiling slip would show: odd sizes, sizes that are not multiples of the
 4x4 output tile (down to a single 3x3 window), both paddings, every
 chunk size up to the micro-batch (run back to back on one buffer pool),
-and bias / ReLU on and off.  The remaining tests pin where the engines
+and bias / ReLU on and off.  The error bound scales per output with the
+size of the terms the convolution sums, sum |x|*|w| (+|b|), not with the
+output itself: a small output can cancel to far below the terms Winograd
+adds up (a 1x1 output of 0.004 from terms summing to 4.4 did, at
+seed=1854).  The remaining tests pin where the engines
 use the step: exactly at the documented shape rule in the float engine,
 never in the integer-exact quantized engine.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.models.host_models import build_model_a, build_model_b, build_model_c
@@ -22,7 +26,10 @@ from repro.nn.infer import _BufferPool, _ConvStep, _WinogradStep, _winograd_filt
 from repro.nn.quantized import QuantizedEngine, _QConvStep
 
 BUILDERS = {"a": build_model_a, "b": build_model_b, "c": build_model_c}
-TOLERANCE = {np.float32: 5e-5, np.float64: 1e-12}
+#: Bound on |error| / sum |x|*|w| (+|b|) per output: about 5x the largest
+#: ratio measured over 53,000 random draws of this test's strategy
+#: (float32 4.7e-5, float64 2.7e-13; the worst draws have c_in=1, pad=1).
+TOLERANCE = {np.float32: 2.5e-4, np.float64: 1.5e-12}
 
 
 def direct_conv(x, wmat, bias, pad):
@@ -52,6 +59,8 @@ def direct_conv(x, wmat, bias, pad):
     dtype=st.sampled_from([np.float32, np.float64]),
 )
 @settings(max_examples=150, deadline=None)
+@example(seed=1854, h=3, w=3, pad=0, micro_batch=1, sizes=[1], c_in=1, c_out=1,
+         use_bias=False, relu=False, dtype=np.float32)
 def test_winograd_step_matches_float64_direct_conv(
     seed, h, w, pad, micro_batch, sizes, c_in, c_out, use_bias, relu, dtype
 ):
@@ -69,10 +78,10 @@ def test_winograd_step_matches_float64_direct_conv(
         got = step.run(x.astype(dtype), bufs, np.dtype(dtype))
         pre = direct_conv(x, wmat, bias, pad)
         expected = np.maximum(pre, 0.0) if relu else pre
+        terms = direct_conv(np.abs(x), np.abs(wmat), None if bias is None else np.abs(bias), pad)
         assert got.dtype == dtype and got.shape == expected.shape
         assert got.flags.c_contiguous
-        scale = max(np.abs(pre).max(), 1e-300)
-        assert np.abs(got - expected).max() <= TOLERANCE[dtype] * scale
+        assert np.all(np.abs(got - expected) <= TOLERANCE[dtype] * terms)
 
 
 def expected_winograd(layer) -> bool:
