@@ -23,13 +23,6 @@ from .inference import (
 )
 from .plan import CompiledBNNPlan
 from .layers import BinaryActivation, BinaryConv2D, BinaryDense
-from .quantize import (
-    QuantizedActivation,
-    QuantizedConv2D,
-    QuantizedDense,
-    quantize_unit,
-    quantize_weights,
-)
 from .thresholding import ChannelThresholds, fold_batchnorm
 
 __all__ = [
@@ -50,9 +43,4 @@ __all__ = [
     "fold_network",
     "save_folded_bnn",
     "load_folded_bnn",
-    "QuantizedConv2D",
-    "QuantizedDense",
-    "QuantizedActivation",
-    "quantize_unit",
-    "quantize_weights",
 ]

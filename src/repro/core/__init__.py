@@ -14,7 +14,6 @@ from .calibration import CalibrationReport, ReliabilityBin, auroc, calibration_r
 from .analytic import (
     MultiPrecisionEstimate,
     estimate,
-    host_timing_gain,
     ladder_accuracy,
     ladder_bottleneck_stage,
     ladder_interval,
@@ -39,7 +38,6 @@ __all__ = [
     "threshold_sweep",
     "multi_precision_interval",
     "multi_precision_accuracy",
-    "host_timing_gain",
     "MultiPrecisionEstimate",
     "estimate",
     "ladder_reach_fractions",

@@ -38,7 +38,6 @@ from typing import Sequence
 __all__ = [
     "multi_precision_interval",
     "multi_precision_accuracy",
-    "host_timing_gain",
     "MultiPrecisionEstimate",
     "estimate",
     "ladder_reach_fractions",
@@ -89,14 +88,6 @@ def multi_precision_accuracy(
     _check_ratio("r_rerun", r_rerun)
     _check_ratio("r_rerun_err", r_rerun_err)
     return acc_bnn + acc_fp * r_rerun - r_rerun_err
-
-
-def host_timing_gain(t_fp: float, r_rerun: float) -> float:
-    """Per-image host time saved versus running everything on the host."""
-    if t_fp <= 0:
-        raise ValueError("t_fp must be positive")
-    _check_ratio("r_rerun", r_rerun)
-    return t_fp * (1.0 - r_rerun)
 
 
 def ladder_reach_fractions(forward_ratios: Sequence[float]) -> list[float]:

@@ -3,11 +3,9 @@
 from .augment import (
     Augmenter,
     random_brightness,
-    random_contrast,
     random_horizontal_flip,
     random_shift,
 )
-from .cifar_io import load_cifar10_binary, read_cifar_batch
 from .dataset import Dataset, LabeledSplits, normalize_to_pm1, synthetic_cifar10
 from .score_dataset import ScoreDataset, build_score_dataset
 from .synthetic import CLASS_NAMES, SyntheticConfig, generate_images, render_class_image
@@ -17,11 +15,8 @@ __all__ = [
     "random_horizontal_flip",
     "random_shift",
     "random_brightness",
-    "random_contrast",
     "Dataset",
     "LabeledSplits",
-    "load_cifar10_binary",
-    "read_cifar_batch",
     "synthetic_cifar10",
     "normalize_to_pm1",
     "ScoreDataset",

@@ -17,7 +17,6 @@ __all__ = [
     "random_horizontal_flip",
     "random_shift",
     "random_brightness",
-    "random_contrast",
     "Augmenter",
 ]
 
@@ -63,17 +62,6 @@ def random_brightness(
         raise ValueError("max_delta must be non-negative")
     delta = rng.uniform(-max_delta, max_delta, size=(images.shape[0], 1, 1, 1))
     return np.clip(images + delta, 0.0, 1.0)
-
-
-def random_contrast(
-    images: np.ndarray, rng: np.random.Generator, max_factor: float = 0.25
-) -> np.ndarray:
-    """Scale each image around its mean by a factor in [1-f, 1+f]."""
-    if max_factor < 0:
-        raise ValueError("max_factor must be non-negative")
-    factor = rng.uniform(1 - max_factor, 1 + max_factor, size=(images.shape[0], 1, 1, 1))
-    mean = images.mean(axis=(2, 3), keepdims=True)
-    return np.clip((images - mean) * factor + mean, 0.0, 1.0)
 
 
 class Augmenter:

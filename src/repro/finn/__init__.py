@@ -10,10 +10,9 @@ from .balance import BalanceResult, balance_layer, balance_network, sweep_target
 from .dataflow import (
     IMAGE_DMA_CYCLES,
     PipelinePerformance,
-    batch_latency_cycles,
     evaluate_pipeline,
 )
-from .device import DEVICES, XC7Z020, ZC702_CLOCK_HZ, FPGADevice
+from .device import XC7Z020, ZC702_CLOCK_HZ, FPGADevice
 from .drc import DesignCheck, Diagnostic, Severity, check_design
 from .engine import Engine, divisors, valid_pe_counts, valid_simd_counts
 from .layer_spec import LayerSpec, finn_cnv_specs
@@ -38,7 +37,6 @@ __all__ = [
     "FPGADevice",
     "XC7Z020",
     "ZC702_CLOCK_HZ",
-    "DEVICES",
     "LayerSpec",
     "finn_cnv_specs",
     "with_precision",
@@ -63,7 +61,6 @@ __all__ = [
     "sweep_targets",
     "PipelinePerformance",
     "evaluate_pipeline",
-    "batch_latency_cycles",
     "IMAGE_DMA_CYCLES",
     "EngineReportRow",
     "HardwareReport",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .balance import BalanceResult
 from .device import ZC702_CLOCK_HZ
 
-__all__ = ["PipelinePerformance", "evaluate_pipeline", "batch_latency_cycles"]
+__all__ = ["PipelinePerformance", "evaluate_pipeline"]
 
 #: Cycles to stream one 32x32x3 8-bit image into the fabric (1 byte/cycle).
 IMAGE_DMA_CYCLES = 32 * 32 * 3
@@ -84,17 +84,3 @@ def evaluate_pipeline(
         latency_cycles=latency,
         clock_hz=clock_hz,
     )
-
-
-def batch_latency_cycles(result: BalanceResult, batch_size: int) -> int:
-    """Cycles to push a batch through the pipeline (ramp-up + streaming).
-
-    The first image pays the full pipeline fill latency; each subsequent
-    image adds one bottleneck interval — the standard pipelined-batch
-    model, and the source of the paper's remark that larger batches
-    amortize overheads slightly but raise per-image latency.
-    """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    fill = sum(e.cycles_per_image for e in result.engines) + IMAGE_DMA_CYCLES
-    return fill + (batch_size - 1) * result.bottleneck_cycles

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["FPGADevice", "XC7Z020", "ZC702_CLOCK_HZ", "DEVICES"]
+__all__ = ["FPGADevice", "XC7Z020", "ZC702_CLOCK_HZ"]
 
 
 @dataclass(frozen=True)
@@ -41,17 +41,5 @@ class FPGADevice:
 #: XC7Z020: 140 x 36Kb = 280 x 18Kb BRAM, 53200 LUTs, 106400 FFs, 220 DSPs.
 XC7Z020 = FPGADevice(name="XC7Z020", bram_18k=280, luts=53200, flip_flops=106400, dsp48=220)
 
-#: Smaller Zynq-7000 (e.g. on low-cost boards): too small for full CNV.
-XC7Z010 = FPGADevice(name="XC7Z010", bram_18k=120, luts=17600, flip_flops=35200, dsp48=80)
-
-#: Larger Zynq-7000 (ZC706 board): headroom for higher-PE configurations.
-XC7Z045 = FPGADevice(name="XC7Z045", bram_18k=1090, luts=218600, flip_flops=437200, dsp48=900)
-
-#: Zynq UltraScale+ (ZCU102 board) — the paper's future-work device class
-#: (ARMv8 processing system with active NEON).
-XCZU9EG = FPGADevice(name="XCZU9EG", bram_18k=1824, luts=274080, flip_flops=548160, dsp48=2520)
-
 #: Programmable-logic clock used throughout the paper's experiments.
 ZC702_CLOCK_HZ = 100_000_000
-
-DEVICES = {d.name: d for d in (XC7Z010, XC7Z020, XC7Z045, XCZU9EG)}

@@ -1,7 +1,6 @@
 """Heterogeneous FPGA+CPU execution simulator (Fig. 2's pipeline)."""
 
 from .devices import FPGAExecutor, HostExecutor
-from .gantt import gantt_chart
 from .metrics import (
     AnalyticComparison,
     compare_serving_with_eq1,
@@ -29,5 +28,4 @@ __all__ = [
     "compare_with_eq1",
     "compare_serving_with_eq1",
     "compare_serving_with_ladder",
-    "gantt_chart",
 ]

@@ -2,7 +2,6 @@
 
 from .finn_cnv import CNV_CHANNELS, CNV_FC_WIDTH, build_finn_cnv, scaled_channels
 from .host_models import build_model_a, build_model_b, build_model_c
-from .registry import MODEL_BUILDERS, build_model, model_names
 
 __all__ = [
     "CNV_CHANNELS",
@@ -12,7 +11,4 @@ __all__ = [
     "build_model_a",
     "build_model_b",
     "build_model_c",
-    "MODEL_BUILDERS",
-    "build_model",
-    "model_names",
 ]

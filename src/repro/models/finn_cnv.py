@@ -36,7 +36,6 @@ __all__ = ["CNV_CHANNELS", "CNV_FC_WIDTH", "scaled_channels", "build_finn_cnv"]
 
 CNV_CHANNELS = (64, 64, 128, 128, 256, 256)
 CNV_FC_WIDTH = 64
-NUM_CLASSES = 10
 
 
 def scaled_channels(scale: float) -> tuple[int, ...]:

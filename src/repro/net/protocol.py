@@ -409,9 +409,6 @@ class Shutdown:
     type_name = "shutdown"
 
 
-Frame = Request | Ping | Pong | Accepted | Rejected | Decision | Logits | Error | Shutdown
-
-
 # -- encoding -----------------------------------------------------------------
 def _utf8(detail: str) -> bytes:
     return detail.encode("utf-8")

@@ -6,7 +6,7 @@ to train and run the host Models A/B/C (Table III), the binarized FINN CNV
 network (Table I, via :mod:`repro.bnn`), and the DMU.
 """
 
-from . import functional, initializers, metrics
+from . import functional, initializers
 from .layers import (
     AvgPool2D,
     BatchNorm,
@@ -27,15 +27,13 @@ from .infer import InferenceEngine
 from .quantized import SUPPORTED_BITS, QuantizedEngine
 from .losses import BinaryCrossEntropy, Loss, SoftmaxCrossEntropy, SquaredHinge
 from .network import Sequential
-from .optim import SGD, Adam, NesterovSGD, Optimizer, RMSProp
+from .optim import SGD, Adam, Optimizer
 from .parameter import Parameter
-from .serialize import load_model, save_model
 from .trainer import Trainer, TrainHistory, accuracy
 
 __all__ = [
     "functional",
     "initializers",
-    "metrics",
     "Parameter",
     "Layer",
     "Conv2D",
@@ -61,12 +59,8 @@ __all__ = [
     "SquaredHinge",
     "Optimizer",
     "SGD",
-    "NesterovSGD",
-    "RMSProp",
     "Adam",
     "Trainer",
     "TrainHistory",
     "accuracy",
-    "save_model",
-    "load_model",
 ]

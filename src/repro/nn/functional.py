@@ -17,7 +17,6 @@ __all__ = [
     "pad_nchw",
     "im2col",
     "col2im",
-    "softmax",
     "log_softmax",
     "one_hot",
     "sigmoid",
@@ -118,13 +117,6 @@ def col2im(
     if pad:
         out = out[:, :, pad:-pad, pad:-pad]
     return out
-
-
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -11,14 +11,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "zeros",
-    "ones",
-    "constant",
-    "uniform",
-    "normal",
     "glorot_uniform",
-    "glorot_normal",
-    "he_uniform",
     "he_normal",
     "fan_in_and_fan_out",
 ]
@@ -40,58 +33,10 @@ def fan_in_and_fan_out(shape: tuple[int, ...]) -> tuple[int, int]:
     raise ValueError(f"cannot infer fans for shape {shape}")
 
 
-def zeros(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
-    return np.zeros(shape, dtype=np.float64)
-
-
-def ones(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
-    return np.ones(shape, dtype=np.float64)
-
-
-def constant(value: float):
-    """Return an initializer filling with ``value``."""
-
-    def _init(shape: tuple[int, ...], rng: np.random.Generator | None = None) -> np.ndarray:
-        return np.full(shape, float(value), dtype=np.float64)
-
-    return _init
-
-
-def uniform(scale: float = 0.05):
-    """Uniform in ``[-scale, scale]``."""
-
-    def _init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-scale, scale, size=shape)
-
-    return _init
-
-
-def normal(stddev: float = 0.05):
-    """Gaussian with the given standard deviation."""
-
-    def _init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(0.0, stddev, size=shape)
-
-    return _init
-
-
 def glorot_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Glorot/Xavier uniform initialization (good for tanh/linear)."""
     fan_in, fan_out = fan_in_and_fan_out(shape)
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def glorot_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    fan_in, fan_out = fan_in_and_fan_out(shape)
-    stddev = math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, stddev, size=shape)
-
-
-def he_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He uniform initialization (good for ReLU networks)."""
-    fan_in, _ = fan_in_and_fan_out(shape)
-    limit = math.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=shape)
 
 

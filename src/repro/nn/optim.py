@@ -14,7 +14,7 @@ import numpy as np
 
 from .parameter import Parameter
 
-__all__ = ["Optimizer", "SGD", "NesterovSGD", "RMSProp", "Adam"]
+__all__ = ["Optimizer", "SGD", "Adam"]
 
 PostUpdateHook = Callable[[Parameter], None]
 
@@ -70,66 +70,6 @@ class SGD(Optimizer):
             p.value = p.value + v
         else:
             p.value = p.value - self.lr * grad
-
-
-class NesterovSGD(SGD):
-    """SGD with Nesterov momentum (the lookahead variant).
-
-    Uses the standard reformulation: ``p += momentum * v_new - lr * grad``
-    with ``v_new = momentum * v - lr * grad``.
-    """
-
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.9,
-        weight_decay: float = 0.0,
-        post_update: PostUpdateHook | None = None,
-    ):
-        if momentum <= 0.0:
-            raise ValueError("Nesterov momentum must be positive")
-        super().__init__(params, lr, momentum, weight_decay, post_update)
-
-    def _update(self, p: Parameter) -> None:
-        grad = p.grad
-        if self.weight_decay:
-            grad = grad + self.weight_decay * p.value
-        v = self._velocity[id(p)]
-        v *= self.momentum
-        v -= self.lr * grad
-        p.value = p.value + self.momentum * v - self.lr * grad
-
-
-class RMSProp(Optimizer):
-    """RMSProp (Hinton): per-parameter learning rates from a running
-    second-moment estimate.  A common Caffe-era training choice."""
-
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 1e-3,
-        decay: float = 0.9,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        post_update: PostUpdateHook | None = None,
-    ):
-        super().__init__(params, lr, post_update)
-        if not 0.0 < decay < 1.0:
-            raise ValueError("decay must be in (0, 1)")
-        self.decay = decay
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._sq = {id(p): np.zeros_like(p.value) for p in self.params}
-
-    def _update(self, p: Parameter) -> None:
-        grad = p.grad
-        if self.weight_decay:
-            grad = grad + self.weight_decay * p.value
-        sq = self._sq[id(p)]
-        sq *= self.decay
-        sq += (1 - self.decay) * grad**2
-        p.value = p.value - self.lr * grad / (np.sqrt(sq) + self.eps)
 
 
 class Adam(Optimizer):

@@ -6,12 +6,10 @@ predict where cycles go inside the BNN.  ``repro.obs`` makes both
 checkable on a live run:
 
 * :mod:`~repro.obs.tracer` — thread-safe span tracer
-  (:func:`trace_span` context manager, :func:`traced` decorator),
-  counters / gauges / instants; near-zero overhead while no tracer is
-  installed, which is the default.
-* :mod:`~repro.obs.stats` — histograms with percentile summaries,
-  per-span-name latency digests, and the BNN-vs-host overlap
-  measurement.
+  (:func:`trace_span` context manager), counters / gauges / instants;
+  near-zero overhead while no tracer is installed, which is the default.
+* :mod:`~repro.obs.stats` — percentiles, per-span-name latency digests,
+  and the BNN-vs-host overlap measurement.
 * :mod:`~repro.obs.export` — Chrome ``chrome://tracing`` / Perfetto
   trace-event JSON, plain JSON summaries, and a converter for the
   simulated :mod:`repro.hetero` timeline.
@@ -38,7 +36,6 @@ from .export import (
 from .ledger import Law, Ledger, Reading
 from .residuals import eq1_residual, eq345_layer_residuals, ladder_eq1_residual
 from .stats import (
-    Histogram,
     SpanSummary,
     format_span_summaries,
     percentile,
@@ -55,9 +52,7 @@ from .tracer import (
     install,
     instant,
     trace_span,
-    traced,
     tracing,
-    uninstall,
 )
 
 __all__ = [
@@ -65,17 +60,14 @@ __all__ = [
     "Span",
     "Tracer",
     "install",
-    "uninstall",
     "active",
     "enabled",
     "tracing",
     "trace_span",
-    "traced",
     "count",
     "gauge",
     "instant",
     # stats
-    "Histogram",
     "SpanSummary",
     "percentile",
     "summarize_spans",

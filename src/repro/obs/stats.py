@@ -1,4 +1,4 @@
-"""Aggregation of trace data: histograms, span summaries, overlap.
+"""Aggregation of trace data: percentiles, span summaries, overlap.
 
 Where :mod:`repro.obs.tracer` records raw events, this module turns them
 into the numbers the paper's timing story is argued with: per-span-name
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .tracer import Span
 
 __all__ = [
-    "Histogram",
     "SpanSummary",
     "percentile",
     "summarize_spans",
@@ -39,44 +38,6 @@ def percentile(values: list[float], q: float) -> float:
     if lo + 1 >= len(ordered):
         return ordered[-1]
     return ordered[lo] * (1.0 - frac) + ordered[lo + 1] * frac
-
-
-class Histogram:
-    """Streaming value collector with percentile summaries.
-
-    Keeps raw samples (traces here are short-lived benchmark runs, not
-    long-running daemons), so percentiles are exact.
-    """
-
-    def __init__(self, name: str = ""):
-        self.name = name
-        self._values: list[float] = []
-
-    def add(self, value: float) -> None:
-        self._values.append(float(value))
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def values(self) -> list[float]:
-        return list(self._values)
-
-    def summary(self) -> dict:
-        """count/total/mean/min/p50/p90/p99/max of the samples so far."""
-        if not self._values:
-            return {"count": 0, "total": 0.0, "mean": 0.0, "min": 0.0,
-                    "p50": 0.0, "p90": 0.0, "p99": 0.0, "max": 0.0}
-        return {
-            "count": len(self._values),
-            "total": sum(self._values),
-            "mean": sum(self._values) / len(self._values),
-            "min": min(self._values),
-            "p50": percentile(self._values, 50),
-            "p90": percentile(self._values, 90),
-            "p99": percentile(self._values, 99),
-            "max": max(self._values),
-        }
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,13 @@ Design constraints (stdlib-only, no third-party imports):
 * **Bounded memory.**  ``max_events`` caps retained spans; overflow
   increments ``dropped`` instead of growing without bound.
 
-Use :func:`tracing` (context manager) or :func:`install`/:func:`uninstall`
-to activate a tracer process-wide, then export via
+Use :func:`tracing` (context manager, restoring the previous tracer on
+exit) or :func:`install` to activate a tracer process-wide, then export via
 :mod:`repro.obs.export` and summarize via :mod:`repro.obs.stats`.
 """
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -37,12 +36,10 @@ __all__ = [
     "Span",
     "Tracer",
     "install",
-    "uninstall",
     "active",
     "enabled",
     "tracing",
     "trace_span",
-    "traced",
     "count",
     "gauge",
     "instant",
@@ -261,13 +258,6 @@ def install(tracer: Tracer | None = None) -> Tracer:
     return tracer
 
 
-def uninstall() -> Tracer | None:
-    """Disable tracing; returns the tracer that was active, if any."""
-    global _ACTIVE
-    tracer, _ACTIVE = _ACTIVE, None
-    return tracer
-
-
 def active() -> Tracer | None:
     """The installed tracer, or ``None`` when tracing is disabled."""
     return _ACTIVE
@@ -310,29 +300,6 @@ def trace_span(name: str, category: str = "", **args):
     if tracer is None:
         return _NULL_CONTEXT
     return tracer.span(name, category, **args)
-
-
-def traced(name: str | None = None, category: str = ""):
-    """Decorator form of :func:`trace_span`.
-
-    ``@traced()`` uses the function's qualified name; ``@traced("x")``
-    overrides it.  Overhead when disabled is one global read per call.
-    """
-
-    def decorate(fn):
-        span_name = name if name is not None else fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*a, **kw):
-            tracer = _ACTIVE
-            if tracer is None:
-                return fn(*a, **kw)
-            with tracer.span(span_name, category):
-                return fn(*a, **kw)
-
-        return wrapper
-
-    return decorate
 
 
 def count(name: str, delta: float = 1) -> None:

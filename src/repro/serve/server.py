@@ -668,7 +668,11 @@ class CascadeServer:
             self.metrics.observe_stage(
                 rung.wait_stage, sum(now - r.enqueue_ts for r in live), count=len(live)
             )
+        self._score(rung, live)
 
+    def _score(self, rung: _Rung, live: list[_Request]) -> None:
+        """Score one batch on *rung*, then resolve | forward | degrade it."""
+        last = rung.dmu is None
         retries = 0
         while True:
             start = self._clock()
@@ -685,6 +689,16 @@ class CascadeServer:
                     )
                 break
             except Exception as exc:
+                groups: dict[tuple, list[_Request]] = {}
+                for request in live:
+                    groups.setdefault(np.shape(request.image), []).append(request)
+                if len(groups) > 1:
+                    # Mixed image shapes (a wire request may carry any) fail
+                    # the stack: score each shape group alone, so only the
+                    # odd images fail and their batch-mates are answered.
+                    for group in groups.values():
+                        self._score(rung, group)
+                    return
                 self.metrics.add(rung.name, faults=1)
                 if last:
                     # Only the last rung retries and feeds the breaker: the

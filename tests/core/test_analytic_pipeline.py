@@ -9,7 +9,6 @@ from repro.core import (
     DecisionMakingUnit,
     MultiPrecisionPipeline,
     estimate,
-    host_timing_gain,
     multi_precision_accuracy,
     multi_precision_interval,
     render_table,
@@ -85,11 +84,6 @@ class TestEstimateAndGain:
     def test_bottleneck_labels(self):
         assert estimate(1 / 30, 1 / 430, 0.785, 0.65, 0.25, 0.12).bottleneck == "host"
         assert estimate(1 / 30, 1 / 430, 0.785, 0.65, 0.001, 0.0).bottleneck == "fpga"
-
-    def test_timing_gain(self):
-        assert host_timing_gain(1 / 29.68, 0.251) == pytest.approx(0.749 / 29.68)
-        with pytest.raises(ValueError):
-            host_timing_gain(0.0, 0.5)
 
 
 class _ConstantBNN:

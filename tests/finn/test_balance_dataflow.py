@@ -5,11 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.finn import (
-    IMAGE_DMA_CYCLES,
     ZC702_CLOCK_HZ,
     balance_layer,
     balance_network,
-    batch_latency_cycles,
     evaluate_pipeline,
     finn_cnv_specs,
     sweep_targets,
@@ -138,28 +136,3 @@ class TestPipelinePerformance:
     def test_seconds_per_image(self):
         perf = evaluate_pipeline(self._result())
         assert perf.seconds_per_image == pytest.approx(1.0 / perf.obtained_fps)
-
-
-class TestBatchLatency:
-    def test_single_image_is_fill_latency(self):
-        result = balance_network(finn_cnv_specs(), 232_000)
-        fill = batch_latency_cycles(result, 1)
-        assert fill == sum(e.cycles_per_image for e in result.engines) + IMAGE_DMA_CYCLES
-
-    def test_batch_adds_one_interval_per_image(self):
-        result = balance_network(finn_cnv_specs(), 232_000)
-        l1 = batch_latency_cycles(result, 1)
-        l10 = batch_latency_cycles(result, 10)
-        assert l10 == l1 + 9 * result.bottleneck_cycles
-
-    def test_throughput_approaches_eq5_for_large_batches(self):
-        # Paper: "Changing batch size does not have a significant effect".
-        result = balance_network(finn_cnv_specs(), 232_000)
-        cycles = batch_latency_cycles(result, 1000)
-        fps = ZC702_CLOCK_HZ / (cycles / 1000)
-        assert fps == pytest.approx(result.fps(ZC702_CLOCK_HZ), rel=0.02)
-
-    def test_invalid_batch(self):
-        result = balance_network(finn_cnv_specs(), 232_000)
-        with pytest.raises(ValueError):
-            batch_latency_cycles(result, 0)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.finn import DEVICES, XC7Z020, FPGADevice
-from repro.finn.device import XC7Z010, XC7Z045, XCZU9EG
+from repro.finn import XC7Z020, FPGADevice
+
+from zynq_parts import XC7Z010, XC7Z045, XCZU9EG
 
 
 class TestDeviceCatalog:
@@ -11,10 +12,6 @@ class TestDeviceCatalog:
         # XC7Z020 public numbers: 280 RAMB18, 53200 LUTs.
         assert XC7Z020.bram_18k == 280
         assert XC7Z020.luts == 53200
-
-    def test_catalog_contains_known_devices(self):
-        assert set(DEVICES) == {"XC7Z010", "XC7Z020", "XC7Z045", "XCZU9EG"}
-        assert DEVICES["XC7Z020"] is XC7Z020
 
     def test_size_ordering(self):
         assert XC7Z010.bram_18k < XC7Z020.bram_18k < XC7Z045.bram_18k < XCZU9EG.bram_18k

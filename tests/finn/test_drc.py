@@ -3,8 +3,9 @@
 import pytest
 
 from repro.finn import balance_network, finn_cnv_specs
-from repro.finn.device import XC7Z010, XC7Z045
 from repro.finn.drc import Severity, check_design
+
+from zynq_parts import XC7Z010, XC7Z045
 
 
 @pytest.fixture(scope="module")

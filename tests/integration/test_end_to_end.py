@@ -10,7 +10,6 @@ from repro.data import build_score_dataset, normalize_to_pm1, synthetic_cifar10
 from repro.hetero import FPGAExecutor, HostExecutor, simulate_cascade
 from repro.models import build_finn_cnv, build_model_a
 from repro.nn import Adam, SoftmaxCrossEntropy, SquaredHinge, Trainer
-from repro.nn.metrics import classification_report
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +46,6 @@ class TestEndToEnd:
         labels = splits.test.labels
         assert result.accuracy(labels) > 0.15  # well above 10-class chance
         assert 0.0 <= result.rerun_ratio <= 1.0
-        # Metrics pipeline integrates cleanly.
-        report = classification_report(labels, result.predictions, splits.test.class_names)
-        assert report.matrix.sum() == len(splits.test)
 
     def test_cascade_to_simulator_to_rate(self, tiny_system):
         splits, folded, host, dmu = tiny_system

@@ -7,11 +7,9 @@ from repro.bnn import BinaryConv2D, BinaryDense, fold_network
 from repro.models import (
     CNV_CHANNELS,
     build_finn_cnv,
-    build_model,
     build_model_a,
     build_model_b,
     build_model_c,
-    model_names,
     scaled_channels,
 )
 from repro.nn import Conv2D, Dense, GlobalAvgPool2D
@@ -114,17 +112,6 @@ class TestModelC:
 
 
 class TestRegistry:
-    def test_names(self):
-        assert model_names() == ["finn_cnv", "model_a", "model_b", "model_c"]
-
-    def test_build_by_name(self):
-        net = build_model("model_a", scale=0.25)
-        assert net.output_shape((3, 32, 32)) == (10,)
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            build_model("resnet50")
-
     def test_param_count_ordering(self):
         # Full-width: A is much smaller than B and C (paper: A is the fast one).
         a = build_model_a(scale=1.0).num_params()

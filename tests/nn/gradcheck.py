@@ -1,7 +1,7 @@
-"""Numerical gradient checking utilities.
+"""Numerical gradient checking for the ``repro.nn`` tests (imported, not a conftest).
 
-Used throughout the test suite to validate every hand-written backward
-pass against central finite differences.
+Validates every hand-written backward pass against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .layers.base import Layer
-
-__all__ = ["numerical_gradient", "check_layer_gradients"]
+from repro.nn.layers.base import Layer
 
 
 def numerical_gradient(

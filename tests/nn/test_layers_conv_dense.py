@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Conv2D, Dense
-from repro.nn.gradcheck import check_layer_gradients
+from gradcheck import check_layer_gradients
 
 
 def naive_conv2d(x, w, b, stride, pad):

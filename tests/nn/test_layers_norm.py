@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import BatchNorm, LocalResponseNorm
-from repro.nn.gradcheck import check_layer_gradients
+from gradcheck import check_layer_gradients
 
 
 class TestBatchNorm:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import AvgPool2D, GlobalAvgPool2D, MaxPool2D
-from repro.nn.gradcheck import check_layer_gradients
+from gradcheck import check_layer_gradients
 
 
 def naive_pool(x, window, stride, pad, op):

@@ -11,7 +11,7 @@ from repro.nn import (
     SoftmaxCrossEntropy,
     SquaredHinge,
 )
-from repro.nn.gradcheck import numerical_gradient
+from gradcheck import numerical_gradient
 
 
 class TestSoftmaxCrossEntropy:
@@ -154,67 +154,3 @@ class TestAdam:
                 p.grad = np.array([2 * (p.value[0] - 2.0), 20 * (p.value[1] + 1.0)])
                 opt.step()
             np.testing.assert_allclose(p.value, [2.0, -1.0], atol=0.05)
-
-
-class TestNesterovSGD:
-    def test_converges_on_quadratic(self):
-        from repro.nn import NesterovSGD
-
-        p = Parameter(np.array([5.0]))
-        opt = NesterovSGD([p], lr=0.05, momentum=0.9)
-        for _ in range(200):
-            opt.zero_grad()
-            p.grad = 2.0 * (p.value - 1.0)
-            opt.step()
-        np.testing.assert_allclose(p.value, [1.0], atol=1e-2)
-
-    def test_differs_from_classical_momentum(self):
-        from repro.nn import NesterovSGD
-
-        a = Parameter(np.array([0.0]))
-        b = Parameter(np.array([0.0]))
-        nest = NesterovSGD([a], lr=0.1, momentum=0.9)
-        classical = SGD([b], lr=0.1, momentum=0.9)
-        for _ in range(3):
-            a.grad = np.array([1.0])
-            b.grad = np.array([1.0])
-            nest.step()
-            classical.step()
-        assert not np.allclose(a.value, b.value)
-
-    def test_requires_momentum(self):
-        from repro.nn import NesterovSGD
-
-        with pytest.raises(ValueError):
-            NesterovSGD([Parameter(np.zeros(1))], lr=0.1, momentum=0.0)
-
-
-class TestRMSProp:
-    def test_converges_on_quadratic(self):
-        from repro.nn import RMSProp
-
-        p = Parameter(np.array([5.0]))
-        opt = RMSProp([p], lr=0.05)
-        for _ in range(400):
-            opt.zero_grad()
-            p.grad = 2.0 * (p.value - 1.0)
-            opt.step()
-        np.testing.assert_allclose(p.value, [1.0], atol=0.05)
-
-    def test_adapts_per_parameter_scale(self):
-        from repro.nn import RMSProp
-
-        # Two coordinates with gradients of very different magnitude get
-        # comparable effective steps after normalization.
-        p = Parameter(np.array([1.0, 1.0]))
-        opt = RMSProp([p], lr=0.01)
-        p.grad = np.array([100.0, 0.01])
-        opt.step()
-        steps = np.abs(1.0 - p.value)
-        assert steps[0] / steps[1] < 5.0  # raw ratio would be 10000x
-
-    def test_invalid_decay(self):
-        from repro.nn import RMSProp
-
-        with pytest.raises(ValueError):
-            RMSProp([Parameter(np.zeros(1))], lr=0.1, decay=1.0)

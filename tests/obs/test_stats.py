@@ -1,9 +1,8 @@
-"""Histogram/percentile math, span summaries, and the overlap measure."""
+"""Percentile math, span summaries, and the overlap measure."""
 
 import pytest
 
 from repro.obs import (
-    Histogram,
     percentile,
     span_overlap_seconds,
     summarize_spans,
@@ -32,18 +31,6 @@ def test_percentile_validates():
         percentile([], 50)
     with pytest.raises(ValueError):
         percentile([1.0], 101)
-
-
-def test_histogram_summary():
-    h = Histogram("lat")
-    for v in (1.0, 2.0, 3.0):
-        h.add(v)
-    s = h.summary()
-    assert s["count"] == 3
-    assert s["total"] == pytest.approx(6.0)
-    assert s["mean"] == pytest.approx(2.0)
-    assert s["min"] == 1.0 and s["max"] == 3.0
-    assert Histogram().summary()["count"] == 0
 
 
 def test_summarize_spans_groups_and_sorts():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core import DecisionMakingUnit, MultiPrecisionPipeline
-from repro.serve import AdaptiveThresholdController, CascadeServer
+from repro.serve import AdaptiveThresholdController, CascadeServer, StageFailure
 
 NUM_CLASSES = 10
 
@@ -252,6 +252,47 @@ class TestWorkConservingBatching:
         server.close()
         assert [len(c) for c in calls] == [1, 20]
         np.testing.assert_array_equal(calls[1], images[1:])  # submit order
+
+    def test_odd_shaped_image_fails_alone(self):
+        """Regression: one malformed image in a batch used to fail every
+        batch-mate, because the stage stacks the batch into one array."""
+        entered = threading.Event()
+        release = threading.Event()
+        calls: list[int] = []
+
+        def gated_bnn(images):
+            calls.append(len(images))
+            if len(calls) == 1:
+                entered.set()
+                release.wait(10.0)
+            return bnn_scores_fn(images)
+
+        good = make_images(6)
+        bad = np.zeros((3, 16, 16))
+        server = CascadeServer(gated_bnn, make_dmu(threshold=0.0), host_predict_fn)
+        try:
+            first = server.submit(good[0])
+            assert entered.wait(10.0), "BNN worker never started"
+            # Queued while the worker is busy, so they form one batch.
+            futures = [server.submit(img) for img in good[1:3]]
+            odd = server.submit(bad)
+            futures += [server.submit(img) for img in good[3:]]
+        finally:
+            release.set()
+        assert first.result(timeout=10.0).source == "bnn"
+        results = [f.result(timeout=10.0) for f in futures]
+        with pytest.raises(StageFailure) as failure:
+            odd.result(timeout=10.0)
+        server.close()
+        snapshot = server.snapshot()
+
+        assert failure.value.stage == "bnn"
+        expected = bnn_scores_fn(good[1:]).argmax(axis=1).tolist()
+        assert [r.prediction for r in results] == expected
+        assert all(r.source == "bnn" for r in results)
+        assert calls[0] == 1 and sorted(calls[1:]) == [1, 5]
+        assert (snapshot.submitted, snapshot.accepted, snapshot.failed) == (7, 6, 1)
+        assert snapshot.check() == []
 
     def test_dmu_fault_still_books_the_bnn_stage_time(self):
         """Regression: a raising DMU used to leave the batch's BNN

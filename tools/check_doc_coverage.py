@@ -56,12 +56,10 @@ INTERNAL_HELPERS = frozenset({
     "repro.bnn.binarize",
     "repro.bnn.export",
     "repro.bnn.layers",
-    "repro.bnn.quantize",
     "repro.bnn.thresholding",
     "repro.core.ascii_chart",
     "repro.core.report",
     "repro.data.augment",
-    "repro.data.cifar_io",
     "repro.data.dataset",
     "repro.data.score_dataset",
     "repro.data.synthetic",
@@ -78,16 +76,13 @@ INTERNAL_HELPERS = frozenset({
     "repro.finn.report",
     "repro.finn.resources",
     "repro.hetero.devices",
-    "repro.hetero.gantt",
     "repro.hetero.scheduler",
     "repro.hetero.timeline",
     "repro.host.cpu",
     "repro.host.flops",
     "repro.host.runtime",
     "repro.models.finn_cnv",
-    "repro.models.registry",
     "repro.nn.functional",
-    "repro.nn.gradcheck",
     "repro.nn.initializers",
     "repro.nn.layers.activations",
     "repro.nn.layers.batchnorm",
@@ -98,10 +93,8 @@ INTERNAL_HELPERS = frozenset({
     "repro.nn.layers.lrn",
     "repro.nn.layers.pool",
     "repro.nn.losses",
-    "repro.nn.metrics",
     "repro.nn.optim",
     "repro.nn.parameter",
-    "repro.nn.serialize",
     "repro.nn.trainer",
     "repro.obs.export",
     "repro.obs.stats",
@@ -112,11 +105,11 @@ INTERNAL_HELPERS = frozenset({
 })
 
 
-def public_modules() -> list[tuple[str, Path]]:
-    """(dotted_name, path) of every public module/package under repro."""
+def public_modules(src: Path = SRC) -> list[tuple[str, Path]]:
+    """(dotted_name, path) of every public module/package under ``src``."""
     found = []
-    for path in sorted(SRC.rglob("*.py")):
-        rel = path.relative_to(SRC)
+    for path in sorted(src.rglob("*.py")):
+        rel = path.relative_to(src)
         parts = list(rel.parts)
         if parts[-1] == "__init__.py":
             parts = parts[:-1]
