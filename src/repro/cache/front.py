@@ -111,6 +111,14 @@ class CachingFrontend:
     # -- submit path ----------------------------------------------------------
     def submit(self, image: np.ndarray) -> Future:
         """Serve *image* from cache / an in-flight duplicate / the backend."""
+        return self._submit(image, block=True)
+
+    def try_submit(self, image: np.ndarray) -> Future | None:
+        """:meth:`submit` without the wait: ``None`` where the backend would
+        block (or has no ``try_submit``).  Hits and followers never wait."""
+        return self._submit(image, block=False)
+
+    def _submit(self, image: np.ndarray, block: bool) -> Future | None:
         image = np.asarray(image)
         start = self._clock()
         key = self._recent.lookup(
@@ -129,16 +137,23 @@ class CachingFrontend:
                 self.ledger.add(followers=1)
                 self.metrics.add(submitted=1)
                 return future
-            flight = _Flight()
-            self._flights[key] = flight
+            if not block:
+                # Never blocks, so it may hold the lock: a refused leader
+                # opens no flight that a follower could attach to.
+                try_submit = getattr(self._backend, "try_submit", None)
+                leader_future = try_submit(image) if try_submit is not None else None
+                if leader_future is None:
+                    return None
+            self._flights[key] = _Flight()
             self.ledger.add(leaders=1)
-        # Leader path: enter the cascade *outside* the lock — submit()
-        # blocks under backpressure and must not hold up other keys.
-        try:
-            leader_future = self._backend.submit(image)
-        except BaseException as exc:
-            self._finish_flight(key, None, exc)
-            raise
+        if block:
+            # Enter the cascade *outside* the lock — submit() blocks under
+            # backpressure and must not hold up other keys.
+            try:
+                leader_future = self._backend.submit(image)
+            except BaseException as exc:
+                self._finish_flight(key, None, exc)
+                raise
         leader_future.add_done_callback(
             lambda fut, key=key, image=image: self._on_leader_done(key, image, fut)
         )

@@ -61,7 +61,6 @@ def make_oracle_images(n: int, seed: int = 0, signal: float = 2.0) -> np.ndarray
 def oracle_replica_kwargs(
     threshold: float = 0.7,
     fault_plan: FaultPlan | None = None,
-    batch_delay_s: float = 0.001,
     host_queue_capacity: int = 256,
     ladder: bool = False,
 ) -> dict:
@@ -88,7 +87,6 @@ def oracle_replica_kwargs(
         bnn_scores_fn=bnn_fn,
         dmu=dmu,
         host_predict_fn=host_fn,
-        batch_delay_s=batch_delay_s,
         host_queue_capacity=host_queue_capacity,
     )
     if ladder:

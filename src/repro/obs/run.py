@@ -50,7 +50,6 @@ class TraceRunConfig:
     host_scale: float = 0.25       # Model A width scale (accurate stage)
     target_rerun_ratio: float = 0.30
     max_batch_size: int = 32
-    batch_delay_s: float = 0.002
     num_host_workers: int = 1
     host_batch_size: int = 8
     inference_batch_size: int = 64
@@ -159,7 +158,6 @@ def run_traced_cascade(config: TraceRunConfig | None = None) -> TraceRunReport:
             host.predict_classes,
             controller=threshold,
             max_batch_size=config.max_batch_size,
-            batch_delay_s=config.batch_delay_s,
             num_host_workers=config.num_host_workers,
             host_batch_size=config.host_batch_size,
         )

@@ -1,15 +1,15 @@
 """Concurrent cascade serving layer (request-driven Fig. 1).
 
 Turns the offline :class:`repro.core.MultiPrecisionPipeline` into a
-request-driven system: a size/deadline micro-batcher feeds the BNN
-stage, a bounded queue with backpressure feeds a host re-inference
-worker pool, and an adaptive controller holds the DMU threshold at the
+request-driven system: every stage reads one kind of bounded inbox —
+rung 0's applies backpressure to ``submit``, the host's feeds a
+re-inference worker pool and sheds when full — and an adaptive controller holds the DMU threshold at the
 operating point the paper selects statically.  ``python -m repro
 serve-bench`` exercises the whole stack under load.
 
 The same server runs N-stage precision ladders (``docs/LADDER.md``):
 pass ``ladder=[LadderStage(...), ...]`` to insert quantized middle
-rungs between the BNN and the host, each with its own queue, worker,
+rungs between the BNN and the host, each with its own inbox, worker,
 DMU, and — via :class:`LadderThresholdController` — threshold knob.
 
 The stack is hardened against stage faults (see ``docs/ROBUSTNESS.md``
@@ -25,7 +25,6 @@ deficit-round-robin over measured per-model cost.
 """
 
 from .autoscaler import ScalerDecision, SLOAutoscaler
-from .batcher import MicroBatcher
 from .bench import (
     ServeBenchConfig,
     ServeBenchReport,
@@ -61,7 +60,6 @@ from .tenancy import (
 )
 
 __all__ = [
-    "MicroBatcher",
     "AdaptiveThresholdController",
     "LadderThresholdController",
     "ServerClosed",

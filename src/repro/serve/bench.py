@@ -85,7 +85,6 @@ class ServeBenchConfig:
     t_bnn: float = 0.00025      # seconds/image, fast stage
     t_fp: float = 0.008         # seconds/image, host stage
     max_batch_size: int = 32
-    batch_delay_s: float = 0.004
     host_queue_capacity: int = 48
     num_host_workers: int = 1
     host_batch_size: int = 8
@@ -524,7 +523,6 @@ def run_serve_bench(config: ServeBenchConfig | None = None) -> ServeBenchReport:
             host_fn,
             controller=controller,
             max_batch_size=config.max_batch_size,
-            batch_delay_s=config.batch_delay_s,
             host_queue_capacity=config.host_queue_capacity,
             num_host_workers=config.num_host_workers,
             host_workers=config.host_process_workers,

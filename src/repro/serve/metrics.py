@@ -51,10 +51,10 @@ _COUNTERS = {
     "host_worker_images": None, "host_worker_seconds": None,
     "stage_images": None, "stage_seconds": None,
 }
-#: Gauge -> tracer name; rung 0's depth is the batcher's own ``batcher.pending``.
+#: Gauge -> tracer name.
 _GAUGES = {
     "cache_bytes": None, "host_parallel_workers": None, "queue_capacity": None,
-    "queue_depth": lambda rung: None if rung == "bnn" else f"queue.{rung}",
+    "queue_depth": "queue.{}",
     "stage_batch_seconds": None,
 }
 _PLAIN = ("submitted", "accepted", "rerun", "degraded", "cache_hits", "failed", "retries",

@@ -12,20 +12,22 @@ The server is one **rung table** — ``bnn``, each ``ladder=`` stage, then
 the paper's 2-stage cascade is the table with zero middle rungs
 (``docs/LADDER.md``)::
 
-    submit() ─► MicroBatcher = rung 0's inbox (blocks when full; every
-                    │          other inbox is a bounded queue that sheds)
+    submit() ─► rung 0's inbox (blocks when full; a forward into any
+                    │         other rung's inbox sheds when full)
                   inbox ─► gate ─► score ─► DMU ─┬─ confident ─► resolve as <rung>
                             │late   │raises  │   └─ flagged ──► next rung's inbox
-                            ▼       ▼        │raises              │Full / late /
-                           fall back         ▼                    ▼breaker open
+                            ▼       ▼        │raises              │full / closed /
+                           fall back         ▼                    ▼late / breaker open
                                         degrade to this rung's own answer
 
-Rung 0 pulls its batch the moment it is free, so the batcher's pending
-buffer is the only pre-BNN buffer.  The forwarding queues shed instead
-of blocking, because blocking there would stall the cheaper rungs for
-the exact traffic mix (reach ``R_i`` too high) that Eq. (1N) says the
-slower rungs cannot absorb anyway.  Three policies depend on position,
-each read off what the code can observe rather than a per-rung flag:
+Every rung reads one kind of bounded inbox, and its workers take a batch
+the moment they are free — whatever arrived while the previous batch
+computed — so no request waits on a timer and rung 0's inbox is the only
+pre-BNN buffer.  Forwards shed instead of blocking, because blocking
+there would stall the cheaper rungs for the exact traffic mix (reach
+``R_i`` too high) that Eq. (1N) says the slower rungs cannot absorb
+anyway.  Three policies depend on position, each read off what the code
+can observe rather than a per-rung flag:
 
 ===========================  ============================================
 observed                     policy
@@ -52,15 +54,15 @@ flight (:class:`~repro.serve.resilience.ServerClosed`).
 
 Paper anchors: Fig. 1 (cascade structure), Eq. (1)/(1N) timing regime.
 With a :mod:`repro.obs` tracer installed the workers emit
-``serve.batch`` / ``serve.bnn`` / ``serve.dmu`` / ``serve.<rung>`` /
-``serve.<rung>.dmu`` / ``serve.host`` spans plus queue-depth gauges,
+``serve.batch`` / ``serve.bnn`` / ``serve.dmu`` / ``serve.<rung>.wait`` /
+``serve.<rung>`` / ``serve.<rung>.dmu`` / ``serve.host`` spans plus
+``queue.<rung>`` depth gauges,
 accepted/rerun/degraded counters and fault/retry/deadline/breaker
 events; without one the instrumentation is a no-op.
 """
 
 from __future__ import annotations
 
-import queue
 import random
 import threading
 import time
@@ -73,7 +75,6 @@ import numpy as np
 from .. import obs
 from ..core.dmu import DecisionMakingUnit
 from ..core.ladder import LadderStage
-from .batcher import MicroBatcher
 from .controller import AdaptiveThresholdController, LadderThresholdController
 from .metrics import MetricsSnapshot, ServerMetrics
 from .resilience import (
@@ -86,7 +87,6 @@ from .resilience import (
 
 __all__ = ["ServeResult", "CascadeServer"]
 
-_SHUTDOWN = object()
 #: Sentinel distinguishing "use a default CircuitBreaker" from "no breaker".
 _DEFAULT = object()
 
@@ -133,15 +133,70 @@ class _Request:
         # such a request can only fail typed.
         self.last_prediction = -1
         self.confidence = float("nan")
-        # Set whenever the request is put on the *next* rung's inbox; the
-        # consuming worker books the wait under "<rung>_queue_wait".
-        self.enqueue_ts = float("nan")
+        # Set whenever the request is put on a rung's inbox; the consuming
+        # worker books the wait under "<rung>_queue_wait".
+        self.enqueue_ts = submit_ts
+
+
+class _Inbox:
+    """Bounded FIFO feeding one rung; its workers take batches off it.
+
+    The one queue kind of the server, from the front door to the last
+    rung.  ``put`` blocks while full only when asked to (``submit``);
+    ``try_submit`` and every forward between rungs shed instead.
+    ``close`` never blocks: it refuses further puts, wakes every waiter,
+    and the consumers drain what is left before ``take`` yields ``None``.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._items: list = []
+        self._lock = threading.Lock()
+        self._nonempty = threading.Condition(self._lock)
+        self._not_full = threading.Condition(self._lock)
+        self._closed = False
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def put(self, item, block: bool = False) -> bool:
+        """Append *item*; ``False`` once closed, or when full and not *block*."""
+        with self._lock:
+            while block and len(self._items) >= self.capacity and not self._closed:
+                self._not_full.wait()
+            if self._closed or len(self._items) >= self.capacity:
+                return False
+            self._items.append(item)
+            self._nonempty.notify()
+            return True
+
+    def take(self, n: int) -> list | None:
+        """Wait for an item, then pop up to *n* in FIFO order; ``None``
+        once closed and drained."""
+        with self._lock:
+            while not self._items:
+                if self._closed:
+                    return None
+                self._nonempty.wait()
+            batch = self._items[:n]
+            del self._items[:n]
+            if self._items:
+                self._nonempty.notify()  # the rest is a sibling worker's
+            self._not_full.notify(len(batch))
+            return batch
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            self._nonempty.notify_all()
+            self._not_full.notify_all()
 
 
 class _Rung:
     """One row of the rung table: a stage, its inbox, its knob, its names."""
 
-    def __init__(self, hop, name, score_fn, dmu, controller, static_threshold, inbox):
+    def __init__(self, hop, name, score_fn, dmu, controller, static_threshold, capacity,
+                 batch):
         self.hop = hop
         self.name = name
         #: ``(N, ...) images -> (N, C)`` scores; ``(N,)`` labels on the last rung.
@@ -151,14 +206,16 @@ class _Rung:
         #: Adaptive knob of the hop out of this rung (``None`` = static).
         self.controller = controller
         self.static_threshold = static_threshold
-        #: Bounded queue feeding this rung; ``None`` = the micro-batcher.
-        self.inbox: queue.Queue | None = inbox
+        self.inbox = _Inbox(capacity)
+        #: Most requests one worker takes off the inbox per call.
+        self.batch = batch
         self.threads: list[threading.Thread] = []
         # Metric / span names, built once: the workers format
         # no string per batch.  Rung 0 keeps the paper cascade's names.
         dmu_name = "dmu" if hop == 0 else f"{name}.dmu"
         self.span = f"serve.{name}"
         self.dmu_span = f"serve.{dmu_name}"
+        self.wait_span = "serve.batch" if hop == 0 else f"serve.{name}.wait"
         self.dmu_fault = dmu_name
         self.wait_stage = f"{name}_queue_wait"
 
@@ -192,22 +249,17 @@ class CascadeServer:
     ladder:
         Optional middle rungs (:class:`repro.core.LadderStage`, cheapest
         first) inserted between the BNN and the host — each needs a DMU
-        and gets its own bounded queue and worker thread.  ``None`` or
+        and gets its own bounded inbox and worker thread.  ``None`` or
         empty reproduces the paper's 2-stage cascade exactly.
-    ladder_queue_capacity:
-        Bound of each middle rung's queue in images (default: the host
-        queue capacity).
-    max_batch_size / batch_delay_s:
-        Micro-batcher limits for the BNN stage.  The BNN worker cuts a
-        batch whenever it is free and one is due: ``max_batch_size``
-        pending, or the oldest pending request ``batch_delay_s`` old.
-        The default ``0`` never holds a request for a timer — batches
-        form while the previous one computes.  ``submit`` blocks once
+    max_batch_size:
+        Most images per BNN call.  The BNN worker takes a batch whenever
+        it is free — whatever arrived while the previous one computed —
+        so no request waits on a timer.  ``submit`` blocks once
         ``6 * max_batch_size`` images are pending
         (``snapshot().queues["bnn"]``, in images, sampled by the BNN
-        worker after each cut).
+        worker after each take).
     host_queue_capacity:
-        Bound of the host queue in images.
+        Bound in images of the host's inbox and of each middle rung's.
     num_host_workers:
         Host re-inference worker threads (the paper has one ARM core
         pool; scale up for stronger hosts).
@@ -223,7 +275,7 @@ class CascadeServer:
         bridged into :attr:`metrics`.  ``None`` with no env var keeps
         the plain serial callable.
     host_batch_size:
-        Greedy drain limit per host inference call.
+        Most images per host (and middle-rung) call.
     deadline_s:
         Optional per-request deadline measured from ``submit``.  ``None``
         (default) disables deadline enforcement.  Deadlines are checked
@@ -250,7 +302,6 @@ class CascadeServer:
             AdaptiveThresholdController | LadderThresholdController | float | None
         ) = None,
         max_batch_size: int = 32,
-        batch_delay_s: float = 0.0,
         host_queue_capacity: int = 64,
         num_host_workers: int = 1,
         host_workers: int | None = None,
@@ -261,8 +312,9 @@ class CascadeServer:
         retry: RetryPolicy | None = None,
         breaker: CircuitBreaker | None = _DEFAULT,  # type: ignore[assignment]
         ladder: Sequence[LadderStage] | None = None,
-        ladder_queue_capacity: int | None = None,
     ):
+        if max_batch_size < 1:
+            raise ValueError("max_batch_size must be >= 1")
         if num_host_workers < 1:
             raise ValueError("num_host_workers must be >= 1")
         if host_queue_capacity < 1:
@@ -283,10 +335,6 @@ class CascadeServer:
                     f"ladder stage {stage.name!r} forwards traffic and needs a DMU"
                 )
         num_hops = 1 + len(stages)
-        if ladder_queue_capacity is None:
-            ladder_queue_capacity = host_queue_capacity
-        if ladder_queue_capacity < 1:
-            raise ValueError("ladder_queue_capacity must be >= 1")
 
         # -- routing policy: one (static or adaptive) knob per hop.
         knobs: list[AdaptiveThresholdController | None] = [None] * num_hops
@@ -315,9 +363,6 @@ class CascadeServer:
                 static[i + 1] = float(thr)
         self._clock = clock
         self.metrics = metrics if metrics is not None else ServerMetrics(clock=clock)
-        self._batcher: MicroBatcher[_Request] = MicroBatcher(
-            max_batch_size=max_batch_size, max_delay_s=batch_delay_s, clock=clock
-        )
 
         # Optional process-parallel host pool (repro.parallel).
         self._host_runner, self._owns_host_runner = self._init_parallel_host(
@@ -328,19 +373,19 @@ class CascadeServer:
             self._host_runner.set_metrics(self.metrics)
 
         # -- the rung table: bnn, each ladder stage, host.
+        host_batch = max(1, int(host_batch_size))
         rows = [
-            ("bnn", bnn_scores_fn, dmu, self._batcher.max_pending),
-            *((s.name, s.scores_fn, s.dmu, ladder_queue_capacity) for s in stages),
-            ("host", host_predict_fn, None, host_queue_capacity),
+            ("bnn", bnn_scores_fn, dmu, 6 * max_batch_size, max_batch_size),
+            *((s.name, s.scores_fn, s.dmu, host_queue_capacity, host_batch) for s in stages),
+            ("host", host_predict_fn, None, host_queue_capacity, host_batch),
         ]
         knobs.append(None)  # no hop leaves the last rung
         static.append(0.0)
         self._rungs: list[_Rung] = []
-        for hop, (name, score_fn, rung_dmu, capacity) in enumerate(rows):
-            inbox = queue.Queue(maxsize=capacity) if hop else None
-            self._rungs.append(
-                _Rung(hop, name, score_fn, rung_dmu, knobs[hop], static[hop], inbox)
-            )
+        for hop, (name, score_fn, rung_dmu, capacity, batch) in enumerate(rows):
+            self._rungs.append(_Rung(
+                hop, name, score_fn, rung_dmu, knobs[hop], static[hop], capacity, batch
+            ))
             self.metrics.set(name, queue_capacity=capacity)
         self.metrics.set_threshold(self.threshold)
 
@@ -353,7 +398,6 @@ class CascadeServer:
         if self._breaker is not None and self._breaker._on_transition is None:
             self._breaker._on_transition = self._on_breaker_transition
 
-        self._host_batch_size = max(1, int(host_batch_size))
         self._closed = False
         self._close_lock = threading.Lock()
         self._inflight: set[_Request] = set()
@@ -426,7 +470,7 @@ class CascadeServer:
         :class:`StageFailure` / :class:`DeadlineExceeded` /
         :class:`ServerClosed`.
         """
-        return self._enqueue(image, self._batcher.submit)
+        return self._enqueue(image, block=True)
 
     def try_submit(self, image: np.ndarray) -> Future | None:
         """:meth:`submit` without the wait: ``None`` while the front buffer
@@ -435,10 +479,10 @@ class CascadeServer:
         For callers that must never block, such as an event loop; they
         fall back to :meth:`submit` off-thread when refused.
         """
-        return self._enqueue(image, self._batcher.try_submit)
+        return self._enqueue(image, block=False)
 
-    def _enqueue(self, image: np.ndarray, put) -> Future | None:
-        """Register one request and hand it to *put* (a batcher submit)."""
+    def _enqueue(self, image: np.ndarray, block: bool) -> Future | None:
+        """Register one request and put it on rung 0's inbox."""
         if self._closed:
             raise ServerClosed("server is closed")
         now = self._clock()
@@ -447,23 +491,21 @@ class CascadeServer:
         with self._inflight_lock:
             self._inflight.add(request)
         self.metrics.add(submitted=1)
-        try:
-            refused = put(request) is False
-        except RuntimeError:
-            # Batcher closed between our check and the submit: fail the
-            # request we registered rather than stranding it.
+        if self._rungs[0].inbox.put(request, block):
+            return request.future
+        if self._closed:
+            # Closed between our check and the put (or while it blocked):
+            # fail the request we registered rather than stranding it.
             if self._claim(request):
                 self.metrics.add(failed=1)
                 request.future.set_exception(ServerClosed("server is closed"))
-            raise ServerClosed("server is closed") from None
-        if refused:
-            # Counted above like a submit blocked on backpressure; a
-            # refused try never entered, so take it back out.
-            with self._inflight_lock:
-                self._inflight.discard(request)
-            self.metrics.add(submitted=-1)
-            return None
-        return request.future
+            raise ServerClosed("server is closed")
+        # Counted above like a submit blocked on backpressure; a refused
+        # try never entered, so take it back out.
+        with self._inflight_lock:
+            self._inflight.discard(request)
+        self.metrics.add(submitted=-1)
+        return None
 
     def classify_many(
         self, images: Iterable[np.ndarray], timeout: float | None = None
@@ -504,33 +546,31 @@ class CascadeServer:
         All requests accepted before ``close`` are answered when the
         workers are healthy; if a worker is stuck (or *timeout* expires
         first) the remaining in-flight futures fail with
-        :class:`ServerClosed` instead of hanging their waiters.  The call
-        is idempotent.
+        :class:`ServerClosed` instead of hanging their waiters.  *timeout*
+        bounds the whole call, however many workers hang.  The call is
+        idempotent.
         """
         with self._close_lock:
             first = not self._closed
             self._closed = True
-        if first:
-            # Rung 0 drains the pending buffer, then take() yields None.
-            self._batcher.close()
-            # Drain the table top-down: each rung's sentinels go in only
-            # after every producer above it has exited, so no request is
-            # left behind a sentinel.
-            for rung in self._rungs:
-                for _ in rung.threads if rung.inbox is not None else ():
-                    try:  # best effort: never block forever on a full queue
-                        rung.inbox.put(_SHUTDOWN, timeout=timeout)
-                    except queue.Full:
-                        pass
-                for thread in rung.threads:
-                    thread.join(timeout=timeout)
-        else:
-            # A repeated or concurrent close() waits for the last rung to
-            # drain before it fails whatever is left.
-            for thread in self._rungs[-1].threads:
-                thread.join(timeout=timeout)
+        # One deadline for every join, on the real clock (an injected
+        # clock may stand still).
+        end = None if timeout is None else time.monotonic() + timeout
+
+        def left() -> float | None:
+            return None if end is None else max(0.0, end - time.monotonic())
+
+        # Drain the table top-down: a rung's inbox closes only once every
+        # producer above it has exited (or the deadline passed), so a
+        # forward is refused only when its rung could not drain in time —
+        # and then it degrades, as a full inbox does.  A repeated or
+        # concurrent close() walks the same order.
+        for rung in self._rungs:
+            rung.inbox.close()
+            for thread in rung.threads:
+                thread.join(left())
         if first and self._owns_host_runner and self._host_runner is not None:
-            self._host_runner.close(timeout)
+            self._host_runner.close(left())
         # Anything still unresolved is stuck behind a dead/hung stage (or
         # the joins timed out): fail it now so no caller waits forever.
         with self._inflight_lock:
@@ -617,30 +657,18 @@ class CascadeServer:
                     self._fall_back(request, StageFailure(rung.name, exc))
 
     def _take(self, rung: _Rung) -> list[_Request] | None:
-        """Next batch for *rung*; ``None`` once its inbox is shut and drained."""
-        q = rung.inbox
-        if q is None:
-            batch = self._batcher.take()
-            if batch is not None:
-                self.metrics.set(rung.name, queue_depth=self._batcher.pending)
-            return batch
-        first = q.get()
-        if first is _SHUTDOWN:
-            return None
-        requests = [first]
-        while len(requests) < self._host_batch_size:
-            try:
-                item = q.get_nowait()
-            except queue.Empty:
-                break
-            if item is _SHUTDOWN:
-                # Not ours to consume: hand it to a sibling worker.  Safe
-                # to block — sentinels are only enqueued after the
-                # upstream producers have exited.
-                q.put(item)
-                break
-            requests.append(item)
-        self.metrics.set(rung.name, queue_depth=q.qsize())
+        """Next batch for *rung*; ``None`` once its inbox is closed and drained."""
+        requests = rung.inbox.take(rung.batch)
+        if requests is not None:
+            depth = len(rung.inbox)
+            self.metrics.set(rung.name, queue_depth=depth)
+            tracer = obs.active()
+            if tracer is not None:
+                # Oldest request's wait, moved onto the tracer's clock.
+                end = tracer.now()
+                start = end - (self._clock() - requests[0].enqueue_ts)
+                tracer.add_span(rung.wait_span, start, end, items=len(requests),
+                                pending=depth)
         return requests
 
     def _run_rung(self, rung: _Rung, requests: list[_Request]) -> None:
@@ -659,15 +687,14 @@ class CascadeServer:
             return
         if last:
             self.metrics.add(rung.name, stage_arrived=len(live))
-        if rung.inbox is not None:
-            # Queue-wait vs pure-inference split: the stage timer below
-            # covers only the scoring call, so time parked in the inbox is
-            # booked separately or throughput reports blur dispatch
-            # latency into compute cost.
-            now = self._clock()
-            self.metrics.observe_stage(
-                rung.wait_stage, sum(now - r.enqueue_ts for r in live), count=len(live)
-            )
+        # Queue-wait vs pure-inference split: the stage timer below covers
+        # only the scoring call, so time parked in the inbox is booked
+        # separately or throughput reports blur dispatch latency into
+        # compute cost.
+        now = self._clock()
+        self.metrics.observe_stage(
+            rung.wait_stage, sum(now - r.enqueue_ts for r in live), count=len(live)
+        )
         self._score(rung, live)
 
     def _score(self, rung: _Rung, live: list[_Request]) -> None:
@@ -789,18 +816,14 @@ class CascadeServer:
                         request.bnn_prediction = answers[i]
                     request.last_prediction = answers[i]
                     request.enqueue_ts = self._clock()
-                    try:
-                        nxt.inbox.put_nowait(request)
-                    except queue.Full:
-                        pass
-                    else:
+                    if nxt.inbox.put(request):
                         forwarded += 1
-                        self.metrics.set(nxt.name, queue_depth=nxt.inbox.qsize())
+                        self.metrics.set(nxt.name, queue_depth=len(nxt.inbox))
                         continue
-            # Late, breaker open ("accept current result, skip host") or
-            # the next rung saturated: an answer exists at this precision,
-            # so degrade to it instead of erroring or stalling the fast
-            # stages (Eq. (1N)'s slow-rung-bound regime).
+            # Late, breaker open ("accept current result, skip host"), or
+            # the next rung saturated or closed: an answer exists at this
+            # precision, so degrade to it instead of erroring or stalling
+            # the fast stages (Eq. (1N)'s slow-rung-bound regime).
             self._resolve(request, answers[i], "degraded")
             degraded += 1
         return accepted, forwarded, degraded

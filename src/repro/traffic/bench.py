@@ -74,7 +74,6 @@ class ServeLoadConfig:
     target_rerun_ratio: float = 0.30
     controller_gain: float = 0.08
     max_batch_size: int = 32
-    batch_delay_s: float = 0.004
     host_queue_capacity: int = 64
     host_batch_size: int = 8
     #: Starting size of the parallel host process pool (None = serial host
@@ -251,7 +250,6 @@ def run_serve_load(config: ServeLoadConfig | None = None) -> ServeLoadReport:
         host_fn,
         controller=controller,
         max_batch_size=config.max_batch_size,
-        batch_delay_s=config.batch_delay_s,
         host_queue_capacity=config.host_queue_capacity,
         host_batch_size=config.host_batch_size,
         host_workers=config.host_workers,

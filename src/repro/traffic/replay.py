@@ -23,10 +23,10 @@ the *submission order* is preserved either way, because order is defined
 by the trace, not by timing.
 
 One intentional wrinkle: ``CascadeServer.submit`` *blocks* while the
-micro-batcher's front buffer is full (backpressure).  The replayer does
-not fight this — the block simply makes later submissions late, and the
-per-event ``lag_seconds`` it records is exactly the schedule slip an SLO
-report needs to see.
+BNN's inbox is full (backpressure).  The replayer does not fight this —
+the block simply makes later submissions late, and the per-event
+``lag_seconds`` it records is exactly the schedule slip an SLO report
+needs to see.
 """
 
 from __future__ import annotations

@@ -43,7 +43,6 @@ IMAGE_POOL = np.random.default_rng(1234).normal(size=(8, NUM_CLASSES, 1, 1))
 
 
 def make_server(**kwargs) -> CascadeServer:
-    kwargs.setdefault("batch_delay_s", 0.001)
     kwargs.setdefault("host_queue_capacity", 256)
     return CascadeServer(bnn_scores_fn, make_dmu(), host_predict_fn, **kwargs)
 
@@ -175,6 +174,38 @@ class TestSingleFlight:
         front.submit(img).result(timeout=5.0)
         assert sorted(counts.values()) == [1, 1, 1, 1]
 
+    def test_try_submit_goes_through_the_cache(self):
+        backend, front = manual_frontend()
+        img = np.full((4,), 6.0)
+        # ManualBackend has no try_submit: a miss would block, so refuse
+        # it and open no flight a follower could attach to.
+        assert front.try_submit(img) is None
+        assert front.single_flight_snapshot().in_flight == 0
+        leader = front.submit(img)
+        follower = front.try_submit(img)  # joins the flight without waiting
+        backend.resolve()
+        assert leader.result(timeout=5.0).source == "host"
+        assert follower.result(timeout=5.0).source == "cache"
+        assert front.try_submit(img).result(timeout=5.0).source == "cache"
+        assert backend.submits == 1
+        assert books_balanced(front.snapshot())
+
+    def test_wire_requests_go_through_the_cache(self):
+        """Regression: NetFrontend found the backend's try_submit through
+        CachingFrontend's attribute delegation, and skipped the cache."""
+        from repro.net.client import NetClient
+        from repro.net.frontend import NetFrontend
+
+        server = make_server(host_workers=0)
+        front = CachingFrontend(server, ResultCache(max_bytes=1 << 20))
+        with front, NetFrontend(front) as net:
+            with NetClient(*net.address) as client:
+                for _ in range(5):
+                    client.classify(IMAGE_POOL[0], timeout=10.0)
+        cache = front.cache_snapshot()
+        assert cache.lookups == 5 and cache.hits >= 1
+        assert server.snapshot().check() == []
+
     def test_delegates_backend_attributes(self):
         backend, front = manual_frontend()
         assert front.submits == 0  # ManualBackend attribute through __getattr__
@@ -230,7 +261,7 @@ class TestBitIdentityProperties:
         )
         cache = ResultCache(max_bytes=1 << 20)
         server = CascadeServer(
-            bnn, dmu, host, batch_delay_s=0.001, host_queue_capacity=256,
+            bnn, dmu, host, host_queue_capacity=256,
         )
         with CachingFrontend(server, cache) as front:
             futures = [front.submit(IMAGE_POOL[ref]) for ref in refs]

@@ -23,7 +23,7 @@ from repro.serve import (
 
 
 def make_server(bnn_fn, dmu, host_fn, **kwargs):
-    defaults = dict(batch_delay_s=0.001, host_queue_capacity=256)
+    defaults = dict(host_queue_capacity=256)
     defaults.update(kwargs)
     return CascadeServer(bnn_fn, dmu, host_fn, **defaults)
 

@@ -56,7 +56,6 @@ def test_any_fault_plan_yields_exactly_one_terminal_result_per_image(
     )
     server = CascadeServer(
         bnn_fn, dmu, host_fn,
-        batch_delay_s=0.001,
         max_batch_size=8,
         host_batch_size=4,
         retry=RetryPolicy(max_retries=MAX_RETRIES, base_delay_s=0.001,

@@ -39,7 +39,6 @@ def test_soak_mixed_faults(chaos):
     queue_capacity = 512
     server = CascadeServer(
         bnn_fn, dmu, host_fn,
-        batch_delay_s=0.001,
         max_batch_size=16,
         host_batch_size=4,
         host_queue_capacity=queue_capacity,

@@ -57,7 +57,6 @@ class TestBooks:
             margin_dmu(0, 0.97),
             host_predict,
             controller=0.97,
-            batch_delay_s=0.001,
             host_queue_capacity=512,  # burst submits must not shed load here
             ladder=[mid_stage()],
         )
@@ -88,7 +87,6 @@ class TestBooks:
             margin_dmu(0, 0.97),
             host_predict,
             controller=0.97,
-            batch_delay_s=0.001,
             host_queue_capacity=512,
             ladder=[mid_stage()],
         )
@@ -124,7 +122,6 @@ class TestRoutingPolicy:
             margin_dmu(0, 0.97),
             host_predict,
             controller=controller,
-            batch_delay_s=0.001,
             host_queue_capacity=512,
             ladder=[mid_stage()],
         )
@@ -189,10 +186,8 @@ class TestDegradePaths:
             margin_dmu(0, 0.9999),  # forward nearly everything
             host_predict,
             controller=0.9999,
-            batch_delay_s=0.001,
             ladder=[mid_stage(sleep_s=0.02)],
-            ladder_queue_capacity=2,
-            host_queue_capacity=4,
+            host_queue_capacity=2,  # bounds the middle rung's inbox too
         )
         scores = make_scores(150, seed=6)
         with server:
@@ -216,7 +211,6 @@ class TestServeBenchLadder:
             t_bnn=0.0001,
             t_fp=0.002,
             ladder_stage_times=(0.0005,),
-            batch_delay_s=0.002,
             host_queue_capacity=16,
         )
         report = run_serve_bench(config)

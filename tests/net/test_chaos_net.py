@@ -166,7 +166,7 @@ class TestInFlightSemantics:
         # Replica 0 wedges (hang faults) so requests provably sit in
         # flight on it when it dies; replica 1 is healthy.  The hang is
         # injected into the *bnn* stage: that always runs in the
-        # replica's own batcher thread, whereas a host-stage hang would
+        # replica's own BNN worker thread, whereas a host-stage hang would
         # sleep inside a pool worker under REPRO_HOST_WORKERS — where
         # close() kills the worker and the cascade can still rescue the
         # request instead of failing it.

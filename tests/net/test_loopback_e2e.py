@@ -75,7 +75,6 @@ def server_kwargs(tiny_cascade, **extra):
         bnn_scores_fn=bnn_scores_fn,
         dmu=dmu,
         host_predict_fn=host.predict_classes,
-        batch_delay_s=0.001,
         host_queue_capacity=64,
     )
     kwargs.update(extra)

@@ -31,7 +31,6 @@ def _serve(traced: bool):
         bnn_fn, dmu, host_fn,
         controller=0.9,
         max_batch_size=16,
-        batch_delay_s=0.001,
         host_queue_capacity=256,
         num_host_workers=2,
         host_batch_size=8,
@@ -56,6 +55,7 @@ def test_traced_run_identical_predictions():
     names = {s.name for s in tracer.spans}
     assert {"serve.bnn", "serve.dmu", "serve.batch"} <= names
     assert "serve.host" in names  # threshold 0.9 flags a nonempty subset
+    assert {"queue.bnn", "queue.host"} <= set(tracer.gauge_samples())
     counters = tracer.counters()
     total = sum(counters.get(k, 0) for k in ("serve.accepted", "serve.rerun", "serve.degraded"))
     assert total == 160

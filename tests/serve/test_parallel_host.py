@@ -54,7 +54,7 @@ class TestParallelHostServer:
         images = make_images(80)
         with CascadeServer(
             bnn_scores_fn, make_dmu(), host_predict_fn,
-            host_workers=2, batch_delay_s=0.001,
+            host_workers=2,
         ) as server:
             results = server.classify_many(list(images), timeout=30.0)
         snap = server.snapshot()
@@ -67,7 +67,7 @@ class TestParallelHostServer:
     def test_per_worker_counters_cover_all_reruns(self):
         with CascadeServer(
             bnn_scores_fn, make_dmu(), host_predict_fn,
-            host_workers=2, batch_delay_s=0.001,
+            host_workers=2,
         ) as server:
             server.classify_many(list(make_images(80)), timeout=30.0)
             snap = server.snapshot()
@@ -78,7 +78,7 @@ class TestParallelHostServer:
     def test_queue_wait_stage_is_split_from_inference(self):
         with CascadeServer(
             bnn_scores_fn, make_dmu(), host_predict_fn,
-            host_workers=2, batch_delay_s=0.001,
+            host_workers=2,
         ) as server:
             server.classify_many(list(make_images(80)), timeout=30.0)
             snap = server.snapshot()
@@ -92,7 +92,7 @@ class TestParallelHostServer:
     def test_env_var_selects_parallel_pool(self, monkeypatch):
         monkeypatch.setenv("REPRO_HOST_WORKERS", "2")
         with CascadeServer(
-            bnn_scores_fn, make_dmu(), host_predict_fn, batch_delay_s=0.001
+            bnn_scores_fn, make_dmu(), host_predict_fn
         ) as server:
             assert server._host_runner is not None
             assert server._host_runner.n_workers == 2
@@ -103,7 +103,7 @@ class TestParallelHostServer:
     def test_caller_owned_runner_is_not_closed_by_server(self):
         with ParallelHostRunner(predict_fn=host_predict_fn, n_workers=2) as pool:
             with CascadeServer(
-                bnn_scores_fn, make_dmu(), pool, batch_delay_s=0.001
+                bnn_scores_fn, make_dmu(), pool
             ) as server:
                 server.classify_many(list(make_images(40)), timeout=30.0)
                 assert server._host_runner is pool
@@ -119,7 +119,7 @@ class TestParallelHostServer:
         metrics = ServerMetrics()
         with CascadeServer(
             bnn_scores_fn, make_dmu(threshold=0.99), flaky_host,
-            host_workers=2, batch_delay_s=0.001, metrics=metrics,
+            host_workers=2, metrics=metrics,
         ) as server:
             results = server.classify_many(list(images), timeout=30.0)
         snap = metrics.snapshot()
@@ -131,7 +131,7 @@ class TestParallelHostServer:
     def test_serial_default_has_no_pool(self, monkeypatch):
         monkeypatch.delenv("REPRO_HOST_WORKERS", raising=False)
         with CascadeServer(
-            bnn_scores_fn, make_dmu(), host_predict_fn, batch_delay_s=0.001
+            bnn_scores_fn, make_dmu(), host_predict_fn
         ) as server:
             assert server._host_runner is None
             server.classify_many(list(make_images(10)), timeout=30.0)
@@ -141,7 +141,7 @@ class TestParallelHostServer:
         flag = tmp_path / "hung"
         server = CascadeServer(
             bnn_scores_fn, make_dmu(), partial(hang_host, str(flag)),
-            host_workers=1, batch_delay_s=0.001,
+            host_workers=1,
         )
         # Equal top scores: confidence 0.5 < 0.7, so the host must rerun it.
         future = server.submit(np.zeros((NUM_CLASSES, 1, 1)))

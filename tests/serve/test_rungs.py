@@ -135,7 +135,7 @@ class Harness:
             self.stages[0], self.dmus[0], self.stages[2],
             controller=LadderThresholdController(self.knobs),
             ladder=[LadderStage("mid", self.stages[1], dmu=self.dmus[1])],
-            host_batch_size=1, host_queue_capacity=1, ladder_queue_capacity=1,
+            host_batch_size=1, host_queue_capacity=1,
             deadline_s=1.0, clock=self.clock, metrics=self.metrics,
             retry=RetryPolicy(max_retries=2, base_delay_s=0.0, max_delay_s=0.0),
             breaker=self.breaker,
@@ -225,18 +225,18 @@ class Expect:
     retries: int = 0
     arrived: dict = field(default_factory=dict)
     forwarded: dict = field(default_factory=dict)
-    waited: dict = field(default_factory=dict)      # rung -> images timed in its inbox
+    waited: dict = field(default_factory=lambda: {"bnn": 1})  # rung -> images timed in its inbox
     breaker_threshold: int = 100
 
 
 B, M, H = ANSWER["bnn"], ANSWER["mid"], ANSWER["host"]
 # Traffic books of one request that climbed to mid / to host.  A rung books
 # its arrivals with its routing, so one that faulted before routing has none.
-TO_MID = dict(arrived={"bnn": 1}, forwarded={"bnn": 1}, waited={"mid": 1})
+TO_MID = dict(arrived={"bnn": 1}, forwarded={"bnn": 1}, waited={"bnn": 1, "mid": 1})
 AT_MID = dict(TO_MID, arrived={"bnn": 1, "mid": 1})
 TO_HOST = dict(
     arrived={"bnn": 1, "mid": 1, "host": 1}, forwarded={"bnn": 1, "mid": 1},
-    waited={"mid": 1, "host": 1},
+    waited={"bnn": 1, "mid": 1, "host": 1},
 )
 
 TABLE = [
@@ -245,11 +245,11 @@ TABLE = [
         "DeadlineExceeded", failed=1, deadline_missed=1, accepted=1, arrived={"bnn": 1})),
     (late_on_arrival, 1, Expect(
         "degraded", B, degraded=1, deadline_missed=1, rerun_stages={"mid": 1},
-        arrived={"bnn": 2, "mid": 1}, forwarded={"bnn": 2}, waited={"mid": 1})),
+        arrived={"bnn": 2, "mid": 1}, forwarded={"bnn": 2}, waited={"bnn": 2, "mid": 1})),
     (late_on_arrival, 2, Expect(
         "degraded", M, degraded=1, deadline_missed=1, rerun_stages={"host": 1},
         arrived={"bnn": 2, "mid": 2, "host": 1}, forwarded={"bnn": 2, "mid": 2},
-        waited={"mid": 2, "host": 1})),
+        waited={"bnn": 2, "mid": 2, "host": 1})),
     # -- scoring raises: only the last rung retries (and here recovers)
     (scoring_raises, 0, Expect("StageFailure", failed=1, faults={"bnn": 1})),
     (scoring_raises, 1, Expect("degraded", B, degraded=1, faults={"mid": 1}, **TO_MID)),
@@ -261,11 +261,11 @@ TABLE = [
     # -- next inbox full: shed with this rung's own answer
     (next_queue_full, 0, Expect(
         "degraded", B, degraded=1, rerun_stages={"mid": 2},
-        arrived={"bnn": 3, "mid": 2}, forwarded={"bnn": 2}, waited={"mid": 2})),
+        arrived={"bnn": 3, "mid": 2}, forwarded={"bnn": 2}, waited={"bnn": 3, "mid": 2})),
     (next_queue_full, 1, Expect(
         "degraded", M, degraded=1, rerun_stages={"host": 2},
         arrived={"bnn": 3, "mid": 3, "host": 2}, forwarded={"bnn": 3, "mid": 2},
-        waited={"mid": 3, "host": 2})),
+        waited={"bnn": 3, "mid": 3, "host": 2})),
     # -- breaker open: only the hop into the last rung is guarded
     (breaker_open, 0, Expect(
         "mid", M, rerun_stages={"mid": 1}, breaker_threshold=1, **AT_MID)),

@@ -55,7 +55,7 @@ class TestCascadeSemantics:
         offline = MultiPrecisionPipeline(StubFoldedBNN(), dmu, StubHostNet()).classify(images)
         with CascadeServer(
             bnn_scores_fn, dmu, host_predict_fn,
-            batch_delay_s=0.001, host_queue_capacity=256,
+            host_queue_capacity=256,
         ) as server:
             results = serve_all(server, images)
 
@@ -71,14 +71,14 @@ class TestCascadeSemantics:
         images = make_images(40)
         with CascadeServer(
             bnn_scores_fn, make_dmu(), host_predict_fn,
-            controller=0.0, batch_delay_s=0.001,
+            controller=0.0,
         ) as server:
             results = serve_all(server, images)
         assert {r.source for r in results} == {"bnn"}
 
         with CascadeServer(
             bnn_scores_fn, make_dmu(), host_predict_fn,
-            controller=1.0, batch_delay_s=0.001, host_queue_capacity=256,
+            controller=1.0, host_queue_capacity=256,
         ) as server:
             results = serve_all(server, images)
         assert {r.source for r in results} == {"host"}
@@ -100,7 +100,7 @@ class TestBackpressureAndDegradation:
         with CascadeServer(
             bnn_scores_fn, make_dmu(), self._slow_host,
             controller=1.0,  # flag everything: worst case for the queue
-            batch_delay_s=0.001, host_queue_capacity=capacity, host_batch_size=2,
+            host_queue_capacity=capacity, host_batch_size=2,
         ) as server:
             results = serve_all(server, images)
             snapshot = server.snapshot()
@@ -111,7 +111,7 @@ class TestBackpressureAndDegradation:
         images = make_images(120)
         with CascadeServer(
             bnn_scores_fn, make_dmu(), self._slow_host,
-            controller=1.0, batch_delay_s=0.001,
+            controller=1.0,
             host_queue_capacity=2, host_batch_size=1,
         ) as server:
             results = serve_all(server, images)
@@ -127,7 +127,7 @@ class TestBackpressureAndDegradation:
         images = make_images(60)
         with CascadeServer(
             bnn_scores_fn, make_dmu(), host_predict_fn,
-            batch_delay_s=0.001, host_queue_capacity=256,
+            host_queue_capacity=256,
         ) as server:
             results = serve_all(server, images)
         assert all(r.source != "degraded" for r in results)
@@ -142,7 +142,7 @@ class TestAdaptiveIntegration:
         with CascadeServer(
             bnn_scores_fn, make_dmu(), host_predict_fn,
             controller=controller, max_batch_size=32,
-            batch_delay_s=0.001, host_queue_capacity=512,
+            host_queue_capacity=512,
         ) as server:
             serve_all(server, images)
             snapshot = server.snapshot()
@@ -157,7 +157,7 @@ class TestShutdown:
         before = set(threading.enumerate())
         server = CascadeServer(
             bnn_scores_fn, make_dmu(), host_predict_fn,
-            batch_delay_s=0.001, num_host_workers=3,
+            num_host_workers=3,
         )
         futures = [server.submit(img) for img in make_images(50)]
         server.close()
@@ -194,7 +194,7 @@ class TestShutdown:
 
         server = CascadeServer(
             bnn_scores_fn, make_dmu(threshold=1.0), hanging_host,
-            batch_delay_s=0.001, host_batch_size=1, num_host_workers=1,
+            host_batch_size=1, num_host_workers=1,
             host_workers=0,  # events must fire in-process; pin the serial host
         )
         try:
@@ -212,6 +212,30 @@ class TestShutdown:
         snapshot = server.snapshot()
         assert snapshot.failed == len(stranded)
         assert snapshot.completed + snapshot.failed == snapshot.submitted
+
+    def test_close_timeout_bounds_the_whole_call(self):
+        """Regression: every hung host thread used to get its own join
+        timeout, so close(0.5) with four of them took over 2 s."""
+        release = threading.Event()
+
+        def hanging_host(images):
+            release.wait(10.0)
+            return host_predict_fn(images)
+
+        server = CascadeServer(
+            bnn_scores_fn, make_dmu(threshold=1.0), hanging_host,
+            host_batch_size=1, num_host_workers=4, host_workers=0,
+        )
+        try:
+            futures = [server.submit(img) for img in make_images(12)]
+            start = time.monotonic()
+            server.close(timeout=0.5)
+            elapsed = time.monotonic() - start
+        finally:
+            release.set()
+        assert elapsed < 1.25
+        assert all(f.done() for f in futures)
+        assert server.snapshot().check() == []
 
 
 class TestWorkConservingBatching:

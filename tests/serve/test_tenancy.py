@@ -52,7 +52,7 @@ def spec(name: str, **kwargs) -> TenantSpec:
     kwargs.setdefault("dmu", make_dmu())
     kwargs.setdefault("host_predict_fn", host_fn)
     kwargs.setdefault(
-        "server_kwargs", {"batch_delay_s": 0.001, "host_queue_capacity": 256}
+        "server_kwargs", {"host_queue_capacity": 256}
     )
     return TenantSpec(name=name, **kwargs)
 

@@ -56,6 +56,7 @@ def test_table_lists_the_artifacts_and_names_the_kit():
     }
     for name in ("BENCH_traffic.json", "BENCH_cache.json"):
         assert "src/repro/serve/oracle.py" in tool.ARTIFACTS[name].sources
+        assert "src/repro/serve/server.py" in tool.ARTIFACTS[name].sources
 
 
 def test_single_commit_checkout_is_not_checked(repo, capsys):

@@ -43,7 +43,7 @@ def _run_once():
     # flagged image then costs 1-3 calls, read off the stream in order.
     server = CascadeServer(
         bnn_fn, dmu, host_fn,
-        max_batch_size=16, batch_delay_s=0.002,
+        max_batch_size=16,
         host_queue_capacity=len(trace), host_batch_size=1, breaker=None,
         retry=RetryPolicy(base_delay_s=0.001, max_delay_s=0.004),
     )

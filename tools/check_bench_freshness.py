@@ -39,14 +39,14 @@ ARTIFACTS = {
     ),
     "BENCH_traffic.json": Artifact(
         ("src/repro/traffic", "src/repro/serve/autoscaler.py",
-         "src/repro/serve/oracle.py"),
+         "src/repro/serve/oracle.py", "src/repro/serve/server.py"),
         "python -m repro serve-load --trace flash --slo-p99-ms 25 --time-scale 4 "
         "--output benchmarks/results/BENCH_traffic.json",
     ),
     "BENCH_cache.json": Artifact(
         ("src/repro/cache", "src/repro/serve/tenancy.py",
          "src/repro/serve/tenant_bench.py", "src/repro/util",
-         "src/repro/serve/oracle.py"),
+         "src/repro/serve/oracle.py", "src/repro/serve/server.py"),
         "python -m repro serve-tenants",
     ),
 }
