@@ -111,14 +111,6 @@ class CachingFrontend:
     # -- submit path ----------------------------------------------------------
     def submit(self, image: np.ndarray) -> Future:
         """Serve *image* from cache / an in-flight duplicate / the backend."""
-        return self._submit(image, block=True)
-
-    def try_submit(self, image: np.ndarray) -> Future | None:
-        """:meth:`submit` without the wait: ``None`` where the backend would
-        block (or has no ``try_submit``).  Hits and followers never wait."""
-        return self._submit(image, block=False)
-
-    def _submit(self, image: np.ndarray, block: bool) -> Future | None:
         image = np.asarray(image)
         start = self._clock()
         key = self._recent.lookup(
@@ -137,23 +129,16 @@ class CachingFrontend:
                 self.ledger.add(followers=1)
                 self.metrics.add(submitted=1)
                 return future
-            if not block:
-                # Never blocks, so it may hold the lock: a refused leader
-                # opens no flight that a follower could attach to.
-                try_submit = getattr(self._backend, "try_submit", None)
-                leader_future = try_submit(image) if try_submit is not None else None
-                if leader_future is None:
-                    return None
-            self._flights[key] = _Flight()
+            flight = _Flight()
+            self._flights[key] = flight
             self.ledger.add(leaders=1)
-        if block:
-            # Enter the cascade *outside* the lock — submit() blocks under
-            # backpressure and must not hold up other keys.
-            try:
-                leader_future = self._backend.submit(image)
-            except BaseException as exc:
-                self._finish_flight(key, None, exc)
-                raise
+        # Leader path: enter the cascade *outside* the lock — submit()
+        # blocks under backpressure and must not hold up other keys.
+        try:
+            leader_future = self._backend.submit(image)
+        except BaseException as exc:
+            self._finish_flight(key, None, exc)
+            raise
         leader_future.add_done_callback(
             lambda fut, key=key, image=image: self._on_leader_done(key, image, fut)
         )
@@ -247,5 +232,9 @@ class CachingFrontend:
 
     def __getattr__(self, name: str):
         # Everything not cache-specific (threshold, resize_host_workers,
-        # degraded_mode, ...) belongs to the wrapped backend.
+        # degraded_mode, ...) belongs to the wrapped backend -- except the
+        # backend's try_submit, which would skip the cache: callers that
+        # probe for it (NetFrontend) fall back to submit().
+        if name == "try_submit":
+            raise AttributeError(name)
         return getattr(self._backend, name)

@@ -174,21 +174,16 @@ class TestSingleFlight:
         front.submit(img).result(timeout=5.0)
         assert sorted(counts.values()) == [1, 1, 1, 1]
 
-    def test_try_submit_goes_through_the_cache(self):
-        backend, front = manual_frontend()
-        img = np.full((4,), 6.0)
-        # ManualBackend has no try_submit: a miss would block, so refuse
-        # it and open no flight a follower could attach to.
-        assert front.try_submit(img) is None
-        assert front.single_flight_snapshot().in_flight == 0
-        leader = front.submit(img)
-        follower = front.try_submit(img)  # joins the flight without waiting
-        backend.resolve()
-        assert leader.result(timeout=5.0).source == "host"
-        assert follower.result(timeout=5.0).source == "cache"
-        assert front.try_submit(img).result(timeout=5.0).source == "cache"
-        assert backend.submits == 1
-        assert books_balanced(front.snapshot())
+    def test_hides_the_backends_try_submit(self):
+        """The backend's try_submit would skip the cache, so the frontend
+        must not hand it out: callers that probe for it use submit()."""
+        server = make_server(host_workers=0)
+        assert callable(server.try_submit)
+        front = CachingFrontend(server, ResultCache(max_bytes=1 << 20))
+        with front:
+            assert getattr(front, "try_submit", None) is None
+            with pytest.raises(AttributeError):
+                front.try_submit
 
     def test_wire_requests_go_through_the_cache(self):
         """Regression: NetFrontend found the backend's try_submit through
@@ -204,6 +199,45 @@ class TestSingleFlight:
                     client.classify(IMAGE_POOL[0], timeout=10.0)
         cache = front.cache_snapshot()
         assert cache.lookups == 5 and cache.hits >= 1
+        assert server.snapshot().check() == []
+
+    def test_wire_requests_into_a_full_rung_0_are_looked_up_once(self):
+        """Under backpressure each wire request still costs one lookup."""
+        from repro.net.client import NetClient
+        from repro.net.frontend import NetFrontend
+
+        gate = threading.Event()
+
+        def gated_bnn(images: np.ndarray) -> np.ndarray:
+            gate.wait(10.0)
+            return bnn_scores_fn(images)
+
+        # max_batch_size=1: rung 0 holds one image in its worker and six
+        # in its inbox, so of 14 distinct misses some must wait.
+        server = CascadeServer(
+            gated_bnn, make_dmu(), host_predict_fn,
+            max_batch_size=1, host_queue_capacity=256, host_workers=0,
+        )
+        images = np.random.default_rng(7).normal(size=(14, NUM_CLASSES, 1, 1))
+        front = CachingFrontend(server, ResultCache(max_bytes=1 << 20))
+        with front, NetFrontend(front) as net:
+            with NetClient(*net.address) as client:
+                futures = [client.submit(img) for img in images]
+                futures += [client.submit(images[0]) for _ in range(3)]
+                deadline = time.monotonic() + 10.0
+                # The server books submitted before the put, so an 8th
+                # submit means one is blocked on a full inbox.
+                while server.snapshot().submitted < 8:
+                    assert time.monotonic() < deadline, "rung 0 never filled"
+                    time.sleep(0.005)
+                gate.set()
+                for future in futures:
+                    future.result(timeout=10.0)
+        cache = front.cache_snapshot()
+        assert cache.lookups == len(futures)
+        assert cache.hits + cache.misses == cache.lookups
+        assert front.snapshot().submitted == len(futures)
+        assert books_balanced(front.snapshot())
         assert server.snapshot().check() == []
 
     def test_delegates_backend_attributes(self):
