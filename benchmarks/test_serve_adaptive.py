@@ -11,7 +11,7 @@ down until the steady-state rerun ratio holds the target — within
 
 from conftest import save_result
 
-from repro.hetero import compare_serving_with_eq1
+from repro.obs import ladder_eq1_residual
 from repro.serve import ServeBenchConfig, format_serve_bench, run_serve_bench
 
 CONFIG = ServeBenchConfig()  # defaults: R_target=0.3, t_fp=8 ms, t_bnn=0.25 ms
@@ -36,11 +36,13 @@ def test_adaptive_controller_holds_target_and_bound(benchmark):
     # It moved the threshold itself (same naive starting point).
     assert adaptive.final_threshold < CONFIG.naive_threshold - 0.05
 
-    # The hetero-layer bridge agrees: the served interval sits above the
+    # The Eq. (1) comparator agrees: the served interval sits above the
     # Eq. (1) ideal at the realized rerun ratio, but not wildly above.
-    comparison = compare_serving_with_eq1(
-        adaptive.steady, t_fp=CONFIG.t_fp, t_bnn=CONFIG.t_bnn,
+    eq1 = ladder_eq1_residual(
+        adaptive.steady.seconds_per_image,
+        [CONFIG.t_bnn, CONFIG.t_fp],
+        [adaptive.steady.rerun_ratio],
         num_host_workers=CONFIG.num_host_workers,
     )
-    assert comparison.relative_error > -0.05
-    assert comparison.relative_error < 0.5
+    assert eq1["relative_residual"] > -0.05
+    assert eq1["relative_residual"] < 0.5

@@ -94,6 +94,7 @@ size (``chunk=n``) when its program is built.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -533,9 +534,10 @@ class _Compiler:
 class CompiledBNNPlan:
     """A preplanned, buffer-reusing executor for one :class:`FoldedBNN`.
 
-    Build via :meth:`repro.bnn.FoldedBNN.compile_inference`.  Not
-    thread-safe: each plan owns one set of buffers, so give each serving
-    thread (or replica) its own plan — the cascade server's single BNN
+    Build via :meth:`repro.bnn.FoldedBNN.compile_inference`.  One
+    caller at a time: each plan owns one set of buffers, so concurrent
+    calls queue on its lock; give each serving thread (or replica) its
+    own plan to run them in parallel — the cascade server's single BNN
     worker thread is the intended consumer.  A plan asked for tile
     threads owns a small thread pool, released with the plan.
 
@@ -566,6 +568,7 @@ class CompiledBNNPlan:
         self._programs: dict = {}  # chunk size -> (load, [(span name, calls)], out)
         self._geometry: tuple | None = None
         self._executor: ThreadPoolExecutor | None = None
+        self._lock = threading.Lock()  # held while a call uses the buffers
 
     # -- compile-time resolution -------------------------------------------
 
@@ -674,7 +677,7 @@ class CompiledBNNPlan:
         images = np.asarray(images)
         if images.ndim != 4:
             raise ValueError(f"expected NCHW images, got shape {images.shape}")
-        with obs.trace_span(
+        with self._lock, obs.trace_span(
             "bnn.plan.forward", category="bnn",
             images=int(images.shape[0]), micro_batch=self.micro_batch,
         ):

@@ -15,7 +15,6 @@ from .analytic import (
     MultiPrecisionEstimate,
     estimate,
     ladder_accuracy,
-    ladder_bottleneck_stage,
     ladder_interval,
     ladder_reach_fractions,
     multi_precision_accuracy,
@@ -43,7 +42,6 @@ __all__ = [
     "ladder_reach_fractions",
     "ladder_interval",
     "ladder_accuracy",
-    "ladder_bottleneck_stage",
     "LadderStage",
     "LadderResult",
     "PrecisionLadder",

@@ -43,7 +43,6 @@ __all__ = [
     "ladder_reach_fractions",
     "ladder_interval",
     "ladder_accuracy",
-    "ladder_bottleneck_stage",
 ]
 
 
@@ -106,10 +105,17 @@ def ladder_reach_fractions(forward_ratios: Sequence[float]) -> list[float]:
 
 
 def _ladder_busy_terms(
-    stage_times: Sequence[float], forward_ratios: Sequence[float]
-) -> tuple[list[float], list[float]]:
-    """Validated Eq. (1N) terms: per-stage reach ``R_i`` and busy ``t_i * R_i``
-    (shared with :func:`repro.obs.ladder_eq1_residual`)."""
+    stage_times: Sequence[float],
+    forward_ratios: Sequence[float],
+    num_host_workers: int = 1,
+) -> tuple[list[float], list[float], list[float]]:
+    """Validated Eq. (1N) terms with ``num_host_workers`` host executors.
+
+    Returns the per-stage times ``t_i`` — the last (host) stage divided
+    by the pool size, since a pool of k drains flagged images k times
+    faster — their reach ``R_i`` and their busy terms ``t_i * R_i``
+    (shared with :func:`repro.obs.ladder_eq1_residual`).
+    """
     if len(stage_times) < 2:
         raise ValueError("a ladder needs at least 2 stages")
     if len(forward_ratios) != len(stage_times) - 1:
@@ -119,12 +125,18 @@ def _ladder_busy_terms(
         )
     if any(t <= 0 for t in stage_times):
         raise ValueError("per-image stage times must be positive")
+    if num_host_workers < 1:
+        raise ValueError("num_host_workers must be >= 1")
+    times = [float(t) for t in stage_times]
+    times[-1] /= num_host_workers
     reach = ladder_reach_fractions(forward_ratios)
-    return reach, [t * w for t, w in zip(stage_times, reach)]
+    return times, reach, [t * w for t, w in zip(times, reach)]
 
 
 def ladder_interval(
-    stage_times: Sequence[float], forward_ratios: Sequence[float]
+    stage_times: Sequence[float],
+    forward_ratios: Sequence[float],
+    num_host_workers: int = 1,
 ) -> float:
     """Eq. (1N): ``t_ladder = max_i t_i * R_i`` seconds/image.
 
@@ -136,16 +148,11 @@ def ladder_interval(
     forward_ratios:
         Per-stage forward ratios ``r_0 .. r_{N-2}`` — each the fraction
         of the traffic *arriving* at that stage that its DMU sends up.
+    num_host_workers:
+        Host executors draining the last stage; its time is divided by
+        this count (Eq. (1) as written models one).
     """
-    return max(_ladder_busy_terms(stage_times, forward_ratios)[1])
-
-
-def ladder_bottleneck_stage(
-    stage_times: Sequence[float], forward_ratios: Sequence[float]
-) -> int:
-    """Index of the stage whose ``t_i * R_i`` dominates Eq. (1N)."""
-    busy = _ladder_busy_terms(stage_times, forward_ratios)[1]
-    return max(range(len(busy)), key=busy.__getitem__)
+    return max(_ladder_busy_terms(stage_times, forward_ratios, num_host_workers)[2])
 
 
 def ladder_accuracy(

@@ -30,7 +30,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .. import obs
-from .analytic import ladder_bottleneck_stage, ladder_interval, ladder_reach_fractions
 from .dmu import DecisionMakingUnit
 
 __all__ = ["LadderStage", "LadderResult", "PrecisionLadder"]
@@ -55,24 +54,18 @@ class LadderStage:
     threshold:
         Override of ``dmu.threshold`` for this rung — the static knob of
         the routing policy.  ``None`` defers to the DMU's own setting.
-    t_image:
-        Optional seconds/image for this stage, feeding the Eq. (1N)
-        prediction helpers on :class:`PrecisionLadder`.
     """
 
     name: str
     scores_fn: Callable[[np.ndarray], np.ndarray]
     dmu: DecisionMakingUnit | None = None
     threshold: float | None = None
-    t_image: float | None = None
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("stage name must be non-empty")
         if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
-        if self.t_image is not None and self.t_image <= 0:
-            raise ValueError("t_image must be positive")
 
     @property
     def effective_threshold(self) -> float | None:
@@ -193,31 +186,6 @@ class PrecisionLadder:
     @property
     def stage_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.stages)
-
-    @property
-    def stage_times(self) -> list[float]:
-        """Per-rung ``t_i`` for Eq. (1N); requires every ``t_image`` set."""
-        times = [s.t_image for s in self.stages]
-        if any(t is None for t in times):
-            missing = [s.name for s in self.stages if s.t_image is None]
-            raise ValueError(f"stages missing t_image: {missing}")
-        return [float(t) for t in times]
-
-    def predicted_interval(self, forward_ratios: Sequence[float]) -> float:
-        """Eq. (1N) prediction from stage ``t_image`` and measured ``r_i``."""
-        return ladder_interval(self.stage_times, forward_ratios)
-
-    def bottleneck_stage(self, forward_ratios: Sequence[float]) -> str:
-        """Name of the rung dominating Eq. (1N)."""
-        return self.stages[
-            ladder_bottleneck_stage(self.stage_times, forward_ratios)
-        ].name
-
-    def predicted_reach(self, forward_ratios: Sequence[float]) -> list[float]:
-        """Eq. (1'): ``R_i`` products for the given per-hop ratios."""
-        if len(forward_ratios) != self.num_stages - 1:
-            raise ValueError("need one forward ratio per hop")
-        return ladder_reach_fractions(forward_ratios)
 
     def classify(
         self,

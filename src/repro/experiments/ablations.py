@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import DecisionMakingUnit, train_dmu
-from ..core.analytic import multi_precision_interval
 from ..core.report import render_table
 from ..data import ScoreDataset
 from ..finn import Engine, ZC702_CLOCK_HZ, balance_network, finn_cnv_specs
-from ..hetero import FPGAExecutor, HostExecutor, compare_with_eq1, simulate_cascade
+from ..hetero import FPGAExecutor, HostExecutor, simulate_cascade
+from ..obs import ladder_eq1_residual
 from .workbench import Workbench
 
 __all__ = [
@@ -86,13 +86,13 @@ def run_eq1_validation(
     rows = []
     for r in rerun_ratios:
         sim = simulate_cascade(fpga, host, num_images, batch_size, rerun_ratio=r)
-        cmp = compare_with_eq1(sim, t_fp, t_bnn)
+        eq1 = ladder_eq1_residual(sim.seconds_per_image, [t_bnn, t_fp], [sim.rerun_ratio])
         rows.append(
             Eq1ValidationRow(
                 rerun_ratio=r,
-                analytic_fps=cmp.analytic_fps,
-                simulated_fps=cmp.simulated_fps,
-                relative_error=cmp.relative_error,
+                analytic_fps=1.0 / eq1["predicted_seconds_per_image"],
+                simulated_fps=1.0 / eq1["measured_seconds_per_image"],
+                relative_error=eq1["relative_residual"],
             )
         )
     return rows

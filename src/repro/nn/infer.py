@@ -78,6 +78,7 @@ construction: compile *after* training / ``load_state_dict``.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -172,6 +173,10 @@ class InferenceEngine:
         Fixed processing chunk.  Larger amortizes numpy dispatch, smaller
         bounds memory; it also defines the bit-stable shard boundaries
         used by :class:`repro.parallel.ParallelHostRunner`.
+
+    One caller at a time: every call reuses the engine's buffers, so
+    concurrent calls queue on its lock.  Give each thread its own engine
+    to run them in parallel.
     """
 
     def __init__(self, net, dtype=np.float32, micro_batch: int = 16):
@@ -183,7 +188,17 @@ class InferenceEngine:
         self.micro_batch = int(micro_batch)
         self.name = getattr(net, "name", "net")
         self._bufs = _BufferPool(self.micro_batch)
+        self._lock = threading.Lock()  # held while a call uses self._bufs
         self._steps = self._compile(net)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_lock"]  # a lock does not pickle; the copy gets its own
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
 
     # -- compilation ---------------------------------------------------------
     def _compile(self, net) -> list:
@@ -263,11 +278,12 @@ class InferenceEngine:
             images = images[None]
         n = images.shape[0]
         out: np.ndarray | None = None
-        for start in range(0, n, self.micro_batch):
-            scores = self._run_chunk(images[start : start + self.micro_batch])
-            if out is None:
-                out = np.empty((n,) + scores.shape[1:], self.dtype)
-            out[start : start + scores.shape[0]] = scores
+        with self._lock:
+            for start in range(0, n, self.micro_batch):
+                scores = self._run_chunk(images[start : start + self.micro_batch])
+                if out is None:
+                    out = np.empty((n,) + scores.shape[1:], self.dtype)
+                out[start : start + scores.shape[0]] = scores
         if out is None:
             # Class count without running data: ask the first Dense/conv head.
             return np.empty((0, self.num_classes_hint()), self.dtype)

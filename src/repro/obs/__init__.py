@@ -34,7 +34,7 @@ from .export import (
     write_chrome_trace,
 )
 from .ledger import Law, Ledger, Reading
-from .residuals import eq1_residual, eq345_layer_residuals, ladder_eq1_residual
+from .residuals import eq345_layer_residuals, ladder_eq1_residual
 from .stats import (
     SpanSummary,
     format_span_summaries,
@@ -84,7 +84,6 @@ __all__ = [
     "Ledger",
     "Reading",
     # residuals
-    "eq1_residual",
     "ladder_eq1_residual",
     "eq345_layer_residuals",
 ]

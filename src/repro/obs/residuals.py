@@ -3,13 +3,13 @@
 Two predictions bracket the cascade:
 
 * **Eq. (1)** ``t_multi = max(t_fp * R_rerun, t_bnn)`` predicts the
-  *system* interval from the stage times and the realized rerun ratio.
-  :func:`eq1_residual` reports how far a measured serving run sits from
-  that bound (positive residual = slower than predicted, the expected
-  direction: Eq. (1) ignores batching quantization, queueing and thread
-  scheduling).  It is the N = 2 reading of :func:`ladder_eq1_residual`,
-  which checks the N-stage form Eq. (1N) ``max_i t_i * R_i`` and does
-  the arithmetic for both.
+  *system* interval from the stage times and the realized rerun ratio;
+  its N-stage form Eq. (1N) is ``max_i t_i * R_i``.
+  :func:`ladder_eq1_residual` reports how far a measured serving run sits
+  from that bound (positive residual = slower than predicted, the
+  expected direction: Eq. (1) ignores batching quantization, queueing and
+  thread scheduling).  It is the one predicted-vs-measured comparator for
+  both forms: Eq. (1) is its two-stage call.
 * **Eqs. (3)–(5)** (FINN's cycle model) predict *where time goes inside
   the BNN*: at full unfold (P = S = 1) a layer's cycle count is exactly
   its single-bit MAC count — ``OD * K*K*ID * OH * OW`` for conv (Eq. 3),
@@ -29,40 +29,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["eq1_residual", "ladder_eq1_residual", "eq345_layer_residuals"]
-
-
-def eq1_residual(
-    measured_seconds_per_image: float,
-    t_fp: float,
-    t_bnn: float,
-    rerun_ratio: float,
-    num_host_workers: int = 1,
-) -> dict:
-    """Measured serving interval vs the Eq. (1) prediction.
-
-    The two-stage reading of :func:`ladder_eq1_residual` (stages
-    ``bnn``/``host``, one hop forwarding ``rerun_ratio``), which does the
-    arithmetic: the host term is divided by the worker-pool size — Eq. (1)
-    models a single host executor, and a pool drains flagged images that
-    much faster.  Returns a JSON-serializable dict with the prediction,
-    the measurement, the absolute residual (seconds/image) and the
-    relative residual (fraction of the prediction).
-    """
-    general = ladder_eq1_residual(
-        measured_seconds_per_image, [t_bnn, t_fp], [rerun_ratio],
-        num_host_workers=num_host_workers,
-    )
-    return {
-        "predicted_seconds_per_image": general["predicted_seconds_per_image"],
-        "measured_seconds_per_image": measured_seconds_per_image,
-        "residual_seconds_per_image": general["residual_seconds_per_image"],
-        "relative_residual": general["relative_residual"],
-        "rerun_ratio": rerun_ratio,
-        "t_fp": t_fp,
-        "t_bnn": t_bnn,
-        "num_host_workers": num_host_workers,
-    }
+__all__ = ["ladder_eq1_residual", "eq345_layer_residuals"]
 
 
 def ladder_eq1_residual(
@@ -77,22 +44,22 @@ def ladder_eq1_residual(
     With reach fractions ``R_i = prod_{j<i} r_j`` the prediction is
     ``max_i t_i * R_i`` (``docs/LADDER.md``), and the per-stage busy terms
     say *which rung* the prediction makes the bottleneck.  The final
-    (host) stage time is divided by the worker-pool size.  Returns a
-    JSON-serializable dict whose ``stages`` list carries each rung's
-    reach, busy seconds/image and share of the predicted bound.
+    (host) stage time is divided by the worker-pool size, as
+    :func:`repro.core.analytic.ladder_interval` does.  Eq. (1) is the
+    N = 2 call: ``stage_times=[t_bnn, t_fp]``, ``forward_ratios=[R_rerun]``.
+    Returns a JSON-serializable dict with the prediction, the
+    measurement, the absolute residual (seconds/image), the relative
+    residual (fraction of the prediction) and a ``stages`` list carrying
+    each rung's reach, busy seconds/image and share of the predicted
+    bound.
     """
     from ..core.analytic import _ladder_busy_terms
 
-    if num_host_workers < 1:
-        raise ValueError("num_host_workers must be >= 1")
-    effective = [float(t) for t in stage_times]
     if stage_names is None:
-        stage_names = [f"stage{i}" for i in range(len(effective))]
-    if len(stage_names) != len(effective):
+        stage_names = [f"stage{i}" for i in range(len(stage_times))]
+    if len(stage_names) != len(stage_times):
         raise ValueError("need one name per stage")
-    if effective:
-        effective[-1] = effective[-1] / num_host_workers
-    reach, busy = _ladder_busy_terms(effective, forward_ratios)
+    times, reach, busy = _ladder_busy_terms(stage_times, forward_ratios, num_host_workers)
     predicted = max(busy)
     bottleneck = max(range(len(busy)), key=busy.__getitem__)
     residual = measured_seconds_per_image - predicted
@@ -112,7 +79,7 @@ def ladder_eq1_residual(
                 "busy_seconds_per_image": b,
                 "share_of_bound": b / predicted if predicted > 0 else 0.0,
             }
-            for name, t, w, b in zip(stage_names, effective, reach, busy)
+            for name, t, w, b in zip(stage_names, times, reach, busy)
         ],
     }
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..serve.oracle import check_ranges
 from .export import timeline_to_chrome, to_chrome_trace, trace_summary, write_chrome_trace
-from .residuals import eq1_residual, eq345_layer_residuals
+from .residuals import eq345_layer_residuals, ladder_eq1_residual
 from .stats import format_span_summaries, span_overlap_seconds, summarize_spans
 from .tracer import Tracer, tracing
 
@@ -138,6 +138,9 @@ def run_traced_cascade(config: TraceRunConfig | None = None) -> TraceRunReport:
     folded = fold_network(net)
     host = build_model_a(scale=config.host_scale, rng=np.random.default_rng(config.seed + 1))
     host.eval_mode()
+    # Serve the compiled engine, as every served path does: the training
+    # forward's backward bookkeeping is not the host a server runs.
+    host_engine = host.compile_inference(micro_batch=config.host_batch_size)
 
     images = normalize_to_pm1(
         synthetic_cifar10(num_train=1, num_test=config.num_images, seed=config.seed).test.images
@@ -155,7 +158,7 @@ def run_traced_cascade(config: TraceRunConfig | None = None) -> TraceRunReport:
         server = CascadeServer(
             folded_bnn_scores_fn(folded, batch_size=config.inference_batch_size),
             dmu,
-            host.predict_classes,
+            host_engine.predict_classes,
             controller=threshold,
             max_batch_size=config.max_batch_size,
             num_host_workers=config.num_host_workers,
@@ -185,11 +188,11 @@ def run_traced_cascade(config: TraceRunConfig | None = None) -> TraceRunReport:
     t_bnn = bnn_busy / completed if completed else float("nan")
     host_images = snapshot.rerun if snapshot.rerun else 1
     t_fp = host_busy / host_images
-    eq1 = eq1_residual(
-        measured_seconds_per_image=snapshot.wall_seconds / completed if completed else float("nan"),
-        t_fp=t_fp,
-        t_bnn=t_bnn,
-        rerun_ratio=rerun_ratio,
+    eq1 = ladder_eq1_residual(
+        snapshot.wall_seconds / completed if completed else float("nan"),
+        [t_bnn, t_fp],
+        [rerun_ratio],
+        stage_names=["bnn", "host"],
         num_host_workers=config.num_host_workers,
     )
 

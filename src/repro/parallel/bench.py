@@ -35,6 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ..core.analytic import multi_precision_interval
 from ..core.report import format_rate, render_table
 from ..serve.oracle import check_ranges
 from .runner import ParallelHostRunner
@@ -114,7 +115,7 @@ def _threaded_predict(net, images, k, dtype, micro_batch):
 
 def _leg(name, seconds, images, spi_legacy, config, workers=None, **extra):
     spi = seconds / images
-    t_host = spi * config.target_rerun_ratio
+    t_multi = multi_precision_interval(spi, config.t_bnn, config.target_rerun_ratio)
     row = {
         "name": name,
         "seconds": seconds,
@@ -126,8 +127,8 @@ def _leg(name, seconds, images, spi_legacy, config, workers=None, **extra):
             "t_fp": spi,
             "t_bnn": config.t_bnn,
             "rerun_ratio": config.target_rerun_ratio,
-            "t_multi": max(t_host, config.t_bnn),
-            "bound_fps": 1.0 / max(t_host, config.t_bnn),
+            "t_multi": t_multi,
+            "bound_fps": 1.0 / t_multi,
         },
     }
     if workers is not None:

@@ -195,10 +195,8 @@ class ServeBenchConfig:
         reach is ``r_target ** i`` (Eq. (1N) at the controller's
         setpoint); with no middle rungs that is Eq. (1) as written.
         """
-        times = list(self.stage_times)
-        times[-1] /= self.host_parallelism
-        ratios = [self.hop_target_forward_ratio] * (len(times) - 1)
-        return 1.0 / ladder_interval(times, ratios)
+        ratios = [self.hop_target_forward_ratio] * (len(self.stage_times) - 1)
+        return 1.0 / ladder_interval(self.stage_times, ratios, self.host_parallelism)
 
     @property
     def offered_fps(self) -> float:
@@ -313,7 +311,6 @@ def synthetic_ladder_stages(config: ServeBenchConfig) -> list[LadderStage]:
             name=f"mid{hop}",
             scores_fn=OracleStage(t_stage, "scores"),
             dmu=DecisionMakingUnit.margin(config.naive_threshold, hop=hop),
-            t_image=t_stage,
         )
         for hop, t_stage in enumerate(config.ladder_stage_times or (), start=1)
     ]

@@ -4,7 +4,7 @@ One :class:`ServerMetrics` — a :class:`repro.obs.Ledger` — is shared by
 every component of a :class:`repro.serve.CascadeServer`; they add to its
 declared counters and set its gauges, and :meth:`ServerMetrics.snapshot`
 builds an immutable :class:`MetricsSnapshot` from one consistent read
-for ``repro serve-bench`` and :func:`repro.hetero.compare_serving_with_eq1`.
+for ``repro serve-bench`` and :func:`repro.obs.ladder_eq1_residual`.
 
 Paper anchors: accepted/rerun/degraded realize ``R_rerun`` (Sec. III),
 which Eq. (1) prices host time with (``t_multi = max(t_fp * R_rerun,

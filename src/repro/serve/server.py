@@ -138,6 +138,16 @@ class _Request:
         self.enqueue_ts = submit_ts
 
 
+def _time_left(timeout: float | None) -> Callable[[], float | None]:
+    """Seconds left of one *timeout* that starts now (``None``: unbounded).
+
+    A ``close(timeout)`` that joins several things shares one deadline
+    between them, on the real clock (an injected clock may stand still).
+    """
+    end = None if timeout is None else time.monotonic() + timeout
+    return lambda: None if end is None else max(0.0, end - time.monotonic())
+
+
 class _Inbox:
     """Bounded FIFO feeding one rung; its workers take batches off it.
 
@@ -553,13 +563,7 @@ class CascadeServer:
         with self._close_lock:
             first = not self._closed
             self._closed = True
-        # One deadline for every join, on the real clock (an injected
-        # clock may stand still).
-        end = None if timeout is None else time.monotonic() + timeout
-
-        def left() -> float | None:
-            return None if end is None else max(0.0, end - time.monotonic())
-
+        left = _time_left(timeout)
         # Drain the table top-down: a rung's inbox closes only once every
         # producer above it has exited (or the deadline passed), so a
         # forward is refused only when its rung could not drain in time —

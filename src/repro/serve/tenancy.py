@@ -58,7 +58,7 @@ import numpy as np
 from .. import obs
 from ..obs.ledger import Law, Ledger, tally, violations
 from .metrics import SERVER_LAWS, MetricsSnapshot, ServerMetrics
-from .server import CascadeServer
+from .server import CascadeServer, _time_left
 
 if TYPE_CHECKING:
     # Import cycle: repro.cache.front imports repro.serve.  The
@@ -344,7 +344,8 @@ class SharedHostPool:
 
     def close(self, timeout: float | None = 5.0) -> None:
         """Stop the lanes; queued-but-unexecuted work fails (the owning
-        tenant's host worker degrades those requests)."""
+        tenant's host worker degrades those requests).  *timeout* bounds
+        the whole call, however many lanes hang."""
         with self._lock:
             if self._closed:
                 return
@@ -359,8 +360,9 @@ class SharedHostPool:
             self._space_ready.notify_all()
         for work in stranded:
             work.future.set_exception(RuntimeError("shared host pool is closed"))
+        left = _time_left(timeout)
         for lane in self._lanes:
-            lane.join(timeout=timeout)
+            lane.join(left())
 
     def __enter__(self) -> "SharedHostPool":
         return self
@@ -603,13 +605,16 @@ class MultiTenantServer:
         )
 
     def close(self, timeout: float | None = 10.0) -> None:
-        """Drain every tenant's cascade, then stop the shared pool."""
-        for tenant in getattr(self, "_tenants", {}).values():
-            tenant.frontend.close(timeout)
-        self.pool.close(timeout=timeout)
-        for tenant in getattr(self, "_tenants", {}).values():
+        """Drain every tenant's cascade, then stop the shared pool and the
+        tenants' process pools.  *timeout* bounds the whole call."""
+        left = _time_left(timeout)
+        tenants = getattr(self, "_tenants", {}).values()
+        for tenant in tenants:
+            tenant.frontend.close(left())
+        self.pool.close(left())
+        for tenant in tenants:
             if tenant.runner is not None:
-                tenant.runner.close()
+                tenant.runner.close(left())
 
     def __enter__(self) -> "MultiTenantServer":
         return self

@@ -10,10 +10,10 @@ from repro.hetero import (
     HostExecutor,
     Interval,
     Timeline,
-    compare_with_eq1,
     flagged_per_batch,
     simulate_cascade,
 )
+from repro.obs import ladder_eq1_residual
 
 
 class TestTimeline:
@@ -183,8 +183,10 @@ class TestCompareWithEq1:
         fpga = FPGAExecutor(interval_seconds=t_bnn, fill_seconds=5 * t_bnn)
         host = HostExecutor(seconds_per_image=t_fp, dmu_seconds_per_image=2e-7)
         result = simulate_cascade(fpga, host, 5000, 100, rerun_ratio=0.251)
-        cmp = compare_with_eq1(result, t_fp, t_bnn)
+        eq1 = ladder_eq1_residual(
+            result.seconds_per_image, [t_bnn, t_fp], [result.rerun_ratio]
+        )
         # Eq. (1) ignores ramp-up and the trailing host call, so the
         # simulation is slightly slower but within a few percent.
-        assert 0.0 <= cmp.relative_error < 0.05
-        assert cmp.simulated_fps < cmp.analytic_fps
+        assert 0.0 <= eq1["relative_residual"] < 0.05
+        assert eq1["measured_seconds_per_image"] > eq1["predicted_seconds_per_image"]

@@ -16,11 +16,11 @@ from repro.core import (
     LadderStage,
     PrecisionLadder,
     ladder_accuracy,
-    ladder_bottleneck_stage,
     ladder_interval,
     ladder_reach_fractions,
     multi_precision_interval,
 )
+from repro.obs import ladder_eq1_residual
 
 NUM_CLASSES = 10
 
@@ -41,21 +41,13 @@ def identity_engine(images: np.ndarray) -> np.ndarray:
     return np.asarray(images).reshape(len(images), NUM_CLASSES)
 
 
-def make_ladder(thresholds, t_images=None) -> PrecisionLadder:
+def make_ladder(thresholds) -> PrecisionLadder:
     """len(thresholds)+1 rungs: each hop reads its own sorted-margin pair."""
-    times = t_images or [None] * (len(thresholds) + 1)
     stages = [
-        LadderStage(
-            name=f"s{i}",
-            scores_fn=identity_engine,
-            dmu=margin_dmu(i, thr),
-            t_image=times[i],
-        )
+        LadderStage(name=f"s{i}", scores_fn=identity_engine, dmu=margin_dmu(i, thr))
         for i, thr in enumerate(thresholds)
     ]
-    stages.append(
-        LadderStage(name="final", scores_fn=identity_engine, t_image=times[-1])
-    )
+    stages.append(LadderStage(name="final", scores_fn=identity_engine))
     return PrecisionLadder(stages)
 
 
@@ -85,8 +77,6 @@ class TestValidation:
             LadderStage("", identity_engine)
         with pytest.raises(ValueError, match="threshold"):
             LadderStage("a", identity_engine, threshold=1.5)
-        with pytest.raises(ValueError, match="t_image"):
-            LadderStage("a", identity_engine, t_image=0.0)
 
     def test_effective_threshold_prefers_override(self):
         stage = LadderStage(
@@ -187,22 +177,17 @@ class TestClassify:
 
 class TestEq1NPrediction:
     def test_predicted_interval_uses_stage_times(self):
-        ladder = make_ladder([0.5, 0.5], t_images=[0.001, 0.004, 0.02])
-        ratios = [0.3, 0.5]
-        assert ladder.predicted_interval(ratios) == pytest.approx(
-            ladder_interval([0.001, 0.004, 0.02], ratios)
+        """The ladder's measured ratios, priced by the one comparator."""
+        ladder = make_ladder([0.5, 0.5])
+        times = [0.001, 0.004, 0.02]
+        ratios = ladder.classify(score_images(200, seed=3)).forward_ratios
+        eq1n = ladder_eq1_residual(0.01, times, ratios, stage_names=ladder.stage_names)
+        assert eq1n["predicted_seconds_per_image"] == ladder_interval(times, ratios)
+        busy = [t * w for t, w in zip(times, ladder_reach_fractions(ratios))]
+        assert eq1n["bottleneck_stage"] == ladder.stage_names[busy.index(max(busy))]
+        assert [s["reach_fraction"] for s in eq1n["stages"]] == (
+            ladder_reach_fractions(ratios)
         )
-        assert ladder.bottleneck_stage(ratios) == (
-            "s0",
-            "s1",
-            "final",
-        )[ladder_bottleneck_stage([0.001, 0.004, 0.02], ratios)]
-        assert ladder.predicted_reach(ratios) == ladder_reach_fractions(ratios)
-
-    def test_missing_t_image_raises(self):
-        ladder = make_ladder([0.5])
-        with pytest.raises(ValueError, match="t_image"):
-            ladder.predicted_interval([0.3])
 
     def test_two_stage_reduction_to_eq1(self):
         """Eq. (1N) at N=2 is exactly the paper's Eq. (1)."""
@@ -229,12 +214,32 @@ class TestEq1NPrediction:
     def test_bottleneck_checks_lengths_before_it_multiplies(self):
         # One ratio too many, and an out-of-range one at that: the length
         # mismatch is the error reported, not the ratio the extra hop holds.
-        with pytest.raises(ValueError, match="forward ratios"):
-            ladder_bottleneck_stage([0.001, 0.02], [0.3, 7.0])
-        with pytest.raises(ValueError, match="forward ratios"):
-            ladder_bottleneck_stage([0.001, 0.004, 0.02], [0.3])
-        with pytest.raises(ValueError, match="at least 2"):
-            ladder_bottleneck_stage([0.001], [])
+        for predict in (ladder_interval, lambda t, r: ladder_eq1_residual(0.01, t, r)):
+            with pytest.raises(ValueError, match="forward ratios"):
+                predict([0.001, 0.02], [0.3, 7.0])
+            with pytest.raises(ValueError, match="forward ratios"):
+                predict([0.001, 0.004, 0.02], [0.3])
+            with pytest.raises(ValueError, match="at least 2"):
+                predict([0.001], [])
+
+    @given(
+        times=st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=5),
+        ratios=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+        workers=st.integers(1, 8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_comparator_is_eq1n_with_the_host_pool_dividing_the_last_stage(
+        self, times, ratios, workers
+    ):
+        ratios = ratios[: len(times) - 1]
+        pooled = times[:-1] + [times[-1] / workers]
+        predicted = ladder_eq1_residual(
+            0.01, times, ratios, num_host_workers=workers
+        )["predicted_seconds_per_image"]
+        assert predicted == ladder_interval(pooled, ratios)
+        assert predicted == ladder_interval(times, ratios, num_host_workers=workers)
+        if len(times) == 2 and workers == 1:
+            assert predicted == multi_precision_interval(times[1], times[0], ratios[0])
 
     def test_ladder_accuracy_telescopes(self):
         # 2-stage sanity: Acc = a0 + a1*r - err.

@@ -2,51 +2,50 @@
 
 import pytest
 
-from repro.obs import eq1_residual, eq345_layer_residuals
+from repro.core import multi_precision_interval
+from repro.obs import eq345_layer_residuals, ladder_eq1_residual
+
+
+def eq1_residual(measured, t_fp, t_bnn, rerun_ratio, num_host_workers=1) -> dict:
+    """Eq. (1) is the two-stage call of the one comparator."""
+    return ladder_eq1_residual(
+        measured, [t_bnn, t_fp], [rerun_ratio],
+        stage_names=["bnn", "host"], num_host_workers=num_host_workers,
+    )
 
 
 def test_eq1_residual_host_bound():
     # t_fp*R/workers = 8ms*0.5 = 4ms > t_bnn=1ms -> predicted 4ms/img.
-    out = eq1_residual(
-        measured_seconds_per_image=0.005,
-        t_fp=0.008, t_bnn=0.001, rerun_ratio=0.5, num_host_workers=1,
-    )
+    out = eq1_residual(0.005, t_fp=0.008, t_bnn=0.001, rerun_ratio=0.5)
     assert out["predicted_seconds_per_image"] == pytest.approx(0.004)
     assert out["residual_seconds_per_image"] == pytest.approx(0.001)
     assert out["relative_residual"] == pytest.approx(0.25)
+    assert out["bottleneck_stage"] == "host"
 
 
 def test_eq1_residual_bnn_bound_with_worker_pool():
     # Host pool of 4 drops its per-image share below t_bnn.
-    out = eq1_residual(
-        measured_seconds_per_image=0.0012,
-        t_fp=0.008, t_bnn=0.001, rerun_ratio=0.5, num_host_workers=4,
-    )
+    out = eq1_residual(0.0012, t_fp=0.008, t_bnn=0.001, rerun_ratio=0.5,
+                       num_host_workers=4)
     assert out["predicted_seconds_per_image"] == pytest.approx(0.001)
+    assert out["bottleneck_stage"] == "bnn"
+    assert out["stages"][1]["t_image"] == pytest.approx(0.002)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("rerun_ratio", [0.0, 0.02, 0.3, 1.0])
 def test_eq1_residual_is_the_two_stage_ladder_residual(rerun_ratio, workers):
-    """Every key the two dicts share holds the same value, exactly."""
-    from repro.obs import ladder_eq1_residual
-
-    two = eq1_residual(0.0031, t_fp=0.008, t_bnn=0.00025,
+    """The two-stage call is Eq. (1) as written, host term over the pool."""
+    out = eq1_residual(0.0031, t_fp=0.008, t_bnn=0.00025,
                        rerun_ratio=rerun_ratio, num_host_workers=workers)
-    general = ladder_eq1_residual(
-        0.0031, stage_times=[0.00025, 0.008], forward_ratios=[rerun_ratio],
-        stage_names=["bnn", "host"], num_host_workers=workers,
-    )
-    shared = set(two) & set(general)
-    assert {"predicted_seconds_per_image", "measured_seconds_per_image",
-            "residual_seconds_per_image", "relative_residual",
-            "num_host_workers"} <= shared
-    for key in shared:
-        assert two[key] == general[key], key
-    # ... and the 2-stage-only keys echo the inputs, as they always did.
-    assert (two["rerun_ratio"], two["t_fp"], two["t_bnn"]) == (rerun_ratio, 0.008, 0.00025)
-    assert general["forward_ratios"] == [rerun_ratio]
-    assert general["bottleneck_stage"] == (
+    predicted = multi_precision_interval(0.008 / workers, 0.00025, rerun_ratio)
+    assert out["predicted_seconds_per_image"] == predicted
+    assert out["measured_seconds_per_image"] == 0.0031
+    assert out["residual_seconds_per_image"] == 0.0031 - predicted
+    assert out["relative_residual"] == (0.0031 - predicted) / predicted
+    assert out["num_host_workers"] == workers
+    assert out["forward_ratios"] == [rerun_ratio]
+    assert out["bottleneck_stage"] == (
         "host" if 0.008 / workers * rerun_ratio > 0.00025 else "bnn"
     )
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hetero import AnalyticComparison, compare_serving_with_eq1
+from repro.obs import ladder_eq1_residual
 from repro.serve import MetricsSnapshot, ServerMetrics
 
 
@@ -202,6 +202,8 @@ class TestRobustnessCounters:
 
 
 class TestEq1Bridge:
+    """A served window against Eq. (1) through the one comparator."""
+
     def _snapshot(self, completed_rerun: tuple[int, int], wall: float) -> MetricsSnapshot:
         accepted = completed_rerun[0] - completed_rerun[1]
         return MetricsSnapshot(
@@ -210,35 +212,44 @@ class TestEq1Bridge:
             threshold=0.8, threshold_trajectory=(), wall_seconds=wall,
         )
 
+    @staticmethod
+    def _eq1(snap, ratio, t_fp, t_bnn, num_host_workers=1) -> dict:
+        return ladder_eq1_residual(
+            snap.seconds_per_image, [t_bnn, t_fp], [ratio],
+            stage_names=["bnn", "host"], num_host_workers=num_host_workers,
+        )
+
     def test_host_bound_window(self):
         # 1000 images in 4 s at 30% rerun, t_fp = 10 ms: Eq. (1) says
         # 3 ms/img, so the measured 4 ms/img is 33% above the bound.
         snap = self._snapshot((1000, 300), wall=4.0)
-        cmp = compare_serving_with_eq1(snap, t_fp=0.010, t_bnn=0.001)
-        assert isinstance(cmp, AnalyticComparison)
-        assert cmp.analytic_seconds_per_image == pytest.approx(0.003)
-        assert cmp.relative_error == pytest.approx(1 / 3)
+        eq1 = self._eq1(snap, snap.rerun_ratio, t_fp=0.010, t_bnn=0.001)
+        assert eq1["predicted_seconds_per_image"] == pytest.approx(0.003)
+        assert eq1["measured_seconds_per_image"] == pytest.approx(0.004)
+        assert eq1["relative_residual"] == pytest.approx(1 / 3)
+        assert eq1["bottleneck_stage"] == "host"
 
     def test_host_pool_scales_the_bound(self):
         snap = self._snapshot((1000, 300), wall=4.0)
-        one = compare_serving_with_eq1(snap, t_fp=0.010, t_bnn=0.0001)
-        two = compare_serving_with_eq1(snap, t_fp=0.010, t_bnn=0.0001, num_host_workers=2)
-        assert two.analytic_seconds_per_image == pytest.approx(
-            one.analytic_seconds_per_image / 2
+        one = self._eq1(snap, snap.rerun_ratio, t_fp=0.010, t_bnn=0.0001)
+        two = self._eq1(snap, snap.rerun_ratio, t_fp=0.010, t_bnn=0.0001, num_host_workers=2)
+        assert two["predicted_seconds_per_image"] == pytest.approx(
+            one["predicted_seconds_per_image"] / 2
         )
+        assert two["stages"][-1]["t_image"] == pytest.approx(0.005)
+        with pytest.raises(ValueError, match="num_host_workers"):
+            self._eq1(snap, snap.rerun_ratio, 0.010, 0.0001, num_host_workers=0)
 
     def test_ratio_is_completions_based_not_arrivals_based(self):
-        """Eq. (1) helper reads ``rerun / completed``, whatever the rungs forwarded.
+        """``rerun / completed`` and the per-hop ``forwarded / arrived`` differ.
 
         A window with degraded requests makes the two definitions differ:
         600 of 1000 arrivals were forwarded but only 300 came back from
-        the host (the rest degraded on the way).  The documented ratio is
-        the completions one — 0.3, bound 3 ms — not the 0.6 / 6 ms that
-        :func:`compare_serving_with_ladder` evaluates on the same window.
+        the host (the rest degraded on the way).  Eq. (1) at the
+        completions ratio is 0.3 / 3 ms; at the per-hop forward ratio the
+        same comparator reads 0.6 / 6 ms.
         """
         from dataclasses import replace
-
-        from repro.hetero import compare_serving_with_ladder
 
         snap = MetricsSnapshot(
             stages={}, queues={}, completed=1000, accepted=400, rerun=300,
@@ -246,21 +257,22 @@ class TestEq1Bridge:
             stage_arrived={"bnn": 1000, "host": 300}, stage_forwarded={"bnn": 600},
         )
         assert snap.rerun_ratio == 0.3 and snap.ladder_forward_ratios["bnn"] == 0.6
-        eq1 = compare_serving_with_eq1(snap, t_fp=0.010, t_bnn=0.001)
-        assert eq1.analytic_seconds_per_image == pytest.approx(0.003)
-        eq1n = compare_serving_with_ladder(snap, [0.001, 0.010], ["bnn", "host"])
-        assert eq1n.analytic_seconds_per_image == pytest.approx(0.006)
+        eq1 = self._eq1(snap, snap.rerun_ratio, t_fp=0.010, t_bnn=0.001)
+        assert eq1["predicted_seconds_per_image"] == pytest.approx(0.003)
+        hops = self._eq1(snap, snap.ladder_forward_ratios["bnn"], t_fp=0.010, t_bnn=0.001)
+        assert hops["predicted_seconds_per_image"] == pytest.approx(0.006)
         # Same window, same arithmetic: where the two ratios agree, so do they.
         calm = replace(
             self._snapshot((1000, 300), wall=4.0),
             stage_arrived={"bnn": 1000}, stage_forwarded={"bnn": 300},
         )
-        assert compare_serving_with_eq1(calm, 0.010, 0.001) == compare_serving_with_ladder(
-            calm, [0.001, 0.010], ["bnn", "host"]
+        assert self._eq1(calm, calm.rerun_ratio, 0.010, 0.001) == self._eq1(
+            calm, calm.ladder_forward_ratios["bnn"], 0.010, 0.001
         )
 
     def test_bnn_bound_window(self):
         snap = self._snapshot((1000, 0), wall=1.5)
-        cmp = compare_serving_with_eq1(snap, t_fp=0.010, t_bnn=0.001)
-        assert cmp.analytic_seconds_per_image == pytest.approx(0.001)
-        assert cmp.simulated_fps == pytest.approx(1000 / 1.5)
+        eq1 = self._eq1(snap, snap.rerun_ratio, t_fp=0.010, t_bnn=0.001)
+        assert eq1["predicted_seconds_per_image"] == pytest.approx(0.001)
+        assert 1 / eq1["measured_seconds_per_image"] == pytest.approx(1000 / 1.5)
+        assert eq1["bottleneck_stage"] == "bnn"

@@ -1,6 +1,7 @@
 """Multi-tenant serving: DRR pool scheduling, quotas, per-tenant books."""
 
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -10,12 +11,13 @@ from repro.core import DecisionMakingUnit
 from repro.serve import (
     CascadeServer,
     MultiTenantServer,
+    ServerClosed,
     SharedHostPool,
     TenantQuotaExceeded,
     TenantSpec,
     UnknownTenant,
 )
-from repro.serve.tenancy import _Work
+from repro.serve.tenancy import POOL_LAW, _Work
 
 NUM_CLASSES = 10
 
@@ -179,6 +181,45 @@ class TestSharedHostPool:
         with pytest.raises(RuntimeError, match="closed"):
             pool.register("b", host_fn)
 
+    def test_close_timeout_bounds_the_whole_call(self):
+        # Three hung lanes share one deadline: one lane-join each would
+        # take 3 x 0.5 s.  The two items queued behind them are stranded.
+        gate, entered = threading.Event(), threading.Semaphore(0)
+
+        def hung(images):
+            entered.release()
+            gate.wait(timeout=10.0)
+            return host_fn(images)
+
+        pool = SharedHostPool(lanes=3)
+        handle = pool.register("a", hung)
+        callers = [
+            threading.Thread(target=handle, args=(make_images(1, seed=i),), daemon=True)
+            for i in range(3)
+        ]
+        for caller in callers:
+            caller.start()
+        for _ in range(3):
+            assert entered.acquire(timeout=10.0)
+        queued = [_Work(make_images(1), cost_s=1e-3) for _ in range(2)]
+        with pool._lock:
+            pool._tenants["a"].queue.extend(queued)
+        pool.ledger.add("a", enqueued=len(queued))
+        try:
+            start = time.monotonic()
+            pool.close(timeout=0.5)
+            assert time.monotonic() - start < 0.9
+            for work in queued:
+                with pytest.raises(RuntimeError, match="closed"):
+                    work.future.result(timeout=0)
+        finally:
+            gate.set()
+        for thread in callers + pool._lanes:
+            thread.join(timeout=10.0)
+        counters = pool.ledger.read().counters
+        assert counters["scheduled"]["a"] == 3 and counters["stranded"]["a"] == 2
+        assert POOL_LAW not in pool.ledger.check()
+
     def test_rejects_bad_config(self):
         for kwargs in (
             {"lanes": 0},
@@ -338,3 +379,26 @@ class TestMultiTenantServer:
                 assert isinstance(t.server, CascadeServer)
             assert set(server.pool.stats()) == {"model-a", "model-c"}
             assert server.tenant_names == ("model-a", "model-c")
+
+    def test_close_timeout_bounds_the_whole_call(self):
+        # A hung host stalls both the tenant's cascade and a pool lane;
+        # closing them one full timeout after the other would take 1 s.
+        gate, entered = threading.Event(), threading.Event()
+
+        def hung_host(images):
+            entered.set()
+            gate.wait(timeout=10.0)
+            return host_fn(images)
+
+        roster = [spec("model-a", host_predict_fn=hung_host, dmu=make_dmu(1.0))]
+        server = MultiTenantServer(roster, cache_max_bytes=0)
+        future = server.submit(make_images(1, seed=9)[0])
+        try:
+            assert entered.wait(timeout=10.0)
+            start = time.monotonic()
+            server.close(timeout=0.5)
+            assert time.monotonic() - start < 0.9
+            with pytest.raises(ServerClosed):
+                future.result(timeout=0)
+        finally:
+            gate.set()

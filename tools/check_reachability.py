@@ -56,8 +56,6 @@ ALLOWED: dict[str, str] = {
         "offline N-stage reference of the precision ladder (docs/LADDER.md)",
     "repro.experiments.report_all.write_report":
         "writes the full experiment report EXPERIMENTS.md points readers to",
-    "repro.hetero.metrics.compare_serving_with_ladder":
-        "Eq. (1N) beside a served window, N-stage compare_serving_with_eq1",
     "repro.net.protocol.FRAME_TYPES":
         "the frame format's public name -> type-code table",
     "repro.net.protocol.PROTOCOL_MINOR":
