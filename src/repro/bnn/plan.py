@@ -8,18 +8,27 @@ words are the hardware's wire format, the wrong one for BLAS, so the plan
 carries activations as **0/1 float planes** (NHWC maps, ``(n, features)``
 rows) from the first threshold to the last layer:
 
-* **conv1** (real-valued input) runs an im2col + float64 GEMM and
-  thresholds its accumulator straight into a 0/1 map — one compare,
-  written through ``out=``.
+* **conv1** (real-valued input) copies the chunk into a float64 input
+  buffer, gathers its im2col plane transposed, ``(C, k, k, n, OH, OW)``,
+  in one strided copy whose runs are ``OW`` contiguous floats, runs a
+  float64 GEMM that takes the plane as a transposed operand (same dgemm,
+  same ``(c, kh, kw)`` K order, so the accumulator is the row layout's
+  bit for bit), and thresholds the accumulator straight into a 0/1 map —
+  one compare, written through ``out=``.  CNV at scale 0.25, one core:
+  0.086 → 0.054 ms at batch 1 and 3.8 → 3.2 ms per 32-image chunk,
+  against ``np.take`` into ``(n·OH·OW, K)`` rows and a per-channel bound.
 * **every later binary stage** is three passes: gather ``k·C``-float
   runs of the map into an im2col plane, one GEMM against
   compile-time-folded weights, one ``prod >= bound`` compare written into
   the next map.  No ``*2``, no ``+c``, no sign flip, no pack, no unpack.
+  Every conv's bound is a compile-time (OH, OW, OC) table, so the compare
+  over an image's contiguous products is one long inner loop rather than
+  one OC-long loop per pixel (at batch 1 the compare costs about half).
 * **padded binary convs** zero-pad the 0/1 map.  The training network
   pads its ±1 maps with 0, so a pad tap adds nothing to the dot product:
   ``dot = 2p − sw_valid(pos)``, where ``sw_valid`` sums only the weights
-  on real pixels.  The folded bound is then a compile-time (output
-  position × channel) table; interior positions hold the unpadded bound.
+  on real pixels.  The folded bound then differs by output position;
+  interior positions hold the unpadded bound.
 * **two images per lane**: a binary conv of fan-in K fed a chunk of
   n >= 2 images packs its two halves into one plane, ``x[:⌈n/2⌉] +
   B·x[⌈n/2⌉:]`` with B the smallest power of two >= 2K + 2 (FINN packs
@@ -29,11 +38,20 @@ rows) from the first threshold to the last layer:
   ``p_hi`` and ``v − B·p_hi`` is ``p_lo``, and both compare against the
   unchanged bound.  Every partial sum is an integer of magnitude <=
   ``(B + 1)·K``, so the lanes are exact when that stays below 2²⁴ —
-  checked at compile time (:func:`_lane_base`); a stage that fails it,
-  a float64 plan, and a one-image chunk run unpacked.  CNV at scale 0.25
-  (K = 144…576), batch 32, one core: conv2 0.098 → 0.066 ms/img, conv3
-  0.028 → 0.020, conv4 0.034 → 0.022, the plan 0.26 → 0.19–0.21; batch 1
-  is unchanged (no partner image).
+  checked at compile time (:func:`_lane_base`); a stage that fails it
+  and a float64 plan run unpacked.  CNV at scale 0.25 (K = 144…576),
+  batch 32, one core: conv2 0.098 → 0.066 ms/img, conv3 0.028 → 0.020,
+  conv4 0.034 → 0.022, the plan 0.26 → 0.19–0.21.
+* **half-image lanes**: a one-image chunk has no partner image, so a
+  stage whose one-image plane reaches ``_SPLIT_PLANE_BYTES`` packs the
+  image's top and bottom output rows instead, ``x[rows_top] +
+  B·x[rows_bottom]``.  Each half reads ``(rows − 1)·s + k`` input rows
+  (the slabs overlap by ``k − s``), a shorter bottom half leaves its tail
+  at hi = 0, and a padded conv compares each half against its own rows
+  of the bound table.  The rule is fixed by the stage's geometry: a small
+  plane does not repay the packing and decode calls.  CNV at scale 0.25,
+  batch 1, one core: conv2 0.116 → 0.081 ms; conv3 and conv4 stay
+  unpacked (split, they measured 1.31x and 1.05x slower).
 * **max-pool** on 0/1 maps is ``np.maximum`` over window slices (FINN's
   boolean OR).
 * **the affine output layer** rescales its handful of popcounts to ±1
@@ -60,8 +78,9 @@ that size's *program*: a flat list of numpy calls
 n-image chunk replays with no per-call Python beyond the loop.  The views
 carry everything that depends on n: the ``as_strided`` windows, the
 ``[:n]`` slices and reshapes, the tile bounds and slot assignment, the
-lane halves and an odd chunk's unpartnered image, the decode slices.
-Only the first call, conv1's gather or pad copy, takes the chunk.  A
+lane halves and an odd chunk's unpartnered image, a one-image chunk's
+row halves, the decode slices.
+Only the first call, conv1's input copy, takes the chunk.  A
 conv stage's gather→GEMM→compare runs over image groups sized so one
 im2col tile fits ``_PLANE_TILE_BYTES`` (it is read back by the GEMM while
 still cache-resident).  ``threads=`` gives each of up to that many slots
@@ -113,6 +132,17 @@ _F32_EXACT_LIMIT = 1 << 24
 #: Budget for one im2col plane tile.  A tile is written by the gather and
 #: read back by the GEMM, so it should still be in L2 when BLAS packs it.
 _PLANE_TILE_BYTES = 1 << 20
+
+#: Smallest one-image im2col plane (bytes) whose binary conv splits a
+#: one-image chunk into two half-image lanes.  Splitting adds five fixed
+#: ufunc calls (pack, decode) and saves half the gather and GEMM rows, so
+#: it wins only on large planes.  One pinned Xeon CPU, OpenBLAS 0.3.31 on
+#: one thread, 3x3 stages at n = 1, split / unpacked stage time: K = 144,
+#: 16 channels: 1.25 at 113 KB, 1.02 at 147 KB, 0.96 at 187 KB, 0.69 at
+#: 452 KB (CNV conv2); K = 144, 32 channels: 1.31 at 83 KB (CNV conv3),
+#: 0.79 at 113 KB; K = 288, 32 channels: 1.05 at 115 KB (CNV conv4), 0.78
+#: at 166 KB.  The crossover lies at 113-187 KB; this is its middle.
+_SPLIT_PLANE_BYTES = 1 << 17
 
 
 def available_cpus() -> int:
@@ -195,6 +225,15 @@ def _lane_base(fan_in: int, dtype) -> int | None:
     return base if (base + 1) * fan_in < _F32_EXACT_LIMIT else None
 
 
+def _position_table(bound: np.ndarray, oh: int, ow: int) -> np.ndarray:
+    """A conv's bound as a contiguous (OH, OW, OC) table: one per channel
+    (OC,) or one per output position (OH·OW, OC).  Compared against an
+    image's contiguous products, the compare is one long inner loop
+    instead of one OC-long loop per pixel."""
+    oc = bound.shape[-1]
+    return np.ascontiguousarray(np.broadcast_to(bound, (oh * ow, oc)).reshape(oh, ow, oc))
+
+
 def _valid_taps(h: int, w: int, k: int, s: int, p: int, c: int) -> np.ndarray:
     """(OH·OW, K·K·C) 0/1: which im2col plane columns of each output
     position are real pixels of an (h, w) map padded by ``p``, in the
@@ -227,15 +266,6 @@ def _run_slots(executor: ThreadPoolExecutor, slots) -> None:
     """A stage's per-slot call lists, one thread each."""
     # list() reads every result, so a worker's exception surfaces here.
     list(executor.map(_run_calls, slots))
-
-
-def _take_images(index: np.ndarray, out: np.ndarray, chunk: np.ndarray) -> None:
-    """conv1's gather straight from the chunk into its im2col rows."""
-    # Any real dtype widens to float64 exactly, as the training network's
-    # float GEMM would widen it.
-    flat = np.asarray(chunk, dtype=np.float64).reshape(chunk.shape[0], -1)
-    # Indices are in range by construction; "clip" skips the check.
-    np.take(flat, index, axis=1, out=out, mode="clip")
 
 
 class _Compiler:
@@ -284,40 +314,37 @@ class _Compiler:
         ow = F.conv_output_size(w, k, s, p)
         oc, rows = stage.out_channels, self.micro_batch * oh * ow
         weight_t, bound = _fold_float(stage.weight_matrix, stage.thresholds)
-        hp, wp = h + 2 * p, w + 2 * p
-        # Flat source index of every im2col element, (oy, ox, c, kh, kw)
-        # order: the gather becomes one np.take per chunk instead of a 6-d
-        # strided copy with 3-element runs, and fills the same matrix.
-        index = np.arange(c * hp * wp).reshape(c, hp, wp)
-        sc, sh, sw = index.strides
-        index = np.lib.stride_tricks.as_strided(
-            index, shape=(oh, ow, c, k, k), strides=(sh * s, sw * s, sc, sh, sw)
-        ).reshape(-1)
-        # Borders of the padded input are zero-filled here and never
-        # written again.
-        padded = self.buffer((self.micro_batch, c, hp, wp), np.float64, zero=True) if p else None
-        cols_buf = self.buffer((rows, c * k * k), np.float64)
+        bound, fan_in = _position_table(bound, oh, ow), c * k * k
+        # The chunk is copied into this buffer (padded: its interior; the
+        # zero border is written here and never again), so every window
+        # view below is built once.  Any real dtype widens to float64
+        # exactly, as the training network's float GEMM would widen it.
+        images = self.buffer((self.micro_batch, c, h + 2 * p, w + 2 * p), np.float64, zero=True)
+        # The plane is gathered transposed, (C, k, k, n, OH, OW): one strided
+        # copy whose runs are OW contiguous floats, where the (n·OH·OW, K)
+        # layout copies 3-float runs.  The GEMM takes it as a transposed
+        # operand: the same dgemm over the same (c, kh, kw) K order, so the
+        # accumulator is bit for bit the row layout's.
+        cols_buf = self.buffer((fan_in * rows,), np.float64)
         acc_buf = self.buffer((rows, oc), np.float64)
         out_buf = self.buffer((self.micro_batch, oh, ow, oc), self.dtype)
 
         def build(n: int, _x: None):
             m = n * oh * ow
-            cols, acc, out = cols_buf[:m], acc_buf[:m], out_buf[:n]
-            if p:
-                calls = [
-                    partial(np.copyto, padded[:n, :, p : p + h, p : p + w]),
-                    partial(
-                        np.take, padded[:n].reshape(n, -1), index, axis=1,
-                        out=cols.reshape(n, -1), mode="clip",
-                    ),
-                ]
-            else:
-                calls = [partial(_take_images, index, cols.reshape(n, -1))]
-            calls += [
-                partial(np.matmul, cols, weight_t, out=acc),
-                partial(np.greater_equal, acc, bound, out=out.reshape(m, oc)),
-            ]
-            return calls, out
+            cols_t = cols_buf[: fan_in * m].reshape(fan_in, m)
+            acc, out = acc_buf[:m], out_buf[:n]
+            x = images[:n]
+            sn, sc, sh, sw = x.strides
+            windows = np.lib.stride_tricks.as_strided(
+                x, shape=(c, k, k, n, oh, ow),
+                strides=(sc, sh, sw, sn, sh * s, sw * s), writeable=False,
+            )
+            return [
+                partial(np.copyto, x[:, :, p : p + h, p : p + w]),
+                partial(np.copyto, cols_t.reshape(windows.shape), windows),
+                partial(np.matmul, cols_t.T, weight_t, out=acc),
+                partial(np.greater_equal, acc.reshape(out.shape), bound, out=out),
+            ], out
 
         return build, ("map", oh, ow, oc)
 
@@ -329,56 +356,86 @@ class _Compiler:
         ow = F.conv_output_size(w, k, s, p)
         hp, wp = h + 2 * p, w + 2 * p
         oc, nb, dtype = stage.out_channels, self.micro_batch, self.dtype
-        # A padded conv's bound depends on how many taps are real pixels:
-        # a (OH, OW, OC) table, broadcast against each image's products.
+        # A padded conv's bound depends on how many taps are real pixels;
+        # either way it becomes a (OH, OW, OC) table, broadcast against
+        # each image's products.
         valid = _valid_taps(h, w, k, s, p, c) if p else None
         weight_t, bound = _fold_threshold(
             _hwc_weight_t(stage.weight_matrix, c, k, k), stage.thresholds, dtype, valid
         )
+        bound = _position_table(bound, oh, ow)
         if p:
-            bound = bound.reshape(oh, ow, oc)
             # The zero border is written here and never again: a pad tap
             # is 0 in the plane, in the lanes built from it too.
             padded = self.buffer((nb, hp, wp, c), dtype, zero=True)
         fan_in, run_len, pixels = k * k * c, k * c, oh * ow
-        base = _lane_base(fan_in, dtype) if nb >= 2 else None
+        base = _lane_base(fan_in, dtype)
+        pair = base is not None and nb >= 2
+        # A one-image chunk packs its top and bottom output rows into one
+        # lane when the stage is big enough to repay the packing calls.
+        split = (
+            base is not None and oh >= 2
+            and pixels * fan_in * dtype.itemsize >= _SPLIT_PLANE_BYTES
+        )
         # Packed images per full chunk: two per lane when packing.
-        rows_nb = nb if base is None else -(-nb // 2)
+        rows_nb = -(-nb // 2) if pair else nb
         group = min(rows_nb, max(1, _PLANE_TILE_BYTES // (pixels * fan_in * dtype.itemsize)))
         slots = min(self.threads, -(-rows_nb // group))
         planes = self.buffer((slots, group * pixels, fan_in), dtype)
         prods = self.buffer((slots, group * pixels, oc), dtype)
         out_buf = self.buffer((nb, oh, ow, oc), dtype)
-        if base is not None:
+        if pair or split:
             lanes_buf = self.buffer((rows_nb, hp, wp, c), dtype)
             his = self.buffer((slots, group * pixels, oc), dtype)
 
-        def gemm(slot: int, x: np.ndarray) -> tuple[list, np.ndarray]:
-            """gather -> GEMM over the images of *x*; the calls and the
-            product rows they write."""
+        def gemm(slot: int, x: np.ndarray, rows: int = oh) -> tuple[list, np.ndarray]:
+            """gather -> GEMM over the images of *x*, *rows* output rows
+            each; the calls and the product rows they write."""
             g = x.shape[0]
             sn, sh, sw, sc = x.strides
             # Row dy of a window is k adjacent pixels: one k*C-float run.
             windows = np.lib.stride_tricks.as_strided(
-                x, shape=(g, oh, ow, k, run_len),
+                x, shape=(g, rows, ow, k, run_len),
                 strides=(sn, sh * s, sw * s, sh, sc), writeable=False,
             )
-            plane, prod = planes[slot, : g * pixels], prods[slot, : g * pixels]
+            m = g * rows * ow
+            plane, prod = planes[slot, :m], prods[slot, :m]
             return [
-                partial(np.copyto, plane.reshape(g, oh, ow, k, run_len), windows),
+                partial(np.copyto, plane.reshape(g, rows, ow, k, run_len), windows),
                 partial(np.matmul, plane, weight_t, out=prod),
             ], prod
 
-        def decide(prod: np.ndarray, maps: np.ndarray):
-            """Threshold product rows into the 0/1 output maps of their images."""
-            return partial(np.greater_equal, prod.reshape(maps.shape), bound, out=maps)
+        def decide(prod: np.ndarray, maps: np.ndarray, rows: slice = slice(None)):
+            """Threshold product rows into the 0/1 output maps of their
+            images, whose output rows are *rows* of the map."""
+            return partial(np.greater_equal, prod.reshape(maps.shape), bound[rows], out=maps)
+
+        def decode(slot: int, prod: np.ndarray, hi_maps: np.ndarray, hi_rows: slice):
+            """Split lane products ``v = p_lo + B·p_hi``: decide the hi lane's
+            leading rows into *hi_maps*; leave ``p_lo`` in *prod*."""
+            # |p_lo| <= K < B/2, so v/B rounds to p_hi and v - B*p_hi is
+            # p_lo; every step is exact in float32.
+            hi_lane = his[slot, : prod.shape[0]]
+            steps = [
+                partial(np.multiply, prod, 1.0 / base, out=hi_lane),
+                partial(np.rint, hi_lane, out=hi_lane),
+            ]
+            count = hi_maps.size // oc  # product rows of the hi lane's maps
+            if count:
+                steps.append(decide(hi_lane[:count], hi_maps, hi_rows))
+            return steps + [
+                partial(np.multiply, hi_lane, base, out=hi_lane),
+                partial(np.subtract, prod, hi_lane, out=prod),
+            ]
 
         def build(n: int, x: np.ndarray):
             out, calls = out_buf[:n], []
             if p:
                 calls.append(partial(np.copyto, padded[:n, p : p + h, p : p + w], x))
                 x = padded[:n]
-            if base is None or n < 2:
+            if n == 1 and split:
+                return calls + split_image(x, out), out
+            if not pair or n < 2:
 
                 def tile(slot: int, lo: int, hi: int) -> list:
                     steps, prod = gemm(slot, x[lo:hi])
@@ -399,23 +456,31 @@ class _Compiler:
 
             def packed_tile(slot: int, lo: int, hi: int) -> list:
                 steps, prod = gemm(slot, lanes[lo:hi])
-                # |p_lo| <= K < B/2, so v/B rounds to p_hi and v - B*p_hi
-                # is p_lo; every step is exact in float32.
-                hi_lane = his[slot, : prod.shape[0]]
-                steps += [
-                    partial(np.multiply, prod, 1.0 / base, out=hi_lane),
-                    partial(np.rint, hi_lane, out=hi_lane),
-                ]
-                top = max(0, min(hi, pairs) - lo)
-                if top:
-                    steps.append(decide(hi_lane[: top * pixels], out[half + lo : half + lo + top]))
-                return steps + [
-                    partial(np.multiply, hi_lane, base, out=hi_lane),
-                    partial(np.subtract, prod, hi_lane, out=prod),
-                    decide(prod, out[lo:hi]),
-                ]
+                top = out[half + lo : half + max(lo, min(hi, pairs))]
+                steps += decode(slot, prod, top, slice(None))
+                return steps + [decide(prod, out[lo:hi])]
 
             return calls + self.tiles(packed_tile, half, group), out
+
+        def split_image(x: np.ndarray, out: np.ndarray) -> list:
+            """One image as two half-height lanes: output rows [0, top) in
+            the lo lane, [top, oh) in the hi lane.  Each half reads
+            ``(rows - 1)·s + k`` input rows, so the slabs overlap by k - s
+            rows; a shorter bottom half leaves its tail at hi = 0."""
+            top = -(-oh // 2)
+            top_in, bottom_in, start = (top - 1) * s + k, (oh - top - 1) * s + k, top * s
+            lanes = lanes_buf[:1, :top_in]
+            calls = [
+                partial(np.multiply, x[:, start : start + bottom_in], base,
+                        out=lanes[:, :bottom_in]),
+                partial(np.add, lanes[:, :bottom_in], x[:, :bottom_in],
+                        out=lanes[:, :bottom_in]),
+            ]
+            if top_in > bottom_in:
+                calls.append(partial(np.copyto, lanes[:, bottom_in:], x[:, bottom_in:top_in]))
+            steps, prod = gemm(0, lanes, top)
+            steps += decode(0, prod, out[:, top:], slice(top, None))
+            return calls + steps + [decide(prod, out[:, :top], slice(None, top))]
 
         return build, ("map", oh, ow, oc)
 

@@ -21,6 +21,7 @@ it imports the serving/model stack, which itself imports ``repro.obs``.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,6 +80,8 @@ class TraceRunReport:
     rerun_ratio: float
     completed: int
     wall_seconds: float
+    t_fp_seconds: float                 # Eq. (1)'s host seconds/image...
+    t_fp_source: str                    # ...and how it was measured
 
     def chrome_trace(self) -> dict:
         return to_chrome_trace(self.tracer)
@@ -186,8 +189,18 @@ def run_traced_cascade(config: TraceRunConfig | None = None) -> TraceRunReport:
     completed = snapshot.completed
     rerun_ratio = snapshot.rerun_ratio
     t_bnn = bnn_busy / completed if completed else float("nan")
-    host_images = snapshot.rerun if snapshot.rerun else 1
-    t_fp = host_busy / host_images
+    if snapshot.rerun:
+        t_fp = host_busy / snapshot.rerun
+        t_fp_source = f"measured on the {snapshot.rerun} images the host served"
+    else:
+        # No image reached the host: time the engine directly instead.
+        start = time.perf_counter()
+        host_engine.predict_classes(calib)
+        t_fp = (time.perf_counter() - start) / len(calib)
+        t_fp_source = (
+            f"measured by one direct call on the {len(calib)}-image calibration "
+            "batch (no image reached the host)"
+        )
     eq1 = ladder_eq1_residual(
         snapshot.wall_seconds / completed if completed else float("nan"),
         [t_bnn, t_fp],
@@ -208,6 +221,8 @@ def run_traced_cascade(config: TraceRunConfig | None = None) -> TraceRunReport:
         rerun_ratio=rerun_ratio,
         completed=completed,
         wall_seconds=snapshot.wall_seconds,
+        t_fp_seconds=t_fp,
+        t_fp_source=t_fp_source,
     )
 
 
@@ -237,7 +252,8 @@ def format_trace_report(report: TraceRunReport) -> str:
     lines.append(
         f"Eq. (1) residual: predicted {eq1['predicted_seconds_per_image'] * 1e3:.2f} ms/img, "
         f"measured {eq1['measured_seconds_per_image'] * 1e3:.2f} ms/img "
-        f"({eq1['relative_residual']:+.0%})."
+        f"({eq1['relative_residual']:+.0%}); host t_fp "
+        f"{report.t_fp_seconds * 1e3:.2f} ms/img, {report.t_fp_source}."
     )
     if report.layer_residuals:
         lines.append("")
@@ -276,11 +292,9 @@ def write_simulated_trace(report: TraceRunReport, path: str | Path) -> Path:
 
     completed = max(1, report.completed)
     t_bnn = max(report.bnn_busy_seconds / completed, 1e-9)
-    host_images = max(1, int(round(report.rerun_ratio * completed)))
-    t_fp = max(report.host_busy_seconds / host_images, 1e-9)
     result = simulate_cascade(
         FPGAExecutor(interval_seconds=t_bnn),
-        HostExecutor(seconds_per_image=t_fp),
+        HostExecutor(seconds_per_image=report.t_fp_seconds),
         num_images=completed,
         batch_size=report.config.max_batch_size,
         rerun_ratio=report.rerun_ratio,

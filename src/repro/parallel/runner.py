@@ -57,6 +57,7 @@ import numpy as np
 
 from .. import obs
 from ..serve.resilience import StageFailure
+from ..util.deadline import time_left
 from .child import Child
 
 __all__ = [
@@ -316,21 +317,23 @@ class ParallelHostRunner:
         Does not wait for a running call first: closing its workers
         fails that call's pending shards, so a call stuck on a hung
         worker returns :class:`StageFailure` instead of blocking close
-        forever.
+        forever.  *timeout* bounds the whole call, however many workers
+        hang.
         """
         if self._closed:
             return
         self._closed = True
-        self._close_workers(timeout)
+        left = time_left(timeout)  # one deadline across both passes
+        self._close_workers(left)
         with self._lock:  # the running call is done: reap what it respawned
-            self._close_workers(timeout)
+            self._close_workers(left)
 
-    def _close_workers(self, timeout: float | None) -> None:
+    def _close_workers(self, left) -> None:
         children = [w.child for w in self._workers]
         for child in children:
             child.stop()
         for child in children:
-            child.close(timeout)
+            child.close(left())
 
     def __enter__(self) -> "ParallelHostRunner":
         return self

@@ -75,6 +75,7 @@ import numpy as np
 from .. import obs
 from ..core.dmu import DecisionMakingUnit
 from ..core.ladder import LadderStage
+from ..util.deadline import time_left
 from .controller import AdaptiveThresholdController, LadderThresholdController
 from .metrics import MetricsSnapshot, ServerMetrics
 from .resilience import (
@@ -136,16 +137,6 @@ class _Request:
         # Set whenever the request is put on a rung's inbox; the consuming
         # worker books the wait under "<rung>_queue_wait".
         self.enqueue_ts = submit_ts
-
-
-def _time_left(timeout: float | None) -> Callable[[], float | None]:
-    """Seconds left of one *timeout* that starts now (``None``: unbounded).
-
-    A ``close(timeout)`` that joins several things shares one deadline
-    between them, on the real clock (an injected clock may stand still).
-    """
-    end = None if timeout is None else time.monotonic() + timeout
-    return lambda: None if end is None else max(0.0, end - time.monotonic())
 
 
 class _Inbox:
@@ -563,7 +554,7 @@ class CascadeServer:
         with self._close_lock:
             first = not self._closed
             self._closed = True
-        left = _time_left(timeout)
+        left = time_left(timeout)
         # Drain the table top-down: a rung's inbox closes only once every
         # producer above it has exited (or the deadline passed), so a
         # forward is refused only when its rung could not drain in time —

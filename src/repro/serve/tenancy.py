@@ -57,8 +57,9 @@ import numpy as np
 
 from .. import obs
 from ..obs.ledger import Law, Ledger, tally, violations
+from ..util.deadline import time_left
 from .metrics import SERVER_LAWS, MetricsSnapshot, ServerMetrics
-from .server import CascadeServer, _time_left
+from .server import CascadeServer
 
 if TYPE_CHECKING:
     # Import cycle: repro.cache.front imports repro.serve.  The
@@ -360,7 +361,7 @@ class SharedHostPool:
             self._space_ready.notify_all()
         for work in stranded:
             work.future.set_exception(RuntimeError("shared host pool is closed"))
-        left = _time_left(timeout)
+        left = time_left(timeout)
         for lane in self._lanes:
             lane.join(left())
 
@@ -607,7 +608,7 @@ class MultiTenantServer:
     def close(self, timeout: float | None = 10.0) -> None:
         """Drain every tenant's cascade, then stop the shared pool and the
         tenants' process pools.  *timeout* bounds the whole call."""
-        left = _time_left(timeout)
+        left = time_left(timeout)
         tenants = getattr(self, "_tenants", {}).values()
         for tenant in tenants:
             tenant.frontend.close(left())

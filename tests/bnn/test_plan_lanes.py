@@ -1,11 +1,15 @@
-"""Two images per float32 lane in the compiled plan's binary convs.
+"""Two lanes per float32 value in the compiled plan's binary convs, and
+conv1's plane gather.
 
 A binary conv stage of fan-in K packs the two halves of a chunk into one
 plane, ``x[:⌈n/2⌉] + B·x[⌈n/2⌉:]``, runs one GEMM over half the rows and
-decodes both lanes.  Packing must be invisible: every decision equals
-the XNOR-popcount oracle's, for any fan-in the exactness check admits,
-for odd and even chunks, padded or not, serial and tiled — and a fan-in
-one past the check must stay unpacked.
+decodes both lanes; a one-image chunk on a large enough stage packs its
+top and bottom output rows the same way.  Packing must be invisible:
+every decision equals the XNOR-popcount oracle's, for any fan-in the
+exactness check admits, for odd and even chunks, one image or many,
+padded or not, serial and tiled — and a fan-in one past the check must
+stay unpacked.  conv1 gathers its im2col plane transposed; its float
+accumulator must equal the row layout's bit for bit.
 """
 
 import numpy as np
@@ -13,12 +17,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bnn import FoldedBNN, fold_network
+from repro.bnn import FoldedBNN, FoldedDense, FoldedPool, fold_network
 from repro.bnn import plan as plan_module
 from repro.bnn.inference import FoldedConv
-from repro.bnn.plan import CompiledBNNPlan, _lane_base
+from repro.bnn.plan import CompiledBNNPlan, _fold_float, _lane_base
 from repro.bnn.thresholding import ChannelThresholds
 from repro.data import normalize_to_pm1
+from repro.models import build_finn_cnv
+from repro.nn import functional as F
 
 from oracle import forward_oracle, oracle_stage
 
@@ -147,3 +153,136 @@ def test_plan_matches_uncompiled_at_odd_chunks(
     assert bases and None not in bases
     planes = [buf for buf in plan._buffers if buf.dtype == np.float32]
     assert max(float(buf.max()) for buf in planes) >= min(bases)
+
+
+def _split_spans(plan, n: int = 1) -> set:
+    """Span names of the stages whose n-image program decodes lanes."""
+    _, stages, _ = plan._programs[n]
+    return {span for span, calls in stages if any(c.func is np.rint for c in calls)}
+
+
+@st.composite
+def lane_topologies(draw):
+    """(folded, input shape, stages that split a one-image chunk): an
+    integer-valued float conv1 (its GEMM is exact, whatever the chunk),
+    one to three binary convs — stride 2, padding (position bound tables),
+    odd output heights, fan-ins up to one past the lane limit — an
+    optional pool, an affine output."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(4, 13)), draw(st.integers(4, 13)))
+    c_in, h, w = shape
+    k = draw(st.integers(1, 3))
+    stride, pad = draw(st.sampled_from([1, 2])), draw(st.sampled_from([0, 1]))
+    channels = draw(
+        st.one_of(st.integers(1, 8), st.sampled_from([227, 228, MAX_PACKED_FAN_IN])),
+        label="conv1 channels",
+    )
+    weights = rng.integers(-2, 3, size=(channels, c_in * k * k)).astype(np.float64)
+    thresholds = ChannelThresholds(
+        tau=rng.integers(-6, 7, size=channels) + rng.choice([0.0, 0.5], size=channels),
+        sign=rng.choice([-1.0, 0.0, 1.0], size=channels, p=[0.4, 0.1, 0.5]),
+        constant=rng.choice([-1.0, 1.0], size=channels),
+    )
+    stages = [FoldedConv(weights, k, stride, pad, c_in, thresholds, binary_input=False)]
+    h, w = F.conv_output_size(h, k, stride, pad), F.conv_output_size(w, k, stride, pad)
+    splits = set()
+    for conv in range(2, 2 + draw(st.integers(1, 3), label="binary convs")):
+        pad = draw(st.sampled_from([0, 1]))
+        k = draw(st.integers(1, min(3, h + 2 * pad, w + 2 * pad)))
+        stride = draw(st.sampled_from([1, 2]))
+        out = draw(st.integers(1, 8))
+        stages.append(_conv_stage(rng, k, channels, out, stride, pad))
+        h = F.conv_output_size(h, k, stride, pad)
+        w = F.conv_output_size(w, k, stride, pad)
+        if _lane_base(stages[-1].fan_in, np.float32) is not None and h >= 2:
+            splits.add(f"bnn.conv{conv}")
+        channels = out
+        if min(h, w) >= 2 and draw(st.booleans(), label="pool"):
+            stages.append(FoldedPool(2, 2))
+            h, w = h // 2, w // 2
+    features = channels * h * w
+    classes = draw(st.integers(2, 5))
+    stages.append(FoldedDense(
+        np.where(rng.random((classes, features)) < 0.5, 1.0, -1.0), None,
+        output_scale=rng.normal(size=classes), output_offset=rng.normal(size=classes),
+    ))
+    return FoldedBNN(stages, num_classes=classes), shape, splits
+
+
+@given(
+    case=lane_topologies(),
+    micro_batch=st.integers(1, 3),
+    threads=st.sampled_from([None, 2]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_one_image_chunk_splits_into_half_image_lanes(
+    case, micro_batch, threads, seed, monkeypatch
+):
+    # Every stage the exactness check admits splits, whatever its size.
+    monkeypatch.setattr(plan_module, "_SPLIT_PLANE_BYTES", 0)
+    monkeypatch.setattr(plan_module, "available_cpus", lambda: 2)
+    folded, shape, splits = case
+    images = np.random.default_rng(seed).integers(-3, 4, size=(2,) + shape).astype(np.float64)
+    plan = folded.compile_inference(micro_batch=micro_batch, threads=threads)
+    paired = plan.forward(images)
+    for i in range(2):
+        solo = plan.forward(images[i : i + 1])
+        np.testing.assert_array_equal(solo, forward_oracle(folded, images[i : i + 1], 1))
+        np.testing.assert_array_equal(solo[0], paired[i])
+    assert _split_spans(plan) == splits
+
+
+def test_cnv_one_image_program_splits_conv2_only():
+    """At the benchmark's CNV geometry (scale 0.25, 32x32 input) only
+    conv2's plane (452 KB) is past the split threshold; conv3 (83 KB) and
+    conv4 (115 KB) measured slower split and must stay unpacked."""
+    net = build_finn_cnv(scale=0.25, rng=np.random.default_rng(0))
+    net.eval_mode()
+    plan = fold_network(net).compile_inference(micro_batch=32)
+    plan.forward(np.zeros((1, 3, 32, 32)))
+    assert _split_spans(plan) == {"bnn.conv2"}
+
+
+def _take_rows(images: np.ndarray, k: int, s: int, p: int) -> np.ndarray:
+    """conv1's im2col in the row layout, (n·OH·OW, C·k·k), gathered by
+    one ``np.take`` over flat source indices."""
+    n, c, h, w = images.shape
+    oh, ow = F.conv_output_size(h, k, s, p), F.conv_output_size(w, k, s, p)
+    padded = np.pad(np.asarray(images, dtype=np.float64), ((0, 0), (0, 0), (p, p), (p, p)))
+    index = np.arange(padded[0].size).reshape(padded.shape[1:])
+    sc, sh, sw = index.strides
+    index = np.lib.stride_tricks.as_strided(
+        index, shape=(oh, ow, c, k, k), strides=(sh * s, sw * s, sc, sh, sw)
+    ).reshape(-1)
+    return np.take(padded.reshape(n, -1), index, axis=1).reshape(n * oh * ow, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 32])
+@pytest.mark.parametrize("pad, stride", [(0, 1), (1, 1), (0, 2), (1, 2)])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_conv1_plane_gather_matches_row_layout(n, pad, stride, dtype):
+    micro_batch, c, k, oc, h, w = 32, 3, 3, 16, 32, 31
+    rng = np.random.default_rng(n + 10 * pad + 100 * stride)
+    thresholds = ChannelThresholds(
+        tau=rng.normal(size=oc), sign=rng.choice([-1.0, 1.0], size=oc),
+        constant=np.ones(oc),
+    )
+    stage = FoldedConv(rng.normal(size=(oc, c * k * k)), k, stride, pad, c, thresholds, False)
+    compiler = CompiledBNNPlan(FoldedBNN([stage]), micro_batch=micro_batch)._compiler(
+        np.float32
+    )
+    build, _ = compiler.conv_float(stage, ("float", c, h, w))
+    images = rng.normal(size=(n, c, h, w)).astype(dtype)
+    calls, _ = build(n, None)
+    calls[0](images)
+    plan_module._run_calls(calls[1:])
+
+    oh, ow = F.conv_output_size(h, k, stride, pad), F.conv_output_size(w, k, stride, pad)
+    (acc,) = [b for b in compiler.buffers if b.shape == (micro_batch * oh * ow, oc)]
+    weight_t, _ = _fold_float(stage.weight_matrix, stage.thresholds)
+    expected = np.matmul(_take_rows(images, k, stride, pad), weight_t)
+    np.testing.assert_array_equal(acc[: n * oh * ow], expected)

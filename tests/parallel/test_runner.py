@@ -69,6 +69,15 @@ def hang_host(flag: str, images: np.ndarray) -> np.ndarray:
     return np.zeros(len(images), dtype=np.int64)
 
 
+def pipe_host(flags: str, fifo: str, images: np.ndarray) -> np.ndarray:
+    """Host callable that touches a file in *flags*, then blocks opening
+    the FIFO *fifo* for reading, which no writer ever opens."""
+    Path(flags, str(os.getpid())).touch()
+    with open(fifo, "rb") as pipe:
+        pipe.read()
+    return np.zeros(len(images), dtype=np.int64)
+
+
 def wait_for(path: Path, timeout: float = 60.0) -> None:
     deadline = time.monotonic() + timeout
     while not path.exists():
@@ -262,6 +271,34 @@ class TestFaultContainment:
         assert not caller.is_alive() and len(raised) == 1
         assert raised[0].stage == "host"
         assert pool.worker_stats()[0]["alive"] is False
+
+    def test_close_timeout_bounds_the_whole_close_with_two_hung_workers(self, tmp_path):
+        flags, fifo = tmp_path / "flags", tmp_path / "fifo"
+        flags.mkdir()
+        os.mkfifo(fifo)
+        pool = ParallelHostRunner(
+            predict_fn=partial(pipe_host, str(flags), str(fifo)), n_workers=2
+        )
+        raised = []
+
+        def call():
+            try:
+                pool(make_images(4))
+            except StageFailure as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        deadline = time.monotonic() + 60.0
+        while len(list(flags.iterdir())) < 2:  # both workers are inside the call
+            assert time.monotonic() < deadline, "the workers never entered the call"
+            time.sleep(0.01)
+        start = time.monotonic()
+        pool.close(timeout=0.5)
+        assert time.monotonic() - start < 0.9
+        caller.join(timeout=10.0)
+        assert not caller.is_alive() and len(raised) == 1
+        assert [w["alive"] for w in pool.worker_stats()] == [False, False]
 
     def test_closed_pool_rejects_work(self):
         net = make_net()

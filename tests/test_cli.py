@@ -67,6 +67,19 @@ class TestTraceCommand:
                      "--host-scale", "0.15", "--output", "-"]) == 0
         assert "span summary" in capsys.readouterr().out
 
+    def test_trace_with_no_rerun_times_the_host_directly(self, capsys, tmp_path):
+        import json
+
+        summary_path = tmp_path / "summary.json"
+        assert main([
+            "trace", "--requests", "32", "--scale", "0.1", "--host-scale", "0.15",
+            "--target-rerun", "0", "--output", "-", "--summary-json", str(summary_path),
+        ]) == 0
+        assert "direct call on the 32-image calibration batch" in capsys.readouterr().out
+        eq1 = json.loads(summary_path.read_text())["eq1"]
+        assert eq1["forward_ratios"] == [0.0]
+        assert eq1["stages"][-1]["t_image"] > 0
+
     def test_trace_rejects_bad_args(self):
         with pytest.raises(SystemExit):
             main(["trace", "--requests", "0"])
