@@ -14,14 +14,16 @@ package (ROADMAP's "millions of users" step — until now
   ping health checks and breaker-driven failover; books balance
   ``routed + rejected + failed == submitted`` under chaos.
 * :mod:`~repro.net.client` — blocking client resolving each request to
-  a :class:`WireResult` bit-identical to the in-process answer.
+  the same :class:`~repro.serve.ServeResult` as the in-process answer,
+  bit for bit.
 * :mod:`~repro.net.bench` — the ``repro serve-net`` loopback harness.
 
-See ``docs/NETWORK.md`` for the frame layout, the per-request frame
-state machine, and the failover semantics.
+See ``docs/NETWORK.md`` for the frame layout, the one reply frame per
+request (``DECISION``, ``REJECTED`` or ``ERROR``), and the failover
+semantics.
 """
 
-from .client import NetClient, WireError, WireRejected, WireResult, WireShutdown
+from .client import NetClient, WireError, WireRejected, WireShutdown
 from .frontend import NetFrontend, NetMetrics, NetMetricsSnapshot
 from .protocol import (
     FrameDecoder,
@@ -59,7 +61,6 @@ __all__ = [
     "RouterSnapshot",
     # client
     "NetClient",
-    "WireResult",
     "WireRejected",
     "WireError",
     "WireShutdown",

@@ -3,17 +3,17 @@
 :class:`NetClient` is the caller-side mirror of
 :class:`repro.net.frontend.NetFrontend`: it speaks
 :mod:`repro.net.protocol` over one TCP connection, multiplexes any
-number of in-flight requests by id, and resolves each to a
-:class:`WireResult` — a field-for-field twin of
-:class:`repro.serve.server.ServeResult`, so the loopback tests can
-assert wire answers are *bit-identical* to in-process ``submit()``.
+number of in-flight requests by id, and resolves each to the same
+:class:`repro.serve.server.ServeResult` an in-process ``submit()``
+returns, so the loopback tests can assert wire answers are
+*bit-identical* to it.
 
 A background reader thread drains the socket through a
-:class:`~repro.net.protocol.FrameDecoder` and walks each request's
-frame sequence (``ACCEPTED → DECISION → LOGITS``); terminal frames
-resolve the request's future:
+:class:`~repro.net.protocol.FrameDecoder`.  Each request gets exactly
+one reply frame, which resolves its future:
 
-* ``LOGITS`` — success, the future gets the :class:`WireResult`;
+* ``DECISION`` — success, the future gets a :class:`ServeResult`
+  (``cold_source`` is ``None``: the wire does not carry it);
 * ``REJECTED`` — :class:`WireRejected` (admission refused);
 * ``ERROR`` — :class:`WireError` with the server's typed code;
 * ``SHUTDOWN`` (or a dropped connection) — :class:`WireShutdown` for
@@ -27,17 +27,14 @@ import itertools
 import socket
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..serve.server import ServeResult
 from .protocol import (
-    Accepted,
     Decision,
     Error,
     FrameDecoder,
-    Logits,
     Ping,
     Pong,
     ProtocolError,
@@ -48,30 +45,11 @@ from .protocol import (
 )
 
 __all__ = [
-    "WireResult",
     "WireRejected",
     "WireError",
     "WireShutdown",
     "NetClient",
 ]
-
-
-@dataclass(frozen=True)
-class WireResult:
-    """One classification as observed over the wire.
-
-    Mirrors :class:`~repro.serve.server.ServeResult` plus the terminal
-    ``LOGITS`` confidence vector.
-    """
-
-    prediction: int
-    bnn_prediction: int
-    confidence: float
-    source: str                 # "bnn" | "degraded" | "host" | a rung name
-    latency_seconds: float      # server-side latency, as reported
-    logits: np.ndarray
-
-    rerun = ServeResult.rerun  # one rule for both result types
 
 
 class WireRejected(RuntimeError):
@@ -98,15 +76,6 @@ class WireShutdown(RuntimeError):
     """The connection ended (SHUTDOWN frame or EOF) with work pending."""
 
 
-class _Pending:
-    __slots__ = ("future", "accepted", "decision")
-
-    def __init__(self):
-        self.future: Future = Future()
-        self.accepted = False
-        self.decision: Decision | None = None
-
-
 class NetClient:
     """One connection to a :class:`~repro.net.frontend.NetFrontend`.
 
@@ -119,7 +88,7 @@ class NetClient:
         self._sock.settimeout(None)
         self._send_lock = threading.Lock()
         self._lock = threading.Lock()
-        self._pending: dict[int, _Pending] = {}
+        self._pending: dict[int, Future] = {}
         self._pongs: dict[int, threading.Event] = {}
         self._rid = itertools.count(1)
         self._nonce = itertools.count(1)
@@ -138,7 +107,7 @@ class NetClient:
             self._sock.sendall(payload)
 
     def submit(self, image: np.ndarray, tenant: str = "") -> Future:
-        """Send one image; the future resolves to a :class:`WireResult`.
+        """Send one image; the future resolves to a :class:`ServeResult`.
 
         *tenant* selects the model on a multi-tenant server (protocol
         minor 2); the empty default keeps the request byte-identical to
@@ -148,27 +117,27 @@ class NetClient:
         the server-side terminal exceptions.
         """
         rid = next(self._rid)
-        pending = _Pending()
+        future: Future = Future()
         with self._lock:
             if self._closed:
                 raise WireShutdown("client is closed")
-            self._pending[rid] = pending
+            self._pending[rid] = future
         try:
             self._send(Request(rid, np.asarray(image), tenant=tenant))
         except Exception:
             with self._lock:
                 self._pending.pop(rid, None)
             raise
-        return pending.future
+        return future
 
     def classify(
         self, image: np.ndarray, timeout: float | None = 30.0, tenant: str = ""
-    ) -> WireResult:
+    ) -> ServeResult:
         return self.submit(image, tenant=tenant).result(timeout=timeout)
 
     def classify_many(
         self, images, timeout: float | None = 30.0, tenant: str = ""
-    ) -> list[WireResult]:
+    ) -> list[ServeResult]:
         futures = [self.submit(image, tenant=tenant) for image in images]
         return [f.result(timeout=timeout) for f in futures]
 
@@ -214,54 +183,33 @@ class NetClient:
             if event is not None:
                 event.set()
             return
-        rid = getattr(frame, "request_id", None)
+        if not isinstance(frame, (Decision, Rejected, Error)):
+            return  # a server frame this client does not expect
         with self._lock:
-            pending = self._pending.get(rid)
-        if pending is None:
+            future = self._pending.pop(frame.request_id, None)
+        if future is None:
             return  # stale traffic for an abandoned request
-        if isinstance(frame, Accepted):
-            pending.accepted = True
-        elif isinstance(frame, Decision):
-            pending.decision = frame
-        elif isinstance(frame, Logits):
-            decision = pending.decision
-            self._pop(rid)
-            if decision is None:
-                pending.future.set_exception(
-                    WireError(0, "protocol", "LOGITS before DECISION")
-                )
-            else:
-                pending.future.set_result(WireResult(
-                    prediction=decision.prediction,
-                    bnn_prediction=decision.bnn_prediction,
-                    confidence=decision.confidence,
-                    source=decision.source,
-                    latency_seconds=decision.latency_seconds,
-                    logits=np.asarray(frame.values),
-                ))
+        if isinstance(frame, Decision):
+            future.set_result(ServeResult(
+                prediction=frame.prediction,
+                bnn_prediction=frame.bnn_prediction,
+                confidence=frame.confidence,
+                source=frame.source,
+                latency_seconds=frame.latency_seconds,
+            ))
         elif isinstance(frame, Rejected):
-            self._pop(rid)
-            pending.future.set_exception(
-                WireRejected(frame.code, frame.reason, frame.detail)
-            )
-        elif isinstance(frame, Error):
-            self._pop(rid)
-            pending.future.set_exception(
-                WireError(frame.code, frame.reason, frame.detail)
-            )
-
-    def _pop(self, rid: int) -> None:
-        with self._lock:
-            self._pending.pop(rid, None)
+            future.set_exception(WireRejected(frame.code, frame.reason, frame.detail))
+        else:
+            future.set_exception(WireError(frame.code, frame.reason, frame.detail))
 
     def _fail_all(self, reason: str) -> None:
         with self._lock:
             self._closed = True
             stranded = list(self._pending.values())
             self._pending.clear()
-        for pending in stranded:
-            if not pending.future.done():
-                pending.future.set_exception(WireShutdown(reason))
+        for future in stranded:
+            if not future.done():
+                future.set_exception(WireShutdown(reason))
         # Connection-scoped errors also fail later ping() calls fast.
         for event in list(self._pongs.values()):
             event.set()

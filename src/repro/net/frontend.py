@@ -6,9 +6,10 @@ a :class:`repro.net.router.ShardRouter`) behind a TCP listener speaking
 the :mod:`repro.net.protocol` frames.  The frontend is the admission
 layer of ROADMAP's "millions of users" step: FINN-style sustained
 throughput only holds if overload is shed at the door, so a request
-either enters the cascade (``ACCEPTED``) or is refused immediately with
-a typed ``REJECTED`` frame (the 503 analogue) — it is never silently
-queued into an unbounded buffer.
+either enters the cascade or is refused immediately with a typed
+``REJECTED`` frame (the 503 analogue) — it is never silently queued
+into an unbounded buffer.  Every request gets exactly one reply frame:
+``DECISION``, ``REJECTED`` or ``ERROR``.
 
 Concurrency model
 -----------------
@@ -48,19 +49,15 @@ import threading
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 from .. import obs
 from ..obs.ledger import Law, Ledger, violations
 from ..serve.resilience import DeadlineExceeded, ServerClosed, StageFailure
 from ..serve.tenancy import TenantQuotaExceeded, UnknownTenant
 from . import protocol
 from .protocol import (
-    Accepted,
     Decision,
     Error,
     FrameDecoder,
-    Logits,
     Ping,
     Pong,
     ProtocolError,
@@ -91,7 +88,7 @@ class NetMetricsSnapshot:
     connections: int          # connections accepted
     connections_closed: int
     requests: int             # REQUEST frames read off the wire
-    answered: int             # DECISION+LOGITS sent (the request got a result)
+    answered: int             # DECISION sent (the request got a result)
     rejected: int             # REJECTED sent (admission refused)
     failed: int               # ERROR sent (typed terminal failure)
     protocol_errors: int      # connections failed by malformed bytes
@@ -344,8 +341,8 @@ class NetFrontend:
                 for frame in frames:
                     if isinstance(frame, Request):
                         if not self._handle_request(conn, frame):
-                            # The backend would block: ACCEPTED goes out
-                            # now, the submit waits off the loop.
+                            # The backend would block: replies queued so
+                            # far go out now, the submit waits off the loop.
                             self._flush(conn)
                             await self._submit_blocking(conn, frame)
                     elif isinstance(frame, Ping):
@@ -390,9 +387,9 @@ class NetFrontend:
     def _handle_request(self, conn: _Connection, frame: Request) -> bool:
         """Admit *frame* and submit it without blocking the loop.
 
-        Returns ``False`` when the request is admitted (``ACCEPTED``
-        queued) but the backend would block or has no ``try_submit``:
-        the caller then submits it through :meth:`_submit_blocking`.
+        Returns ``False`` when the request is admitted but the backend
+        would block or has no ``try_submit``: the caller then submits it
+        through :meth:`_submit_blocking`.
         """
         self.metrics.add(requests=1)
         request_id = frame.request_id
@@ -414,7 +411,6 @@ class NetFrontend:
             )
             return True
         self._inflight += 1
-        self._send(conn, Accepted(request_id))
         if frame.tenant or self._try_submit is None:
             return False
         try:
@@ -498,9 +494,6 @@ class NetFrontend:
                     float(result.confidence),
                     float(result.latency_seconds),
                 ),
-            )
-            self._send(
-                conn, Logits(request_id, np.asarray([result.confidence], dtype=np.float64))
             )
         for conn in touched:
             self._flush(conn)

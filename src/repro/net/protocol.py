@@ -17,12 +17,11 @@ Frame layout (all integers big-endian)::
       "RN"      0x01                             <= 16 MiB
 
 Request/response flow for one classification (client frames on the
-left, server frames on the right)::
+left, server frames on the right); every request gets exactly one of
+the three replies::
 
     REQUEST(id, image) ──►
-                         ◄── ACCEPTED(id)            admission granted
-                         ◄── DECISION(id, ...)       cascade answer
-                         ◄── LOGITS(id, confidences) terminal frame
+                         ◄── DECISION(id, ...)       the cascade's answer
     -- or --
                          ◄── REJECTED(id, code)      admission refused (503)
     -- or --
@@ -32,7 +31,8 @@ left, server frames on the right)::
 connection-scoped farewell :meth:`repro.net.frontend.NetFrontend.close`
 sends so half-read connections never observe a silent reset.
 
-Arrays (the image payload and the ``LOGITS`` vector) are encoded as
+Arrays (the image payload and the ``LOGITS`` vector, a frame no
+server sends since minor 3) are encoded as
 ``dtype code (1 B) | ndim (1 B) | shape dims (uint32 each) | raw
 C-order bytes`` — a fixed dtype-code table rather than pickled dtypes,
 so the format is stable across numpy versions and releases (the golden
@@ -84,7 +84,6 @@ __all__ = [
     "Request",
     "Ping",
     "Pong",
-    "Accepted",
     "Rejected",
     "Decision",
     "Logits",
@@ -105,8 +104,11 @@ VERSION = 1
 #: ``REQUEST`` (``docs/TENANCY.md``), the ``"cache"`` decision source
 #: and :data:`REJECT_TENANT`.  A minor-2 feature sent to a minor-1 peer
 #: fails that peer's decode loudly (typed ``CorruptFrame``), never
-#: silently.
-PROTOCOL_MINOR = 2
+#: silently.  Minor 3 drops ``ACCEPTED`` (type 0x10, now an unknown type)
+#: and stops sending ``LOGITS``: ``DECISION`` is the one success reply.
+#: A minor-2 client would wait for a ``LOGITS`` that never arrives; only
+#: this package speaks the protocol, so both ends move together.
+PROTOCOL_MINOR = 3
 
 _HEADER = struct.Struct(">2sBBI")
 HEADER_SIZE = _HEADER.size  # 8 bytes
@@ -118,7 +120,6 @@ MAX_FRAME_BODY = 16 * 1024 * 1024
 # -- frame type codes ---------------------------------------------------------
 _T_REQUEST = 0x01
 _T_PING = 0x02
-_T_ACCEPTED = 0x10
 _T_REJECTED = 0x11
 _T_DECISION = 0x12
 _T_LOGITS = 0x13
@@ -129,7 +130,6 @@ _T_PONG = 0x16
 FRAME_TYPES = {
     "request": _T_REQUEST,
     "ping": _T_PING,
-    "accepted": _T_ACCEPTED,
     "rejected": _T_REJECTED,
     "decision": _T_DECISION,
     "logits": _T_LOGITS,
@@ -322,15 +322,6 @@ class Pong:
 
 
 @dataclass(frozen=True)
-class Accepted:
-    """Server → client: the request passed admission control."""
-
-    request_id: int
-
-    type_name = "accepted"
-
-
-@dataclass(frozen=True)
 class Rejected:
     """Server → client: admission refused (terminal; the 503 frame)."""
 
@@ -347,7 +338,7 @@ class Rejected:
 
 @dataclass(frozen=True)
 class Decision:
-    """Server → client: the cascade's answer for one request."""
+    """Server → client: the cascade's answer for one request (terminal)."""
 
     request_id: int
     prediction: int
@@ -361,11 +352,11 @@ class Decision:
 
 @dataclass(frozen=True, eq=False)
 class Logits:
-    """Server → client: per-stage confidence vector (terminal frame).
+    """A request id and a confidence vector.
 
-    Today the cascade has one confidence unit, so the vector has one
-    entry; the frame is shaped for the N-stage precision ladder
-    (ROADMAP item 2) where each stage contributes a confidence.
+    No server sends it since minor 3 (``DECISION`` already carries the
+    confidence); the type still encodes and decodes so that recorded
+    streams and the benchmark's codec timing keep working.
     """
 
     request_id: int
@@ -433,8 +424,6 @@ def _encode_body(frame) -> tuple[int, bytes]:
         return _T_PING, struct.pack(">Q", frame.nonce)
     if isinstance(frame, Pong):
         return _T_PONG, struct.pack(">Q", frame.nonce)
-    if isinstance(frame, Accepted):
-        return _T_ACCEPTED, struct.pack(">I", frame.request_id)
     if isinstance(frame, Rejected):
         return _T_REJECTED, (
             struct.pack(">IB", frame.request_id, frame.code) + _utf8(frame.detail)
@@ -569,7 +558,6 @@ _DECODERS = {
     _T_REQUEST: _decode_request,
     _T_PING: lambda body: Ping(*_decode_fixed(">Q", body, "ping")),
     _T_PONG: lambda body: Pong(*_decode_fixed(">Q", body, "pong")),
-    _T_ACCEPTED: lambda body: Accepted(*_decode_fixed(">I", body, "accepted")),
     _T_REJECTED: lambda body: Rejected(*_decode_code_detail(body, "rejected")),
     _T_DECISION: _decode_decision,
     _T_LOGITS: _decode_logits,

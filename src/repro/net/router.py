@@ -57,6 +57,7 @@ from ..obs.ledger import Law, Ledger, violations
 from ..parallel import default_start_method
 from ..parallel.child import Child
 from ..serve.resilience import CircuitBreaker
+from ..util.deadline import time_left
 from ..util.hashing import PayloadMemo, rendezvous_order
 
 __all__ = [
@@ -105,7 +106,7 @@ class RouterSnapshot:
     routed: int               # answered by a replica
     rejected: int             # NoHealthyReplica at admission
     failed: int               # typed terminal error after placement
-    failovers: int            # placements that skipped >= 1 preferred replica
+    failovers: int            # routed requests placed past their first choice
     replica_routed: dict[int, int] = field(default_factory=dict)
     replica_failed: dict[int, int] = field(default_factory=dict)
 
@@ -169,9 +170,9 @@ class InProcessReplica:
         self._dead = True
         self._server.close(timeout=0.1)
 
-    def close(self) -> None:
+    def close(self, timeout: float | None = 10.0) -> None:
         self._dead = True
-        self._server.close()
+        self._server.close(timeout=timeout)
 
 
 def _replica_handler(factory: Callable[[], dict]):
@@ -344,9 +345,8 @@ class ShardRouter:
                     inner = replica.submit(image)
                 except Exception:
                     breaker.record_failure()
-                    self.metrics.add(failovers=1)
                     continue
-                if position > 0:
+                if position > 0:  # placed past its first choice
                     self.metrics.add(failovers=1)
                 outer: Future = Future()
                 inner.add_done_callback(
@@ -388,13 +388,19 @@ class ShardRouter:
     def snapshot(self) -> RouterSnapshot:
         return self.metrics.snapshot()
 
-    def close(self, timeout: float = 10.0) -> None:
-        """Close every replica (idempotent)."""
+    def close(self, timeout: float | None = 10.0) -> None:
+        """Close every replica within one *timeout* in all (idempotent).
+
+        A process replica that has not exited when the time is up is
+        killed, which fails its in-flight requests with
+        :class:`ReplicaFailure`.
+        """
         if self._closed:
             return
         self._closed = True
+        left = time_left(timeout)
         for replica in self._replicas:
-            replica.close()
+            replica.close(timeout=left())
 
     def __enter__(self) -> "ShardRouter":
         return self

@@ -66,6 +66,8 @@ from typing import Callable
 
 import numpy as np
 
+from ..util.deadline import time_left
+
 __all__ = ["Child", "serve"]
 
 
@@ -172,7 +174,12 @@ class Child:
         """SIGKILL the child and fail everything it had in flight."""
         self._refuse("killed")
         self._proc.kill()  # a no-op once the child is reaped
-        self._proc.join(timeout=5.0)
+        # Reap by pid, not join(): join waits for EOF on a sentinel pipe
+        # that the child's own forked children (a replica's host pool
+        # workers) hold open for as long as they run.
+        end = time.monotonic() + 5.0
+        while self._proc.is_alive() and time.monotonic() < end:
+            time.sleep(0.001)
         self._fail_pending()
         # A caller reading in result() sees EOF now and lets go.
         if self._reader is None and self._read_lock.acquire(timeout=5.0):
@@ -182,12 +189,13 @@ class Child:
                 self._read_lock.release()
 
     def close(self, timeout: float | None = 10.0) -> None:
-        """Stop, join up to *timeout*, then kill (idempotent)."""
+        """Stop, join for up to *timeout* in all, then kill (idempotent)."""
+        left = time_left(timeout)
         self.stop()
-        self._proc.join(timeout)
+        self._proc.join(left())
         if self._reader is not None and not self._proc.is_alive():
             # Deliver what the child answered before it exited.
-            self._reader.join(5.0 if timeout is None else timeout)
+            self._reader.join(5.0 if timeout is None else left())
         self.kill()
 
     def stop(self) -> None:

@@ -1,5 +1,6 @@
 """Shared helpers for the network-layer test suite (imported, not a conftest)."""
 
+import socket
 import threading
 import time
 from concurrent.futures import Future
@@ -7,6 +8,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+from repro.net import protocol as p
 from repro.serve.server import ServeResult
 
 
@@ -70,3 +72,35 @@ def wait_until(predicate, timeout: float = 10.0, interval: float = 0.005) -> Non
             return
         time.sleep(interval)
     pytest.fail(f"condition not reached within {timeout}s")
+
+
+def read_frames(sock: socket.socket, count: int | None = None) -> list:
+    """Frames off a raw socket: *count* of them, or everything until EOF."""
+    decoder, frames = p.FrameDecoder(), []
+    sock.settimeout(10.0)
+    while count is None or len(frames) < count:
+        data = sock.recv(1 << 16)
+        if not data:
+            break
+        frames += decoder.feed(data)
+    return frames
+
+
+def reply_kinds(address, requests) -> dict[int, list[type]]:
+    """Send *requests* on a raw socket, then a PING; return the frame
+    types each request id read before the PONG came back.
+
+    The frontend handles one connection's frames in order, so by the
+    PONG every request has had all the replies it will get on admission.
+    """
+    decoder, frames = p.FrameDecoder(), []
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(b"".join(map(p.encode_frame, [*requests, p.Ping(99)])))
+        while not frames or not isinstance(frames[-1], p.Pong):
+            data = sock.recv(1 << 16)
+            assert data, "the connection closed before the PONG"
+            frames += decoder.feed(data)
+    return {
+        r.request_id: [type(f) for f in frames if getattr(f, "request_id", None) == r.request_id]
+        for r in requests
+    }

@@ -1,9 +1,10 @@
 """Socket frontend tests: frame flow, admission control, typed shutdown.
 
 The backend here is the controllable :class:`netharness.FakeBackend`
-so each test isolates one frontend behaviour: the ``ACCEPTED → DECISION →
-LOGITS`` happy path, queue-full shedding, typed error mapping, malformed
-peers, and the close-ordering contract (the socket-layer mirror of PR 4's
+so each test isolates one frontend behaviour: the one-``DECISION`` happy
+path, queue-full shedding, typed error mapping (a refused request reads
+exactly one ``REJECTED``), malformed peers, and the close-ordering
+contract (the socket-layer mirror of the server's
 ``ServerClosed`` stranded-futures fix): ``close()`` must resolve every
 pending request with ``ERROR(shutdown)`` and hand every connection —
 including half-read ones — a ``SHUTDOWN`` frame, never a silent reset.
@@ -19,10 +20,11 @@ import pytest
 from repro.net import protocol as p
 from repro.net.client import NetClient, WireError, WireRejected, WireShutdown
 from repro.net.frontend import NetFrontend
-from repro.net.router import NoHealthyReplica
+from repro.net.router import InProcessReplica, NoHealthyReplica, ShardRouter
 from repro.serve.resilience import StageFailure
+from repro.serve.server import ServeResult
 
-from netharness import FakeBackend, wait_until
+from netharness import FakeBackend, reply_kinds, wait_until
 
 
 @pytest.fixture
@@ -39,10 +41,10 @@ class TestHappyPath:
         with NetFrontend(backend) as frontend:
             with NetClient(*frontend.address) as client:
                 result = client.classify(_image(7))
+        assert isinstance(result, ServeResult)
         assert result.prediction == 7
         assert result.source == "bnn"
-        assert result.logits.shape == (1,)
-        assert result.logits.dtype == np.float64
+        assert result.cold_source is None  # the wire does not carry it
         snap = frontend.metrics.snapshot()
         assert snap.requests == snap.answered == 1
         assert snap.balanced
@@ -109,6 +111,15 @@ class TestAdmissionControl:
         assert (snap.requests, snap.rejected) == (1, 1)
         assert snap.balanced
 
+    def test_router_without_a_healthy_replica_replies_rejected_only(self):
+        router = ShardRouter([InProcessReplica(0, FakeBackend())])
+        router.replicas[0].kill()
+        with NetFrontend(router) as frontend:
+            kinds = reply_kinds(frontend.address, [p.Request(1, _image())])
+        router.close()
+        assert kinds == {1: [p.Rejected]}
+        assert router.snapshot().rejected == 1
+
     def test_backend_exception_maps_to_typed_error(self):
         backend = FakeBackend(mode=StageFailure("host", RuntimeError("boom")))
         with NetFrontend(backend) as frontend:
@@ -167,7 +178,7 @@ class TestMalformedPeers:
     def test_server_frame_from_client_is_rejected(self, backend):
         with NetFrontend(backend) as frontend:
             raw = socket.create_connection(frontend.address, timeout=10)
-            raw.sendall(p.encode_frame(p.Accepted(1)))  # nonsense direction
+            raw.sendall(p.encode_frame(p.Pong(1)))  # nonsense direction
             chunks = b""
             while True:
                 data = raw.recv(1 << 16)

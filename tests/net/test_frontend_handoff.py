@@ -4,9 +4,9 @@ The loop submits through the backend's non-blocking ``try_submit`` and
 falls back to the executor only when the backend would block; backend
 completions queue up and wake the loop once per burst; each connection's
 frames are coalesced into one write.  None of that may show on the wire:
-no request is shed by backpressure, every request still reads ``ACCEPTED
-→ DECISION → LOGITS``, and every request gets exactly one terminal frame
-even when results race ``close()``.
+no request is shed by backpressure, and every request reads exactly one
+reply frame (``DECISION`` on success), even when results race
+``close()``.
 """
 
 import random
@@ -23,7 +23,7 @@ from repro.net.client import NetClient
 from repro.net.frontend import NetFrontend, NetMetrics
 from repro.serve import CascadeServer
 
-from netharness import FakeBackend, make_result, wait_until
+from netharness import FakeBackend, make_result, read_frames, wait_until
 
 
 class TryBackend(FakeBackend):
@@ -39,18 +39,6 @@ def _image(value: float = 5.0) -> np.ndarray:
 
 def _send_requests(sock: socket.socket, request_ids) -> None:
     sock.sendall(b"".join(p.encode_frame(p.Request(rid, _image(rid))) for rid in request_ids))
-
-
-def _read_frames(sock: socket.socket, count: int | None = None) -> list:
-    """Frames off a raw socket: *count* of them, or everything until EOF."""
-    decoder, frames = p.FrameDecoder(), []
-    sock.settimeout(10.0)
-    while count is None or len(frames) < count:
-        data = sock.recv(1 << 16)
-        if not data:
-            break
-        frames += decoder.feed(data)
-    return frames
 
 
 def _hold_loop(frontend: NetFrontend) -> threading.Event:
@@ -99,12 +87,16 @@ def test_backpressure_takes_the_executor_and_sheds_nothing():
     requests = 40
     try:
         with NetFrontend(spy) as frontend:
-            with NetClient(*frontend.address) as client:
-                futures = [client.submit(_image(i)) for i in range(requests)]
-                results = [f.result(timeout=30.0) for f in futures]
+            with socket.create_connection(frontend.address, timeout=10) as sock:
+                _send_requests(sock, range(1, requests + 1))
+                frames = read_frames(sock, count=requests)
     finally:
         server.close()
-    assert [r.prediction for r in results] == [i % 10 for i in range(requests)]
+    # One DECISION per request, whichever path submitted it.
+    for rid in range(1, requests + 1):
+        replies = [f for f in frames if f.request_id == rid]
+        assert [type(f) for f in replies] == [p.Decision], (rid, replies)
+        assert replies[0].prediction == rid % 10
     snap = frontend.metrics.snapshot()
     assert (snap.requests, snap.answered, snap.rejected, snap.failed) == (requests, requests, 0, 0)
     # Every request was tried on the loop; the refused ones waited on the
@@ -116,7 +108,7 @@ def test_backpressure_takes_the_executor_and_sheds_nothing():
     assert server.snapshot().submitted == requests
 
 
-def test_every_request_reads_accepted_decision_logits_across_a_burst():
+def test_every_request_reads_one_decision_across_a_burst():
     backend = TryBackend(mode="hold")
     with NetFrontend(backend) as frontend:
         conns = [socket.create_connection(frontend.address, timeout=10) for _ in range(2)]
@@ -128,25 +120,14 @@ def test_every_request_reads_accepted_decision_logits_across_a_burst():
             backend.resolve_held()  # both connections' results in one burst
             release.set()
             for sock in conns:
-                frames = _read_frames(sock, count=15)
+                frames = read_frames(sock, count=5)
                 for rid in range(1, 6):
                     kinds = [type(f) for f in frames if getattr(f, "request_id", None) == rid]
-                    assert kinds == [p.Accepted, p.Decision, p.Logits], (rid, kinds)
+                    assert kinds == [p.Decision], (rid, kinds)
         finally:
             for sock in conns:
                 sock.close()
     assert frontend.metrics.snapshot().answered == 10
-
-
-def test_immediate_results_still_follow_accepted():
-    backend = TryBackend()  # futures are done before the loop sees them
-    with NetFrontend(backend) as frontend:
-        with socket.create_connection(frontend.address, timeout=10) as sock:
-            _send_requests(sock, range(1, 9))
-            frames = _read_frames(sock, count=24)
-    for rid in range(1, 9):
-        kinds = [type(f) for f in frames if f.request_id == rid]
-        assert kinds == [p.Accepted, p.Decision, p.Logits], (rid, kinds)
 
 
 def test_a_burst_of_completions_wakes_the_loop_once():
@@ -232,7 +213,7 @@ class _ResolveOnFail(NetMetrics):
 def _terminal_counts(frames) -> dict[int, int]:
     counts: dict[int, int] = {}
     for frame in frames:
-        if isinstance(frame, (p.Logits, p.Error, p.Rejected)):
+        if isinstance(frame, (p.Decision, p.Error, p.Rejected)):
             counts[frame.request_id] = counts.get(frame.request_id, 0) + 1
     return counts
 
@@ -245,7 +226,7 @@ def test_results_landing_during_close_are_answered_once():
         _send_requests(sock, range(1, 7))
         wait_until(lambda: len(backend.held) == 6)
         frontend.close(drain_timeout=0.0)
-        frames = _read_frames(sock)
+        frames = read_frames(sock)
     assert isinstance(frames[-1], p.Shutdown)
     assert _terminal_counts(frames) == {rid: 1 for rid in range(1, 7)}
     snap = frontend.metrics.snapshot()
@@ -269,7 +250,7 @@ def test_results_racing_close_are_answered_exactly_once():
             racer.start()
             frontend.close(drain_timeout=0.002)
             racer.join()
-            frames = _read_frames(sock)
+            frames = read_frames(sock)
         assert _terminal_counts(frames) == {rid: 1 for rid in range(1, 11)}
         snap = frontend.metrics.snapshot()
         assert snap.answered + snap.failed == snap.requests == 10

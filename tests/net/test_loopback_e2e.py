@@ -4,8 +4,9 @@ Trains a miniature real system (FINN CNV-style BNN, Model-A-style host,
 trained DMU — the integration-suite workbench at reduced scale), serves
 it behind a :class:`~repro.net.frontend.NetFrontend` over real loopback
 sockets, and asserts the :class:`~repro.net.client.NetClient` results
-are **bit-identical** to in-process
-:meth:`repro.serve.CascadeServer.submit` on the same images — the wire
+are the :class:`~repro.serve.ServeResult` that in-process
+:meth:`repro.serve.CascadeServer.submit` returns on the same images,
+**bit-identical** in every field but the latency — the wire
 adds encoding, framing, admission and async plumbing, but not one ULP
 of numerical difference.  Repeated with ``REPRO_HOST_WORKERS=2`` so the
 process-parallel host path is under the same contract.
@@ -22,7 +23,7 @@ from repro.net.client import NetClient
 from repro.net.frontend import NetFrontend
 from repro.net.router import InProcessReplica, ShardRouter
 from repro.nn import Adam, SoftmaxCrossEntropy, SquaredHinge, Trainer
-from repro.serve import CascadeServer
+from repro.serve import CascadeServer, ServeResult
 
 NUM_E2E_IMAGES = 24
 
@@ -93,15 +94,16 @@ def baseline(tiny_cascade):
 
 
 def assert_bit_identical(wire_results, baseline_results):
+    assert len(wire_results) == len(baseline_results)
     for wire, base in zip(wire_results, baseline_results):
-        assert wire.prediction == base.prediction
-        assert wire.bnn_prediction == base.bnn_prediction
-        assert wire.source == base.source
+        assert isinstance(wire, ServeResult)
         # Bit-identical, not approximately equal: the float64 confidence
-        # must survive DMU → DECISION frame → client without drift.
-        assert wire.confidence == base.confidence
-        assert wire.logits.shape == (1,)
-        assert float(wire.logits[0]) == base.confidence
+        # must survive DMU → DECISION frame → client without drift.  Only
+        # the latency, measured per run, may differ.
+        assert (wire.prediction, wire.bnn_prediction, wire.confidence, wire.source) == (
+            base.prediction, base.bnn_prediction, base.confidence, base.source
+        )
+        assert wire.cold_source is base.cold_source is None
 
 
 class TestLoopbackE2E:

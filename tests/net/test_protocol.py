@@ -59,7 +59,6 @@ def _reconstruct(entry: dict):
         "request_scalar_f64": lambda: p.Request(1, np.array(2.5, dtype=np.float64)),
         "ping": lambda: p.Ping(0x1122334455667788),
         "pong": lambda: p.Pong(42),
-        "accepted": lambda: p.Accepted(12345),
         "rejected_queue_full": lambda: p.Rejected(
             9, p.REJECT_QUEUE_FULL, "256 requests in flight (max 256)"
         ),
@@ -154,12 +153,6 @@ class TestRoundTrip:
             frame = cls(nonce)
             decoded, _ = p.decode_frame(p.encode_frame(frame))
             assert decoded == frame
-
-    @given(request_id=UINT32)
-    @settings(max_examples=30, deadline=None)
-    def test_accepted(self, request_id):
-        decoded, _ = p.decode_frame(p.encode_frame(p.Accepted(request_id)))
-        assert decoded == p.Accepted(request_id)
 
     @given(request_id=UINT32, code=st.integers(0, 255), detail=DETAIL)
     @settings(max_examples=60, deadline=None)
@@ -272,6 +265,13 @@ class TestMalformedFrames:
         with pytest.raises(p.UnknownFrameType):
             p.decode_frame(self.GOOD[:3] + bytes([0x7F]) + self.GOOD[4:])
 
+    def test_retired_accepted_type_is_unknown(self):
+        # 0x10 was ACCEPTED until minor 3; a peer that still sends it
+        # fails typed, like any other unknown type.
+        raw = struct.pack(">2sBBI", p.MAGIC, p.VERSION, 0x10, 4) + struct.pack(">I", 12345)
+        with pytest.raises(p.UnknownFrameType, match="0x10"):
+            p.decode_frame(raw)
+
     def test_oversize_length_rejected_from_header_alone(self):
         # 8 header bytes advertising a 1 GiB body: rejected immediately,
         # without waiting for (or buffering) the body.
@@ -348,7 +348,7 @@ class TestFrameDecoder:
         assert decoder.pending_bytes == 0
 
     def test_multiple_frames_in_one_chunk(self):
-        frames = [p.Accepted(1), p.Accepted(2), p.Pong(3)]
+        frames = [p.Pong(1), p.Pong(2), p.Ping(3)]
         decoder = p.FrameDecoder()
         assert decoder.feed(b"".join(p.encode_frame(f) for f in frames)) == frames
 
@@ -370,7 +370,7 @@ class TestFrameDecoder:
         frames=st.lists(
             st.one_of(
                 UINT64.map(p.Ping),
-                UINT32.map(p.Accepted),
+                UINT64.map(p.Pong),
                 st.tuples(UINT32, wire_arrays(max_side=4)).map(
                     lambda t: p.Request(*t)
                 ),

@@ -2,14 +2,18 @@
 
 Most tests use :class:`~repro.net.router.InProcessReplica` around the
 controllable fake backend so placement and failure handling are
-deterministic and fast; one lifecycle test exercises a real
-:class:`~repro.net.router.ProcessReplica` (spawn → submit → ping →
-kill → typed in-flight failure).  The invariant every test ends on::
+deterministic and fast; the lifecycle tests exercise real
+:class:`~repro.net.router.ProcessReplica` children (spawn → submit → ping →
+kill → typed in-flight failure, and a bounded close of replicas whose
+host hangs).  The invariant every test ends on::
 
     routed + rejected + failed == submitted
 """
 
+import os
+import time
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +124,31 @@ class TestFailover:
         assert (snap.submitted, snap.rejected) == (1, 1)
         assert snap.balanced
 
+    def test_a_raise_then_a_placement_books_one_failover(self):
+        router, backends = make_router(2, modes=[ReplicaFailure(0, "boom"), "resolve"])
+        router.submit(np.zeros(4)).result(timeout=10.0)  # round-robin: 0 first
+        snap = router.snapshot()
+        assert (snap.routed, snap.failovers) == (1, 1)
+        assert len(backends[1].submitted) == 1
+        assert snap.balanced
+
+    def test_a_dead_replica_then_a_placement_books_one_failover(self):
+        router, _ = make_router(2)
+        router.replicas[0].kill()
+        router.submit(np.zeros(4)).result(timeout=10.0)
+        snap = router.snapshot()
+        assert (snap.routed, snap.failovers) == (1, 1)
+        assert snap.balanced
+
+    def test_a_request_every_replica_refuses_books_no_failover(self):
+        boom = ReplicaFailure(0, "boom")
+        router, _ = make_router(2, modes=[boom, boom])
+        with pytest.raises(NoHealthyReplica):
+            router.submit(np.zeros(4))
+        snap = router.snapshot()
+        assert (snap.submitted, snap.rejected, snap.failovers) == (1, 1, 0)
+        assert snap.balanced
+
     def test_in_flight_failure_is_typed_not_replayed(self):
         router, backends = make_router(2, modes=["hold", "resolve"])
         fut = router.submit(np.zeros(4))  # round-robin: replica 0 first
@@ -196,6 +225,35 @@ class TestProcessReplica:
         finally:
             replica.close(timeout=5.0)
 
+    def test_close_timeout_bounds_the_whole_close(self, tmp_path):
+        # Each replica's host blocks on a FIFO no writer opens, so neither
+        # replica's server can drain: close(0.5) must share its 0.5 s
+        # between them and kill both, not wait 10 s per replica.
+        flags, fifo = tmp_path / "flags", tmp_path / "fifo"
+        flags.mkdir()
+        os.mkfifo(fifo)
+        router = ShardRouter.spawn(partial(_fifo_host_factory, str(flags), str(fifo)), 2)
+        try:
+            image = make_oracle_images(1, seed=3, signal=0.0)[0]
+            futures = [router.submit(image) for _ in range(2)]  # round-robin: one each
+            deadline = time.monotonic() + 60.0
+            while len(list(flags.iterdir())) < 2:  # both hosts are inside the call
+                assert time.monotonic() < deadline, "the hosts never entered the call"
+                time.sleep(0.01)
+            start = time.monotonic()
+            router.close(0.5)
+            assert time.monotonic() - start < 0.9
+            for future in futures:
+                with pytest.raises(ReplicaFailure):
+                    future.result(timeout=10.0)
+            assert router.alive() == [False, False]
+        finally:
+            router.close(0.5)
+            # With a host pool the blocked host runs in a pool worker that
+            # outlives its killed replica: open the FIFO's write end once
+            # so that worker reads EOF and exits instead of lingering.
+            os.close(os.open(fifo, os.O_RDWR | os.O_NONBLOCK))
+
     def test_factory_error_is_reported(self):
         with pytest.raises(RuntimeError, match="failed to start"):
             ProcessReplica(0, _broken_factory)
@@ -216,6 +274,23 @@ class TestProcessReplica:
 
 def _broken_factory():
     raise RuntimeError("no cascade for you")
+
+
+def fifo_host(flags: str, fifo: str, images: np.ndarray) -> np.ndarray:
+    """Host callable that touches a file in *flags*, then blocks opening
+    the FIFO *fifo* for reading, which no writer ever opens."""
+    Path(flags, str(os.getpid())).touch()
+    with open(fifo, "rb") as pipe:
+        pipe.read()
+    return np.zeros(len(images), dtype=np.int64)
+
+
+def _fifo_host_factory(flags: str, fifo: str) -> dict:
+    # Threshold 1.0: no oracle margin reaches it, so every image reruns.
+    return dict(
+        oracle_replica_kwargs(threshold=1.0),
+        host_predict_fn=partial(fifo_host, flags, fifo),
+    )
 
 
 def _cached_factory():

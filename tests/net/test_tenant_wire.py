@@ -23,7 +23,7 @@ from repro.net.client import NetClient, WireRejected
 from repro.net.frontend import NetFrontend
 from repro.serve.tenancy import TenantQuotaExceeded, UnknownTenant
 
-from netharness import FakeBackend, make_result
+from netharness import FakeBackend, make_result, reply_kinds
 
 TENANT_NAMES = st.text(
     alphabet=st.characters(codec="utf-8", exclude_categories=("Cs",)),
@@ -110,8 +110,8 @@ class TestCacheSourceEncoding:
         assert p.Rejected(1, p.REJECT_TENANT).reason == "unknown_tenant"
         assert p.REJECT_TENANT in p.REJECT_NAMES
 
-    def test_protocol_minor_is_two(self):
-        assert p.PROTOCOL_MINOR == 2
+    def test_protocol_minor_is_three(self):
+        assert p.PROTOCOL_MINOR == 3
         assert p.SOURCE_TO_CODE["cache"] == 3
 
 
@@ -173,6 +173,18 @@ class TestFrontendTenantRouting:
                 with pytest.raises(WireRejected) as excinfo:
                     client.classify(_image(), tenant="model-a")
         assert excinfo.value.code == p.REJECT_QUEUE_FULL
+
+    def test_refused_tenant_requests_read_exactly_one_rejected(self):
+        backend = FakeTenantBackend(quota=1)
+        with NetFrontend(backend) as frontend:
+            kinds = reply_kinds(frontend.address, [
+                p.Request(1, _image(), tenant="model-x"),  # unknown tenant
+                p.Request(2, _image(), tenant="model-a"),
+                p.Request(3, _image(), tenant="model-a"),  # over the quota
+            ])
+        assert kinds == {1: [p.Rejected], 2: [p.Decision], 3: [p.Rejected]}
+        snap = frontend.metrics.snapshot()
+        assert (snap.requests, snap.answered, snap.rejected) == (3, 1, 2)
 
     def test_single_tenant_backend_refuses_tenant_addressed_frames(self):
         backend = FakeBackend()  # no tenant_names attribute
