@@ -39,6 +39,14 @@ Each process replica is a :class:`repro.parallel.child.Child`, the same
 child-process channel as each host pool worker: one duplex pipe, images
 as raw bytes after a small header, ping/stop and the orphan guard
 written once (the message table is in :mod:`repro.parallel.child`).
+
+Replica caches
+--------------
+A replica whose factory asks for ``cache_max_bytes`` gets its result
+cache and single-flight on the *router's* side of its pipe, in its
+:class:`ProcessReplica` handle: a repeat resolves inside :meth:`submit`
+with a dict lookup, and only misses cross to the child.  A hit is still
+booked ``routed`` on its replica.
 """
 
 from __future__ import annotations
@@ -48,11 +56,13 @@ import itertools
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .. import obs
+from ..cache import CachingFrontend, ResultCache
 from ..obs.ledger import Law, Ledger, violations
 from ..parallel import default_start_method
 from ..parallel.child import Child
@@ -171,21 +181,23 @@ class InProcessReplica:
         self._server.close(timeout=0.1)
 
     def close(self, timeout: float | None = 10.0) -> None:
-        self._dead = True
-        self._server.close(timeout=timeout)
+        """Close the server; after :meth:`kill`, return at once."""
+        if not self._dead:
+            self._dead = True
+            self._server.close(timeout=timeout)
 
 
 def _replica_handler(factory: Callable[[], dict]):
-    """Build a replica's cascade in the child (see :class:`ProcessReplica`)."""
+    """Build a replica's cascade in the child (see :class:`ProcessReplica`).
+
+    The factory's ``cache_max_bytes`` is reported in the ready info, not
+    built here: the replica's cache lives in its parent-side handle.
+    """
     from ..serve.server import CascadeServer
 
     kwargs = factory()
-    cache_max_bytes = kwargs.pop("cache_max_bytes", 0)
+    cache_max_bytes = int(kwargs.pop("cache_max_bytes", 0))
     server = CascadeServer(**kwargs)
-    if cache_max_bytes:
-        from ..cache import CachingFrontend, ResultCache
-
-        server = CachingFrontend(server, ResultCache(max_bytes=int(cache_max_bytes)))
 
     def submit(kind: str, array: np.ndarray) -> Future:
         try:
@@ -195,7 +207,7 @@ def _replica_handler(factory: Callable[[], dict]):
             refused.set_exception(exc)
             return refused
 
-    return submit, server.close
+    return submit, server.close, {"cache_max_bytes": cache_max_bytes}
 
 
 class ProcessReplica(Child):
@@ -206,11 +218,15 @@ class ProcessReplica(Child):
     answers from its server's done-callback.  *factory* returns the
     :class:`~repro.serve.CascadeServer` keyword arguments and runs in the
     child (trained networks, fault injectors are built post-fork).  An
-    extra ``cache_max_bytes`` key, when truthy, wraps the replica in a
-    :class:`~repro.cache.CachingFrontend` of that byte budget; with
+    extra ``cache_max_bytes`` key, when truthy, gives the replica one
+    result cache of that byte budget: the child reports it when ready,
+    and this handle puts :attr:`cache_frontend`, a
+    :class:`~repro.cache.CachingFrontend`, in front of its own pipe.  A
+    hit, or a follower of an in-flight miss, never crosses the pipe; with
     rendezvous placement the image bytes that pick a replica also name
     its cache entry, so repeats land where their answer is cached.
-    Death fails every in-flight future with :class:`ReplicaFailure`.
+    Death fails every in-flight future with :class:`ReplicaFailure`, and
+    a dead or closed replica refuses every submit, cached or not.
     """
 
     def __init__(
@@ -233,8 +249,23 @@ class ProcessReplica(Child):
             spawn_timeout_s=spawn_timeout_s,
             error=functools.partial(ReplicaFailure, index),
         )
+        #: The replica's cache and single-flight, or ``None`` without a budget.
+        self.cache_frontend: CachingFrontend | None = None
+        self._submit = self._send_image
+        budget = self.info["cache_max_bytes"]
+        if budget:
+            # The frontend's backend is the pipe itself, not this submit.
+            self.cache_frontend = CachingFrontend(
+                SimpleNamespace(submit=self._send_image), ResultCache(max_bytes=budget)
+            )
+            self._submit = self.cache_frontend.submit
 
     def submit(self, image: np.ndarray) -> Future:
+        if self._dead is not None:  # refused before any cache lookup
+            raise self._error(self._dead)
+        return self._submit(image)
+
+    def _send_image(self, image: np.ndarray) -> Future:
         return self.request("submit", array=image)
 
 

@@ -11,7 +11,7 @@ pipe.  One message table covers both users:
 ============================================  ==============================  ===========================
 parent -> child                               child -> parent                 meaning
 ============================================  ==============================  ===========================
-—                                             ``('ready',)``                  handler built, serving
+—                                             ``('ready', info)``             handler built, serving
 —                                             ``('init_error', traceback)``   build raised; child exits
 ``('request', rid, kind, fields, layout)``    ``('result', rid, value)``      run the handler
 \\ + the array's raw bytes when ``layout``    ``('error', rid, detail)``      the handler raised
@@ -74,15 +74,16 @@ __all__ = ["Child", "serve"]
 class Child:
     """Parent handle of one child process running :func:`serve`.
 
-    *build* runs in the child and returns ``(handle, close)``:
+    *build* runs in the child and returns ``(handle, close, info)``:
     ``handle(kind, *fields, array=None)`` answers one request with a
-    value or a ``Future``; ``close`` (or ``None``) runs after ``stop``.
-    Under ``spawn`` it must pickle.  *error* turns a failure detail (the
-    handler's traceback, ``"process died"``, ``"killed"``, ``"closed"``)
-    into the exception every failed future carries.  *daemon* is
-    ``False`` only for a child that starts children of its own.  With
-    *reader_thread* ``False`` replies are read only inside
-    :meth:`result` (see the module docs).
+    value or a ``Future``; ``close`` (or ``None``) runs after ``stop``;
+    ``info`` (or ``None``) rides the ``ready`` message and is kept as
+    :attr:`info`.  Under ``spawn`` *build* must pickle; *info* always
+    must.  *error* turns a failure detail (the handler's traceback,
+    ``"process died"``, ``"killed"``, ``"closed"``) into the exception
+    every failed future carries.  *daemon* is ``False`` only for a child
+    that starts children of its own.  With *reader_thread* ``False``
+    replies are read only inside :meth:`result` (see the module docs).
     """
 
     def __init__(
@@ -122,6 +123,8 @@ class Child:
         if reply[0] != "ready":
             self.kill()
             raise RuntimeError(f"{name} failed to start: {reply[1]}")
+        #: What the child's build reported in its ``ready`` message.
+        self.info = reply[1]
         if reader_thread:
             self._reader = threading.Thread(target=self._read, name=f"{name}-reader", daemon=True)
             self._reader.start()
@@ -281,7 +284,7 @@ class Child:
 def serve(conn, build: Callable) -> None:
     """Child half: build the handler, then answer *conn* until stop or EOF."""
     try:
-        handle, close = build()
+        handle, close, info = build()
     except BaseException:
         try:
             conn.send(("init_error", traceback.format_exc()))
@@ -308,7 +311,7 @@ def serve(conn, build: Callable) -> None:
         else:
             reply("error", rid, repr(exc))
 
-    conn.send(("ready",))
+    conn.send(("ready", info))
     parent = multiprocessing.parent_process()
     watch = [conn] if parent is None else [conn, parent.sentinel]
     try:

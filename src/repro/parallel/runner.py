@@ -175,7 +175,7 @@ def _shard_handler(worker_id: int, payload):
             raise ValueError(f"compute returned {values.shape[0]} results for {n} images")
         return values, time.perf_counter() - start
 
-    return run, None
+    return run, None, None
 
 
 @dataclass(eq=False)

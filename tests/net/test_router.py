@@ -5,11 +5,14 @@ controllable fake backend so placement and failure handling are
 deterministic and fast; the lifecycle tests exercise real
 :class:`~repro.net.router.ProcessReplica` children (spawn → submit → ping →
 kill → typed in-flight failure, and a bounded close of replicas whose
-host hangs).  The invariant every test ends on::
+host hangs), and the replica-cache tests show that a cached replica
+answers repeats on the router's side of its pipe.  The invariant every
+test ends on::
 
     routed + rejected + failed == submitted
 """
 
+import itertools
 import os
 import time
 from functools import partial
@@ -26,7 +29,9 @@ from repro.net.router import (
     ReplicaFailure,
     ShardRouter,
 )
+from repro.serve.oracle import OracleStage
 from repro.serve.resilience import CircuitBreaker
+from repro.util.hashing import rendezvous_order
 
 from netharness import FakeBackend, wait_until
 
@@ -270,6 +275,174 @@ class TestProcessReplica:
             assert hit.prediction == cold.prediction
         finally:
             replica.close(timeout=5.0)
+
+
+class TestReplicaCache:
+    """A cached replica answers repeats in the router's process.
+
+    The child's BNN touches one file per call in a flags dir and, once
+    the ``wedge`` flag exists, blocks opening a FIFO, so a repeat that
+    reached the child's cascade could not answer.  A spy on the handle's
+    ``request`` records what crosses the pipe.
+    """
+
+    def test_a_repeat_answers_while_the_child_is_wedged(self, wedge, monkeypatch):
+        flags, fifo = wedge
+        replica = ProcessReplica(0, partial(_wedgeable_factory, str(flags), str(fifo)))
+        try:
+            sent = _record_crossings(monkeypatch, replica)
+            image = make_oracle_images(1, seed=5, signal=4.0)[0]
+            cold = replica.submit(image).result(timeout=30.0)
+            (flags / "wedge").touch()
+            hit = replica.submit(image).result(timeout=10.0)
+            assert hit.source == "cache" and hit.cold_source == cold.source
+            assert hit.prediction == cold.prediction
+            assert _calls(flags, replica.pid) == 1
+            assert sent == ["submit"]  # only the cold request crossed
+        finally:
+            _unwedge(flags, fifo)
+            replica.close(timeout=5.0)
+
+    def test_one_uncached_image_crosses_the_pipe_once(self, wedge, monkeypatch):
+        flags, fifo = wedge
+        replica = ProcessReplica(0, partial(_wedgeable_factory, str(flags), str(fifo)))
+        try:
+            sent = _record_crossings(monkeypatch, replica)
+            (flags / "wedge").touch()
+            image = make_oracle_images(1, seed=6, signal=4.0)[0]
+            leader = replica.submit(image)
+            wait_until(lambda: _calls(flags, replica.pid) == 1, timeout=30.0)
+            follower = replica.submit(image)  # the leader is inside the BNN
+            assert sent == ["submit"]
+            assert not leader.done() and not follower.done()
+            _release(flags, fifo)
+            led, followed = leader.result(timeout=30.0), follower.result(timeout=30.0)
+            assert led.source in ("bnn", "host") and followed.source == "cache"
+            assert followed.cold_source == led.source
+            assert followed.prediction == led.prediction
+            flights = replica.cache_frontend.single_flight_snapshot()
+            assert (flights.leaders, flights.followers, flights.in_flight) == (1, 1, 0)
+            assert _calls(flags, replica.pid) == 1
+        finally:
+            _unwedge(flags, fifo)
+            replica.close(timeout=5.0)
+
+    @pytest.mark.parametrize("end", ["kill", "close"])
+    def test_a_dead_replica_refuses_a_cached_key(self, end):
+        replica = ProcessReplica(0, _cached_factory)
+        try:
+            image = make_oracle_images(1, seed=5, signal=4.0)[0]
+            replica.submit(image).result(timeout=30.0)
+            assert replica.submit(image).result(timeout=30.0).source == "cache"
+            lookups = replica.cache_frontend.cache_snapshot().lookups
+            getattr(replica, end)()
+            with pytest.raises(ReplicaFailure):
+                replica.submit(image)
+            assert replica.cache_frontend.cache_snapshot().lookups == lookups
+        finally:
+            replica.close(timeout=5.0)
+
+    def test_router_books_each_hit_on_its_placed_replica(self, wedge, monkeypatch):
+        flags, fifo = wedge
+        router = ShardRouter.spawn(
+            partial(_wedgeable_factory, str(flags), str(fifo)), 2, placement="rendezvous"
+        )
+        try:
+            sent = [_record_crossings(monkeypatch, r) for r in router.replicas]
+            images = make_oracle_images(8, seed=7, signal=4.0)
+            owners = [rendezvous_order(image, 2)[0] for image in images]
+            assert set(owners) == {0, 1}  # the test needs both replicas to own images
+            colds = router.classify_many(images, timeout=30.0)
+            (flags / "wedge").touch()
+            for image, owner, cold in zip(images, owners, colds):
+                before = router.snapshot().replica_routed[owner]
+                hit = router.submit(image)
+                # Answered and booked inside submit, in the router's process.
+                assert hit.done()
+                assert router.snapshot().replica_routed[owner] == before + 1
+                result = hit.result(timeout=0)
+                assert result.source == "cache" and result.cold_source == cold.source
+            snap = router.snapshot()
+            assert snap.balanced and snap.in_flight == 0
+            assert (snap.submitted, snap.routed, snap.failovers) == (16, 16, 0)
+            owned = [owners.count(index) for index in (0, 1)]
+            assert snap.replica_routed == {0: 2 * owned[0], 1: 2 * owned[1]}
+            assert [len(s) for s in sent] == owned
+            assert [_calls(flags, r.pid) for r in router.replicas] == owned
+        finally:
+            _unwedge(flags, fifo)
+            router.close(5.0)
+
+
+@pytest.fixture
+def wedge(tmp_path):
+    """The flags dir and FIFO of :func:`flagged_bnn`."""
+    flags, fifo = tmp_path / "flags", tmp_path / "fifo"
+    flags.mkdir()
+    os.mkfifo(fifo)
+    return flags, fifo
+
+
+_BNN_CALLS = itertools.count()
+
+
+def flagged_bnn(flags: str, fifo: str, images: np.ndarray) -> np.ndarray:
+    """Oracle BNN scores that touch one file per call in *flags*; while
+    *flags*/wedge exists, a call first blocks opening the FIFO *fifo*."""
+    Path(flags, f"call-{os.getpid()}-{next(_BNN_CALLS)}").touch()
+    if Path(flags, "wedge").exists():
+        with open(fifo, "rb") as pipe:
+            pipe.read()
+    return OracleStage(answer="scores")(images)
+
+
+def _wedgeable_factory(flags: str, fifo: str) -> dict:
+    return dict(
+        _cached_factory(),
+        bnn_scores_fn=partial(flagged_bnn, flags, fifo),
+        max_batch_size=1,
+    )
+
+
+def _calls(flags: Path, pid: int) -> int:
+    """BNN calls replica process *pid* has made."""
+    return len(list(flags.glob(f"call-{pid}-*")))
+
+
+def _record_crossings(monkeypatch, replica) -> list:
+    """The kind of every request *replica* sends down its pipe, from now on."""
+    sent = []
+    request = replica.request
+
+    def spy(kind, *fields, **kwargs):
+        sent.append(kind)
+        return request(kind, *fields, **kwargs)
+
+    monkeypatch.setattr(replica, "request", spy)
+    return sent
+
+
+def _release(flags: Path, fifo: Path) -> None:
+    """Unwedge, then let the one call blocked opening *fifo* return: open
+    the write end once that call holds the read end, and close it (EOF)."""
+    (flags / "wedge").unlink()
+    fds = []
+
+    def opened() -> bool:
+        try:
+            fds.append(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:  # ENXIO: no reader yet
+            return False
+        return True
+
+    wait_until(opened, timeout=30.0)
+    os.close(fds[0])
+
+
+def _unwedge(flags: Path, fifo: Path) -> None:
+    """Teardown: no call blocks from now on, and one blocked now returns."""
+    (flags / "wedge").unlink(missing_ok=True)
+    os.close(os.open(fifo, os.O_RDWR | os.O_NONBLOCK))
 
 
 def _broken_factory():

@@ -31,9 +31,9 @@ from repro.serve.server import CascadeServer
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
-def toy_handler(flag: str | None = None):
+def toy_handler(flag: str | None = None, info=None):
     """``sum`` answers at once, ``later`` from a future, ``hang`` never;
-    ``exit`` raises ``SystemExit``."""
+    ``exit`` raises ``SystemExit``.  Reports *info* when ready."""
     later: list[Future] = []
 
     def handle(kind, *fields, array=None):
@@ -56,7 +56,7 @@ def toy_handler(flag: str | None = None):
             sys.exit(3)
         raise ValueError(f"no such request {kind!r}")
 
-    return handle, None
+    return handle, None, info
 
 
 def broken_handler():
@@ -70,7 +70,7 @@ class ToyFailure(RuntimeError):
 def spawn_toy(**kwargs) -> Child:
     kwargs.setdefault("error", ToyFailure)
     return Child(
-        partial(toy_handler, kwargs.pop("flag", None)),
+        partial(toy_handler, kwargs.pop("flag", None), kwargs.pop("info", None)),
         name="toy", start_method=default_start_method(), **kwargs,
     )
 
@@ -119,6 +119,15 @@ class TestChild:
             with pytest.raises(KeyError, match="SystemExit"):
                 child.result(child.request("exit"), 10.0)
             assert child.result(child.request("sum", array=np.ones(3)), 10.0) == 3
+        finally:
+            child.close(timeout=5.0)
+
+    @pytest.mark.parametrize("info", [None, {"cache_max_bytes": 4096}], ids=["none", "dict"])
+    def test_ready_carries_what_the_build_reported(self, reader_thread, info):
+        child = spawn_toy(reader_thread=reader_thread, info=info)
+        try:
+            assert child.info == info
+            assert child.result(child.request("sum", array=np.ones(2)), 10.0) == 2
         finally:
             child.close(timeout=5.0)
 
