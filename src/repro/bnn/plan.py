@@ -69,32 +69,20 @@ channels become ``∓inf`` bounds.  Planes are float32 — every product and
 partial sum is an integer below ``_F32_EXACT_LIMIT`` — and float64 when a
 fan-in reaches that limit.
 
-Scheduling is fixed at compile time, as FINN fixes each engine's
-schedule at synthesis.  Compiling for an input geometry resolves every
-stage (folded weights and bounds, tile size, lane base) and allocates its
-buffers.  The first chunk of each size n ≤ ``micro_batch`` then builds
-that size's *program*: a flat list of numpy calls
-(``functools.partial`` over views of those buffers) that every later
-n-image chunk replays with no per-call Python beyond the loop.  The views
-carry everything that depends on n: the ``as_strided`` windows, the
-``[:n]`` slices and reshapes, the tile bounds and slot assignment, the
-lane halves and an odd chunk's unpartnered image, a one-image chunk's
-row halves, the decode slices.
-Only the first call, conv1's input copy, takes the chunk.  A
-conv stage's gather→GEMM→compare runs over image groups sized so one
-im2col tile fits ``_PLANE_TILE_BYTES`` (it is read back by the GEMM while
-still cache-resident).  ``threads=`` gives each of up to that many slots
-its own call list and maps the lists over a thread pool capped at the
-CPUs the process may run on; without it the tiles run serially, and
-integer-exact tiles make the result independent of the split.  Every
-foldable topology compiles; a stage whose input cannot feed it (wrong
-channel count or fan-in, a window that does not fit, a stage after the
-output layer) raises ``ValueError`` when the plan compiles for an input
-geometry, and leaves the plan as it was.
-
-Buffers: every plane, product and map buffer is allocated once per
-geometry, sized for ``micro_batch``; programs hold only ``[:n]`` views of
-them, so the set never grows, whatever batch sizes arrive.
+The plan is a :class:`repro.nn.program.Program` (one compile per input
+geometry, one replayed call list per chunk size).  Its views carry
+everything that depends on the chunk size n: the ``as_strided`` windows,
+the ``[:n]`` slices, the tile bounds and slot assignment, the lane halves
+and an odd chunk's unpartnered image, a one-image chunk's row halves, the
+decode slices.  A conv stage's gather→GEMM→compare runs over image groups
+sized so one im2col tile fits ``_PLANE_TILE_BYTES`` (it is read back by
+the GEMM while still cache-resident).  ``threads=`` gives each of up to
+that many slots its own call list and maps the lists over the Program's
+thread pool; without it the tiles run serially, and integer-exact tiles
+make the result independent of the split.  Every foldable topology
+compiles; a stage whose input cannot feed it (wrong channel count or
+fan-in, a window that does not fit, a stage after the output layer)
+raises ``ValueError``.
 
 Bit-identity contract: binary stages are exact integers under any tiling,
 and each float GEMM (conv1, a float head) issues the same BLAS call per
@@ -107,20 +95,17 @@ against the eval-mode training network.
 Tracing: one ``bnn.<label>`` span per stage and chunk (``repro trace``
 keys its Eqs. (3)-(5) residuals off them) inside ``bnn.plan.forward``,
 plus ``bnn.plan.compile``: once per input geometry, and once per chunk
-size (``chunk=n``) when its program is built.
+size (``chunk=n``) when its call list is built.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
 
-from .. import obs
 from ..nn import functional as F
+from ..nn.program import Compiler, Program
 from .inference import FloatDenseHead, FoldedConv, FoldedDense, FoldedPool
 from .thresholding import ChannelThresholds
 
@@ -143,16 +128,6 @@ _PLANE_TILE_BYTES = 1 << 20
 #: 0.79 at 113 KB; K = 288, 32 channels: 1.05 at 115 KB (CNV conv4), 0.78
 #: at 166 KB.  The crossover lies at 113-187 KB; this is its middle.
 _SPLIT_PLANE_BYTES = 1 << 17
-
-
-def available_cpus() -> int:
-    """CPUs this process may run on: the affinity mask where the platform
-    has one (a pinned process must not size thread pools by the machine),
-    else ``os.cpu_count()``."""
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    if getaffinity is not None:
-        return max(1, len(getaffinity(0)))
-    return os.cpu_count() or 1
 
 
 def _fold_threshold(
@@ -257,40 +232,13 @@ def _hwc_weight_t(weight_matrix: np.ndarray, c: int, h: int, w: int) -> np.ndarr
     return weight_matrix.reshape(od, c, h, w).transpose(2, 3, 1, 0).reshape(h * w * c, od)
 
 
-def _run_calls(calls) -> None:
-    for call in calls:
-        call()
-
-
-def _run_slots(executor: ThreadPoolExecutor, slots) -> None:
-    """A stage's per-slot call lists, one thread each."""
-    # list() reads every result, so a worker's exception surfaces here.
-    list(executor.map(_run_calls, slots))
-
-
-class _Compiler:
-    """One compile for an input geometry: stage builders and their buffers.
+class _Compiler(Compiler):
+    """The plan's stage compiler: one method per stage kind.
 
     Each stage method allocates the stage's buffers, sized for
-    ``micro_batch``, and returns ``(build, state)``.  ``build(n, x)``
-    returns the stage's calls for an n-image chunk whose input is the view
-    ``x`` (``None`` for conv1, whose first call takes the chunk) and the
-    view those calls write.  A build allocates nothing, so every chunk size
-    shares the one buffer set.  ``parallel(slots)`` turns per-slot call
-    lists into one call that maps them over the plan's threads.
+    ``micro_batch``, and returns ``(build, state)``; see
+    :class:`repro.nn.program.Compiler`.
     """
-
-    def __init__(self, micro_batch: int, dtype, threads: int, parallel):
-        self.micro_batch = micro_batch
-        self.dtype = np.dtype(dtype)
-        self.threads = threads
-        self.parallel = parallel
-        self.buffers: list[np.ndarray] = []
-
-    def buffer(self, shape: tuple, dtype, zero: bool = False) -> np.ndarray:
-        buf = (np.zeros if zero else np.empty)(shape, dtype=dtype)
-        self.buffers.append(buf)
-        return buf
 
     def tiles(self, tile, n: int, group: int) -> list:
         """The calls of every image group of an n-image chunk, ``tile(slot,
@@ -596,15 +544,15 @@ class _Compiler:
         return build, ("scores",)
 
 
-class CompiledBNNPlan:
-    """A preplanned, buffer-reusing executor for one :class:`FoldedBNN`.
+class CompiledBNNPlan(Program):
+    """The compiled :class:`repro.nn.program.Program` of one :class:`FoldedBNN`.
 
-    Build via :meth:`repro.bnn.FoldedBNN.compile_inference`.  One
-    caller at a time: each plan owns one set of buffers, so concurrent
-    calls queue on its lock; give each serving thread (or replica) its
-    own plan to run them in parallel — the cascade server's single BNN
-    worker thread is the intended consumer.  A plan asked for tile
-    threads owns a small thread pool, released with the plan.
+    Build via :meth:`repro.bnn.FoldedBNN.compile_inference`.  One caller
+    at a time (see :class:`~repro.nn.program.Program`): the cascade
+    server's single BNN worker thread is the intended consumer; give each
+    serving thread (or replica) its own plan to run them in parallel.  A
+    plan asked for tile threads owns a small thread pool, released with
+    the plan.
 
     Parameters
     ----------
@@ -618,150 +566,48 @@ class CompiledBNNPlan:
         or >= 1, capped at the CPUs the process may run on.
     """
 
+    prefix = "bnn"
+
     def __init__(self, folded, micro_batch: int = 64, threads: int | None = None):
-        if micro_batch < 1:
-            raise ValueError("micro_batch must be >= 1")
-        if threads is not None and threads < 1:
-            raise ValueError(f"threads must be None or >= 1, got {threads}")
+        super().__init__(micro_batch, "plan", threads)
         self.folded = folded
-        self.micro_batch = int(micro_batch)
-        self.threads = threads
-        self.stages = list(folded.stages)
-        self.labels = folded.stage_labels
-        self._buffers: list[np.ndarray] = []
-        self._builds: list = []  # (span name, [build, ...]) per stage
-        self._programs: dict = {}  # chunk size -> (load, [(span name, calls)], out)
-        self._geometry: tuple | None = None
-        self._executor: ThreadPoolExecutor | None = None
-        self._lock = threading.Lock()  # held while a call uses the buffers
 
-    # -- compile-time resolution -------------------------------------------
+    def _compile(self, geometry: tuple):
+        """Resolve every stage for a (C, H, W) input.
 
-    def _tile_threads(self) -> int:
-        """``threads=`` capped at the available CPUs, else serial."""
-        if self.threads is None:
-            return 1
-        return min(self.threads, available_cpus())
-
-    def _parallel(self, slots: list) -> partial:
-        """One call that runs each slot's calls on its own thread."""
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._tile_threads(), thread_name_prefix="repro-bnn-plan"
-            )
-        return partial(_run_slots, self._executor, [tuple(calls) for calls in slots])
-
-    def _compiler(self, dtype) -> _Compiler:
-        return _Compiler(self.micro_batch, dtype, self._tile_threads(), self._parallel)
-
-    def _compile(self, geometry: tuple) -> None:
-        """Resolve every stage and allocate its buffers for a (C, H, W) input.
-
-        Runs once per geometry.  ``state`` is the representation flowing
-        into the next stage: ``("float", C, H, W)`` images, ``("map", H,
-        W, C)`` / ``("rows", features)`` 0/1 planes, or ``("scores",)``
-        after an output layer.  A stage its input cannot feed raises
-        ``ValueError`` and leaves the plan as it was; a network that ends
-        on a 0/1 plane returns it as ±1 floats in the training network's
-        layout.
+        ``state`` is the representation flowing into the next stage:
+        ``("float", C, H, W)`` images, ``("map", H, W, C)`` / ``("rows",
+        features)`` 0/1 planes, or ``("scores",)`` after an output layer.
+        A stage its input cannot feed raises ``ValueError``; a network
+        that ends on a 0/1 plane returns it as ±1 floats in the training
+        network's layout.
         """
-        fan_ins = [
-            s.fan_in for s in self.stages if isinstance(s, (FoldedConv, FoldedDense))
-        ]
-        compiler = self._compiler(
-            np.float32 if max(fan_ins, default=0) < _F32_EXACT_LIMIT else np.float64
+        stages = self.folded.stages
+        fan_ins = [s.fan_in for s in stages if isinstance(s, (FoldedConv, FoldedDense))]
+        compiler = _Compiler(
+            self, np.float32 if max(fan_ins, default=0) < _F32_EXACT_LIMIT else np.float64
         )
-        builds: list = []
+        compiled: list = []
         state: tuple = ("float",) + tuple(geometry)
-        for label, stage in zip(self.labels, self.stages):
+        for label, stage in zip(self.folded.stage_labels, stages):
             kind = state[0]
             if isinstance(stage, FoldedConv) and not stage.binary_input and kind == "float":
-                build, state = compiler.conv_float(stage, state)
+                method = compiler.conv_float
             elif isinstance(stage, FoldedConv) and stage.binary_input and kind == "map":
-                build, state = compiler.conv_plane(stage, state)
+                method = compiler.conv_plane
             elif isinstance(stage, FoldedPool) and kind == "map":
-                build, state = compiler.pool(stage, state)
+                method = compiler.pool
             elif isinstance(stage, FoldedDense) and kind in ("map", "rows"):
-                build, state = compiler.dense(stage, state)
+                method = compiler.dense
             elif isinstance(stage, FloatDenseHead) and kind in ("map", "rows"):
-                build, state = compiler.head(stage, state)
+                method = compiler.head
             else:
                 raise ValueError(f"{label} ({type(stage).__name__}) cannot take {kind} input")
-            builds.append(("bnn." + label, [build]))
+            build, state = method(stage, state)
+            compiled.append((label, method.__name__, [build]))
         if state[0] != "scores":
-            builds[-1][1].append(compiler.pm1(state))
-        # Commit together, only once the whole geometry has compiled.
-        self._builds, self._buffers, self._programs = builds, compiler.buffers, {}
-        self._dtype, self._threads = compiler.dtype, compiler.threads
-        self._geometry = tuple(geometry)
-
-    def _program(self, n: int) -> tuple:
-        """Build and keep the calls that run an n-image chunk.
-
-        Returns ``(load, stages, out)``: ``load(chunk)`` is conv1's first
-        call, the only one that takes an argument; ``stages`` pairs each
-        span name with its calls; ``out`` is the view the last call writes.
-        """
-        with obs.trace_span("bnn.plan.compile", category="bnn", chunk=n):
-            stages, x = [], None
-            for span, builds in self._builds:
-                calls: list = []
-                for build in builds:
-                    more, x = build(n, x)
-                    calls += more
-                stages.append((span, calls))
-            program = stages[0][1].pop(0), stages, x
-        self._programs[n] = program
-        return program
-
-    # -- runtime ------------------------------------------------------------
-
-    def _run_chunk(self, chunk: np.ndarray) -> np.ndarray:
-        n = chunk.shape[0]
-        load, stages, out = self._programs.get(n) or self._program(n)
-        for i, (span, calls) in enumerate(stages):
-            with obs.trace_span(span, category="bnn"):
-                if not i:
-                    load(chunk)
-                for call in calls:
-                    call()
-        return out
-
-    def forward(self, images: np.ndarray, batch_size: int | None = None) -> np.ndarray:
-        """Raw output scores of the folded network.
-
-        ``batch_size`` is accepted for signature compatibility but must
-        match the plan's ``micro_batch`` when given — chunking is part of
-        the compiled layout (and of the bit-identity contract).
-        """
-        if batch_size is not None and int(batch_size) != self.micro_batch:
-            raise ValueError(
-                f"plan compiled for micro_batch={self.micro_batch}, "
-                f"got batch_size={batch_size}; recompile instead"
-            )
-        images = np.asarray(images)
-        if images.ndim != 4:
-            raise ValueError(f"expected NCHW images, got shape {images.shape}")
-        with self._lock, obs.trace_span(
-            "bnn.plan.forward", category="bnn",
-            images=int(images.shape[0]), micro_batch=self.micro_batch,
-        ):
-            if self._geometry != images.shape[1:]:
-                with obs.trace_span("bnn.plan.compile", category="bnn"):
-                    self._compile(images.shape[1:])
-            result: np.ndarray | None = None
-            for start in range(0, images.shape[0], self.micro_batch):
-                out = self._run_chunk(images[start : start + self.micro_batch])
-                if result is None:
-                    result = np.empty(
-                        (images.shape[0],) + out.shape[1:], dtype=out.dtype
-                    )
-                # Copy out of the reused buffer before the next chunk
-                # overwrites it.
-                result[start : start + out.shape[0]] = out
-            if result is None:
-                raise ValueError("cannot run inference on an empty batch")
-        return result
+            compiled[-1][2].append(compiler.pm1(state))
+        return compiled, compiler
 
     def class_scores(self, images: np.ndarray) -> np.ndarray:
         """Scores truncated to the real classes (FINN pads the last layer)."""
@@ -769,6 +615,3 @@ class CompiledBNNPlan:
 
     def predict(self, images: np.ndarray) -> np.ndarray:
         return self.class_scores(images).argmax(axis=1)
-
-    def __call__(self, images: np.ndarray) -> np.ndarray:
-        return self.forward(images)

@@ -23,6 +23,7 @@ from .layers import (
     Sigmoid,
     Tanh,
 )
+from .program import Program
 from .infer import InferenceEngine
 from .quantized import SUPPORTED_BITS, QuantizedEngine
 from .losses import BinaryCrossEntropy, Loss, SoftmaxCrossEntropy, SquaredHinge
@@ -50,6 +51,7 @@ __all__ = [
     "Dropout",
     "Flatten",
     "Sequential",
+    "Program",
     "InferenceEngine",
     "QuantizedEngine",
     "SUPPORTED_BITS",

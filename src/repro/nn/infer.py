@@ -9,21 +9,26 @@ the PR 2 kernel speedups the float host path dominates the Eq. (1) budget
 ``t_multi = max(t_fp * R_rerun, t_bnn)`` — so the host forward is now the
 hot path worth compiling.
 
-:class:`InferenceEngine` walks the layer stack once at construction and
-emits a flat list of eval-only steps:
+:class:`InferenceEngine` walks the layer stack once at construction,
+snapshots each layer's operands into one eval-only stage, and compiles
+the stages per input geometry:
 
 * **NHWC dataflow** — convolution becomes im2col + one GEMM whose output
   *is* the next layer's NHWC input: the per-conv ``transpose(0, 3, 1, 2)``
   copy of the training path disappears entirely.
 * **Conv2D + ReLU fusion** — the ReLU is applied in place on the GEMM
   output buffer before it is ever re-read.
-* **Preallocated buffers** — step outputs, padded inputs, pooling and LRN
-  scratch are allocated once per (step, image geometry), sized for a full
-  micro-batch, and reused across calls as leading-row views whatever the
-  chunk size; padded borders are zeroed exactly once.  Temporaries that
-  die with their step (im2col matrices, Winograd slabs) come from two
-  flat slots shared by every step, so a step starts in memory its
-  predecessor left in cache.
+* **One compiled Program** — the engine is a
+  :class:`repro.nn.program.Program`: per input geometry every stage's
+  outputs, padded inputs (borders zeroed once), pooling and LRN scratch
+  are allocated once, sized for a full micro-batch, and temporaries that
+  die with their stage (im2col matrices, Winograd slabs) share two flat
+  scratch slots, so a stage starts in memory its predecessor left in
+  cache.  Each chunk size replays one flat call list whose windows,
+  slices and reshapes were resolved when it was built.  Stages are named
+  by layer kind (``conv1``, ``pool1``, ``lrn1``, ``fc1``, ...) and traced
+  as ``host.<label>`` spans (``int<bits>.<label>`` in a
+  :class:`repro.nn.QuantizedEngine`).
 * **Winograd F(4x4, 3x3) for "same" 3x3 convolutions** — a Conv2D with
   kernel 3, stride 1, pad 1 and at least 16 input *and* output channels
   (Model C's conv2/conv4/conv5, Model B's 3x3) runs Lavin & Gray's
@@ -77,8 +82,7 @@ construction: compile *after* training / ``load_state_dict``.
 
 from __future__ import annotations
 
-import math
-import threading
+from functools import partial
 
 import numpy as np
 
@@ -90,76 +94,21 @@ from .layers.dropout import Dropout
 from .layers.flatten import Flatten
 from .layers.lrn import LocalResponseNorm
 from .layers.pool import AvgPool2D, GlobalAvgPool2D, MaxPool2D
+from .program import Compiler, Program
 from . import functional as F
 
 __all__ = ["InferenceEngine"]
 
 _STRIDED = np.lib.stride_tricks.as_strided
 
-
-class _BufferPool:
-    """Per-engine scratch arrays, sized for a full ``micro_batch`` chunk.
-
-    Every buffer is allocated once and handed out as a leading view: a
-    chunk of any size 1…``micro_batch`` reuses the same memory, so the
-    scratch set stops growing after the first call whatever batch sizes
-    the host worker sends (every request's size is a multiple of the
-    chunk's image count, which :meth:`InferenceEngine._run_chunk` sets
-    in ``images``).  Two kinds:
-
-    * :meth:`get` — one array per (step, role, per-image shape) for what
-      outlives the step that fills it: step outputs and zero-bordered
-      padded inputs;
-    * :meth:`scratch` — step-local temporaries (im2col matrices, Winograd
-      slabs), one flat array per slot shared by *every* step, so each
-      step works in memory the previous one just left in cache.
-    """
-
-    def __init__(self, micro_batch: int):
-        self._micro_batch = micro_batch
-        self._arrays: dict[tuple, np.ndarray] = {}
-        self.images = micro_batch
-
-    def get(self, key: tuple, shape: tuple[int, ...], dtype, zero: bool = False):
-        """Reusable buffer; freshly allocated ones are zeroed iff *zero*.
-
-        A *zero* buffer is only cleared on allocation — callers rely on
-        overwriting the interior every call while padded borders stay
-        zero from the first fill (the zero-once padding trick); rows past
-        the current chunk are never read.
-        """
-        rows_per_image = shape[0] // self.images
-        full_key = key + (rows_per_image,) + shape[1:]
-        buf = self._arrays.get(full_key)
-        if buf is None:
-            full = (rows_per_image * self._micro_batch,) + shape[1:]
-            buf = np.zeros(full, dtype) if zero else np.empty(full, dtype)
-            self._arrays[full_key] = buf
-        return buf[: shape[0]]
-
-    def scratch(self, slot: int, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """Contiguous temporary of *shape*, dead once the calling step returns.
-
-        The slot's flat array grows to the largest per-image request of
-        any step (so it too stops growing after the first call) and the
-        leading ``prod(shape)`` elements are handed out reshaped — any
-        layout, not only image-major ones, is contiguous at every chunk
-        size.  A step holds at most one live temporary per slot.
-        """
-        size = math.prod(shape)
-        key = ("scratch", slot, np.dtype(dtype))
-        buf = self._arrays.get(key)
-        full = size // self.images * self._micro_batch
-        if buf is None or buf.size < full:
-            buf = np.empty(full, dtype)
-            self._arrays[key] = buf
-        return buf[:size].reshape(shape)
-
-    def nbytes(self) -> int:
-        return sum(a.nbytes for a in self._arrays.values())
+#: The input each stage kind needs; the rest take maps or rows alike.
+_NEEDS = {
+    "im2col": "map", "winograd": "map", "pool": "map", "lrn": "map",
+    "global_avg": "map", "flatten": "map", "dense": "rows",
+}
 
 
-class InferenceEngine:
+class InferenceEngine(Program):
     """Compiled eval-only forward for a :class:`repro.nn.Sequential`.
 
     Parameters
@@ -174,84 +123,80 @@ class InferenceEngine:
         bounds memory; it also defines the bit-stable shard boundaries
         used by :class:`repro.parallel.ParallelHostRunner`.
 
-    One caller at a time: every call reuses the engine's buffers, so
-    concurrent calls queue on its lock.  Give each thread its own engine
-    to run them in parallel.
+    One caller at a time (see :class:`repro.nn.program.Program`): give
+    each thread its own engine to run them in parallel.
     """
 
+    prefix = "host"
+    #: Convs that fit the shape rule run Winograd (see module docstring).
+    _winograd = True
+
     def __init__(self, net, dtype=np.float32, micro_batch: int = 16):
-        if micro_batch < 1:
-            raise ValueError("micro_batch must be >= 1")
+        super().__init__(micro_batch, "engine")
         self.dtype = np.dtype(dtype)
         if self.dtype.kind != "f":
             raise ValueError("InferenceEngine requires a float dtype")
-        self.micro_batch = int(micro_batch)
         self.name = getattr(net, "name", "net")
-        self._bufs = _BufferPool(self.micro_batch)
-        self._lock = threading.Lock()  # held while a call uses self._bufs
-        self._steps = self._compile(net)
+        self._specs = self._stage_specs(net)
 
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]  # a lock does not pickle; the copy gets its own
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    # -- compilation ---------------------------------------------------------
-    def _compile(self, net) -> list:
+    # -- construction: one (label, kind, operands) spec per stage -------------
+    def _stage_specs(self, net) -> list:
         layers = list(net)
-        steps: list = []
+        specs: list = []
+        counts: dict[str, int] = {}
         i = 0
         while i < len(layers):
             layer = layers[i]
-            fuse_relu = isinstance(layer, Conv2D) and i + 1 < len(layers) and isinstance(
+            relu = isinstance(layer, Conv2D) and i + 1 < len(layers) and isinstance(
                 layers[i + 1], ReLU
             )
-            step = self._compile_layer(len(steps), layer, fuse_relu)
-            if step is not None:
-                steps.append(step)
-            i += 2 if fuse_relu else 1
-        return steps
+            spec = self._stage_spec(len(specs), layer, relu)
+            if spec is not None:
+                label, kind, operands = spec
+                counts[label] = counts.get(label, 0) + 1
+                specs.append((f"{label}{counts[label]}", kind, operands))
+            i += 2 if relu else 1
+        return specs
 
-    def _compile_layer(self, idx: int, layer, fuse_relu: bool):
+    def _stage_spec(self, index: int, layer, relu: bool):
         dt = self.dtype
         if isinstance(layer, Conv2D):
-            if _winograd_fits(layer):
+            if self._winograd and _winograd_fits(layer):
                 wmat, bias = _conv_operands(layer, np.float64)
-                return _WinogradStep(idx, layer.pad, _winograd_filter(wmat).astype(dt),
-                                     None if bias is None else bias.astype(dt), fuse_relu)
-            return _ConvStep(idx, layer.kernel_size, layer.stride, layer.pad,
-                             *_conv_operands(layer, dt), fuse_relu)
+                return "conv", "winograd", dict(
+                    pad=layer.pad, u=_winograd_filter(wmat).astype(dt),
+                    bias=None if bias is None else bias.astype(dt), relu=relu,
+                )
+            wmat, bias = _conv_operands(layer, dt)
+            return "conv", "im2col", dict(
+                index=index, k=layer.kernel_size, stride=layer.stride, pad=layer.pad,
+                wmat=wmat, bias=bias, relu=relu,
+            )
         if isinstance(layer, Dense):
             wmat = np.ascontiguousarray(layer.weight.value, dtype=dt)
             bias = None if layer.bias is None else layer.bias.value.astype(dt)
-            return _DenseStep(idx, wmat, bias)
+            return "fc", "dense", dict(index=index, wmat=wmat, bias=bias)
         if isinstance(layer, (MaxPool2D, AvgPool2D)):
-            return _PoolStep(
-                idx, layer.window, layer.stride, layer.pad, isinstance(layer, MaxPool2D)
+            return "pool", "pool", dict(
+                window=layer.window, stride=layer.stride, pad=layer.pad,
+                is_max=isinstance(layer, MaxPool2D),
             )
         if isinstance(layer, LocalResponseNorm):
-            return _LRNStep(idx, layer.size, layer.alpha, layer.beta, layer.k)
+            return "lrn", "lrn", dict(size=layer.size, alpha=layer.alpha, beta=layer.beta,
+                                      k=layer.k)
         if isinstance(layer, GlobalAvgPool2D):
-            return _GlobalAvgStep(idx)
+            return "pool", "global_avg", {}
         if isinstance(layer, Flatten):
-            return _FlattenStep(idx)
+            return "flatten", "flatten", {}
         if isinstance(layer, BatchNorm):
             inv_std = 1.0 / np.sqrt(layer.running_var.value + layer.eps)
             scale = (layer.gamma.value * inv_std).astype(dt)
             shift = (layer.beta.value - layer.running_mean.value * layer.gamma.value * inv_std).astype(dt)
-            return _BatchNormStep(idx, scale, shift)
-        if isinstance(layer, ReLU):
-            return _ElementwiseStep(idx, "relu")
-        if isinstance(layer, Tanh):
-            return _ElementwiseStep(idx, "tanh")
-        if isinstance(layer, Sigmoid):
-            return _ElementwiseStep(idx, "sigmoid")
-        if isinstance(layer, HardTanh):
-            return _ElementwiseStep(idx, "hardtanh")
+            return "bn", "batchnorm", dict(scale=scale, shift=shift)
+        for kind, name in ((ReLU, "relu"), (Tanh, "tanh"), (Sigmoid, "sigmoid"),
+                           (HardTanh, "hardtanh")):
+            if isinstance(layer, kind):
+                return name, "activation", dict(fn=name)
         if isinstance(layer, Dropout):
             return None  # true no-op in eval: no RNG draw, no mask, no copy
         raise ValueError(
@@ -259,115 +204,317 @@ class InferenceEngine:
             "extend repro.nn.infer or fall back to Sequential.forward"
         )
 
-    # -- execution ------------------------------------------------------------
-    def _run_chunk(self, chunk: np.ndarray) -> np.ndarray:
-        n, c, h, w = chunk.shape
-        self._bufs.images = n
-        entry = self._bufs.get(("entry",), (n, h, w, c), self.dtype)
-        # Single cast + layout change: NCHW (any float dtype) -> NHWC dtype.
-        entry[...] = chunk.transpose(0, 2, 3, 1)
-        a = entry
-        for step in self._steps:
-            a = step.run(a, self._bufs, self.dtype)
-        return a
+    # -- compile: the Program's stage compiler --------------------------------
+    def _gemm_op(self) -> str:
+        """The GEMM op this engine's stages compile with."""
+        return "float"
 
+    def _compile(self, geometry: tuple):
+        c, h, w = geometry
+        compiler = _HostCompiler(self, self.dtype, self._gemm_op())
+        stages: list = []
+        state: tuple = ("map", h, w, c)
+        for label, kind, operands in self._specs:
+            if _NEEDS.get(kind, state[0]) != state[0]:
+                raise ValueError(f"{label} ({kind}) cannot take {state[0]} input")
+            build, state = getattr(compiler, kind)(state, **operands)
+            stages.append((label, kind, [build]))
+        if not stages:
+            raise ValueError("InferenceEngine needs at least one stage")
+        stages[0][2].insert(0, compiler.entry(c, h, w))
+        return stages, compiler
+
+    # -- runtime ----------------------------------------------------------------
     def predict_scores(self, images: np.ndarray) -> np.ndarray:
         """Class scores ``(N, C)`` in engine dtype, micro-batched."""
-        images = np.asarray(images)
-        if images.ndim == 3:
-            images = images[None]
-        n = images.shape[0]
-        out: np.ndarray | None = None
-        with self._lock:
-            for start in range(0, n, self.micro_batch):
-                scores = self._run_chunk(images[start : start + self.micro_batch])
-                if out is None:
-                    out = np.empty((n,) + scores.shape[1:], self.dtype)
-                out[start : start + scores.shape[0]] = scores
-        if out is None:
-            # Class count without running data: ask the first Dense/conv head.
-            return np.empty((0, self.num_classes_hint()), self.dtype)
-        return out
+        return self.forward(images)
 
     def predict_classes(self, images: np.ndarray) -> np.ndarray:
         return self.predict_scores(images).argmax(axis=1)
 
-    __call__ = predict_scores
 
-    def num_classes_hint(self) -> int:
-        """Best-effort output width for empty-batch calls."""
-        for step in reversed(self._steps):
-            width = step.out_width()
-            if width is not None:
-                return width
-        return 0
-
-    def scratch_nbytes(self) -> int:
-        """Bytes currently held by the reusable buffer pool."""
-        return self._bufs.nbytes()
+def _record_maxabs(record: dict, index: int, x: np.ndarray) -> None:
+    record[index] = max(record[index], float(np.abs(x).max()))
 
 
-class _Step:
-    __slots__ = ("idx",)
-
-    def out_width(self) -> int | None:
-        return None
+def _sigmoid_into(x: np.ndarray, out: np.ndarray) -> None:
+    np.copyto(out, F.sigmoid(x))  # the stable form allocates (rare in the host models)
 
 
-class _ConvStep(_Step):
-    __slots__ = ("k", "stride", "pad", "wmat", "bias", "fuse_relu")
+class _HostCompiler(Compiler):
+    """The host engines' stage compiler over NHWC maps / ``(n, features)`` rows.
 
-    def __init__(self, idx, k, stride, pad, wmat, bias, fuse_relu):
-        self.idx = idx
-        self.k = k
-        self.stride = stride
-        self.pad = pad
-        self.wmat = wmat
-        self.bias = bias
-        self.fuse_relu = fuse_relu
+    ``state`` is ``("map", H, W, C)`` or ``("rows", features)``.  Every
+    GEMM stage multiplies through :meth:`gemm`, whose *op* the engine
+    picks: ``"float"``, ``"record"`` (a float GEMM after a running
+    ``max|x|`` record: calibration) or ``"int"`` (the quantized GEMM).
+    """
 
-    def out_width(self):
-        return self.wmat.shape[1]
+    def __init__(self, program, dtype, op: str):
+        super().__init__(program, dtype)
+        self.op = op
+        self.engine = program
 
-    def _gather(self, a, bufs, dt):
-        """im2col into a reused buffer; returns ``(cols, n, oh, ow)``."""
-        n, h, w, c = a.shape
-        k, st, p = self.k, self.stride, self.pad
+    def entry(self, c: int, h: int, w: int):
+        """The first build: one cast + layout change, NCHW (any dtype) -> NHWC."""
+        entry = self.buffer((self.micro_batch, h, w, c))
+
+        def build(n: int, _x: None):
+            x = entry[:n]
+            return [partial(np.copyto, x.transpose(0, 3, 1, 2), casting="unsafe")], x
+
+        return build
+
+    def gemm(self, index: int, rows: int, wmat: np.ndarray, qweights=None):
+        """``mm(x, out)``: the calls computing ``x @ wmat`` into *out* (at
+        most *rows* rows) with this compile's op."""
+        if self.op == "float":
+            return lambda x, out: [partial(np.matmul, x, wmat, out=out)]
+        if self.op == "record":
+            record = self.engine._record
+            return lambda x, out: [
+                partial(_record_maxabs, record, index, x),
+                partial(np.matmul, x, wmat, out=out),
+            ]
+        # dequant(rint(clip(x / s)) @ qW) with int32 accumulation.
+        qw, w_scale = qweights
+        qmax = self.engine.qmax
+        act_scale = self.engine._scales[index]
+        inv_act_scale, deq_scale = 1.0 / act_scale, act_scale * w_scale
+        qf = self.buffer((rows, wmat.shape[0]))
+        qi = self.buffer((rows, wmat.shape[0]), np.int32)
+        acc = self.buffer((rows, qw.shape[1]), np.int32)
+
+        def mm(x, out):
+            m = x.shape[0]
+            f, i, a = qf[:m], qi[:m], acc[:m]
+            return [
+                partial(np.multiply, x, inv_act_scale, out=f),
+                partial(np.clip, f, -qmax, qmax, out=f),
+                partial(np.rint, f, out=f),
+                partial(np.copyto, i, f, casting="unsafe"),
+                partial(np.matmul, i, qw, out=a),
+                partial(np.multiply, a, deq_scale, out=out),
+            ]
+
+        return mm
+
+    def im2col(self, state, index, k, stride, pad, wmat, bias, relu, qweights=None):
+        _, h, w, c = state
+        st, p, nb = stride, pad, self.micro_batch
         oh = F.conv_output_size(h, k, st, p)
         ow = F.conv_output_size(w, k, st, p)
+        width, fan_in = wmat.shape[1], k * k * c
         if p:
-            padded = bufs.get((self.idx, "pad"), (n, h + 2 * p, w + 2 * p, c), dt, zero=True)
-            padded[:, p : p + h, p : p + w, :] = a
-            src = padded
-        else:
-            src = a
-        if k == 1 and st == 1:
-            cols = src.reshape(n * oh * ow, c)  # NHWC rows are the GEMM operand
-        else:
-            cols = bufs.scratch(0, (n * oh * ow, k * k * c), dt)
+            padded = self.buffer((nb, h + 2 * p, w + 2 * p, c), zero=True)
+        pointwise = k == 1 and st == 1
+        if not pointwise:
+            self.scratch(0, nb * oh * ow * fan_in)
+        out_buf = self.buffer((nb * oh * ow, width))
+        mm = self.gemm(index, nb * oh * ow, wmat, qweights)
+
+        def build(n: int, x: np.ndarray):
+            calls, m = [], n * oh * ow
+            if p:
+                calls.append(partial(np.copyto, padded[:n, p : p + h, p : p + w], x))
+                x = padded[:n]
+            if pointwise:
+                cols = x.reshape(m, c)  # NHWC rows are the GEMM operand
+            else:
+                cols = self.temp(0, (m, fan_in))
+                sn, sh, sw, sc = x.strides
+                windows = _STRIDED(
+                    x, shape=(n, oh, ow, k, k, c),
+                    strides=(sn, sh * st, sw * st, sh, sw, sc), writeable=False,
+                )
+                calls.append(partial(np.copyto, cols.reshape(windows.shape), windows))
+            out = out_buf[:m]
+            calls += mm(cols, out)
+            if bias is not None:
+                calls.append(partial(np.add, out, bias, out=out))
+            if relu:
+                calls.append(partial(np.maximum, out, 0.0, out=out))
+            return calls, out.reshape(n, oh, ow, width)
+
+        return build, ("map", oh, ow, width)
+
+    def winograd(self, state, pad, u, bias, relu):
+        """Stride-1 3x3 convolution as Winograd F(4x4, 3x3) over NHWC chunks.
+
+        Per chunk: gather 6x6 input tiles (stride 4) of the zero-padded
+        map into ``(36, tiles, C_in)`` slabs, input transform (one GEMM),
+        36 slab GEMMs against the compile-time ``U``, output transform (one
+        GEMM), then scatter the 4x4 tiles into the NHWC output with the
+        ReLU fused into the scatter.
+        """
+        _, h, w, c = state
+        co, p, nb = u.shape[2], pad, self.micro_batch
+        oh, ow = h + 2 * p - 2, w + 2 * p - 2
+        th, tw = -(-oh // 4), -(-ow // 4)
+        aligned = (oh, ow) == (4 * th, 4 * tw)
+        kb = _WINO_KB.astype(u.dtype)  # small integers: exact in float32
+        ka = _WINO_KA.astype(u.dtype)
+        # Tiles cover 4·th+2 rows: the zero border also fills the last
+        # partial tile when the output is not a multiple of 4.
+        padded = self.buffer((nb, 4 * th + 2, 4 * tw + 2, c), zero=True)
+        out_buf = self.buffer((nb, oh, ow, co))
+        # Slot 0 holds the tiles d, then m, then an unaligned map's tiles;
+        # slot 1 holds v, then y.  Each tenant starts once the last is dead.
+        tiles_max = nb * th * tw
+        self.scratch(0, 36 * tiles_max * max(c, co))
+        self.scratch(1, tiles_max * max(36 * c, 16 * co))
+
+        def build(n: int, x: np.ndarray):
+            t, src = n * th * tw, padded[:n]
             sn, sh, sw, sc = src.strides
-            windows = _STRIDED(
-                src,
-                shape=(n, oh, ow, k, k, c),
-                strides=(sn, sh * st, sw * st, sh, sw, sc),
-                writeable=False,
+            tiles = _STRIDED(
+                src, shape=(6, 6, n, th, tw, c),
+                strides=(sh, sw, sn, 4 * sh, 4 * sw, sc), writeable=False,
             )
-            cols.reshape(n, oh, ow, k, k, c)[...] = windows  # one strided gather
-        return cols, n, oh, ow
+            d, v = self.temp(0, tiles.shape), self.temp(1, (36, t, c))
+            m, y = self.temp(0, (36, t, co)), self.temp(1, (16, t, co))
+            out = out_buf[:n]
+            tiled = out if aligned else self.temp(0, (n, 4 * th, 4 * tw, co))
+            calls = [
+                partial(np.copyto, src[:, p : p + h, p : p + w], x),
+                partial(np.copyto, d, tiles),
+                partial(np.matmul, kb, d.reshape(36, t * c), out=v.reshape(36, t * c)),
+                partial(np.matmul, v, u, out=m),
+            ]
+            if bias is not None:
+                slab = m[_WINO_BIAS_SLAB]
+                calls.append(partial(np.add, slab, bias, out=slab))
+            calls.append(partial(np.matmul, ka, m.reshape(36, t * co), out=y.reshape(16, t * co)))
+            tile_out = y.reshape(4, 4, n, th, tw, co)
+            dst = tiled.reshape(n, th, 4, tw, 4, co).transpose(2, 4, 0, 1, 3, 5)
+            if relu:
+                calls.append(partial(np.maximum, tile_out, 0.0, out=dst))
+            else:
+                calls.append(partial(np.copyto, dst, tile_out))
+            if not aligned:
+                calls.append(partial(np.copyto, out, tiled[:, :oh, :ow]))
+            return calls, out
 
-    def _gemm(self, cols, bufs, dt):
-        out = bufs.get((self.idx, "out"), (cols.shape[0], self.wmat.shape[1]), dt)
-        np.matmul(cols, self.wmat, out=out)
-        return out
+        return build, ("map", oh, ow, co)
 
-    def run(self, a, bufs, dt):
-        cols, n, oh, ow = self._gather(a, bufs, dt)
-        out = self._gemm(cols, bufs, dt)
-        if self.bias is not None:
-            out += self.bias
-        if self.fuse_relu:
-            np.maximum(out, 0.0, out=out)
-        return out.reshape(n, oh, ow, self.wmat.shape[1])
+    def dense(self, state, index, wmat, bias, qweights=None):
+        features, width = state[1], wmat.shape[1]
+        if features != wmat.shape[0]:
+            raise ValueError(f"dense fan-in {wmat.shape[0]} cannot take {features} features")
+        out_buf = self.buffer((self.micro_batch, width))
+        mm = self.gemm(index, self.micro_batch, wmat, qweights)
+
+        def build(n: int, x: np.ndarray):
+            out = out_buf[:n]
+            calls = mm(x, out)
+            if bias is not None:
+                calls.append(partial(np.add, out, bias, out=out))
+            return calls, out
+
+        return build, ("rows", width)
+
+    def pool(self, state, window, stride, pad, is_max):
+        _, h, w, c = state
+        win, st, p = window, stride, pad
+        if p:
+            padded = self.buffer((self.micro_batch, h + 2 * p, w + 2 * p, c), zero=True)
+        oh = F.pool_output_size(h, win, st, p)
+        ow = F.pool_output_size(w, win, st, p)
+        out_buf = self.buffer((self.micro_batch, oh, ow, c))
+        reduce = np.amax if is_max else np.mean
+
+        def build(n: int, x: np.ndarray):
+            calls = []
+            if p:
+                calls.append(partial(np.copyto, padded[:n, p : p + h, p : p + w], x))
+                x = padded[:n]
+            sn, sh, sw, sc = x.strides
+            windows = _STRIDED(
+                x, shape=(n, oh, ow, win, win, c),
+                strides=(sn, sh * st, sw * st, sh, sw, sc), writeable=False,
+            )
+            out = out_buf[:n]
+            return calls + [partial(reduce, windows, axis=(3, 4), out=out)], out
+
+        return build, ("map", oh, ow, c)
+
+    def lrn(self, state, size, alpha, beta, k):
+        """Cross-channel LRN as two cumsum slices (O(C), not O(C·size))."""
+        _, h, w, c = state
+        half, nb = size // 2, self.micro_batch
+        # x^2 embedded in a zero halo; the halo never needs re-zeroing.
+        sq_buf = self.buffer((nb, h, w, c + 2 * half), zero=True)
+        csum_buf = self.buffer(sq_buf.shape)
+        scale_buf = self.buffer((nb, h, w, c))
+        out_buf = self.buffer((nb, h, w, c))
+
+        def build(n: int, x: np.ndarray):
+            sq, csum, scale, out = sq_buf[:n], csum_buf[:n], scale_buf[:n], out_buf[:n]
+            tail = scale[..., 1:]
+            return [
+                partial(np.multiply, x, x, out=sq[..., half : half + c]),
+                partial(np.cumsum, sq, axis=-1, out=csum),
+                # Sliding-window sum over the channel axis as two cumsum slices.
+                partial(np.copyto, scale, csum[..., size - 1 :]),
+                partial(np.subtract, tail, csum[..., : c - 1], out=tail),
+                partial(np.multiply, scale, alpha / size, out=scale),
+                partial(np.add, scale, k, out=scale),
+                partial(np.power, scale, -beta, out=scale),
+                partial(np.multiply, x, scale, out=out),
+            ], out
+
+        return build, state
+
+    def global_avg(self, state):
+        out_buf = self.buffer((self.micro_batch, state[3]))
+
+        def build(n: int, x: np.ndarray):
+            out = out_buf[:n]
+            return [partial(np.mean, x, axis=(1, 2), out=out)], out
+
+        return build, ("rows", state[3])
+
+    def flatten(self, state):
+        _, h, w, c = state
+        out_buf = self.buffer((self.micro_batch, c * h * w))
+
+        def build(n: int, x: np.ndarray):
+            out = out_buf[:n]
+            # Dense weights expect the training layout: flat (C, H, W) order.
+            return [partial(np.copyto, out.reshape(n, c, h, w), x.transpose(0, 3, 1, 2))], out
+
+        return build, ("rows", c * h * w)
+
+    def batchnorm(self, state, scale, shift):
+        out_buf = self.buffer((self.micro_batch,) + state[1:])
+
+        def build(n: int, x: np.ndarray):
+            out = out_buf[:n]
+            return [
+                partial(np.multiply, x, scale, out=out),  # channels are the last axis
+                partial(np.add, out, shift, out=out),
+            ], out
+
+        return build, state
+
+    def activation(self, state, fn):
+        if fn == "sigmoid":
+            out_buf = self.buffer((self.micro_batch,) + state[1:])
+
+            def build_sigmoid(n: int, x: np.ndarray):
+                out = out_buf[:n]
+                return [partial(_sigmoid_into, x, out)], out
+
+            return build_sigmoid, state
+
+        def build(n: int, x: np.ndarray):  # in place on the previous output
+            if fn == "relu":
+                return [partial(np.maximum, x, 0.0, out=x)], x
+            if fn == "tanh":
+                return [partial(np.tanh, x, out=x)], x
+            return [partial(np.clip, x, -1.0, 1.0, out=x)], x
+
+        return build, state
 
 
 def _conv_operands(layer, dtype):
@@ -406,7 +553,7 @@ _WINO_MIN_CHANNELS = 16
 
 
 def _winograd_fits(layer) -> bool:
-    """The fixed shape rule for :class:`_WinogradStep` (see module docstring)."""
+    """The fixed shape rule for a Winograd conv stage (see module docstring)."""
     return (layer.kernel_size == 3 and layer.stride == 1 and layer.pad == 1
             and min(layer.in_channels, layer.out_channels) >= _WINO_MIN_CHANNELS)
 
@@ -419,221 +566,3 @@ def _winograd_filter(wmat: np.ndarray) -> np.ndarray:
     c_in, c_out = wmat.shape[0] // 9, wmat.shape[1]
     gg = (_WINO_G @ wmat.reshape(3, -1)).reshape(6, 3, -1)  # (i, b, C_in·C_out)
     return np.matmul(_WINO_G, gg).reshape(36, c_in, c_out)
-
-
-class _WinogradStep(_Step):
-    """Stride-1 3x3 convolution as Winograd F(4x4, 3x3) over NHWC chunks.
-
-    Per chunk: gather 6x6 input tiles (stride 4) of the zero-padded map
-    into ``(36, tiles, C_in)`` slabs, input transform (one GEMM), 36
-    slab GEMMs against the compile-time ``U``, output transform (one
-    GEMM), then scatter the 4x4 tiles into the NHWC output with the
-    ReLU fused into the scatter.
-    """
-
-    __slots__ = ("pad", "u", "kb", "ka", "bias", "fuse_relu")
-
-    def __init__(self, idx, pad, u, bias, fuse_relu):
-        self.idx = idx
-        self.pad = pad
-        self.u = u
-        self.kb = _WINO_KB.astype(u.dtype)  # small integers: exact in float32
-        self.ka = _WINO_KA.astype(u.dtype)
-        self.bias = bias
-        self.fuse_relu = fuse_relu
-
-    def out_width(self):
-        return self.u.shape[2]
-
-    def run(self, a, bufs, dt):
-        n, h, w, c = a.shape
-        co = self.u.shape[2]
-        p = self.pad
-        oh, ow = h + 2 * p - 2, w + 2 * p - 2
-        th, tw = -(-oh // 4), -(-ow // 4)
-        t = n * th * tw
-        # Tiles cover 4·th+2 rows: the zero border also fills the last
-        # partial tile when the output is not a multiple of 4.
-        padded = bufs.get((self.idx, "pad"), (n, 4 * th + 2, 4 * tw + 2, c), dt, zero=True)
-        padded[:, p : p + h, p : p + w, :] = a
-        sn, sh, sw, sc = padded.strides
-        tiles = _STRIDED(
-            padded,
-            shape=(6, 6, n, th, tw, c),
-            strides=(sh, sw, sn, 4 * sh, 4 * sw, sc),
-            writeable=False,
-        )
-        # Two scratch slots, each reused once its first tenant is dead:
-        # slot 0 holds the tiles d, then m; slot 1 holds v, then y.
-        d = bufs.scratch(0, (6, 6, n, th, tw, c), dt)
-        d[...] = tiles
-        v = bufs.scratch(1, (36, t, c), dt)
-        np.matmul(self.kb, d.reshape(36, t * c), out=v.reshape(36, t * c))
-        m = bufs.scratch(0, (36, t, co), dt)
-        np.matmul(v, self.u, out=m)
-        if self.bias is not None:
-            m[_WINO_BIAS_SLAB] += self.bias
-        y = bufs.scratch(1, (16, t, co), dt)
-        np.matmul(self.ka, m.reshape(36, t * co), out=y.reshape(16, t * co))
-        out = bufs.get((self.idx, "out"), (n, oh, ow, co), dt)
-        aligned = (oh, ow) == (4 * th, 4 * tw)
-        # m is dead: an unaligned map is scattered whole into slot 0, then cropped.
-        tiled = out if aligned else bufs.scratch(0, (n, 4 * th, 4 * tw, co), dt)
-        src = y.reshape(4, 4, n, th, tw, co)
-        dst = tiled.reshape(n, th, 4, tw, 4, co).transpose(2, 4, 0, 1, 3, 5)
-        if self.fuse_relu:
-            np.maximum(src, 0.0, out=dst)
-        else:
-            dst[...] = src
-        if not aligned:
-            out[...] = tiled[:, :oh, :ow]
-        return out
-
-
-class _DenseStep(_Step):
-    __slots__ = ("wmat", "bias")
-
-    def __init__(self, idx, wmat, bias):
-        self.idx = idx
-        self.wmat = wmat
-        self.bias = bias
-
-    def out_width(self):
-        return self.wmat.shape[1]
-
-    def _gemm(self, a, bufs, dt):
-        out = bufs.get((self.idx, "out"), (a.shape[0], self.wmat.shape[1]), dt)
-        np.matmul(a, self.wmat, out=out)
-        return out
-
-    def run(self, a, bufs, dt):
-        out = self._gemm(a, bufs, dt)
-        if self.bias is not None:
-            out += self.bias
-        return out
-
-
-class _PoolStep(_Step):
-    __slots__ = ("window", "stride", "pad", "is_max")
-
-    def __init__(self, idx, window, stride, pad, is_max):
-        self.idx = idx
-        self.window = window
-        self.stride = stride
-        self.pad = pad
-        self.is_max = is_max
-
-    def run(self, a, bufs, dt):
-        n, h, w, c = a.shape
-        win, st, p = self.window, self.stride, self.pad
-        if p:
-            padded = bufs.get((self.idx, "pad"), (n, h + 2 * p, w + 2 * p, c), dt, zero=True)
-            padded[:, p : p + h, p : p + w, :] = a
-            src = padded
-        else:
-            src = a
-        oh = F.pool_output_size(h, win, st, p)
-        ow = F.pool_output_size(w, win, st, p)
-        sn, sh, sw, sc = src.strides
-        windows = _STRIDED(
-            src,
-            shape=(n, oh, ow, win, win, c),
-            strides=(sn, sh * st, sw * st, sh, sw, sc),
-            writeable=False,
-        )
-        out = bufs.get((self.idx, "out"), (n, oh, ow, c), dt)
-        if self.is_max:
-            np.amax(windows, axis=(3, 4), out=out)
-        else:
-            np.mean(windows, axis=(3, 4), out=out)
-        return out
-
-
-class _LRNStep(_Step):
-    __slots__ = ("size", "alpha", "beta", "k")
-
-    def __init__(self, idx, size, alpha, beta, k):
-        self.idx = idx
-        self.size = size
-        self.alpha = alpha
-        self.beta = beta
-        self.k = k
-
-    def run(self, a, bufs, dt):
-        n, h, w, c = a.shape
-        half = self.size // 2
-        # x^2 embedded in a zero halo; the halo never needs re-zeroing.
-        padded = bufs.get((self.idx, "sq"), (n, h, w, c + 2 * half), dt, zero=True)
-        np.multiply(a, a, out=padded[..., half : half + c])
-        csum = bufs.get((self.idx, "csum"), padded.shape, dt)
-        np.cumsum(padded, axis=-1, out=csum)
-        # Sliding-window sum over the channel axis as two cumsum slices.
-        scale = bufs.get((self.idx, "scale"), (n, h, w, c), dt)
-        scale[...] = csum[..., self.size - 1 :]
-        scale[..., 1:] -= csum[..., : c - 1]
-        scale *= self.alpha / self.size
-        scale += self.k
-        np.power(scale, -self.beta, out=scale)
-        out = bufs.get((self.idx, "out"), (n, h, w, c), dt)
-        np.multiply(a, scale, out=out)
-        return out
-
-
-class _GlobalAvgStep(_Step):
-    __slots__ = ()
-
-    def __init__(self, idx):
-        self.idx = idx
-
-    def run(self, a, bufs, dt):
-        out = bufs.get((self.idx, "out"), (a.shape[0], a.shape[3]), dt)
-        np.mean(a, axis=(1, 2), out=out)
-        return out
-
-
-class _FlattenStep(_Step):
-    __slots__ = ()
-
-    def __init__(self, idx):
-        self.idx = idx
-
-    def run(self, a, bufs, dt):
-        n, h, w, c = a.shape
-        # Dense weights expect the training layout: flat (C, H, W) order.
-        out = bufs.get((self.idx, "out"), (n, c * h * w), dt)
-        out.reshape(n, c, h, w)[...] = a.transpose(0, 3, 1, 2)
-        return out
-
-
-class _BatchNormStep(_Step):
-    __slots__ = ("scale", "shift")
-
-    def __init__(self, idx, scale, shift):
-        self.idx = idx
-        self.scale = scale
-        self.shift = shift
-
-    def run(self, a, bufs, dt):
-        out = bufs.get((self.idx, "out"), a.shape, dt)
-        np.multiply(a, self.scale, out=out)  # channels are the last axis in NHWC
-        out += self.shift
-        return out
-
-
-class _ElementwiseStep(_Step):
-    __slots__ = ("kind",)
-
-    def __init__(self, idx, kind):
-        self.idx = idx
-        self.kind = kind
-
-    def run(self, a, bufs, dt):
-        if self.kind == "relu":
-            np.maximum(a, 0.0, out=a)
-        elif self.kind == "tanh":
-            np.tanh(a, out=a)
-        elif self.kind == "hardtanh":
-            np.clip(a, -1.0, 1.0, out=a)
-        else:  # sigmoid — stable form, allocates (rare in the host models)
-            a = F.sigmoid(a).astype(dt, copy=False)
-        return a

@@ -3,27 +3,30 @@
 The precision ladder (``docs/LADDER.md``) needs stages *between* the
 1-bit BNN and the float host.  :class:`QuantizedEngine` builds them by
 post-training uniform quantization of a trained float
-:class:`repro.nn.Sequential` — no retraining, same compile idiom as the
-float :class:`repro.nn.InferenceEngine` it subclasses (NHWC dataflow,
-fused Conv2D+ReLU, preallocated buffers, fixed micro-batches).
+:class:`repro.nn.Sequential` — no retraining.  It is the float
+:class:`repro.nn.InferenceEngine`'s stage compiler with one more GEMM op
+(NHWC dataflow, fused Conv2D+ReLU, one compiled
+:class:`repro.nn.program.Program`, fixed micro-batches); its spans are
+``int<bits>.<label>``.
 
 Quantization scheme
 -------------------
 Only the GEMMs are quantized; pooling, LRN, BatchNorm and activations
 run in float on the dequantized values (the standard post-training
 "fake-quant at the matmuls" shape).  Every convolution stays an im2col
-GEMM: the float engine's Winograd step has no integer-exact form.  For
+GEMM: the float engine's Winograd stage has no integer-exact form.  For
 ``bits`` ∈ {2, 4, 8} and
 ``Q = 2^(bits-1) - 1`` (1, 7, 127):
 
 * **Weights** — symmetric per-output-channel: ``w_scale[oc] =
   max|W[:, oc]| / Q`` and ``qW = rint(W / w_scale)`` as int32, computed
-  once at compile time from the float64 training weights.
+  once at construction from the engine's snapshot of the weights.
 * **Activations** — symmetric per-tensor with a *static* scale frozen by
-  :meth:`QuantizedEngine.calibrate`: a float pass over a calibration
-  batch records ``max|x|`` of each GEMM's input operand (the im2col
-  matrix for convs, the activation matrix for dense layers), then
-  ``act_scale = max|x| / Q``.  Deployment quantizes with
+  :meth:`QuantizedEngine.calibrate`: it compiles every GEMM as a float
+  GEMM preceded by a running ``max|x|`` record of its input operand (the
+  im2col matrix for convs, the activation matrix for dense layers), runs
+  the calibration batch, freezes ``act_scale = max|x| / Q`` and compiles
+  again with the int32 op.  Deployment quantizes with
   ``q = rint(clip(x / act_scale, -Q, Q))``.
 * **Accumulation** — integer: ``acc = qX @ qW`` in int32.  This is
   overflow-safe for the host models: the widest GEMM contraction is a
@@ -58,9 +61,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .infer import InferenceEngine, _conv_operands, _ConvStep, _DenseStep
-from .layers.conv import Conv2D
-from .layers.dense import Dense
+from .infer import InferenceEngine
 
 __all__ = ["QuantizedEngine", "SUPPORTED_BITS"]
 
@@ -74,73 +75,6 @@ def _weight_qparams(wmat: np.ndarray, qmax: int):
     w_scale = np.where(maxabs > 0.0, maxabs / qmax, 1.0)
     qw = np.rint(w64 / w_scale).astype(np.int32)
     return qw, w_scale
-
-
-def _quantized_gemm(step, x, bufs, dt):
-    """``dequant(rint(clip(x / s)) @ qW)`` with every operand preallocated."""
-    rows, width = x.shape[0], step.qw.shape[1]
-    qf = bufs.get((step.idx, "qf"), x.shape, dt)
-    np.multiply(x, step.inv_act_scale, out=qf)
-    np.clip(qf, -step.qmax, step.qmax, out=qf)
-    np.rint(qf, out=qf)
-    qi = bufs.get((step.idx, "qi"), x.shape, np.int32)
-    qi[...] = qf
-    acc = bufs.get((step.idx, "acc"), (rows, width), np.int32)
-    np.matmul(qi, step.qw, out=acc)
-    out = bufs.get((step.idx, "out"), (rows, width), dt)
-    np.multiply(acc, step.deq_scale, out=out)
-    return out
-
-
-def _observe(step, x) -> None:
-    if x.size:
-        step.cal_maxabs = max(step.cal_maxabs, float(np.abs(x).max()))
-
-
-def _freeze(step) -> None:
-    step.act_scale = step.cal_maxabs / step.qmax if step.cal_maxabs > 0.0 else 1.0
-    step.inv_act_scale = 1.0 / step.act_scale
-    step.deq_scale = step.act_scale * step.w_scale  # (out,) float64
-
-
-class _QConvStep(_ConvStep):
-    """Conv GEMM with int32 accumulation; float path while calibrating."""
-
-    __slots__ = ("qw", "w_scale", "qmax", "act_scale", "cal_maxabs",
-                 "inv_act_scale", "deq_scale")
-
-    def __init__(self, idx, k, stride, pad, wmat, bias, fuse_relu, qmax):
-        super().__init__(idx, k, stride, pad, wmat, bias, fuse_relu)
-        self.qmax = int(qmax)
-        self.qw, self.w_scale = _weight_qparams(wmat, qmax)
-        self.act_scale = None
-        self.cal_maxabs = 0.0
-
-    def _gemm(self, cols, bufs, dt):
-        if self.act_scale is None:  # calibration: float GEMM, record range
-            _observe(self, cols)
-            return super()._gemm(cols, bufs, dt)
-        return _quantized_gemm(self, cols, bufs, dt)
-
-
-class _QDenseStep(_DenseStep):
-    """Dense GEMM with int32 accumulation; float path while calibrating."""
-
-    __slots__ = ("qw", "w_scale", "qmax", "act_scale", "cal_maxabs",
-                 "inv_act_scale", "deq_scale")
-
-    def __init__(self, idx, wmat, bias, qmax):
-        super().__init__(idx, wmat, bias)
-        self.qmax = int(qmax)
-        self.qw, self.w_scale = _weight_qparams(wmat, qmax)
-        self.act_scale = None
-        self.cal_maxabs = 0.0
-
-    def _gemm(self, a, bufs, dt):
-        if self.act_scale is None:
-            _observe(self, a)
-            return super()._gemm(a, bufs, dt)
-        return _quantized_gemm(self, a, bufs, dt)
 
 
 class QuantizedEngine(InferenceEngine):
@@ -163,31 +97,35 @@ class QuantizedEngine(InferenceEngine):
         quantized engine is chunking-invariant anyway).
     """
 
+    #: Every conv stays an im2col GEMM: Winograd has no integer-exact form.
+    _winograd = False
+
     def __init__(self, net, bits: int = 8, calibration_images=None,
                  dtype=np.float32, micro_batch: int = 16):
         if bits not in SUPPORTED_BITS:
             raise ValueError(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
-        # _compile (called by the parent constructor) reads these.
         self.bits = int(bits)
         self.qmax = 2 ** (bits - 1) - 1
-        self._calibrated = False
-        self._in_calibration = False
+        self.prefix = f"int{self.bits}"
+        self._scales: dict[int, float] | None = None  # frozen, by stage index
+        self._record: dict[int, float] | None = None  # max|x| while calibrating
         super().__init__(net, dtype=dtype, micro_batch=micro_batch)
         self.name = f"{self.name}-int{bits}"
+        for _, _, operands in self._specs:
+            if "wmat" in operands:
+                operands["qweights"] = _weight_qparams(operands["wmat"], self.qmax)
         if calibration_images is not None:
             self.calibrate(calibration_images)
 
-    def _compile_layer(self, idx, layer, fuse_relu):
-        if isinstance(layer, Conv2D):
-            return _QConvStep(idx, layer.kernel_size, layer.stride, layer.pad,
-                              *_conv_operands(layer, self.dtype), fuse_relu, self.qmax)
-        if isinstance(layer, Dense):
-            base = super()._compile_layer(idx, layer, fuse_relu)
-            return _QDenseStep(idx, base.wmat, base.bias, self.qmax)
-        return super()._compile_layer(idx, layer, fuse_relu)
-
-    def _gemm_steps(self):
-        return [s for s in self._steps if isinstance(s, (_QConvStep, _QDenseStep))]
+    def _gemm_op(self) -> str:
+        if self._record is not None:
+            return "record"
+        if self._scales is None:
+            raise RuntimeError(
+                "QuantizedEngine is uncalibrated: pass calibration_images at "
+                "construction or call calibrate(batch) before predicting"
+            )
+        return "int"
 
     def calibrate(self, images: np.ndarray) -> "QuantizedEngine":
         """Freeze static activation scales from one float pass over *images*.
@@ -195,35 +133,30 @@ class QuantizedEngine(InferenceEngine):
         Re-calibrating replaces the previous scales entirely.  Returns
         ``self`` so ``compile_quantized(...).calibrate(batch)`` chains.
         """
-        images = np.asarray(images)
-        if images.ndim == 3:
-            images = images[None]
+        images = self._batch(images)
         if images.shape[0] == 0:
             raise ValueError("calibration needs at least one image")
-        for step in self._gemm_steps():
-            step.act_scale = None
-            step.cal_maxabs = 0.0
-        self._calibrated = False
-        self._in_calibration = True
-        try:
-            super().predict_scores(images)
-        finally:
-            self._in_calibration = False
-        for step in self._gemm_steps():
-            _freeze(step)
-        self._calibrated = True
+        with self._lock:
+            self._scales, self._geometry = None, None
+            self._record = {
+                index: 0.0
+                for index, (_, _, operands) in enumerate(self._specs)
+                if "qweights" in operands
+            }
+            try:
+                self._forward(images)
+                self._scales = {
+                    index: maxabs / self.qmax if maxabs > 0.0 else 1.0
+                    for index, maxabs in self._record.items()
+                }
+            finally:
+                # Either way the next call compiles again: with the int32
+                # op, or (calibration failed) refusing as uncalibrated.
+                self._record, self._geometry = None, None
         return self
 
-    def predict_scores(self, images: np.ndarray) -> np.ndarray:
-        if not self._calibrated and not self._in_calibration:
-            raise RuntimeError(
-                "QuantizedEngine is uncalibrated: pass calibration_images at "
-                "construction or call calibrate(batch) before predicting"
-            )
-        return super().predict_scores(images)
-
     def activation_scales(self) -> dict[int, float]:
-        """``{step_index: act_scale}`` of the frozen calibration (for docs/tests)."""
-        if not self._calibrated:
+        """``{stage_index: act_scale}`` of the frozen calibration (for docs/tests)."""
+        if self._scales is None:
             raise RuntimeError("engine is not calibrated")
-        return {s.idx: float(s.act_scale) for s in self._gemm_steps()}
+        return dict(self._scales)

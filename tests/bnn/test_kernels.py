@@ -23,8 +23,8 @@ from repro.bnn import (
     fold_network,
 )
 from repro.bnn.kernels import clear_selection_cache
-from repro.bnn import plan as plan_module
-from repro.bnn.plan import CompiledBNNPlan, available_cpus
+from repro.bnn.plan import CompiledBNNPlan, _Compiler
+from repro.nn.program import available_cpus
 from repro.nn import BatchNorm, Flatten, Sequential
 
 import oracle
@@ -39,9 +39,10 @@ def plane_matmul(a, w):
     """The plan's affine dense stage on ±1 rows: 0/1 plane GEMM, then 2p - sw."""
     stage = FoldedDense(w, thresholds=None)
     plan = CompiledBNNPlan(FoldedBNN([stage]), micro_batch=len(a))
-    build, _ = plan._compiler(np.float32).dense(stage, ("rows", w.shape[1]))
+    build, _ = _Compiler(plan, np.float32).dense(stage, ("rows", w.shape[1]))
     calls, out = build(len(a), (a > 0).astype(np.float32))
-    plan_module._run_calls(calls)
+    for call in calls:
+        call()
     return out
 
 
@@ -118,7 +119,7 @@ def test_legacy_spellings_run_the_serial_bitplane_plan(tmp_path, monkeypatch):
     for name in ("bitplane", "auto", "threaded@1"):
         plan = _tiny_folded(name).compile_inference(micro_batch=4)
         np.testing.assert_array_equal(plan.forward(images), expected, err_msg=name)
-        assert plan._threads == 1
+        assert plan._tile_threads() == 1
     for name in ("reference", "threaded", "threaded@2", "no-such-backend"):
         with pytest.raises(KeyError, match="valid: bitplane, auto, threaded@1"):
             _tiny_folded(name)

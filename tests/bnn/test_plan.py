@@ -31,7 +31,7 @@ from repro.bnn import (
 )
 from repro.bnn import plan as plan_module
 from repro.data import normalize_to_pm1
-from repro.models import build_finn_cnv
+from repro.models import build_finn_cnv, build_model_a
 from repro.nn import BatchNorm, Dense, Flatten, MaxPool2D, Sequential
 
 from oracle import forward_oracle
@@ -120,12 +120,11 @@ def test_threads_below_one_rejected_at_construction(folded_packed):
             folded_packed.compile_inference(threads=threads)
 
 
-def test_batch_size_must_match_micro_batch(folded_packed, test_images):
-    plan = folded_packed.compile_inference(micro_batch=64)
-    with pytest.raises(ValueError):
-        plan.forward(test_images, batch_size=32)
-    # Explicitly passing the plan's own micro-batch is fine.
-    plan.forward(test_images[:64], batch_size=64)
+def test_empty_batch_has_the_class_width(folded_packed):
+    plan = folded_packed.compile_inference(micro_batch=8)
+    scores = plan.class_scores(np.zeros((0, 3, 32, 32)))
+    assert scores.shape == (0, folded_packed.num_classes)
+    assert scores.dtype == plan.forward(np.zeros((1, 3, 32, 32))).dtype
 
 
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 9))
@@ -160,7 +159,7 @@ def test_one_buffer_set_whatever_the_batch_size(folded_packed, test_images):
     random.Random(0).shuffle(sizes)
 
     def buffer_set():
-        return len(plan._buffers), sum(buf.nbytes for buf in plan._buffers)
+        return len(plan.buffers), sum(buf.nbytes for buf in plan.buffers)
 
     plan.forward(test_images[: sizes[0]])
     first = buffer_set()
@@ -170,17 +169,32 @@ def test_one_buffer_set_whatever_the_batch_size(folded_packed, test_images):
         assert buffer_set() == first, n
 
 
-def test_spans_per_chunk_and_one_program_per_chunk_size(folded_packed, test_images):
+#: Model A's stages, labelled by layer kind (conv2's and conv3's ReLUs fuse).
+MODEL_A_STAGES = [
+    "conv1", "pool1", "lrn1", "conv2", "pool2", "lrn2", "conv3", "pool3", "flatten1", "fc1",
+]
+
+
+@pytest.mark.parametrize("engine", ["bnn", "host"])
+def test_spans_per_chunk_and_one_program_per_chunk_size(folded_packed, test_images, engine):
     micro_batch = 8
-    plan = folded_packed.compile_inference(micro_batch=micro_batch)
-    spans = ["bnn." + label for label in folded_packed.stage_labels]
+    if engine == "bnn":
+        plan = folded_packed.compile_inference(micro_batch=micro_batch)
+        runtime, spans = "bnn.plan", ["bnn." + label for label in folded_packed.stage_labels]
+    else:
+        net = build_model_a(scale=0.25, rng=np.random.default_rng(0))
+        net.eval_mode()
+        plan = net.compile_inference(micro_batch=micro_batch)
+        runtime, spans = "host.engine", ["host." + label for label in MODEL_A_STAGES]
+        test_images = np.random.default_rng(1).normal(size=(2 * micro_batch + 3, 3, 32, 32))
     with obs.tracing() as tracer:
         plan.forward(test_images[: 2 * micro_batch + 3])
-    (forward,) = [s for s in tracer.spans if s.name == "bnn.plan.forward"]
+    assert [stage.name for stage in plan.stages] == spans
+    (forward,) = [s for s in tracer.spans if s.name == runtime + ".forward"]
     staged = sorted((s for s in tracer.spans if s.name in spans), key=lambda s: s.start)
     # Three chunks (8, 8, 3), each running every stage once, in order.
     assert [s.name for s in staged] == spans * 3
-    assert all(s.parent == "bnn.plan.forward" for s in staged)
+    assert all(s.parent == runtime + ".forward" for s in staged)
     assert all(forward.start <= s.start <= s.end <= forward.end for s in staged)
     chunks = [s.args["chunk"] for s in tracer.spans if "chunk" in s.args]
     assert sorted(chunks) == [3, micro_batch]
@@ -189,7 +203,7 @@ def test_spans_per_chunk_and_one_program_per_chunk_size(folded_packed, test_imag
         with obs.tracing() as tracer:
             for n in range(1, micro_batch + 1):
                 plan.forward(test_images[:n])
-        return sorted(s.args["chunk"] for s in tracer.spans if s.name == "bnn.plan.compile")
+        return sorted(s.args["chunk"] for s in tracer.spans if s.name == runtime + ".compile")
 
     assert programs_built() == [n for n in range(1, micro_batch + 1) if n not in (3, micro_batch)]
     assert programs_built() == []
@@ -208,7 +222,7 @@ def test_failed_recompile_leaves_the_plan_as_it_was(cnv_folded):
     before = plan.class_scores(images)
 
     def buffer_set():
-        return [(id(buf), buf.tobytes()) for buf in plan._buffers]
+        return [(id(buf), buf.tobytes()) for buf in plan.buffers]
 
     kept = buffer_set()
     for bad in (np.zeros((2, 3, 8, 8)), np.zeros((2, 4, 32, 32))):
@@ -340,8 +354,7 @@ def test_float64_planes_above_the_f32_exact_limit(folded_packed, test_images, mo
     monkeypatch.setattr(plan_module, "_F32_EXACT_LIMIT", 1)
     plan = folded_packed.compile_inference(micro_batch=8)
     scores = plan.forward(test_images[:19])
-    assert plan._dtype == np.float64
-    assert {buf.dtype for buf in plan._buffers} == {np.dtype(np.float64)}
+    assert {buf.dtype for buf in plan.buffers} == {np.dtype(np.float64)}
     np.testing.assert_array_equal(scores, expected)
 
 

@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 from repro.bnn import FoldedBNN, FoldedDense, FoldedPool, fold_network
 from repro.bnn import plan as plan_module
 from repro.bnn.inference import FoldedConv
-from repro.bnn.plan import CompiledBNNPlan, _fold_float, _lane_base
+from repro.bnn.plan import CompiledBNNPlan, _Compiler, _fold_float, _lane_base
 from repro.bnn.thresholding import ChannelThresholds
 from repro.data import normalize_to_pm1
 from repro.models import build_finn_cnv
 from repro.nn import functional as F
+from repro.nn import program as program_module
 
 from oracle import forward_oracle, oracle_stage
 
@@ -62,12 +63,13 @@ def _plane_op(stage, h, w, micro_batch, threads):
     """Compile *stage* alone as a float32 plane conv of the plan; returns
     the compile (it owns the buffers) and a function running a chunk."""
     plan = CompiledBNNPlan(FoldedBNN([stage]), micro_batch=micro_batch, threads=threads)
-    compiler = plan._compiler(np.float32)
+    compiler = _Compiler(plan, np.float32)
     build, _ = compiler.conv_plane(stage, ("map", h, w, stage.in_channels))
 
     def op(maps):
         calls, out = build(len(maps), maps)
-        plan_module._run_calls(calls)
+        for call in calls:
+            call()
         return out
 
     return compiler, op
@@ -101,7 +103,7 @@ def _unpacked(stage, maps):
 def test_packed_stage_equals_unpacked(
     seed, shape, oc, stride, pad, extra, micro_batch, fill, threads, data, monkeypatch
 ):
-    monkeypatch.setattr(plan_module, "available_cpus", lambda: 2)
+    monkeypatch.setattr(program_module, "available_cpus", lambda: 2)
     k, c = shape
     rng = np.random.default_rng(seed)
     stage = _conv_stage(rng, k, c, oc, stride, pad)
@@ -133,11 +135,11 @@ def folded_packed(micro_workbench):
 def test_plan_matches_uncompiled_at_odd_chunks(
     folded_packed, micro_workbench, micro_batch, threads, monkeypatch
 ):
-    monkeypatch.setattr(plan_module, "available_cpus", lambda: 2)
+    monkeypatch.setattr(program_module, "available_cpus", lambda: 2)
     images = normalize_to_pm1(micro_workbench.splits.test.images)[: 4 * micro_batch + 1]
     plan = folded_packed.compile_inference(micro_batch=micro_batch, threads=threads)
     plan.forward(images[:1])  # compile, then clear what the compile run left
-    for buf in plan._buffers:
+    for buf in plan.buffers:
         buf.fill(0)
     np.testing.assert_array_equal(
         plan.forward(images),
@@ -151,14 +153,14 @@ def test_plan_matches_uncompiled_at_odd_chunks(
         if isinstance(s, FoldedConv) and s.binary_input
     ]
     assert bases and None not in bases
-    planes = [buf for buf in plan._buffers if buf.dtype == np.float32]
+    planes = [buf for buf in plan.buffers if buf.dtype == np.float32]
     assert max(float(buf.max()) for buf in planes) >= min(bases)
 
 
 def _split_spans(plan, n: int = 1) -> set:
     """Span names of the stages whose n-image program decodes lanes."""
-    _, stages, _ = plan._programs[n]
-    return {span for span, calls in stages if any(c.func is np.rint for c in calls)}
+    _, stages, _ = plan.programs[n]
+    return {span for span, calls, _ in stages if any(c.func is np.rint for c in calls)}
 
 
 @st.composite
@@ -224,7 +226,7 @@ def test_one_image_chunk_splits_into_half_image_lanes(
 ):
     # Every stage the exactness check admits splits, whatever its size.
     monkeypatch.setattr(plan_module, "_SPLIT_PLANE_BYTES", 0)
-    monkeypatch.setattr(plan_module, "available_cpus", lambda: 2)
+    monkeypatch.setattr(program_module, "available_cpus", lambda: 2)
     folded, shape, splits = case
     images = np.random.default_rng(seed).integers(-3, 4, size=(2,) + shape).astype(np.float64)
     plan = folded.compile_inference(micro_batch=micro_batch, threads=threads)
@@ -272,14 +274,13 @@ def test_conv1_plane_gather_matches_row_layout(n, pad, stride, dtype):
         constant=np.ones(oc),
     )
     stage = FoldedConv(rng.normal(size=(oc, c * k * k)), k, stride, pad, c, thresholds, False)
-    compiler = CompiledBNNPlan(FoldedBNN([stage]), micro_batch=micro_batch)._compiler(
-        np.float32
-    )
+    compiler = _Compiler(CompiledBNNPlan(FoldedBNN([stage]), micro_batch=micro_batch), np.float32)
     build, _ = compiler.conv_float(stage, ("float", c, h, w))
     images = rng.normal(size=(n, c, h, w)).astype(dtype)
     calls, _ = build(n, None)
     calls[0](images)
-    plan_module._run_calls(calls[1:])
+    for call in calls[1:]:
+        call()
 
     oh, ow = F.conv_output_size(h, k, stride, pad), F.conv_output_size(w, k, stride, pad)
     (acc,) = [b for b in compiler.buffers if b.shape == (micro_batch * oh * ow, oc)]

@@ -16,9 +16,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bnn import BinaryActivation, BinaryConv2D, BinaryDense, fold_network
-from repro.bnn import plan as plan_module
 from repro.data import normalize_to_pm1
 from repro.nn import BatchNorm, Dense, Flatten, MaxPool2D, Sequential
+from repro.nn import program as program_module
 
 from oracle import forward_oracle
 
@@ -80,7 +80,7 @@ def foldable_nets(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_plan_equals_oracle_equals_training_net(case, micro_batch, tail, threads, monkeypatch):
-    monkeypatch.setattr(plan_module, "available_cpus", lambda: 2)
+    monkeypatch.setattr(program_module, "available_cpus", lambda: 2)
     net, shape = case
     n = micro_batch + tail  # full chunks and a ragged tail
     images = np.random.default_rng(n).uniform(-1.0, 1.0, size=(n, *shape))

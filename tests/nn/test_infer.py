@@ -80,6 +80,9 @@ class TestEquivalence:
                 )
             return net.compile_inference(micro_batch=micro_batch)
 
+        def buffer_set(engine):
+            return len(engine.buffers), sum(buf.nbytes for buf in engine.buffers)
+
         micro_batch = 8
         net = make_net(model)
         x = make_images(micro_batch)
@@ -87,21 +90,22 @@ class TestEquivalence:
         np.random.default_rng(0).shuffle(sizes)
         engine = compile_engine(micro_batch)
         engine.predict_scores(x[: sizes[0]])
-        first = engine.scratch_nbytes()
-        assert first > 0
+        first = buffer_set(engine)
+        assert first[1] > 0
         for n in sizes[1:]:
             got = engine.predict_scores(x[:n])
-            assert engine.scratch_nbytes() == first, n
+            assert buffer_set(engine) == first, n
             np.testing.assert_array_equal(got, compile_engine(n).predict_scores(x[:n]))
         single_size = compile_engine(micro_batch)
         single_size.predict_scores(x)
-        assert single_size.scratch_nbytes() == first
+        assert buffer_set(single_size) == first
 
     def test_empty_batch(self):
         net = make_net("a")
         engine = net.compile_inference()
         scores = engine.predict_scores(make_images(0))
-        assert scores.shape == (0, engine.num_classes_hint())
+        assert scores.shape == (0, engine.predict_scores(make_images(1)).shape[1])
+        assert scores.dtype == engine.dtype
 
     def test_unsupported_layer_raises(self):
         class Exotic(Sequential):

@@ -107,7 +107,8 @@ class TestDeterminism:
 
     def test_empty_batch(self):
         engine = make_quantized(make_net("a"), bits=8)
-        assert engine.predict_scores(make_images(0)).shape[0] == 0
+        scores = engine.predict_scores(make_images(0))
+        assert scores.shape == (0, engine.predict_scores(make_images(1)).shape[1])
 
 
 class TestCalibration:
@@ -150,7 +151,7 @@ class TestCalibration:
             QuantizedEngine(make_net("a"), bits=3)
 
     def test_flatten_dense_network_quantizes(self):
-        """No-conv path: only _QDenseStep gemms, straight off the pixels."""
+        """No-conv path: only dense GEMMs, straight off the pixels."""
         rng = np.random.default_rng(0)
         net = Sequential([Flatten(), Dense(3 * 8 * 8, 5, rng=rng)])
         net.eval_mode()

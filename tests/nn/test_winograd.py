@@ -1,16 +1,16 @@
-"""Winograd F(4x4, 3x3) conv step of the compiled host engine.
+"""Winograd F(4x4, 3x3) conv stage of the compiled host engine.
 
-The property checks the step against a float64 direct convolution
+The property checks the stage against a float64 direct convolution
 computed from the same im2col weight matrix, over the geometries where
 a tiling slip would show: odd sizes, sizes that are not multiples of the
 4x4 output tile (down to a single 3x3 window), both paddings, every
-chunk size up to the micro-batch (run back to back on one buffer pool),
+chunk size up to the micro-batch (run back to back on one buffer set),
 and bias / ReLU on and off.  The error bound scales per output with the
 size of the terms the convolution sums, sum |x|*|w| (+|b|), not with the
 output itself: a small output can cancel to far below the terms Winograd
 adds up (a 1x1 output of 0.004 from terms summing to 4.4 did, at
 seed=1854).  The remaining tests pin where the engines
-use the step: exactly at the documented shape rule in the float engine,
+use the stage: exactly at the documented shape rule in the float engine,
 never in the integer-exact quantized engine.
 """
 
@@ -20,10 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.models.host_models import build_model_a, build_model_b, build_model_c
-from repro.nn import Conv2D
+from repro.nn import Conv2D, Flatten, InferenceEngine, Sequential
 from repro.nn import infer
-from repro.nn.infer import _BufferPool, _ConvStep, _WinogradStep, _winograd_filter
-from repro.nn.quantized import QuantizedEngine, _QConvStep
+from repro.nn.infer import _HostCompiler, _winograd_filter
+from repro.nn.quantized import QuantizedEngine
 
 BUILDERS = {"a": build_model_a, "b": build_model_b, "c": build_model_c}
 #: Bound on |error| / sum |x|*|w| (+|b|) per output: about 5x the largest
@@ -67,15 +67,18 @@ def test_winograd_step_matches_float64_direct_conv(
     rng = np.random.default_rng(seed)
     wmat = rng.normal(size=(9 * c_in, c_out))
     bias = rng.normal(size=c_out) if use_bias else None
-    step = _WinogradStep(
-        0, pad, _winograd_filter(wmat).astype(dtype),
+    engine = InferenceEngine(Sequential([Flatten()]), dtype=dtype, micro_batch=micro_batch)
+    compiler = _HostCompiler(engine, dtype, "float")
+    build, _ = compiler.winograd(
+        ("map", h, w, c_in), pad, _winograd_filter(wmat).astype(dtype),
         None if bias is None else bias.astype(dtype), relu,
     )
-    bufs = _BufferPool(micro_batch)
+    compiler.finish()
     for n in (min(s, micro_batch) for s in sizes):
         x = rng.normal(size=(n, h, w, c_in))
-        bufs.images = n
-        got = step.run(x.astype(dtype), bufs, np.dtype(dtype))
+        calls, got = build(n, x.astype(dtype))
+        for call in calls:
+            call()
         pre = direct_conv(x, wmat, bias, pad)
         expected = np.maximum(pre, 0.0) if relu else pre
         terms = direct_conv(np.abs(x), np.abs(wmat), None if bias is None else np.abs(bias), pad)
@@ -92,22 +95,29 @@ def expected_winograd(layer) -> bool:
     )
 
 
-def conv_steps(engine, net):
+def conv_stages(engine, net):
+    """``(layer, stage, calls, out)`` per conv of a one-image program."""
+    engine.predict_scores(np.zeros((1, 3, 32, 32)))
     convs = [layer for layer in net if isinstance(layer, Conv2D)]
-    steps = [s for s in engine._steps if isinstance(s, (_ConvStep, _WinogradStep))]
-    assert len(steps) == len(convs)
-    return list(zip(convs, steps))
+    _, steps, _ = engine.programs[1]
+    stages = [
+        (stage, calls, out)
+        for stage, (_, calls, out) in zip(engine.stages, steps)
+        if stage.name.split(".")[1].startswith("conv")
+    ]
+    assert len(stages) == len(convs)
+    return [(layer, *stage) for layer, stage in zip(convs, stages)]
 
 
 class TestShapeRule:
     def test_model_c_uses_winograd_on_its_padded_stride1_3x3_convs(self):
         net = build_model_c(scale=1.0, rng=np.random.default_rng(1))
-        kinds = [type(s).__name__ for _, s in conv_steps(net.compile_inference(), net)]
+        kinds = [stage.kind for _, stage, _, _ in conv_stages(net.compile_inference(), net)]
         # conv1 has 3 input channels, conv3/conv6 stride 2, conv7 no
         # padding, conv8/conv9 are 1x1: all stay im2col.
         assert kinds == [
-            "_ConvStep", "_WinogradStep", "_ConvStep", "_WinogradStep",
-            "_WinogradStep", "_ConvStep", "_ConvStep", "_ConvStep", "_ConvStep",
+            "im2col", "winograd", "im2col", "winograd",
+            "winograd", "im2col", "im2col", "im2col", "im2col",
         ]
 
     @pytest.mark.parametrize("scale", [0.25, 1.0])
@@ -115,21 +125,19 @@ class TestShapeRule:
     def test_every_conv_follows_the_rule(self, model, scale):
         net = BUILDERS[model](scale=scale, rng=np.random.default_rng(0))
         for dtype in (np.float32, np.float64):
-            for layer, step in conv_steps(net.compile_inference(dtype=dtype), net):
-                assert isinstance(step, _WinogradStep) == expected_winograd(layer), layer
-                assert step.out_width() == layer.out_channels
+            for layer, stage, _, out in conv_stages(net.compile_inference(dtype=dtype), net):
+                assert (stage.kind == "winograd") == expected_winograd(layer), layer
+                assert out.shape[-1] == layer.out_channels
 
     @pytest.mark.parametrize("model", ["a", "b", "c"])
     def test_every_step_returns_a_contiguous_buffer(self, model):
         net = BUILDERS[model](scale=0.25, rng=np.random.default_rng(0))
         net.eval_mode()
         engine = net.compile_inference(micro_batch=4)
-        x = np.random.default_rng(1).normal(size=(3, 3, 32, 32))
-        engine._bufs.images = 3
-        a = np.ascontiguousarray(x.transpose(0, 2, 3, 1), dtype=engine.dtype)
-        for step in engine._steps:
-            a = step.run(a, engine._bufs, engine.dtype)
-            assert a.flags.c_contiguous, step
+        engine.predict_scores(np.random.default_rng(1).normal(size=(3, 3, 32, 32)))
+        _, steps, _ = engine.programs[3]
+        for span, _, out in steps:
+            assert out.flags.c_contiguous, span
 
 
 class TestQuantizedEngineStaysIm2col:
@@ -141,6 +149,10 @@ class TestQuantizedEngineStaysIm2col:
 
         monkeypatch.setattr(infer, "_winograd_filter", no_transform)
         net = BUILDERS[model](scale=0.25, rng=np.random.default_rng(0))
-        engine = QuantizedEngine(net, bits=bits)
-        steps = conv_steps(engine, net)
-        assert steps and all(isinstance(step, _QConvStep) for _, step in steps)
+        engine = QuantizedEngine(net, bits=bits, calibration_images=np.zeros((1, 3, 32, 32)))
+        stages = conv_stages(engine, net)
+        assert stages and all(stage.kind == "im2col" for _, stage, _, _ in stages)
+        # The int32 GEMM: each conv multiplies rint-quantized int32 operands.
+        for _, _, calls, _ in stages:
+            assert any(c.func is np.rint for c in calls)
+            assert any(c.func is np.matmul and c.args[0].dtype == np.int32 for c in calls)

@@ -84,10 +84,42 @@ def test_compiled_plan_concurrent_scores_are_serial(images):
         np.testing.assert_array_equal(got, want)
 
 
-def test_engine_with_its_lock_still_pickles(engine, images):
+def _float_engine(images):
+    net = build_model_a(scale=0.25, rng=np.random.default_rng(0))
+    net.eval_mode()
+    return net.compile_inference(micro_batch=8)
+
+
+def _quantized_engine(images):
+    net = build_model_a(scale=0.25, rng=np.random.default_rng(0))
+    net.eval_mode()
+    return net.compile_quantized(bits=8, calibration_images=images[-16:], micro_batch=8)
+
+
+def _threaded_plan(images):
+    net = build_finn_cnv(scale=0.1, rng=np.random.default_rng(2))
+    net.eval_mode()
+    return fold_network(net).compile_inference(micro_batch=8, threads=2)
+
+
+@pytest.mark.parametrize(
+    "build", [_float_engine, _quantized_engine, _threaded_plan],
+    ids=["float", "quantized", "plan"],
+)
+def test_engine_with_its_lock_still_pickles(build, images, monkeypatch):
     import pickle
 
+    from repro.nn import program
+
+    # Two tile threads even on a one-CPU runner: the plan owns a pool.
+    monkeypatch.setattr(program, "available_cpus", lambda: 2)
+    engine = build(images)
+    want = engine(images[:8]).copy()
+    # The original holds compiled call lists over its buffers (and the
+    # plan a thread pool); the copy must not replay partials over copies.
+    assert engine.programs and engine.buffers
     copy = pickle.loads(pickle.dumps(engine))
-    np.testing.assert_array_equal(
-        copy.predict_scores(images[:8]), engine.predict_scores(images[:8])
-    )
+    np.testing.assert_array_equal(copy(images[:8]), want)
+    copy(images[8:16])  # the copy's buffers are its own
+    np.testing.assert_array_equal(engine(images[:8]), want)
+    np.testing.assert_array_equal(copy(images[:8]), want)

@@ -9,10 +9,10 @@ balanced books.
 import numpy as np
 
 from repro.bnn import fold_network
-from repro.bnn import plan as plan_module
 from repro.core import DecisionMakingUnit
 from repro.data import normalize_to_pm1, synthetic_cifar10
 from repro.models import build_finn_cnv
+from repro.nn import program as program_module
 from repro.serve import CascadeServer
 
 MICRO_BATCH = 16
@@ -40,7 +40,7 @@ def _serve(folded, images, threshold, threads, host_workers):
 def test_plan_threads_and_host_processes_match_the_serial_cascade(monkeypatch):
     # Two tile threads even on a one-CPU runner: the composition is the
     # point, not the speed.
-    monkeypatch.setattr(plan_module, "available_cpus", lambda: 2)
+    monkeypatch.setattr(program_module, "available_cpus", lambda: 2)
     net = build_finn_cnv(scale=0.25, rng=np.random.default_rng(0))
     net.eval_mode()
     folded = fold_network(net)
@@ -51,7 +51,7 @@ def test_plan_threads_and_host_processes_match_the_serial_cascade(monkeypatch):
     _, serial, serial_snap = _serve(folded, images, threshold, threads=None, host_workers=None)
     plan, threaded, snap = _serve(folded, images, threshold, threads=2, host_workers=2)
 
-    assert plan._threads == 2 and plan._executor is not None
+    assert plan._tile_threads() == 2 and plan._executor is not None
     assert snap.host_parallel_workers == 2
     assert 0 < serial_snap.rerun < len(images)  # both stages answered something
     np.testing.assert_array_equal(

@@ -42,9 +42,15 @@ class TestCLI:
 
 
 class TestTraceCommand:
-    def test_trace_runs_and_writes_artifacts(self, capsys, tmp_path):
+    def test_trace_runs_and_writes_artifacts(self, capsys, tmp_path, monkeypatch):
         import json
 
+        import numpy as np
+
+        from repro.models import build_model_a
+
+        # The host engine must run in this process, under the tracer.
+        monkeypatch.delenv("REPRO_HOST_WORKERS", raising=False)
         trace_path = tmp_path / "trace.json"
         summary_path = tmp_path / "summary.json"
         assert main([
@@ -60,7 +66,15 @@ class TestTraceCommand:
         assert "serve.bnn" in names and "serve.host" in names
         summary = json.loads(summary_path.read_text())
         assert summary["completed"] == 48
-        assert "serve.bnn" in summary["summary"]["spans"]
+        spans = summary["summary"]["spans"]
+        assert "serve.bnn" in spans
+        # Every compiled host stage is a span of its own, inside serve.host.
+        host = build_model_a(scale=0.15, rng=np.random.default_rng(0)).compile_inference()
+        host(np.zeros((1, 3, 32, 32)))
+        stages = [stage.name for stage in host.stages]
+        assert stages and all(name.startswith("host.") and name in spans for name in stages)
+        staged = sum(spans[name]["total_seconds"] for name in stages)
+        assert staged <= spans["serve.host"]["total_seconds"]
 
     def test_trace_skip_output(self, capsys):
         assert main(["trace", "--requests", "32", "--scale", "0.1",

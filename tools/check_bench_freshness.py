@@ -34,7 +34,7 @@ class Artifact(NamedTuple):
 
 ARTIFACTS = {
     "BENCH_parallel.json": Artifact(
-        ("src/repro/parallel", "src/repro/nn/infer.py"),
+        ("src/repro/parallel", "src/repro/nn/infer.py", "src/repro/nn/program.py"),
         "python -m repro bench-parallel",
     ),
     "BENCH_traffic.json": Artifact(
