@@ -109,15 +109,22 @@ class CachingFrontend:
         self.ledger = Ledger({"leaders": None, "followers": "cache.single_flight"})
 
     # -- submit path ----------------------------------------------------------
-    def submit(self, image: np.ndarray) -> Future:
-        """Serve *image* from cache / an in-flight duplicate / the backend."""
+    def submit(self, image: np.ndarray, key: bytes | None = None) -> Future:
+        """Serve *image* from cache / an in-flight duplicate / the backend.
+
+        *key*, when given, must equal ``content_key(image)``: a caller
+        that already hashed the image (the shard router) saves this
+        frontend its own lookup.  A frontend with a namespace ignores it
+        and computes ``content_key(image, namespace)`` itself.
+        """
         image = np.asarray(image)
         start = self._clock()
-        key = self._recent.lookup(
-            image,
-            (self.namespace, str(image.dtype), image.shape),
-            lambda owned: self.cache.key_for(owned, self.namespace),
-        )
+        if key is None or self.namespace:
+            key = self._recent.lookup(
+                image,
+                (self.namespace, str(image.dtype), image.shape),
+                lambda owned: self.cache.key_for(owned, self.namespace),
+            )
         with self._flight_lock:
             answer = self.cache.get(key)
             if answer is not None:

@@ -45,8 +45,13 @@ Replica caches
 A replica whose factory asks for ``cache_max_bytes`` gets its result
 cache and single-flight on the *router's* side of its pipe, in its
 :class:`ProcessReplica` handle: a repeat resolves inside :meth:`submit`
-with a dict lookup, and only misses cross to the child.  A hit is still
-booked ``routed`` on its replica.
+with a dict lookup, and only misses cross to the child.  Under
+``rendezvous`` placement the router's one :class:`PayloadMemo` lookup
+yields both the replica order and the content key, and the router hands
+the key to the replica, so a held frame is looked up once per request.
+A hit comes back already resolved and is booked ``routed`` on its
+replica before :meth:`ShardRouter.submit` returns it; only a pending or
+failed future is wrapped and settled by a done-callback.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ from ..parallel import default_start_method
 from ..parallel.child import Child
 from ..serve.resilience import CircuitBreaker
 from ..util.deadline import time_left
-from ..util.hashing import PayloadMemo, rendezvous_order
+from ..util.hashing import PayloadMemo, content_key, rendezvous_order
 
 __all__ = [
     "ROUTER_LAW",
@@ -164,7 +169,8 @@ class InProcessReplica:
         self._server = server
         self._dead = False
 
-    def submit(self, image: np.ndarray) -> Future:
+    def submit(self, image: np.ndarray, key: bytes | None = None) -> Future:
+        """Submit to the server; *key* is accepted and ignored (no cache)."""
         if self._dead:
             raise ReplicaFailure(self.index, "replica is closed")
         return self._server.submit(image)
@@ -225,6 +231,8 @@ class ProcessReplica(Child):
     hit, or a follower of an in-flight miss, never crosses the pipe; with
     rendezvous placement the image bytes that pick a replica also name
     its cache entry, so repeats land where their answer is cached.
+    :meth:`submit` takes that entry's *key* from the router, which must
+    equal ``content_key(image)``; the key never crosses the pipe.
     Death fails every in-flight future with :class:`ReplicaFailure`, and
     a dead or closed replica refuses every submit, cached or not.
     """
@@ -251,25 +259,45 @@ class ProcessReplica(Child):
         )
         #: The replica's cache and single-flight, or ``None`` without a budget.
         self.cache_frontend: CachingFrontend | None = None
-        self._submit = self._send_image
         budget = self.info["cache_max_bytes"]
         if budget:
             # The frontend's backend is the pipe itself, not this submit.
             self.cache_frontend = CachingFrontend(
                 SimpleNamespace(submit=self._send_image), ResultCache(max_bytes=budget)
             )
-            self._submit = self.cache_frontend.submit
 
-    def submit(self, image: np.ndarray) -> Future:
+    def submit(self, image: np.ndarray, key: bytes | None = None) -> Future:
+        """Answer from the cache, join an identical miss in flight, or send
+        *image* down the pipe; *key* (``content_key(image)``, or ``None``)
+        saves the cache its own lookup."""
         if self._dead is not None:  # refused before any cache lookup
             raise self._error(self._dead)
-        return self._submit(image)
+        if self.cache_frontend is None:
+            return self._send_image(image)
+        return self.cache_frontend.submit(image, key)
 
     def _send_image(self, image: np.ndarray) -> Future:
         return self.request("submit", array=image)
 
 
 # -- router -------------------------------------------------------------------
+#: ``str`` of each builtin dtype seen, by identity: numpy formats a
+#: dtype's name in Python (~4 us).  Builtin dtypes are a few singletons,
+#: and the entry holds its dtype, so an id is never reused.
+_BUILTIN_DTYPE_NAMES: dict[int, tuple[np.dtype, str]] = {}
+
+
+def _dtype_name(dtype: np.dtype) -> str:
+    """``str(dtype)``, remembered for builtin dtypes."""
+    held = _BUILTIN_DTYPE_NAMES.get(id(dtype))
+    if held is not None:
+        return held[1]
+    name = str(dtype)
+    if dtype.isbuiltin == 1:
+        _BUILTIN_DTYPE_NAMES[id(dtype)] = (dtype, name)
+    return name
+
+
 class ShardRouter:
     """Place requests across replicas with breakers and failover.
 
@@ -308,6 +336,10 @@ class ShardRouter:
         self._rr = itertools.count()
         self._rr_lock = threading.Lock()
         self._recent = PayloadMemo()
+        # With a replica cache, rendezvous placement also yields the key.
+        self._keyed = placement == "rendezvous" and any(
+            getattr(replica, "cache_frontend", None) is not None for replica in self._replicas
+        )
         self._closed = False
 
     @classmethod
@@ -339,19 +371,31 @@ class ShardRouter:
         return tuple(self._replicas)
 
     # -- placement -------------------------------------------------------------
-    def _order(self, image: np.ndarray) -> Sequence[int]:
+    def _place(self, image: np.ndarray) -> tuple[Sequence[int], bytes | None]:
+        """The replica order for *image*, and its content key when a
+        replica cache will want one (else ``None``)."""
         n = len(self._replicas)
         if self._placement == "round_robin":
             with self._rr_lock:
                 start = next(self._rr) % n
-            return [(start + i) % n for i in range(n)]
+            return [(start + i) % n for i in range(n)], None
         # Rendezvous (highest-random-weight): deterministic per image.
         # The keyed-blake2b construction lives in repro.util.hashing so
         # the cache keys the same bytes; placement is pinned by a golden
         # test and must stay byte-identical.  A repeated payload reuses
-        # its order from the memo for one byte comparison.
+        # its order (and key) from the memo for one byte comparison.
+        if not self._keyed:
+            order = self._recent.lookup(
+                image, n, lambda owned: tuple(rendezvous_order(owned, n))
+            )
+            return order, None
+        # The tag carries everything the key hashes: equal dtypes may
+        # print differently (an aligned and an unaligned struct), so the
+        # dtype enters as its string, never as the object.
         return self._recent.lookup(
-            image, n, lambda owned: tuple(rendezvous_order(owned, n))
+            image,
+            (n, _dtype_name(image.dtype), image.shape),
+            lambda owned: (tuple(rendezvous_order(owned, n)), content_key(owned)),
         )
 
     # -- submission ------------------------------------------------------------
@@ -359,26 +403,30 @@ class ShardRouter:
         """Place one image; returns a future resolving to a ServeResult.
 
         Raises :class:`NoHealthyReplica` (and books a rejection) when no
-        replica can take the request right now.
+        replica can take the request right now.  A replica future that is
+        already resolved (a cache hit) is booked here and returned as is.
         """
         if self._closed:
             raise NoHealthyReplica("router is closed")
         self.metrics.add(submitted=1)
         image = np.asarray(image)
         with obs.trace_span("net.route"):
-            order = self._order(image)
+            order, key = self._place(image)
             for position, index in enumerate(order):
                 replica = self._replicas[index]
                 breaker = self._breakers[index]
                 if not replica.alive() or not breaker.allow():
                     continue
                 try:
-                    inner = replica.submit(image)
+                    inner = replica.submit(image, key)
                 except Exception:
                     breaker.record_failure()
                     continue
                 if position > 0:  # placed past its first choice
                     self.metrics.add(failovers=1)
+                if inner.done() and not inner.cancelled() and inner.exception() is None:
+                    self._book_success(index)
+                    return inner
                 outer: Future = Future()
                 inner.add_done_callback(
                     lambda fut, index=index, outer=outer: self._settle(outer, index, fut)
@@ -390,11 +438,14 @@ class ShardRouter:
             f"(alive: {[r.alive() for r in self._replicas]})"
         )
 
+    def _book_success(self, index: int) -> None:
+        self.metrics.add(index, routed=1, replica_routed=1)
+        self._breakers[index].record_success()
+
     def _settle(self, outer: Future, index: int, inner: Future) -> None:
         exc = inner.exception()
         if exc is None:
-            self.metrics.add(index, routed=1, replica_routed=1)
-            self._breakers[index].record_success()
+            self._book_success(index)
             outer.set_result(inner.result())
         else:
             self.metrics.add(index, failed=1, replica_failed=1)

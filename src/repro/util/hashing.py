@@ -23,8 +23,13 @@ duplicate of an image lands on the shard already holding its answer).
 Both callers also see the same payload several times in a row (a held
 video frame, a retried request), and hashing 24 KB costs tens of
 microseconds per pass.  :class:`PayloadMemo` keeps the values of the
-last few payloads each caller hashed, so a repeat costs one byte
-comparison instead; the functions above stay pure and uncached.
+last few payloads a caller hashed, so a repeat costs one byte
+comparison instead; the functions above stay pure and uncached.  A
+routed request is looked up once: under rendezvous placement with
+replica caches the router's memo value is the pair (replica order,
+content key), and the router hands the key to the replica's cache.  A
+:class:`repro.cache.CachingFrontend` keeps its own memo only for the
+keys it computes itself (no key handed in, or a tenant namespace).
 """
 
 from __future__ import annotations
@@ -113,9 +118,12 @@ class PayloadMemo:
 
     :meth:`lookup` returns ``compute(image)`` for an image whose raw
     bytes and *tag* equal a remembered entry's, without calling
-    *compute*.  The tag names whatever else the value depends on (the
-    replica count for placement; namespace, dtype and shape for a
-    content key).  Every repeat receives the same value object, so
+    *compute*.  The tag names whatever else the value depends on: the
+    replica count for a placement; the namespace, ``str`` of the dtype
+    and shape for a content key; all of the count, dtype string and
+    shape for the router's (placement, key) pair.  A dtype enters a tag
+    as its string, since two dtypes can compare equal yet name different
+    keys.  Every repeat receives the same value object, so
     *compute* should return an immutable one (a tuple, ``bytes``).
 
     Exactness: an entry holds an owned ``bytes`` copy of the payload,

@@ -1,13 +1,16 @@
 """Exactness of the recent-payload memo at both of its call sites.
 
-:class:`~repro.net.ShardRouter` (rendezvous placement) and
-:class:`~repro.cache.CachingFrontend` (cache keys) each keep a
-:class:`~repro.util.hashing.PayloadMemo` of the last few payloads they
-hashed.  The memo may only ever save work: every placement must equal
+:class:`~repro.net.ShardRouter` (rendezvous placement) keeps one
+:class:`~repro.util.hashing.PayloadMemo` whose value is the replica
+order or, when a replica has a cache, the order and the content key the
+router hands to that replica.  :class:`~repro.cache.CachingFrontend`
+keeps one for the keys it computes itself (no key given, or a tenant
+namespace).  The memo may only ever save work: every order must equal
 :func:`~repro.util.hashing.rendezvous_order` and every key
 :func:`~repro.util.hashing.content_key` of the bytes passed *in that
 call* — across repeats, interleaved streams with more distinct frames
-than the memo holds, equal bytes under another dtype, shape or
+than the memo holds, equal bytes under another dtype (including two
+structured dtypes that compare equal but print differently), shape or
 namespace, one array object rewritten in place between calls, and many
 threads racing on one memo.
 """
@@ -34,8 +37,14 @@ from repro.util.hashing import (
 
 #: Distinct 24-byte payloads, more of them than the memo holds.
 PAYLOADS = np.random.default_rng(35).integers(0, 256, size=(MEMO_ENTRIES + 3, 24), dtype=np.uint8)
+#: Two structured dtypes that compare (and hash) equal, yet print, and so
+#: content-key, differently: a memo tagged with the dtype object would
+#: hand one the other's key.
+ALIGNED = np.dtype([("a", "<f4"), ("b", "<f4")], align=True)
+UNALIGNED = np.dtype([("a", "<f4"), ("b", "<f4")])
 #: The same bytes read as other dtypes and shapes (content keys differ).
-FORMS = [("u1", (24,)), ("u1", (4, 6)), ("<f4", (6,)), (">f4", (2, 3)), ("<f8", (3,)), ("<i2", (12,))]
+FORMS = [("u1", (24,)), ("u1", (4, 6)), ("<f4", (6,)), (">f4", (2, 3)), ("<f8", (3,)), ("<i2", (12,)),
+         (ALIGNED, (3,)), (UNALIGNED, (3,))]
 NAMESPACES = ["", "model-a", "model-c"]
 #: How a call's array is made: a fresh array, a view of one array object
 #: that is rewritten in place before the call, or a non-contiguous view.
@@ -69,9 +78,35 @@ class KeySpy(ResultCache):
         return super().get(key, image)
 
 
-def make_router(n: int) -> ShardRouter:
-    replicas = [InProcessReplica(i, Answering()) for i in range(n)]
+class CachedReplica(InProcessReplica):
+    """An in-process replica with a cache in front, like a cached
+    :class:`~repro.net.router.ProcessReplica`: it takes the router's key."""
+
+    def __init__(self, index: int, cache: ResultCache):
+        super().__init__(index, Answering())
+        self.cache_frontend = CachingFrontend(Answering(), cache)
+
+    def submit(self, image, key=None) -> Future:
+        return self.cache_frontend.submit(image, key)
+
+
+def make_router(n: int, cache: ResultCache | None = None) -> ShardRouter:
+    """A rendezvous router; with *cache*, every replica keeps one frontend
+    over it (one image always lands on one replica, so they may share)."""
+    if cache is None:
+        replicas = [InProcessReplica(i, Answering()) for i in range(n)]
+    else:
+        replicas = [CachedReplica(i, cache) for i in range(n)]
     return ShardRouter(replicas, placement="rendezvous")
+
+
+def check_placement(router: ShardRouter, image: np.ndarray, n: int) -> list:
+    """What the router's memo gives for *image*, against the pure functions:
+    ``[]`` when both values are right."""
+    order, key = router._place(image)
+    wrong = [] if list(order) == rendezvous_order(image, n) else ["order"]
+    expected = content_key(image) if router._keyed else None
+    return wrong if key == expected else wrong + ["key"]
 
 
 class Holders:
@@ -106,27 +141,34 @@ calls = st.lists(
 
 
 @settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 5), sequence=calls)
+@given(n=st.integers(1, 5), keyed=st.booleans(), sequence=calls)
 # One array object rewritten in place, then its first bytes again.
-@example(n=3, sequence=[(0, 0, "", "live"), (1, 0, "", "live"), (0, 0, "", "live")])
+@example(n=3, keyed=True, sequence=[(0, 0, "", "live"), (1, 0, "", "live"), (0, 0, "", "live")])
 # Equal bytes: another dtype, another shape, another namespace.
-@example(n=2, sequence=[(2, 0, "", "fresh"), (2, 2, "", "fresh"), (2, 1, "", "fresh"),
-                        (2, 0, "model-a", "fresh"), (2, 0, "", "strided")])
+@example(n=2, keyed=True, sequence=[(2, 0, "", "fresh"), (2, 2, "", "fresh"), (2, 1, "", "fresh"),
+                                    (2, 0, "model-a", "fresh"), (2, 0, "", "strided")])
+# Equal dtypes that print differently: each must get its own key.
+@example(n=2, keyed=True, sequence=[(1, 6, "", "fresh"), (1, 7, "", "fresh"), (1, 6, "", "live"),
+                                    (1, 7, "model-a", "strided")])
 # Round-robin over more distinct frames than the memo holds.
-@example(n=4, sequence=[(i % len(PAYLOADS), 0, "", "fresh") for i in range(3 * len(PAYLOADS))])
-def test_memo_never_changes_a_placement_or_a_key(n, sequence):
-    router = make_router(n)
+@example(n=4, keyed=True, sequence=[(i % len(PAYLOADS), 0, "", "fresh") for i in range(3 * len(PAYLOADS))])
+def test_memo_never_changes_a_placement_or_a_key(n, keyed, sequence):
+    routed = KeySpy()
+    router = make_router(n, routed if keyed else None)
     cache = KeySpy()
     frontend = CachingFrontend(Answering(), cache)
     holders = Holders()
-    expected_keys = []
+    expected_keys, routed_keys = [], []
     for payload, form, namespace, holder in sequence:
         image = holders.image(payload, form, holder)
-        assert list(router._order(image)) == rendezvous_order(image, n)
+        assert check_placement(router, image, n) == []
+        router.submit(image).result(timeout=10.0)  # the replica's cache sees the router's key
+        routed_keys.append(content_key(image))
         frontend.namespace = namespace
         expected_keys.append(content_key(image, namespace))
         frontend.submit(image).result(timeout=10.0)
     assert cache.seen[threading.get_ident()] == expected_keys
+    assert routed.seen.get(threading.get_ident(), []) == (routed_keys if keyed else [])
 
 
 def test_object_arrays_bypass_the_memo():
@@ -161,14 +203,15 @@ def test_value_is_computed_from_an_owned_copy():
 
 
 def test_racing_threads_never_get_another_payloads_value():
-    """More threads than cores share one router and one frontend, switching
-    every microsecond; each checks every order and key it receives."""
+    """More threads than cores share one router with replica caches, one
+    router without and one frontend, switching every microsecond; each
+    thread checks every order and key it receives."""
     n, threads, seconds = 3, 8, 2.0
-    router = make_router(n)
+    routed = KeySpy()
+    keyed, plain = make_router(n, routed), make_router(n)
     cache = KeySpy()
     frontend = CachingFrontend(Answering(), cache)
     images = [PAYLOADS[i].view("<f4").reshape(2, 3) for i in range(len(PAYLOADS))]
-    orders = [rendezvous_order(image, n) for image in images]
     keys = [content_key(image) for image in images]
     wrong, sent = [], {}
     start = threading.Barrier(threads)
@@ -182,8 +225,9 @@ def test_racing_threads_never_get_another_payloads_value():
             # insert into the same memos at once.
             i = int(rng.integers(len(images)))
             for _ in range(int(rng.integers(1, 4))):
-                if list(router._order(images[i])) != orders[i]:
-                    wrong.append(("order", i))
+                for router in (keyed, plain):
+                    wrong.extend((what, i) for what in check_placement(router, images[i], n))
+                keyed.submit(images[i]).result(timeout=10.0)
                 frontend.submit(images[i]).result(timeout=10.0)
                 mine.append(keys[i])
         sent[threading.get_ident()] = mine
@@ -202,3 +246,4 @@ def test_racing_threads_never_get_another_payloads_value():
     assert wrong == []
     assert len(sent) == threads and all(sent.values())
     assert {ident: cache.seen[ident] for ident in sent} == sent
+    assert {ident: routed.seen[ident] for ident in sent} == sent

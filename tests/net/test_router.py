@@ -6,8 +6,9 @@ deterministic and fast; the lifecycle tests exercise real
 :class:`~repro.net.router.ProcessReplica` children (spawn → submit → ping →
 kill → typed in-flight failure, and a bounded close of replicas whose
 host hangs), and the replica-cache tests show that a cached replica
-answers repeats on the router's side of its pipe.  The invariant every
-test ends on::
+answers repeats on the router's side of its pipe, after one payload
+lookup, and that a resolved future is booked before ``submit`` returns.
+The invariant every test ends on::
 
     routed + rejected + failed == submitted
 """
@@ -15,6 +16,7 @@ test ends on::
 import itertools
 import os
 import time
+from concurrent.futures import Future
 from functools import partial
 from pathlib import Path
 
@@ -29,11 +31,14 @@ from repro.net.router import (
     ReplicaFailure,
     ShardRouter,
 )
+import repro.cache.result_cache
+import repro.net.router
+from repro.cache import CachingFrontend, ResultCache
 from repro.serve.oracle import OracleStage
 from repro.serve.resilience import CircuitBreaker
-from repro.util.hashing import rendezvous_order
+from repro.util.hashing import PayloadMemo, content_key, rendezvous_order
 
-from netharness import FakeBackend, wait_until
+from netharness import FakeBackend, make_result, wait_until
 
 
 def make_router(n=3, placement="round_robin", modes=None, **kwargs):
@@ -206,6 +211,98 @@ class TestFailover:
         router.close()
 
 
+class Recording(FakeBackend):
+    """A resolving :class:`FakeBackend` that keeps every future it returns;
+    with *error*, each one comes back already failed with it."""
+
+    def __init__(self, error: BaseException | None = None):
+        super().__init__()
+        self.error = error
+        self.futures: list[Future] = []
+
+    def submit(self, image) -> Future:
+        if self.error is None:
+            future = super().submit(image)
+        else:
+            future = Future()
+            future.set_exception(self.error)
+        self.futures.append(future)
+        return future
+
+
+class ProbeLog(CircuitBreaker):
+    """A breaker that records every answer of :meth:`allow`."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.allowed: list[bool] = []
+
+    def allow(self) -> bool:
+        allowed = super().allow()
+        self.allowed.append(allowed)
+        return allowed
+
+
+class TestSettledFuture:
+    """A replica future that is already resolved when ``submit`` returns it."""
+
+    def test_a_hit_is_booked_before_its_result_is_read(self):
+        backend = Recording()
+        frontend = CachingFrontend(backend, ResultCache(max_bytes=1 << 20))
+        router = ShardRouter([InProcessReplica(0, frontend)])
+        image = np.full(4, 5.0)
+        router.submit(image).result(timeout=10.0)  # the miss fills the cache
+        hit = router.submit(image)
+        snap = router.snapshot()
+        assert (snap.submitted, snap.routed, snap.replica_routed) == (2, 2, {0: 2})
+        assert snap.balanced and snap.in_flight == 0
+        assert len(backend.futures) == 1  # the hit never reached the backend
+        assert hit.done() and hit.result(timeout=0).source == "cache"
+
+    def test_a_resolved_future_is_returned_as_is(self):
+        backend = Recording()
+        router = ShardRouter([InProcessReplica(0, backend)])
+        assert router.submit(np.zeros(4)) is backend.futures[-1]
+
+    def test_a_hit_through_a_half_open_breaker_uses_its_probe(self):
+        now = [0.0]
+        transitions: list[str] = []
+        breaker = ProbeLog(
+            failure_threshold=1, cooldown_s=1.0, clock=lambda: now[0],
+            on_transition=transitions.append,
+        )
+        frontend = CachingFrontend(Recording(), ResultCache(max_bytes=1 << 20))
+        router = ShardRouter([InProcessReplica(0, frontend)], breaker_factory=lambda: breaker)
+        image = np.full(4, 2.0)
+        router.submit(image).result(timeout=10.0)
+        breaker.record_failure()
+        now[0] = 1.0  # the cool-down is over
+        assert router.breaker_states() == ["half_open"]
+        breaker.allowed.clear()
+        hit = router.submit(image)
+        assert hit.done() and hit.result(timeout=0).source == "cache"
+        assert breaker.allowed == [True]
+        assert transitions == ["open", "half_open", "closed"]
+        assert router.breaker_states() == ["closed"]
+        assert router.snapshot().balanced
+
+    def test_a_failed_future_books_a_failure(self):
+        backend = Recording(error=RuntimeError("cascade broke"))
+        router = ShardRouter(
+            [InProcessReplica(0, backend)],
+            breaker_factory=lambda: CircuitBreaker(failure_threshold=1, cooldown_s=60.0),
+        )
+        future = router.submit(np.zeros(4))
+        assert future is not backend.futures[-1]
+        with pytest.raises(RuntimeError, match="cascade broke"):
+            future.result(timeout=10.0)
+        snap = router.snapshot()
+        assert (snap.submitted, snap.routed, snap.failed) == (1, 0, 1)
+        assert snap.replica_failed == {0: 1} and snap.replica_routed == {}
+        assert router.breaker_states() == ["open"]
+        assert snap.balanced
+
+
 class TestProcessReplica:
     """One real child process end to end (the chaos suite does the rest)."""
 
@@ -374,6 +471,36 @@ class TestReplicaCache:
             router.close(5.0)
 
 
+    def test_one_payload_lookup_per_routed_request(self, monkeypatch):
+        router = ShardRouter.spawn(_cached_factory, 2, placement="rendezvous")
+        try:
+            sent = [_record_crossings(monkeypatch, r) for r in router.replicas]
+            lookups, placed, keyed = _count(monkeypatch, PayloadMemo, "lookup"), [], []
+            order, key = repro.net.router.rendezvous_order, content_key
+            monkeypatch.setattr(
+                repro.net.router, "rendezvous_order",
+                lambda *args: placed.append(1) or order(*args),
+            )
+            for module in (repro.net.router, repro.cache.result_cache):
+                monkeypatch.setattr(module, "content_key", lambda *args: keyed.append(1) or key(*args))
+            images = make_oracle_images(6, seed=8, signal=4.0)
+            for image in images:
+                cold = router.submit(image).result(timeout=30.0)
+                for _ in range(2):
+                    hit = router.submit(image)
+                    assert hit.done()  # answered in the router's process
+                    result = hit.result(timeout=0)
+                    assert result.source == "cache" and result.cold_source == cold.source
+            assert len(lookups) == 3 * len(images)
+            assert (len(placed), len(keyed)) == (len(images), len(images))
+            assert sum(len(s) for s in sent) == len(images)  # only the misses crossed
+            assert all(kind == "submit" for s in sent for kind in s)
+            snap = router.snapshot()
+            assert (snap.submitted, snap.routed) == (18, 18) and snap.balanced
+        finally:
+            router.close(5.0)
+
+
 @pytest.fixture
 def wedge(tmp_path):
     """The flags dir and FIFO of :func:`flagged_bnn`."""
@@ -407,6 +534,18 @@ def _wedgeable_factory(flags: str, fifo: str) -> dict:
 def _calls(flags: Path, pid: int) -> int:
     """BNN calls replica process *pid* has made."""
     return len(list(flags.glob(f"call-{pid}-*")))
+
+
+def _count(monkeypatch, owner, name: str) -> list:
+    """One entry per call of *owner*.*name* from now on."""
+    calls, method = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def _record_crossings(monkeypatch, replica) -> list:
